@@ -24,7 +24,6 @@ from .genetics import (  # noqa: F401
     GeneticCode,
     LengthVector,
     SaturatedChain,
-    code_report,
     cover_step,
     dominance_leq,
     down_covers,

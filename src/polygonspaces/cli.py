@@ -64,6 +64,14 @@ def _parse_lengths(raw: list[str]) -> list[Fraction]:
     return out
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list_of(value, check) -> bool:
+    return isinstance(value, list) and all(check(x) for x in value)
+
+
 def _code_payload(code: GeneticCode) -> dict:
     return {
         "m": code.edge_count,
@@ -240,9 +248,24 @@ def _parse_locus(text: str, edge_count: int):
     of blocks; elements not mentioned become singletons."""
     text = text.strip()
     if text.startswith("["):
-        blocks = [tuple(b) for b in json.loads(text)]
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError):
+            raise InvalidCodeError(f"locus {text!r} is not valid JSON")
+        if not _is_list_of(data, lambda b: _is_list_of(b, _is_int)):
+            raise InvalidCodeError(
+                f"locus {text!r} is not a list of integer blocks"
+            )
+        blocks = [tuple(b) for b in data]
     else:
-        blocks = [tuple(int(ch) for ch in group) for group in text.split(",")]
+        try:
+            blocks = [
+                tuple(int(ch) for ch in group) for group in text.split(",")
+            ]
+        except ValueError:
+            raise InvalidCodeError(
+                f"locus {text!r} is not comma-separated digit groups"
+            )
     named = {e for b in blocks for e in b}
     blocks += [(e,) for e in range(1, edge_count + 1) if e not in named]
     return canonical_partition(blocks)
@@ -290,17 +313,44 @@ def _cmd_poset(args: argparse.Namespace) -> int:
 # -- homology -------------------------------------------------------------
 
 
+def _valid_cell(cell) -> bool:
+    return (
+        isinstance(cell, dict)
+        and _is_int(cell.get("dim"))
+        and cell["dim"] >= 0
+        and _is_list_of(cell.get("facets"), _is_int)
+    )
+
+
 def _load_dump(path: str):
+    """Read a dump written by ``run --dump-cells``.  A file that breaks the
+    schema is bad input; a well-formed complex that fails an audit is an
+    audit failure."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InvalidCodeError(f"cannot read complex dump {path}: {exc}")
     if not isinstance(data, dict) or "kind" not in data:
         raise InvalidCodeError(f"{path} is not a complex dump")
     if data["kind"] == "simplicial":
-        return SimplicialComplex([tuple(face) for face in data["maximal"]])
+        faces = data.get("maximal")
+        # vertices must sort against each other: all integers or all strings
+        if not _is_list_of(faces, lambda f: isinstance(f, list)) or not (
+            all(_is_int(v) for f in faces for v in f)
+            or all(isinstance(v, str) for f in faces for v in f)
+        ):
+            raise InvalidCodeError(
+                f"{path}: 'maximal' must list faces of integer vertices "
+                "or of string vertices"
+            )
+        return SimplicialComplex([tuple(face) for face in faces])
     if data["kind"] == "cells":
+        if not _is_list_of(data.get("cells"), _valid_cell):
+            raise InvalidCodeError(
+                f"{path}: 'cells' must list cells with an integer 'dim' "
+                "of at least 0 and a list of integer 'facets'"
+            )
         out = RegularCellComplex()
         for k, cell in enumerate(data["cells"]):
             out.add_cell(

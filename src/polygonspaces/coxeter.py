@@ -18,9 +18,8 @@ preserving and facet compatible.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Hashable, Iterable, Iterator, Optional
 
 from .errors import (
     AuditError,
@@ -28,7 +27,6 @@ from .errors import (
     GroundSetTooLargeError,
     NotApplicableError,
 )
-from .posets import FinitePoset
 
 MIN_COXETER_GROUND = 2
 MAX_COXETER_GROUND = 7
@@ -51,6 +49,30 @@ class Cell:
     label: tuple
     facets: tuple[int, ...]
     pattern: Blocks = ()
+
+
+def connected_components(
+    nodes: Iterable[Hashable], links: Iterable[tuple]
+) -> list[list]:
+    """Components of the graph on ``nodes`` whose edges are the pairs in
+    ``links``, by union-find.  Components come in the order of their first
+    node, and each lists its nodes in input order."""
+    parent = {x: x for x in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    groups: dict = {}
+    for x in parent:
+        groups.setdefault(find(x), []).append(x)
+    return list(groups.values())
 
 
 def reversal(blocks: Blocks) -> Blocks:
@@ -156,22 +178,14 @@ class RegularCellComplex:
         for c in self.cells.values():
             if c.dim != 2:
                 continue
-            degree: dict[int, list[int]] = {}
-            for e in c.facets:
-                for v in self.cells[e].facets:
-                    degree.setdefault(v, []).append(e)
-            if any(len(es) != 2 for es in degree.values()):
+            ends = [self.cells[e].facets for e in c.facets]
+            degree: dict[int, int] = {}
+            for pair in ends:
+                for v in pair:
+                    degree[v] = degree.get(v, 0) + 1
+            if any(k != 2 for k in degree.values()):
                 raise AuditError(f"boundary of {c.label!r} is not a cycle")
-            seen = {c.facets[0]}
-            frontier = [c.facets[0]]
-            while frontier:
-                e = frontier.pop()
-                for v in self.cells[e].facets:
-                    for e2 in degree[v]:
-                        if e2 not in seen:
-                            seen.add(e2)
-                            frontier.append(e2)
-            if len(seen) != len(c.facets):
+            if len(connected_components(degree, ends)) != 1:
                 raise AuditError(
                     f"boundary of {c.label!r} is not a single cycle"
                 )
@@ -244,13 +258,6 @@ class RegularCellComplex:
             self._faces[ident] = result
         return result
 
-    def face_poset(self) -> FinitePoset:
-        idents = sorted(self.cells)
-        pairs = [
-            (f, c.ident) for c in self.cells.values() for f in c.facets
-        ]
-        return FinitePoset.from_relations(idents, pairs)
-
     def materialize(self, idents: Iterable[int]) -> "RegularCellComplex":
         """The closed subcomplex generated by ``idents``, keeping identities."""
         keep: set[int] = set()
@@ -268,25 +275,6 @@ class RegularCellComplex:
         if set(both) == keep:
             out.involution.update(both)
         return out.seal()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "cells": [
-                    {
-                        "id": c.ident,
-                        "dim": c.dim,
-                        "label": label_str(c.label),
-                        "facets": sorted(c.facets),
-                    }
-                    for c in sorted(self.cells.values(), key=lambda c: c.ident)
-                ],
-                "involution": {
-                    str(a): b for a, b in sorted(self.involution.items())
-                },
-                "f_vector": self.f_vector(),
-            }
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ All arithmetic is ``fractions.Fraction``; floats never appear.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -278,19 +277,6 @@ class GeneticCode:
                 if self.is_short(combo):
                     out.append(frozenset(combo))
         return frozenset(out)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "edge_count": self.edge_count,
-                "genes": [sorted(g) for g in self.genes],
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "GeneticCode":
-        data = json.loads(text)
-        return GeneticCode(data["edge_count"], data["genes"])
 
     def __str__(self) -> str:
         return format_code(self)
@@ -691,23 +677,3 @@ def parse_code(text: str, edge_count: Optional[int] = None) -> GeneticCode:
             )
         edge_count = max(max(g) for g in genes)
     return GeneticCode(edge_count, genes)
-
-
-def code_report(code: GeneticCode) -> dict:
-    """A JSON-friendly summary: genes, chain, signature, realization."""
-    chain = saturated_chain(code)
-    vector = (
-        realize(code) if code.edge_count <= MAX_EDGES_REALIZE else None
-    )
-    return {
-        "code": format_code(code),
-        "edge_count": code.edge_count,
-        "genes": [sorted(g) for g in code.genes],
-        "empty_space": code.is_empty_space(),
-        "anchor_short_count": len(code.anchor_short_sets()),
-        "chain": [format_code(c) for c in chain.codes],
-        "added_sets": [sorted(s) for s in chain.added_sets],
-        "surgery_signature": list(surgery_signature(code)),
-        "realizable": vector is not None,
-        "realization": list(vector.as_integers()) if vector else None,
-    }

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import AuditError, NotApplicableError, TooLargeError
-from .coxeter import RegularCellComplex
+from .coxeter import RegularCellComplex, connected_components
 from .genetics import GeneticCode
 
 MAX_SIMPLICES = 2_000_000
@@ -104,6 +104,15 @@ class SimplicialComplex:
         )
 
 
+def proper_faces(face: tuple) -> list[tuple]:
+    """Every nonempty proper sub-face of a simplex, smallest first."""
+    return [
+        sub
+        for k in range(1, len(face))
+        for sub in itertools.combinations(face, k)
+    ]
+
+
 def _chain_simplices(elements, strict_faces) -> list[tuple]:
     """All nonempty chains of a poset given by a strict-faces map."""
     memo: dict = {}
@@ -144,14 +153,7 @@ def subdivide(sc: SimplicialComplex) -> SimplicialComplex:
     result are the faces of the input."""
     all_faces = [f for d in sc.faces_by_dim.values() for f in d]
 
-    def strict_faces(face: tuple):
-        return [
-            sub
-            for k in range(1, len(face))
-            for sub in itertools.combinations(face, k)
-        ]
-
-    chains = _chain_simplices(all_faces, strict_faces)
+    chains = _chain_simplices(all_faces, proper_faces)
     if len(chains) > MAX_SIMPLICES:
         raise TooLargeError(
             f"subdivision has {len(chains)} simplices, cap {MAX_SIMPLICES}"
@@ -408,21 +410,8 @@ class HomologyReport:
 
 
 def _component_count(faces_by_dim: dict[int, tuple[tuple, ...]]) -> int:
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (v,) in faces_by_dim.get(0, ()):
-        parent[v] = v
-    for edge in faces_by_dim.get(1, ()):
-        a, b = find(edge[0]), find(edge[1])
-        if a != b:
-            parent[a] = b
-    return len({find(v) for v in parent})
+    vertices = (v for (v,) in faces_by_dim.get(0, ()))
+    return len(connected_components(vertices, faces_by_dim.get(1, ())))
 
 
 def _pseudo_manifold_orientable(
@@ -555,28 +544,14 @@ def betti_oracle(code: GeneticCode) -> tuple[int, ...]:
 def _component_faces(
     sc: SimplicialComplex,
 ) -> list[dict[int, tuple[tuple, ...]]]:
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (v,) in sc.faces(0):
-        parent[v] = v
-    for edge in sc.faces(1):
-        a, b = find(edge[0]), find(edge[1])
-        if a != b:
-            parent[a] = b
-    buckets: dict = {}
+    vertices = (v for (v,) in sc.faces(0))
+    comps = connected_components(vertices, sc.faces(1))
+    owner = {v: k for k, comp in enumerate(comps) for v in comp}
+    buckets: list[dict] = [{} for _ in comps]
     for d, fs in sc.faces_by_dim.items():
         for f in fs:
-            buckets.setdefault(find(f[0]), {}).setdefault(d, []).append(f)
-    return [
-        {d: tuple(sorted(fs)) for d, fs in comp.items()}
-        for _, comp in sorted(buckets.items(), key=lambda kv: str(kv[0]))
-    ]
+            buckets[owner[f[0]]].setdefault(d, []).append(f)
+    return [{d: tuple(fs) for d, fs in comp.items()} for comp in buckets]
 
 
 def identify_small(
@@ -595,7 +570,7 @@ def identify_small(
     components = _component_faces(source)
     if source.dim == 1:
         if all(
-            all(len(ts) == 2 for ts in _ridge_counts(comp).values())
+            _pseudo_manifold_orientable(comp) is not None
             for comp in components
         ):
             n = len(components)
@@ -604,17 +579,6 @@ def identify_small(
         return f"graph(chi={chi})"
     names = sorted(_surface_name(comp) for comp in components)
     return " ⊔ ".join(names)
-
-
-def _ridge_counts(
-    faces_by_dim: dict[int, tuple[tuple, ...]]
-) -> dict[tuple, list[tuple]]:
-    d = max(faces_by_dim)
-    out: dict[tuple, list[tuple]] = {}
-    for g in faces_by_dim.get(d, ()):
-        for i in range(len(g)):
-            out.setdefault(g[:i] + g[i + 1 :], []).append(g)
-    return out
 
 
 def _surface_name(faces_by_dim: dict[int, tuple[tuple, ...]]) -> str:

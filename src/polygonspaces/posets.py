@@ -3,7 +3,7 @@
 The central objects are:
 
 * :class:`FinitePoset`: an immutable finite poset with bitmask down-sets,
-  supporting covers, meets, products, grading, DOT and JSON export.
+  supporting covers, meets, products, subposets and grading.
 * set-partition utilities and the full partition lattice ordered by
   reverse refinement (coarser partitions sit higher),
 * the intersection poset of a realizable genetic code: partitions of the
@@ -19,7 +19,6 @@ The central objects are:
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
@@ -217,9 +216,6 @@ class FinitePoset:
                 return None
         return {e: rank[self.index[e]] for e in self.elements}
 
-    def is_graded(self) -> bool:
-        return self.rank_function() is not None
-
     def height(self) -> int:
         """Length of the longest chain (number of covers along it)."""
         n = len(self.elements)
@@ -257,33 +253,6 @@ class FinitePoset:
                     mask |= 1 << new_j
             down.append(mask)
         return FinitePoset(kept, down)
-
-    # -- export -----------------------------------------------------------
-
-    def to_dot(
-        self,
-        label: Callable[[Hashable], str] = str,
-        dashed: Optional[Callable[[Hashable], bool]] = None,
-    ) -> str:
-        lines = ["digraph poset {", "  rankdir=BT;"]
-        for i, e in enumerate(self.elements):
-            text = label(e).replace('"', '\\"')
-            style = ', style=dashed' if dashed and dashed(e) else ""
-            lines.append(f'  n{i} [label="{text}"{style}];')
-        for a, b in self.covers():
-            lines.append(f"  n{self.index[a]} -> n{self.index[b]};")
-        lines.append("}")
-        return "\n".join(lines)
-
-    def to_json(self, label: Callable[[Hashable], str] = str) -> str:
-        return json.dumps(
-            {
-                "elements": [label(e) for e in self.elements],
-                "covers": sorted(
-                    [self.index[a], self.index[b]] for a, b in self.covers()
-                ),
-            }
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from .coxeter import (
     Cell,
     RegularCellComplex,
+    connected_components,
     coxeter_complex,
     projective_quotient,
 )
@@ -49,6 +50,7 @@ from .homology import (
     _chain_simplices,
     barycentric,
     homology,
+    proper_faces,
     subdivide,
 )
 from .posets import canonical_partition
@@ -124,20 +126,8 @@ def locate_sphere(
             raise SphereRelocationFailedError(
                 "circle sphere is not a plain cycle"
             )
-        seen = {verts[0]}
-        frontier = [verts[0]]
-        incident: dict[int, list[int]] = {v: [] for v in verts}
-        for e in edges:
-            for v in complex_.cells[e].facets:
-                incident[v].append(e)
-        while frontier:
-            v = frontier.pop()
-            for e in incident[v]:
-                for w in complex_.cells[e].facets:
-                    if w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-        if len(seen) != len(verts):
+        ends = (complex_.cells[e].facets for e in edges)
+        if len(connected_components(verts, ends)) != 1:
             raise SphereRelocationFailedError("circle sphere is disconnected")
     else:
         rep = homology(complex_.materialize(ids))
@@ -223,20 +213,8 @@ def _face_flanks(
         raise SphereNotEmbeddedError(
             f"face {face.ident} touches the sphere beside its arc"
         )
-    seen = {arc_edges[0]}
-    frontier = [arc_edges[0]]
-    at: dict[int, list[int]] = {}
-    for e in arc_edges:
-        for v in complex_.cells[e].facets:
-            at.setdefault(v, []).append(e)
-    while frontier:
-        e = frontier.pop()
-        for v in complex_.cells[e].facets:
-            for e2 in at[v]:
-                if e2 not in seen:
-                    seen.add(e2)
-                    frontier.append(e2)
-    if len(seen) != len(arc_edges):
+    ends_of = (complex_.cells[e].facets for e in arc_edges)
+    if len(connected_components(count, ends_of)) != 1:
         raise SphereNotEmbeddedError(
             f"face {face.ident} meets the sphere in several arcs"
         )
@@ -245,7 +223,7 @@ def _face_flanks(
         fl = [
             e
             for e in boundary
-            if e not in seen and v in complex_.cells[e].facets
+            if e not in arc_edges and v in complex_.cells[e].facets
         ]
         if len(fl) != 1:
             raise AuditError(f"arc end {v} of face {face.ident} is singular")
@@ -321,27 +299,10 @@ def surgery_2d(
     if any(d != 2 for d in degree.values()):
         raise AuditError("interface nodes do not chain into cycles")
 
-    parent = {key: key for key in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for f in adj_faces:
-        a, b = face_flanks[f]
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    members: dict = {}
-    for key in nodes:
-        members.setdefault(find(key), []).append(key)
-    cycles = sorted(min(group) for group in members.values())
-    cycle_index = {root: i for i, root in enumerate(cycles)}
-    side = {
-        key: cycle_index[min(members[find(key)])] for key in nodes
-    }
+    # nodes are sorted, so each cycle starts with its smallest node
+    groups = connected_components(nodes, face_flanks.values())
+    cycles = [group[0] for group in groups]
+    side = {key: s for s, group in enumerate(groups) for key in group}
 
     out = RegularCellComplex(first_ident=complex_._next)
     removed = sphere | adjacent
@@ -352,8 +313,6 @@ def surgery_2d(
     new_vertex: dict[tuple[int, int], int] = {}
     vertex_groups: dict = {}
     face_groups: dict = {}
-    rung_cell: dict = {}
-    cone_cell: dict[int, int] = {}
     iface_edge: dict[int, int] = {}
 
     def pattern_map(keys) -> dict:
@@ -403,10 +362,7 @@ def surgery_2d(
                 raise AuditError(
                     f"point surgery expects two cycles, found {len(cycles)}"
                 )
-            sides = [
-                [key for key in nodes if side[key] == s] for s in (0, 1)
-            ]
-            left, right = pattern_map(sides[0]), pattern_map(sides[1])
+            left, right = pattern_map(groups[0]), pattern_map(groups[1])
             if set(left) != set(right):
                 raise AuditError(
                     "the two interface cycles carry different patterns"
@@ -433,7 +389,9 @@ def surgery_2d(
             for pk in sorted(fsides[0]):
                 face_groups[pk] = (fsides[0][pk], fsides[1][pk])
 
-    # vertices of the result
+    # vertices of the result; cap_of_side holds the cone vertex (collapse)
+    # or the capping disk (attach) of each cycle of an index-one surgery
+    cap_of_side: dict[int, int] = {}
     if index == 0 and mode == "collapse":
         for gk, (a, b) in sorted(vertex_groups.items()):
             ident = out.add_cell(
@@ -444,11 +402,10 @@ def surgery_2d(
             new_vertex[a] = ident
             new_vertex[b] = ident
     elif index == 1 and mode == "collapse":
-        for root in cycles:
-            s = cycle_index[root]
-            cone_cell[s] = out.add_cell(0, ("cone", root))
+        for s, root in enumerate(cycles):
+            cap_of_side[s] = out.add_cell(0, ("cone", root))
         for key in nodes:
-            new_vertex[key] = cone_cell[side[key]]
+            new_vertex[key] = cap_of_side[side[key]]
     else:
         for key in nodes:
             new_vertex[key] = out.add_cell(
@@ -495,19 +452,18 @@ def surgery_2d(
             iface_edge[f1] = ident
             iface_edge[f2] = ident
 
-    # rungs of the tube or band
+    # rungs of the tube or band, one per vertex group
+    rung_of_node: dict[tuple[int, int], int] = {}
     if index == 0 and mode == "attach":
         for gk, (a, b) in sorted(vertex_groups.items()):
-            rung_cell[gk] = out.add_cell(
+            ident = out.add_cell(
                 1,
                 ("cap", ("rung", a, b)),
                 (new_vertex[a], new_vertex[b]),
                 node_pattern[a],
             )
-        group_of_node = {}
-        for gk, pair in vertex_groups.items():
-            for key in pair:
-                group_of_node[key] = gk
+            rung_of_node[a] = ident
+            rung_of_node[b] = ident
 
     # truncated faces
     trunc_face: dict[int, int] = {}
@@ -527,23 +483,24 @@ def surgery_2d(
         )
 
     # closing cells
+    quad_of_face: dict[int, int] = {}
     if index == 0 and mode == "attach":
         for gk, (f1, f2) in sorted(face_groups.items()):
-            g1 = group_of_node[face_flanks[f1][0]]
-            g2 = group_of_node[face_flanks[f1][1]]
-            if {group_of_node[k] for k in face_flanks[f2]} != {g1, g2}:
+            r1, r2 = (rung_of_node[k] for k in face_flanks[f1])
+            if {rung_of_node[k] for k in face_flanks[f2]} != {r1, r2}:
                 raise AuditError(
                     f"faces {f1} and {f2} do not span matching rungs"
                 )
-            out.add_cell(
+            ident = out.add_cell(
                 2,
                 ("cap", ("quad", f1, f2)),
-                (iface_edge[f1], iface_edge[f2], rung_cell[g1], rung_cell[g2]),
+                (iface_edge[f1], iface_edge[f2], r1, r2),
                 restrict_pattern(complex_.cells[f1].pattern, units),
             )
+            quad_of_face[f1] = ident
+            quad_of_face[f2] = ident
     elif index == 1 and mode == "attach":
-        for root in cycles:
-            s = cycle_index[root]
+        for s, root in enumerate(cycles):
             rim = sorted(
                 {
                     iface_edge[f]
@@ -551,113 +508,47 @@ def surgery_2d(
                     if side[face_flanks[f][0]] == s
                 }
             )
-            out.add_cell(2, ("cap", ("disk", root)), rim)
+            cap_of_side[s] = out.add_cell(2, ("cap", ("disk", root)), rim)
 
-    # carry the involution through, when there is one
+    # carry the involution through, when there is one: every new cell is
+    # recorded under the old cell, node or cycle it came from, and pairs
+    # with the new cell recorded under that one's image
     if complex_.involution and not projective:
-        _carry_involution(
-            complex_,
-            out,
-            kept=[c.ident for c in kept],
-            new_vertex=new_vertex,
-            trunc_edge=trunc_edge,
-            iface_edge=iface_edge,
-            trunc_face=trunc_face,
-            face_flanks=face_flanks,
-            mode=mode,
-            index=index,
-            cycles=cycles,
-            cycle_index=cycle_index,
-            side=side,
-            cone_cell=cone_cell,
-            rung_cell=rung_cell,
-            vertex_groups=vertex_groups,
-            face_groups=face_groups,
-        )
+        inv = complex_.involution
+        for c in kept:
+            if inv[c.ident] in removed:
+                raise AuditError(
+                    f"involution moves kept cell {c.ident} off the kept set"
+                )
+            out.pair(c.ident, inv[c.ident])
+
+        def node_image(key):
+            e, v = key
+            return (inv[e], inv[v])
+
+        def carry(cells: dict, image) -> None:
+            for key, cell in cells.items():
+                partner = cells[image(key)]
+                if out.involution.get(cell) != partner:
+                    out.pair(cell, partner)
+
+        carry(trunc_edge, inv.__getitem__)
+        carry(trunc_face, inv.__getitem__)
+        carry(new_vertex, node_image)
+        carry(iface_edge, inv.__getitem__)
+        carry(rung_of_node, node_image)
+        carry(quad_of_face, inv.__getitem__)
+        if index == 1:
+            side_image: dict[int, int] = {}
+            for key in side:
+                s, t = side[key], side[node_image(key)]
+                if side_image.setdefault(s, t) != t:
+                    raise AuditError("involution shears the boundary cycles")
+            carry(cap_of_side, side_image.__getitem__)
 
     out.seal()
     _audit_closed_surface(out)
     return out
-
-
-def _carry_involution(
-    complex_,
-    out,
-    *,
-    kept,
-    new_vertex,
-    trunc_edge,
-    iface_edge,
-    trunc_face,
-    face_flanks,
-    mode,
-    index,
-    cycles,
-    cycle_index,
-    side,
-    cone_cell,
-    rung_cell,
-    vertex_groups,
-    face_groups,
-) -> None:
-    inv = complex_.involution
-    kept_set = set(kept)
-    for i in kept:
-        if inv[i] not in kept_set:
-            raise AuditError(f"involution moves kept cell {i} off the kept set")
-        out.pair(i, inv[i])
-    for e, t in trunc_edge.items():
-        out.pair(t, trunc_edge[inv[e]])
-    for f, t in trunc_face.items():
-        out.pair(t, trunc_face[inv[f]])
-
-    def node_image(key):
-        e, v = key
-        return (inv[e], inv[v])
-
-    paired: set[int] = set()
-
-    def pair_once(a: int, b: int) -> None:
-        if a in paired and out.involution.get(a) == b:
-            return
-        out.pair(a, b)
-        paired.add(a)
-        paired.add(b)
-
-    for key, cell in new_vertex.items():
-        pair_once(cell, new_vertex[node_image(key)])
-    for f, cell in iface_edge.items():
-        pair_once(cell, iface_edge[inv[f]])
-    if index == 0 and mode == "attach":
-        group_of_node = {}
-        for gk, pair in vertex_groups.items():
-            for key in pair:
-                group_of_node[key] = gk
-        for gk, (a, b) in vertex_groups.items():
-            pair_once(rung_cell[gk], rung_cell[group_of_node[node_image(a)]])
-        quad_of_face = {}
-        for gk, (f1, f2) in face_groups.items():
-            ident = out.by_label(("cap", ("quad", f1, f2)))
-            quad_of_face[f1] = ident
-            quad_of_face[f2] = ident
-        for f1, ident in quad_of_face.items():
-            pair_once(ident, quad_of_face[inv[f1]])
-    if index == 1:
-        side_image = {}
-        for key in side:
-            s, t = side[key], side[node_image(key)]
-            if side_image.setdefault(s, t) != t:
-                raise AuditError("involution shears the boundary cycles")
-        if mode == "collapse":
-            for s, c in cone_cell.items():
-                pair_once(c, cone_cell[side_image[s]])
-        else:
-            cap_of_side = {
-                cycle_index[root]: out.by_label(("cap", ("disk", root)))
-                for root in cycles
-            }
-            for s, c in cap_of_side.items():
-                pair_once(c, cap_of_side[side_image[s]])
 
 
 # ---------------------------------------------------------------------------
@@ -840,15 +731,7 @@ def _build_model(
     bulk_faces = [
         f for fs in bulk.faces_by_dim.values() for f in fs
     ]
-
-    def face_strict(face: tuple):
-        return [
-            sub
-            for k in range(1, len(face))
-            for sub in itertools.combinations(face, k)
-        ]
-
-    for chain in _chain_simplices(bulk_faces, face_strict):
+    for chain in _chain_simplices(bulk_faces, proper_faces):
         simplices.append(tuple(("c", f) for f in chain))
 
     for i, ((units, _), (link, gmap)) in enumerate(zip(jobs, links)):
@@ -869,17 +752,12 @@ def _build_model(
             kind, payload = el
             if kind == "b":
                 _, ch = payload
-                return [
-                    ("b", (i, sub))
-                    for k in range(1, len(ch))
-                    for sub in itertools.combinations(ch, k)
-                ]
-            below = [("c", sub) for sub in face_strict(payload)]
+                return [("b", (i, sub)) for sub in proper_faces(ch)]
+            below = [("c", sub) for sub in proper_faces(payload)]
             image = tuple(sorted({gmap[v] for v in payload}))
-            for k in range(1, len(image) + 1):
-                for sub in itertools.combinations(image, k):
-                    if sub in link_chain_set:
-                        below.append(("b", (i, sub)))
+            for sub in proper_faces(image) + [image]:
+                if sub in link_chain_set:
+                    below.append(("b", (i, sub)))
             return below
 
         for chain in _chain_simplices(elements, strict_below):

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from polygonspaces.cli import main
 
@@ -184,6 +186,39 @@ def test_homology_missing_file(capsys, tmp_path) -> None:
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "dump",
+    [
+        pytest.param({"kind": "simplicial"}, id="no-maximal"),
+        pytest.param(
+            {"kind": "simplicial", "maximal": [[0, 1], ["a", 2]]},
+            id="mixed-vertex-types",
+        ),
+        pytest.param(
+            {"kind": "simplicial", "maximal": [[0, [1]]]}, id="list-vertex"
+        ),
+        pytest.param({"kind": "cells"}, id="no-cells"),
+        pytest.param(
+            {"kind": "cells", "cells": [{"dim": 0}]}, id="no-facets"
+        ),
+        pytest.param(
+            {"kind": "cells", "cells": [{"dim": "0", "facets": []}]},
+            id="string-dim",
+        ),
+        pytest.param(
+            {"kind": "cells", "cells": [{"dim": -1, "facets": []}]},
+            id="negative-dim",
+        ),
+    ],
+)
+def test_homology_malformed_dump(capsys, tmp_path, dump) -> None:
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dump))
+    code, _, err = run_cli(capsys, "homology", str(bad))
+    assert code == 2
+    assert "INVALID_CODE" in err
+
+
 def test_homology_bad_complex_is_an_audit_failure(capsys, tmp_path) -> None:
     bad = tmp_path / "bad.json"
     bad.write_text(
@@ -227,10 +262,19 @@ def test_poset_barred_size(capsys) -> None:
     assert len(barred) == 39
 
 
-def test_poset_bad_locus(capsys) -> None:
-    code, _, err = run_cli(capsys, "poset", "<26>", "--surgery", "12345")
+@pytest.mark.parametrize(
+    "locus, error",
+    [
+        pytest.param("12345", "NOT_APPLICABLE", id="12345"),
+        pytest.param("[1,2", "INVALID_CODE", id="unclosed-json"),
+        pytest.param("1x,2", "INVALID_CODE", id="non-digit"),
+        pytest.param('[["a"]]', "INVALID_CODE", id="string-element"),
+    ],
+)
+def test_poset_bad_locus(capsys, locus, error) -> None:
+    code, _, err = run_cli(capsys, "poset", "<26>", "--surgery", locus)
     assert code == 2
-    assert "NOT_APPLICABLE" in err
+    assert error in err
 
 
 # -- realize ---------------------------------------------------------------
@@ -271,3 +315,89 @@ def test_byte_identical_reruns(capsys) -> None:
     third = run_cli(capsys, "poset", "<26>", "--surgery", "345")
     fourth = run_cli(capsys, "poset", "<26>", "--surgery", "345")
     assert third == fourth
+
+
+# -- fuzzing the input parsers ----------------------------------------------
+
+FUZZ = settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def exit_status(capsys, argv) -> int:
+    """Run the CLI; argparse usage errors exit 2 through SystemExit.
+    Any other exception escapes and fails the test."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    return code
+
+
+tokens = st.one_of(
+    st.integers(-3, 30).map(str),
+    st.text(alphabet="0123456789/.-e", max_size=6),
+    st.text(max_size=4),
+)
+
+
+@FUZZ
+@given(lengths=st.lists(tokens, max_size=9))
+def test_fuzz_gencode_lengths(capsys, lengths) -> None:
+    assert exit_status(capsys, ["gencode", "--", *lengths]) in (0, 2, 3)
+
+
+@FUZZ
+@given(
+    locus=st.one_of(
+        st.text(alphabet="0123456789,[]\" a", max_size=10),
+        st.text(max_size=6),
+    )
+)
+def test_fuzz_poset_surgery_locus(capsys, locus) -> None:
+    argv = ["poset", "<26>", f"--surgery={locus}"]
+    assert exit_status(capsys, argv) in (0, 2, 3)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["kind", "maximal", "cells", "dim", "facets"]),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=12,
+)
+vertices = st.integers(0, 6) | st.text(alphabet="abc", max_size=1)
+simplicial_dumps = st.fixed_dictionaries(
+    {"kind": st.just("simplicial")},
+    optional={"maximal": st.lists(st.lists(vertices, max_size=4), max_size=6)},
+)
+cell_dumps = st.fixed_dictionaries(
+    {"kind": st.just("cells")},
+    optional={
+        "cells": st.lists(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "dim": st.integers(-1, 2) | json_values,
+                    "facets": st.lists(st.integers(-1, 6), max_size=3)
+                    | json_values,
+                },
+            ),
+            max_size=7,
+        )
+    },
+)
+
+
+@FUZZ
+@given(dump=st.one_of(simplicial_dumps, cell_dumps, json_values))
+def test_fuzz_homology_dump(capsys, tmp_path, dump) -> None:
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(dump))
+    assert exit_status(capsys, ["homology", str(path)]) in (0, 2, 3)

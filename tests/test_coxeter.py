@@ -1,7 +1,6 @@
 """Cell complex layer: audits, Coxeter spheres, quotients, products."""
 
 import functools
-import json
 
 import pytest
 
@@ -113,15 +112,6 @@ def test_closure_sizes() -> None:
     assert disk.f_vector() == (3, 3, 1)
     assert set(disk.cells) <= set(k.cells)
     assert disk.involution == {}
-
-
-def test_face_poset() -> None:
-    p2 = ca(3).face_poset()
-    assert len(p2.elements) == 12
-    assert len(p2.minimal_elements()) == 6
-    assert len(p2.maximal_elements()) == 6
-    assert p2.height() == 1
-    assert ca(4).face_poset().height() == 2
 
 
 # -- projective quotients ----------------------------------------------
@@ -283,19 +273,6 @@ def test_blocks_and_label_strings() -> None:
     assert (
         label_str(("prod", (("seg", 0), ("osp", (fs(1), fs(2))))))
         == "seg(0)*1|2"
-    )
-
-
-def test_to_json_deterministic() -> None:
-    k = ca(3)
-    blob = k.to_json()
-    assert blob == k.to_json()
-    data = json.loads(blob)
-    assert data["f_vector"] == [6, 6]
-    assert len(data["cells"]) == 12
-    assert all(
-        data["cells"][i]["id"] < data["cells"][i + 1]["id"]
-        for i in range(len(data["cells"]) - 1)
     )
 
 

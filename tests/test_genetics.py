@@ -1,7 +1,6 @@
 """Genetic codes: vectors, domination, chains, realization."""
 
 import itertools
-import json
 from fractions import Fraction
 
 import pytest
@@ -18,7 +17,6 @@ from polygonspaces.genetics import (
     LengthVector,
     SaturatedChain,
     _simplex_max,
-    code_report,
     cover_step,
     dominance_leq,
     down_covers,
@@ -403,7 +401,7 @@ def test_realize_caps_edge_count():
         realize(GeneticCode(12, [{12}]))
 
 
-# --- notation, json, reports ------------------------------------------------
+# --- notation --------------------------------------------------------------
 
 
 def test_parse_and_format():
@@ -432,24 +430,3 @@ def test_format_parse_round_trip_m5():
         if g.is_empty_space():
             continue
         assert parse_code(format_code(g)) == g
-
-
-def test_json_round_trip():
-    g = code("<156,246>")
-    assert GeneticCode.from_json(g.to_json()) == g
-    data = json.loads(g.to_json())
-    assert data["edge_count"] == 6
-
-
-def test_code_report_contents():
-    report = code_report(code("<125>"))
-    assert report["realizable"] is True
-    assert report["surgery_signature"] == [0, 0, 1]
-    assert report["chain"] == ["<5>", "<15>", "<25>", "<125>"]
-    assert report["empty_space"] is False
-    assert len(report["realization"]) == 5
-
-    report = code_report(GeneticCode(4, []))
-    assert report["empty_space"] is True
-    assert report["chain"] == ["<>"]
-    assert report["realizable"] is True
