@@ -27,7 +27,6 @@ from .genetics import (
     surgery_signature,
 )
 from .homology import (
-    HomologyReport,
     SimplicialComplex,
     homology,
     identify_small,
@@ -52,11 +51,25 @@ def _emit_json(payload) -> None:
     _print(json.dumps(payload, indent=2, sort_keys=False))
 
 
+# Fraction expands a decimal exponent in full, so a length like 1e9999999
+# costs seconds; exponents past Python's own int-string limit are refused.
+_MAX_EXPONENT = sys.int_info.default_max_str_digits
+
+
 def _parse_lengths(raw: list[str]) -> list[Fraction]:
     if len(raw) < 3:
         raise InvalidCodeError("a polygon needs at least 3 edges")
     out = []
-    for item in raw:
+    for k, item in enumerate(raw, 1):
+        _, e, exponent = item.lower().partition("e")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if e and digits.isdecimal() and (
+            len(digits) > len(str(_MAX_EXPONENT))
+            or int(digits) > _MAX_EXPONENT
+        ):
+            raise InvalidCodeError(
+                f"length {k} has a decimal exponent past {_MAX_EXPONENT}"
+            )
         try:
             out.append(Fraction(item))
         except (ValueError, ZeroDivisionError):
@@ -79,13 +92,15 @@ def _code_payload(code: GeneticCode) -> dict:
     }
 
 
-def _report_payload(rep: HomologyReport, name: str) -> dict:
+def _report_payload(complex_) -> dict:
+    """Homology and name of a complex, as the JSON reports print them."""
+    rep = homology(complex_)
     return {
         "betti": list(rep.betti),
         "torsion": [list(t) for t in rep.torsion],
         "components": rep.components,
         "orientable": rep.orientable,
-        "identification": name,
+        "identification": identify_small(complex_),
     }
 
 
@@ -188,7 +203,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "torsion": [list(t) for t in rep.torsion],
             }
         )
-    final = homology(trace.final)
     _emit_json(
         {
             "code": str(code),
@@ -199,7 +213,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "final": {
                 "f_vector": list(trace.final.f_vector()),
                 "euler_characteristic": trace.final.euler_characteristic(),
-                **_report_payload(final, identify_small(trace.final)),
+                **_report_payload(trace.final),
             },
         }
     )
@@ -217,7 +231,6 @@ def _run_model(code: GeneticCode, args: argparse.Namespace) -> int:
         _print(_figure_row("model", result.complex.f_vector()))
         _print(f"{'space':<12} {identify_small(result.complex)}")
         return 0
-    rep = homology(result.complex)
     _emit_json(
         {
             "code": str(code),
@@ -233,7 +246,7 @@ def _run_model(code: GeneticCode, args: argparse.Namespace) -> int:
             "final": {
                 "f_vector": list(result.complex.f_vector()),
                 "euler_characteristic": result.complex.euler_characteristic(),
-                **_report_payload(rep, identify_small(result.complex)),
+                **_report_payload(result.complex),
             },
         }
     )
@@ -362,9 +375,7 @@ def _load_dump(path: str):
 
 
 def _cmd_homology(args: argparse.Namespace) -> int:
-    complex_ = _load_dump(args.file)
-    rep = homology(complex_)
-    _emit_json(_report_payload(rep, identify_small(complex_)))
+    _emit_json(_report_payload(_load_dump(args.file)))
     return 0
 
 

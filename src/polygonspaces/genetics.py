@@ -122,12 +122,6 @@ class LengthVector:
             raise InvalidCodeError(f"subset {sorted(indices)} out of range")
         return 2 * sum(self.values[i - 1] for i in indices) < self.perimeter
 
-    def as_integers(self) -> Optional[tuple[int, ...]]:
-        """The vector as plain ints, or None if some entry is fractional."""
-        if any(v.denominator != 1 for v in self.values):
-            return None
-        return tuple(v.numerator for v in self.values)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(v) for v in self.values) + ")"
 
@@ -266,16 +260,6 @@ class GeneticCode:
                 s = frozenset(combo) | {self.anchor}
                 if any(dominance_leq(s, g) for g in self.genes):
                     out.append(s)
-        return frozenset(out)
-
-    def short_sets(self) -> frozenset:
-        """Every short subset of the edge set, anchor or not."""
-        ground = list(range(1, self.edge_count + 1))
-        out = []
-        for r in range(self.edge_count + 1):
-            for combo in itertools.combinations(ground, r):
-                if self.is_short(combo):
-                    out.append(frozenset(combo))
         return frozenset(out)
 
     def __str__(self) -> str:

@@ -1,7 +1,6 @@
 """Exact integer homology of simplicial and regular cell complexes.
 
-The engine reduces a complex by free-face collapses (which preserve
-homotopy type), then runs exact integer elimination on the boundary
+The engine runs exact integer elimination on the simplicial boundary
 matrices: greedy unit pivots on a sparse representation first, then a
 dense Smith normal form on whatever small residual remains.  Betti
 numbers come from ranks, torsion from invariant factors bigger than one.
@@ -114,15 +113,23 @@ def proper_faces(face: tuple) -> list[tuple]:
 
 
 def _chain_simplices(elements, strict_faces) -> list[tuple]:
-    """All nonempty chains of a poset given by a strict-faces map."""
+    """All nonempty chains of a poset given by a strict-faces map; raises
+    ``TooLargeError`` as soon as more than ``MAX_SIMPLICES`` are built."""
     memo: dict = {}
+    built = 0
 
     def ending_at(e) -> list[tuple]:
+        nonlocal built
         got = memo.get(e)
         if got is None:
             got = [(e,)]
             for f in strict_faces(e):
                 got.extend(ch + (e,) for ch in ending_at(f))
+            built += len(got)
+            if built > MAX_SIMPLICES:
+                raise TooLargeError(
+                    f"subdivision passes {MAX_SIMPLICES} simplices, the cap"
+                )
             memo[e] = got
         return got
 
@@ -140,77 +147,14 @@ def barycentric(complex_: RegularCellComplex) -> SimplicialComplex:
     def strict_faces(ident: int):
         return sorted(complex_.faces_of(ident) - {ident})
 
-    chains = _chain_simplices(sorted(cells), strict_faces)
-    if len(chains) > MAX_SIMPLICES:
-        raise TooLargeError(
-            f"subdivision has {len(chains)} simplices, cap {MAX_SIMPLICES}"
-        )
-    return SimplicialComplex(chains)
+    return SimplicialComplex(_chain_simplices(sorted(cells), strict_faces))
 
 
 def subdivide(sc: SimplicialComplex) -> SimplicialComplex:
     """Barycentric subdivision of a simplicial complex; vertices of the
     result are the faces of the input."""
     all_faces = [f for d in sc.faces_by_dim.values() for f in d]
-
-    chains = _chain_simplices(all_faces, proper_faces)
-    if len(chains) > MAX_SIMPLICES:
-        raise TooLargeError(
-            f"subdivision has {len(chains)} simplices, cap {MAX_SIMPLICES}"
-        )
-    return SimplicialComplex(chains)
-
-
-# ---------------------------------------------------------------------------
-# Reduction: free-face collapses.
-# ---------------------------------------------------------------------------
-
-
-def _collapse(faces_by_dim: dict[int, set[tuple]]) -> dict[int, set[tuple]]:
-    """Remove free pairs (a face lying in exactly one other face together
-    with that face) until none remain.  Homotopy type is preserved."""
-    faces = {d: set(fs) for d, fs in faces_by_dim.items()}
-    coface_count: dict[tuple, int] = {}
-    for d, fs in faces.items():
-        for f in fs:
-            coface_count.setdefault(f, 0)
-            if d == 0:
-                continue
-            for i in range(len(f)):
-                sub = f[:i] + f[i + 1 :]
-                coface_count[sub] = coface_count.get(sub, 0) + 1
-
-    coface_index: dict[tuple, set[tuple]] = {}
-    for d, fs in faces.items():
-        if d == 0:
-            continue
-        for f in fs:
-            for i in range(len(f)):
-                coface_index.setdefault(f[:i] + f[i + 1 :], set()).add(f)
-
-    queue = [f for f, k in coface_count.items() if k == 1]
-    gone: set[tuple] = set()
-    while queue:
-        f = queue.pop()
-        if f in gone or coface_count.get(f) != 1:
-            continue
-        (g,) = (x for x in coface_index.get(f, ()) if x not in gone)
-        gone.add(f)
-        gone.add(g)
-        faces[len(f) - 1].discard(f)
-        faces[len(g) - 1].discard(g)
-        for loser in (f, g):
-            if len(loser) == 1:
-                continue
-            for i in range(len(loser)):
-                sub = loser[:i] + loser[i + 1 :]
-                if sub in gone:
-                    continue
-                coface_index[sub].discard(loser)
-                coface_count[sub] -= 1
-                if coface_count[sub] == 1:
-                    queue.append(sub)
-    return {d: fs for d, fs in faces.items() if fs}
+    return SimplicialComplex(_chain_simplices(all_faces, proper_faces))
 
 
 # ---------------------------------------------------------------------------
@@ -469,33 +413,28 @@ def _pseudo_manifold_orientable(
 
 def homology(
     source: "SimplicialComplex | RegularCellComplex",
-    *,
-    collapse: bool = True,
 ) -> HomologyReport:
-    """Exact integer homology; cell complexes go through their barycentric
-    subdivision, which for regular complexes has the same homology."""
+    """Exact integer homology from the boundary matrices of every simplex;
+    cell complexes go through their barycentric subdivision, which for
+    regular complexes has the same homology."""
     if isinstance(source, RegularCellComplex):
         source = barycentric(source)
     if not len(source):
         raise NotApplicableError("the empty complex has no homology")
     top_dim = source.dim
-    n_components = _component_count(source.faces_by_dim)
-    oriented = _pseudo_manifold_orientable(source.faces_by_dim)
-
-    work = {d: set(fs) for d, fs in source.faces_by_dim.items()}
-    if collapse:
-        work = _collapse(work)
-    faces = {d: tuple(sorted(fs)) for d, fs in work.items()}
+    faces = source.faces_by_dim
+    n_components = _component_count(faces)
+    oriented = _pseudo_manifold_orientable(faces)
 
     ranks: dict[int, int] = {}
     factors: dict[int, list[int]] = {}
-    for k in range(1, max(faces, default=0) + 1):
-        entries = _boundary_entries(faces.get(k - 1, ()), faces.get(k, ()))
+    for k in range(1, top_dim + 1):
+        entries = _boundary_entries(faces[k - 1], faces[k])
         ranks[k], factors[k] = _sparse_reduce(entries)
     betti = []
     torsion = []
     for k in range(top_dim + 1):
-        n_k = len(faces.get(k, ()))
+        n_k = len(faces[k])
         betti.append(n_k - ranks.get(k, 0) - ranks.get(k + 1, 0))
         torsion.append(tuple(t for t in factors.get(k + 1, ()) if t > 1))
     if betti[0] != n_components:

@@ -37,6 +37,11 @@ def test_gencode_two_gene_vector(capsys) -> None:
 def test_gencode_fractions(capsys) -> None:
     payload = run_json(capsys, "gencode", "1/2", "1/2", "1/2", "1/2", "3/2")
     assert payload == {"m": 5, "genes": [[5]]}
+    plain = run_json(capsys, "gencode", "1000", "5/2", "1/2", "1", "1")
+    assert run_json(capsys, "gencode", "1e3", "25e-1", "1/2", "1", "1") == (
+        plain
+    )
+    assert run_json(capsys, "gencode", "1e4300", "1", "1")["m"] == 3
 
 
 def test_gencode_needs_three_edges(capsys) -> None:
@@ -56,6 +61,16 @@ def test_gencode_rejects_junk_lengths(capsys) -> None:
     code, _, err = run_cli(capsys, "gencode", "1", "1", "banana")
     assert code == 2
     assert "banana" in err
+
+
+@pytest.mark.parametrize(
+    "length", ["1e9999999", "1e-9999999", "1E+4301", "2.5e" + "9" * 5000]
+)
+def test_gencode_rejects_huge_exponents(capsys, length) -> None:
+    # refused before Fraction would expand 10**exponent in full
+    code, _, err = run_cli(capsys, "gencode", length, "1", "1")
+    assert code == 2
+    assert "exponent" in err
 
 
 # -- chain ----------------------------------------------------------------

@@ -383,8 +383,7 @@ def test_realize_round_trips_and_is_integral():
         g = code(text, m)
         v = realize(g)
         assert v is not None, text
-        ints = v.as_integers()
-        assert ints is not None and all(i > 0 for i in ints)
+        assert all(x.denominator == 1 and x > 0 for x in v.values)
         assert genetic_code(v) == g
 
 

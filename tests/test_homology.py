@@ -1,4 +1,5 @@
-"""Homology engine: surfaces with known groups, dual-route SNF checks."""
+"""Homology engine: surfaces with known groups, and sympy's Smith normal
+form of the boundary matrices as an independent oracle."""
 
 import functools
 import importlib
@@ -12,6 +13,7 @@ from polygonspaces.genetics import parse_code
 from polygonspaces.homology import (
     HomologyReport,
     SimplicialComplex,
+    _chain_simplices,
     _dense_snf,
     _sparse_reduce,
     barycentric,
@@ -151,17 +153,61 @@ def test_empty_complex_rejected() -> None:
         homology(SimplicialComplex([]))
 
 
-# -- dual routes ----------------------------------------------------------
+# -- sympy oracle ----------------------------------------------------------
+
+
+def sympy_homology(sc: SimplicialComplex) -> tuple[tuple, tuple]:
+    """Betti numbers and torsion from sympy's Smith normal form of the
+    boundary matrices, with sign (-1)^i on the face that drops vertex i."""
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form
+
+    invariants = {}
+    for k in range(1, sc.dim + 1):
+        row = {f: r for r, f in enumerate(sc.faces(k - 1))}
+        mat = [[0] * len(sc.faces(k)) for _ in row]
+        for c, g in enumerate(sc.faces(k)):
+            for i in range(len(g)):
+                mat[row[g[:i] + g[i + 1 :]]][c] = (-1) ** i
+        snf = smith_normal_form(Matrix(mat), domain=ZZ)
+        invariants[k] = [
+            abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i]
+        ]
+    betti = tuple(
+        len(sc.faces(k))
+        - len(invariants.get(k, ()))
+        - len(invariants.get(k + 1, ()))
+        for k in range(sc.dim + 1)
+    )
+    torsion = tuple(
+        tuple(t for t in invariants.get(k + 1, ()) if t > 1)
+        for k in range(sc.dim + 1)
+    )
+    return betti, torsion
+
+
+MOBIUS_FACES = [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1)]
 
 
 @pytest.mark.parametrize(
-    "faces",
-    [sphere_faces(), grid_surface(3, False), RP2_FACES, genus2_faces()],
-    ids=["sphere", "torus", "rp2", "genus2"],
+    "faces,orientable",
+    [
+        (sphere_faces(), True),
+        (grid_surface(3, False), True),
+        (RP2_FACES, False),
+        (genus2_faces(), True),
+        # free faces: a boundary, or a face outside every top simplex
+        ([(0, 1, 2, 3)], None),
+        (MOBIUS_FACES, None),
+        (grid_surface(3, False) + [(("v", 0, 0), ("w", 0, 0))], None),
+    ],
+    ids=["sphere", "torus", "rp2", "genus2", "simplex", "mobius", "whisker"],
 )
-def test_collapse_does_not_change_homology(faces) -> None:
+def test_homology_matches_sympy_smith_form(faces, orientable) -> None:
     sc = SimplicialComplex(faces)
-    assert homology(sc, collapse=True) == homology(sc, collapse=False)
+    rep = homology(sc)
+    assert (rep.betti, rep.torsion) == sympy_homology(sc)
+    assert rep.orientable is orientable
 
 
 def test_subdivision_invariance() -> None:
@@ -251,6 +297,24 @@ def test_simplex_count_cap(monkeypatch) -> None:
     monkeypatch.setattr(mod, "MAX_SIMPLICES", 10)
     with pytest.raises(TooLargeError):
         SimplicialComplex(grid_surface(3, False))
+    with pytest.raises(TooLargeError):
+        barycentric(ca(4))
+
+
+def test_chain_builder_stops_at_the_cap(monkeypatch) -> None:
+    # the chains of a 15-element total order number 2^15 - 1 = 32,767;
+    # the cap trips before the top elements are ever expanded
+    mod = importlib.import_module("polygonspaces.homology")
+    monkeypatch.setattr(mod, "MAX_SIMPLICES", 1000)
+    expanded = []
+
+    def below(e):
+        expanded.append(e)
+        return range(e)
+
+    with pytest.raises(TooLargeError):
+        _chain_simplices(range(15), below)
+    assert 14 not in expanded
 
 
 def test_face_with_repeated_vertex_rejected() -> None:
