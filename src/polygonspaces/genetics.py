@@ -115,13 +115,6 @@ class LengthVector:
     def perimeter(self) -> Fraction:
         return sum(self.values)
 
-    def is_short(self, subset: Iterable[int]) -> bool:
-        """True when the subset of edges sums to less than half the perimeter."""
-        indices = frozenset(subset)
-        if not indices <= frozenset(range(1, self.edge_count + 1)):
-            raise InvalidCodeError(f"subset {sorted(indices)} out of range")
-        return 2 * sum(self.values[i - 1] for i in indices) < self.perimeter
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(v) for v in self.values) + ")"
 
@@ -235,21 +228,6 @@ class GeneticCode:
     def is_empty_space(self) -> bool:
         """True when the code describes an empty polygon space (no genes)."""
         return not self.genes
-
-    def is_short(self, subset: Iterable[int]) -> bool:
-        """Shortness of any edge subset, reconstructed from the genes alone.
-
-        A subset containing the anchor is short iff it is dominated by some
-        gene; one avoiding the anchor is short iff its complement is
-        dominated by no gene.
-        """
-        s = frozenset(int(e) for e in subset)
-        if s and (min(s) < 1 or max(s) > self.edge_count):
-            raise InvalidCodeError(f"subset {sorted(s)} out of range")
-        if self.anchor in s:
-            return any(dominance_leq(s, g) for g in self.genes)
-        complement = frozenset(range(1, self.edge_count + 1)) - s
-        return not any(dominance_leq(complement, g) for g in self.genes)
 
     def anchor_short_sets(self) -> frozenset:
         """All short subsets containing the anchor (the down-set of the genes)."""

@@ -1,10 +1,27 @@
 """Exact integer homology of simplicial and regular cell complexes.
 
-The engine runs exact integer elimination on the simplicial boundary
-matrices: greedy unit pivots on a sparse representation first, then a
-dense Smith normal form on whatever small residual remains.  Betti
-numbers come from ranks, torsion from invariant factors bigger than one.
-Everything is over the integers; no floating point is involved anywhere.
+Both kinds of complex come down to the same data: their cells numbered
+within each dimension, and one boundary matrix per dimension with entries
++1 and -1.  A simplex gives the face that drops vertex ``i`` the sign
+``(-1)^i``.  A regular cell complex is used as it is, with no subdivision:
+an edge has -1 and +1 on its two ends, and a higher cell takes its
+incidence numbers from the diamond property that ``seal()`` audits (see
+:func:`_facet_signs`).  A cell whose facets cannot be signed that way has
+a boundary that is not a sphere, and homology fails the audit rather than
+answer for a complex that is not regular.
+
+From there one pass serves both kinds: components by union-find over the
+edges, Euler characteristics from the face counts, pseudo-manifold and
+orientation checks by sign propagation of top cells across ridges, and
+ranks by exact integer elimination (greedy unit pivots on the sparse
+matrix, then a dense Smith normal form on whatever small residual
+remains).  Betti numbers come from ranks, torsion from invariant factors
+bigger than one.  Everything is over the integers; no floating point is
+involved anywhere.
+
+``barycentric`` and ``subdivide`` build simplicial subdivisions for the
+simplicial surgery model of ``surgery.run_model``; homology never needs
+them.
 """
 
 from __future__ import annotations
@@ -12,10 +29,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import AuditError, NotApplicableError, TooLargeError
-from .coxeter import RegularCellComplex, connected_components
+from .coxeter import Cell, RegularCellComplex, connected_components
 from .genetics import GeneticCode
 
 MAX_SIMPLICES = 2_000_000
@@ -309,16 +326,250 @@ def _sparse_reduce(
     return rank, factors
 
 
+# ---------------------------------------------------------------------------
+# Chain complexes: cells by dimension and signed boundary matrices.
+# ---------------------------------------------------------------------------
+
+# A boundary matrix maps (facet index, cell index) to the incidence number,
+# +1 or -1; cells of each dimension are numbered from zero.
+Boundary = dict[tuple[int, int], int]
+
+
 def _boundary_entries(
     lower: tuple[tuple, ...], upper: tuple[tuple, ...]
-) -> dict[tuple[int, int], int]:
+) -> Boundary:
+    """The face that drops vertex ``i`` of a simplex has sign ``(-1)^i``."""
     index = {f: i for i, f in enumerate(lower)}
-    entries: dict[tuple[int, int], int] = {}
+    entries: Boundary = {}
     for c, g in enumerate(upper):
         for i in range(len(g)):
             sub = g[:i] + g[i + 1 :]
             entries[(index[sub], c)] = (-1) ** i
     return entries
+
+
+def _facet_signs(
+    cell: Cell, incidence: dict[int, dict[int, int]]
+) -> dict[int, int]:
+    """Incidence numbers ``[c:f]`` of a cell of dimension at least two.
+
+    The first facet gets +1; the sign then spreads across each face ``g``
+    of codimension two, which must lie on exactly two facets ``f, f'``
+    with ``[c:f][f:g] + [c:f'][f':g] = 0``.  That holds for every cell of
+    a regular complex, whose boundary is a sphere.  A face on some other
+    number of facets, a sign conflict (a non-orientable boundary) or a
+    facet the spread never reaches (a disconnected boundary) fails the
+    audit.
+    """
+    through: dict[int, list[int]] = {}
+    for f in cell.facets:
+        for g in incidence[f]:
+            through.setdefault(g, []).append(f)
+    for g, fs in through.items():
+        if len(fs) != 2:
+            raise AuditError(
+                f"face {g} of {cell.label!r} lies on {len(fs)} facets, not 2"
+            )
+    first = cell.facets[0]
+    sign = {first: 1}
+    stack = [first]
+    while stack:
+        f = stack.pop()
+        for g, s in incidence[f].items():
+            a, b = through[g]
+            other = b if a == f else a
+            want = -sign[f] * s * incidence[other][g]
+            if other not in sign:
+                sign[other] = want
+                stack.append(other)
+            elif sign[other] != want:
+                raise AuditError(
+                    f"incidence signs of {cell.label!r} conflict at face "
+                    f"{g}: its boundary is not an oriented sphere"
+                )
+    if len(sign) != len(cell.facets):
+        raise AuditError(
+            f"incidence signs of {cell.label!r} reach {len(sign)} of its "
+            f"{len(cell.facets)} facets: its boundary is not connected"
+        )
+    return {f: sign[f] for f in cell.facets}
+
+
+def _cellular_chains(
+    complex_: RegularCellComplex,
+) -> tuple[list[int], Callable[[int], Boundary]]:
+    by_dim: list[list[int]] = [[] for _ in range(complex_.dim + 1)]
+    for ident in sorted(complex_.cells):
+        by_dim[complex_.cells[ident].dim].append(ident)
+    index = {ident: i for cells in by_dim for i, ident in enumerate(cells)}
+    incidence: dict[int, dict[int, int]] = {}
+    for cells in by_dim:
+        for ident in cells:
+            cell = complex_.cells[ident]
+            if cell.dim == 0:
+                incidence[ident] = {}
+            elif cell.dim == 1:
+                if len(cell.facets) != 2:
+                    raise AuditError(f"edge {cell.label!r} lacks two ends")
+                start, end = cell.facets
+                incidence[ident] = {start: -1, end: 1}
+            else:
+                incidence[ident] = _facet_signs(cell, incidence)
+
+    def boundary(k: int) -> Boundary:
+        return {
+            (index[f], j): s
+            for j, ident in enumerate(by_dim[k])
+            for f, s in incidence[ident].items()
+        }
+
+    return [len(cells) for cells in by_dim], boundary
+
+
+def _chain_complex(
+    source: "SimplicialComplex | RegularCellComplex",
+) -> tuple[list[int], Callable[[int], Boundary]]:
+    """Cells per dimension and the boundary matrix of each dimension
+    ``k >= 1``, built on demand so that a pass need not hold them all."""
+    if isinstance(source, RegularCellComplex):
+        return _cellular_chains(source)
+    faces = source.faces_by_dim
+    return list(source.f_vector()), lambda k: _boundary_entries(
+        faces[k - 1], faces[k]
+    )
+
+
+@dataclass
+class _Survey:
+    """What one pass over a chain complex finds.
+
+    ``f_vectors`` and ``manifold`` run over the connected components.
+    ``manifold[i]`` is ``None`` unless component ``i`` is a closed
+    pseudo-manifold of its own dimension ``d >= 1``: every cell below
+    ``d`` lies on a cell one dimension up, and every ``(d - 1)``-cell on
+    exactly two ``d``-cells.  Otherwise it says whether sign propagation
+    of the ``d``-cells across those ridges orients the component.
+    """
+
+    sizes: list[int]
+    f_vectors: list[list[int]]
+    manifold: list[Optional[bool]]
+    ranks: dict[int, int]
+    factors: dict[int, list[int]]
+
+
+def _survey(
+    source: "SimplicialComplex | RegularCellComplex", reduce: bool
+) -> _Survey:
+    """Components, face counts and orientations of a nonempty complex,
+    plus the rank and invariant factors of every boundary matrix when
+    ``reduce`` is set."""
+    sizes, boundary = _chain_complex(source)
+    top = len(sizes) - 1
+    owner: list[list[int]] = [list(range(sizes[0]))]
+    lowest_bare: dict[int, int] = {}  # component -> lowest cell with no coface
+    ranks: dict[int, int] = {}
+    factors: dict[int, list[int]] = {}
+    matrix: Boundary = {}
+    for k in range(1, top + 1):
+        matrix = boundary(k)
+        if reduce:
+            ranks[k], factors[k] = _sparse_reduce(matrix)
+        if k == 1:
+            owner[0] = _vertex_components(sizes, matrix)
+        below = owner[k - 1]
+        above = [0] * sizes[k]
+        cofaced = bytearray(sizes[k - 1])
+        for r, c in matrix:
+            above[c] = below[r]
+            cofaced[r] = 1
+        owner.append(above)
+        for r, hit in enumerate(cofaced):
+            if not hit:
+                lowest_bare.setdefault(below[r], k - 1)
+
+    n_components = max(owner[0]) + 1
+    f_vectors = [[0] * (top + 1) for _ in range(n_components)]
+    for k, cells in enumerate(owner):
+        for comp in cells:
+            f_vectors[comp][k] += 1
+    dims = []
+    for f in f_vectors:
+        while not f[-1]:
+            f.pop()
+        dims.append(len(f) - 1)
+    broken = {
+        comp
+        for comp, d in enumerate(dims)
+        if d == 0 or lowest_bare.get(comp, d) < d
+    }
+    twisted: set[int] = set()
+    for d in sorted(set(dims) - {0}):
+        wanted = {comp for comp in range(n_components) if dims[comp] == d}
+        _orient(
+            matrix if d == top else boundary(d),
+            owner[d - 1],
+            owner[d],
+            wanted - broken,
+            broken,
+            twisted,
+        )
+    manifold = [
+        None if comp in broken else comp not in twisted
+        for comp in range(n_components)
+    ]
+    return _Survey(sizes, f_vectors, manifold, ranks, factors)
+
+
+def _vertex_components(sizes: list[int], edges: Boundary) -> list[int]:
+    """The component of each vertex, numbered in order of first vertex."""
+    ends: list[list[int]] = [[] for _ in range(sizes[1])]
+    for r, c in edges:
+        ends[c].append(r)
+    owner = [0] * sizes[0]
+    for i, comp in enumerate(connected_components(range(sizes[0]), ends)):
+        for v in comp:
+            owner[v] = i
+    return owner
+
+
+def _orient(
+    matrix: Boundary,
+    ridge_owner: list[int],
+    top_owner: list[int],
+    wanted: set[int],
+    broken: set[int],
+    twisted: set[int],
+) -> None:
+    """Orient the top cells of the ``wanted`` components across their
+    ridges; add components with a ridge not on exactly two top cells to
+    ``broken`` and components with a sign conflict to ``twisted``."""
+    tops_of: list[list[int]] = [[] for _ in ridge_owner]
+    ridges_of: list[list[int]] = [[] for _ in top_owner]
+    for r, c in matrix:
+        if top_owner[c] in wanted:
+            tops_of[r].append(c)
+            ridges_of[c].append(r)
+    for r, tops in enumerate(tops_of):
+        if tops and len(tops) != 2:
+            broken.add(ridge_owner[r])
+    sign = [0] * len(top_owner)
+    for start, comp in enumerate(top_owner):
+        if sign[start] or comp not in wanted or comp in broken:
+            continue
+        sign[start] = 1
+        stack = [start]
+        while stack:
+            c = stack.pop()
+            for r in ridges_of[c]:
+                a, b = tops_of[r]
+                other = b if a == c else a
+                want = -sign[c] * matrix[(r, c)] * matrix[(r, other)]
+                if not sign[other]:
+                    sign[other] = want
+                    stack.append(other)
+                elif sign[other] != want:
+                    twisted.add(comp)
 
 
 # ---------------------------------------------------------------------------
@@ -353,99 +604,46 @@ class HomologyReport:
         return any(self.torsion)
 
 
-def _component_count(faces_by_dim: dict[int, tuple[tuple, ...]]) -> int:
-    vertices = (v for (v,) in faces_by_dim.get(0, ()))
-    return len(connected_components(vertices, faces_by_dim.get(1, ())))
-
-
-def _pseudo_manifold_orientable(
-    faces_by_dim: dict[int, tuple[tuple, ...]]
-) -> Optional[bool]:
-    """BFS orientation propagation on a closed pseudo-manifold; ``None``
-    if the complex is not one (not pure, or a ridge count differs from 2).
-    """
-    d = max(faces_by_dim, default=-1)
-    if d <= 0:
-        return None
-    top = faces_by_dim.get(d, ())
-    ridge_to_top: dict[tuple, list[tuple]] = {}
-    for g in top:
-        for i in range(len(g)):
-            ridge_to_top.setdefault(g[:i] + g[i + 1 :], []).append(g)
-    if any(len(ts) != 2 for ts in ridge_to_top.values()):
-        return None
-    # pure: every face lies under some top face
-    under: set[tuple] = set()
-    stack = list(top)
-    while stack:
-        f = stack.pop()
-        if f in under:
-            continue
-        under.add(f)
-        if len(f) > 1:
-            stack.extend(f[:i] + f[i + 1 :] for i in range(len(f)))
-    if any(f not in under for fs in faces_by_dim.values() for f in fs):
-        return None
-    sign: dict[tuple, int] = {}
-    for start in top:
-        if start in sign:
-            continue
-        sign[start] = 1
-        frontier = [start]
-        while frontier:
-            g = frontier.pop()
-            for i in range(len(g)):
-                ridge = g[:i] + g[i + 1 :]
-                for h in ridge_to_top[ridge]:
-                    if h == g:
-                        continue
-                    missing = (set(h) - set(ridge)).pop()
-                    j = h.index(missing)
-                    want = -sign[g] * (-1) ** i * (-1) ** j
-                    if h in sign:
-                        if sign[h] != want:
-                            return False
-                    else:
-                        sign[h] = want
-                        frontier.append(h)
-    return True
-
-
 def homology(
     source: "SimplicialComplex | RegularCellComplex",
 ) -> HomologyReport:
-    """Exact integer homology from the boundary matrices of every simplex;
-    cell complexes go through their barycentric subdivision, which for
-    regular complexes has the same homology."""
-    if isinstance(source, RegularCellComplex):
-        source = barycentric(source)
+    """Exact integer homology from the chain complex of the source.
+
+    A simplicial complex uses its simplices; a regular cell complex uses
+    its cells, with incidence numbers from the diamond property, so no
+    subdivision is built.  Two audits cross-check the elimination: the
+    number of components from union-find must equal ``betti[0]``, and on a
+    closed pseudo-manifold sign propagation of the top cells must agree
+    with the top Betti number.  A cell whose facets admit no consistent
+    incidence numbers, so that the complex cannot be regular, fails with
+    ``AuditError`` instead of giving a wrong answer.
+    """
     if not len(source):
         raise NotApplicableError("the empty complex has no homology")
-    top_dim = source.dim
-    faces = source.faces_by_dim
-    n_components = _component_count(faces)
-    oriented = _pseudo_manifold_orientable(faces)
-
-    ranks: dict[int, int] = {}
-    factors: dict[int, list[int]] = {}
-    for k in range(1, top_dim + 1):
-        entries = _boundary_entries(faces[k - 1], faces[k])
-        ranks[k], factors[k] = _sparse_reduce(entries)
+    survey = _survey(source, reduce=True)
+    top = len(survey.sizes) - 1
+    ranks = survey.ranks
     betti = []
     torsion = []
-    for k in range(top_dim + 1):
-        n_k = len(faces[k])
+    for k, n_k in enumerate(survey.sizes):
         betti.append(n_k - ranks.get(k, 0) - ranks.get(k + 1, 0))
-        torsion.append(tuple(t for t in factors.get(k + 1, ()) if t > 1))
+        torsion.append(
+            tuple(t for t in survey.factors.get(k + 1, ()) if t > 1)
+        )
+    n_components = len(survey.manifold)
     if betti[0] != n_components:
         raise AuditError(
             f"union-find sees {n_components} components, homology "
             f"{betti[0]}"
         )
+    # a closed pseudo-manifold: every component is one, of the top dimension
+    closed = None not in survey.manifold and all(
+        len(f) == top + 1 for f in survey.f_vectors
+    )
     orientable = None
-    if oriented is not None:
-        orientable = betti[top_dim] == n_components
-        if orientable != oriented:
+    if closed:
+        orientable = betti[top] == n_components
+        if orientable != all(survey.manifold):
             raise AuditError(
                 "orientation propagation and top homology disagree"
             )
@@ -480,54 +678,42 @@ def betti_oracle(code: GeneticCode) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _component_faces(
-    sc: SimplicialComplex,
-) -> list[dict[int, tuple[tuple, ...]]]:
-    vertices = (v for (v,) in sc.faces(0))
-    comps = connected_components(vertices, sc.faces(1))
-    owner = {v: k for k, comp in enumerate(comps) for v in comp}
-    buckets: list[dict] = [{} for _ in comps]
-    for d, fs in sc.faces_by_dim.items():
-        for f in fs:
-            buckets[owner[f[0]]].setdefault(d, []).append(f)
-    return [{d: tuple(fs) for d, fs in comp.items()} for comp in buckets]
-
-
 def identify_small(
     source: "SimplicialComplex | RegularCellComplex",
 ) -> str:
     """Name a low-dimensional space: points, circles, or a disjoint union
     of closed surfaces; anything else is reported by Euler characteristic.
+
+    Works on the cells of the source as given, with Euler characteristics
+    from the face counts of each component and orientability from sign
+    propagation across ridges, the same pass that :func:`homology` makes.
     """
-    if isinstance(source, RegularCellComplex):
-        source = barycentric(source)
     if not len(source):
         return "empty"
-    if source.dim == 0:
-        n = len(source.faces(0))
+    survey = _survey(source, reduce=False)
+    top = len(survey.sizes) - 1
+    if top == 0:
+        n = survey.sizes[0]
         return f"{n} point" + ("s" if n != 1 else "")
-    components = _component_faces(source)
-    if source.dim == 1:
-        if all(
-            _pseudo_manifold_orientable(comp) is not None
-            for comp in components
-        ):
-            n = len(components)
+    if top == 1:
+        if None not in survey.manifold:
+            n = len(survey.manifold)
             return f"{n} circle" + ("s" if n != 1 else "")
-        chi = source.euler_characteristic()
-        return f"graph(chi={chi})"
-    names = sorted(_surface_name(comp) for comp in components)
+        return f"graph(chi={_euler(survey.sizes)})"
+    names = sorted(
+        _surface_name(f, oriented)
+        for f, oriented in zip(survey.f_vectors, survey.manifold)
+    )
     return " ⊔ ".join(names)
 
 
-def _surface_name(faces_by_dim: dict[int, tuple[tuple, ...]]) -> str:
-    chi = sum(
-        (-1) ** d * len(fs) for d, fs in faces_by_dim.items()
-    )
-    if max(faces_by_dim) != 2:
-        return f"complex(chi={chi})"
-    oriented = _pseudo_manifold_orientable(faces_by_dim)
-    if oriented is None:
+def _euler(f_vector: Sequence[int]) -> int:
+    return sum((-1) ** d * n for d, n in enumerate(f_vector))
+
+
+def _surface_name(f_vector: list[int], oriented: Optional[bool]) -> str:
+    chi = _euler(f_vector)
+    if len(f_vector) != 3 or oriented is None:
         return f"complex(chi={chi})"
     if oriented:
         genus = (2 - chi) // 2

@@ -59,14 +59,25 @@ class FinitePoset:
         if len(self.index) != len(self.elements):
             raise AuditError("duplicate poset elements")
         self._down = tuple(down_masks)
-        n = len(self.elements)
-        up = [0] * n
-        for i in range(n):
-            for j in _bits(self._down[i]):
-                up[j] |= 1 << i
-        self._up = tuple(up)
         self._covers: Optional[tuple] = None
         self._meet_flag: Optional[bool] = None
+        self._up_masks: Optional[tuple[int, ...]] = None
+
+    def _up(self) -> tuple[int, ...]:
+        """Bitmask up-sets, built on the first call.
+
+        A plain attribute set in ``__init__`` rather than a
+        ``cached_property``: writing through ``__dict__`` after
+        construction slows every later attribute read on the instance,
+        which the isomorphism search makes millions of.
+        """
+        if self._up_masks is None:
+            up = [0] * len(self.elements)
+            for i, mask in enumerate(self._down):
+                for j in _bits(mask):
+                    up[j] |= 1 << i
+            self._up_masks = tuple(up)
+        return self._up_masks
 
     # -- construction --------------------------------------------------
 
@@ -152,16 +163,17 @@ class FinitePoset:
         return [self.elements[i] for i in _bits(self._down[self.index[e]])]
 
     def up_set(self, e: Hashable) -> list:
-        return [self.elements[i] for i in _bits(self._up[self.index[e]])]
+        return [self.elements[i] for i in _bits(self._up()[self.index[e]])]
 
     def covers(self) -> tuple[tuple[Hashable, Hashable], ...]:
         """All covering pairs ``(a, b)`` with ``a`` directly below ``b``."""
         if self._covers is None:
+            up = self._up()
             out = []
             for ib in range(len(self.elements)):
                 strict_down = self._down[ib] & ~(1 << ib)
                 for ia in _bits(strict_down):
-                    between = self._up[ia] & ~(1 << ia) & strict_down
+                    between = up[ia] & ~(1 << ia) & strict_down
                     if not between:
                         out.append((self.elements[ia], self.elements[ib]))
             self._covers = tuple(out)
@@ -175,11 +187,8 @@ class FinitePoset:
         ]
 
     def maximal_elements(self) -> list:
-        return [
-            e
-            for i, e in enumerate(self.elements)
-            if self._up[i] == (1 << i)
-        ]
+        up = self._up()
+        return [e for i, e in enumerate(self.elements) if up[i] == (1 << i)]
 
     def bottom(self) -> Optional[Hashable]:
         mins = self.minimal_elements()
@@ -473,7 +482,8 @@ def comb_surgery(poset: FinitePoset, locus: Hashable) -> FinitePoset:
     grafted = {y: Interval(locus, y) for y in below}
     elements = kept + [grafted[y] for y in below]
 
-    locus_up = poset._up[poset.index[locus]]
+    up = poset._up()
+    locus_up = up[poset.index[locus]]
     locus_down = poset._down[poset.index[locus]]
     pairs: list[tuple[Hashable, Hashable]] = []
     for a in kept:
@@ -486,7 +496,7 @@ def comb_surgery(poset: FinitePoset, locus: Hashable) -> FinitePoset:
                 pairs.append((grafted[y], grafted[z]))
     for z in kept:
         iz = poset.index[z]
-        if not poset._up[iz] & locus_up:
+        if not up[iz] & locus_up:
             continue  # no common upper bound with the locus
         shared_below = poset._down[iz] & locus_down
         for y in below:
@@ -509,7 +519,7 @@ def comb_surgery(poset: FinitePoset, locus: Hashable) -> FinitePoset:
 def _stable_colors(poset: FinitePoset) -> list[int]:
     n = len(poset.elements)
     down_counts = [bin(m).count("1") for m in poset._down]
-    up_counts = [bin(m).count("1") for m in poset._up]
+    up_counts = [bin(m).count("1") for m in poset._up()]
     colors = [hash((d, u)) for d, u in zip(down_counts, up_counts)]
     cover_up: list[list[int]] = [[] for _ in range(n)]
     cover_down: list[list[int]] = [[] for _ in range(n)]

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from polygonspaces.cli import main
+from polygonspaces.coxeter import coxeter_complex, projective_quotient
 
 
 def run_cli(capsys, *argv):
@@ -247,6 +248,29 @@ def test_homology_bad_complex_is_an_audit_failure(capsys, tmp_path) -> None:
     code, _, err = run_cli(capsys, "homology", str(bad))
     assert code == 3
     assert "AUDIT" in err
+
+
+def test_homology_non_regular_dump_is_an_audit_failure(capsys, tmp_path) -> None:
+    # the 2-cells of RP^2 plus one 3-cell bounded by all of them: the
+    # diamond audit passes, but the 3-cell's boundary is not a sphere
+    rp2, _ = projective_quotient(coxeter_complex(range(1, 5)))
+    order = sorted(rp2.cells, key=lambda i: (rp2.cells[i].dim, i))
+    index = {ident: k for k, ident in enumerate(order)}
+    cells = [
+        {"dim": rp2.cells[i].dim,
+         "facets": sorted(index[f] for f in rp2.cells[i].facets)}
+        for i in order
+    ]
+    cells.append(
+        {"dim": 3, "facets": [k for k, c in enumerate(cells) if c["dim"] == 2]}
+    )
+    bad = tmp_path / "cone.json"
+    bad.write_text(json.dumps({"kind": "cells", "cells": cells}))
+    code, out, err = run_cli(capsys, "homology", str(bad))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("audit failure [AUDIT]")
+    assert "Traceback" not in err
 
 
 # -- poset ----------------------------------------------------------------

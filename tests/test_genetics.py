@@ -78,14 +78,27 @@ def test_vector_rejects_too_many_edges():
         LengthVector([1] * 17)
 
 
+def short_sets(v: LengthVector) -> set[frozenset]:
+    """Test oracle: every edge subset summing to less than half the
+    perimeter."""
+    ground = range(1, v.edge_count + 1)
+    return {
+        frozenset(combo)
+        for r in range(v.edge_count + 1)
+        for combo in itertools.combinations(ground, r)
+        if 2 * sum(v.values[i - 1] for i in combo) < v.perimeter
+    }
+
+
 def test_vector_is_short():
     v = LengthVector((1, 1, 1, 1, 3))
-    assert v.is_short({5})
-    assert not v.is_short({1, 5})
-    assert v.is_short(())
-    assert not v.is_short({1, 2, 3, 4, 5})
-    with pytest.raises(InvalidCodeError):
-        v.is_short({6})
+    shorts = short_sets(v)
+    assert frozenset({5}) in shorts
+    assert frozenset({1, 5}) not in shorts
+    assert frozenset() in shorts
+    assert frozenset({1, 2, 3, 4, 5}) not in shorts
+    # the code keeps exactly the short sets that contain the anchor edge 5
+    assert genetic_code(v).anchor_short_sets() == {frozenset({5})}
 
 
 # --- domination order ------------------------------------------------------
@@ -176,11 +189,16 @@ def test_code_reconstructs_every_short_set(raw):
         v = LengthVector(raw)
     except NonGenericError:
         assume(False)
-    c = genetic_code(v)
-    ground = list(range(1, v.edge_count + 1))
-    for r in range(len(ground) + 1):
-        for combo in itertools.combinations(ground, r):
-            assert c.is_short(combo) == v.is_short(combo), combo
+    m = v.edge_count
+    shorts = short_sets(v)
+    anchored = genetic_code(v).anchor_short_sets()
+    assert anchored == {s for s in shorts if m in s}
+    # a set avoiding the anchor is short iff its complement is long
+    ground = frozenset(range(1, m + 1))
+    for s in shorts:
+        if m not in s:
+            assert ground - s not in anchored, s
+    assert len(shorts) == 2 ** (m - 1)
 
 
 @given(st.lists(st.integers(1, 11), min_size=3, max_size=7))
@@ -192,13 +210,14 @@ def test_genes_are_maximal_short_sets(raw):
         assume(False)
     c = genetic_code(v)
     m = v.edge_count
+    shorts = short_sets(v)
     for gene in c.genes:
-        assert v.is_short(gene)
+        assert gene in shorts
         if 1 not in gene:
-            assert not v.is_short(gene | {1})
+            assert gene | {1} not in shorts
         for g in gene:
             if g < m and g + 1 not in gene:
-                assert not v.is_short((gene - {g}) | {g + 1})
+                assert (gene - {g}) | {g + 1} not in shorts
 
 
 # --- the order on codes, covers, chains -------------------------------------

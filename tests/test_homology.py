@@ -3,11 +3,16 @@ form of the boundary matrices as an independent oracle."""
 
 import functools
 import importlib
+import itertools
 import random
 
 import pytest
 
-from polygonspaces.coxeter import coxeter_complex, projective_quotient
+from polygonspaces.coxeter import (
+    RegularCellComplex,
+    coxeter_complex,
+    projective_quotient,
+)
 from polygonspaces.errors import AuditError, NotApplicableError, TooLargeError
 from polygonspaces.genetics import parse_code
 from polygonspaces.homology import (
@@ -22,6 +27,7 @@ from polygonspaces.homology import (
     identify_small,
     subdivide,
 )
+from polygonspaces.surgery import locate_sphere, run_chain
 
 
 @functools.cache
@@ -269,6 +275,101 @@ def test_coxeter_homology() -> None:
     assert rep3.betti == (1, 0, 0, 1)
     assert rep3.torsion == ((), (2,), (), ())
     assert rep3.orientable is True
+
+
+def oracle_complexes(case: str) -> list:
+    """The cell complexes of one oracle case (see the parametrization)."""
+    kind, _, rest = case.partition(" ")
+    if kind == "coxeter":
+        sphere = ca(int(rest))
+        return [sphere, projective_quotient(sphere)[0]]
+    if kind == "run":
+        name, mode, *projective = rest.split()
+        trace = run_chain(
+            parse_code(name), mode=mode, projective=bool(projective)
+        )
+        return list(trace.complexes)
+    # the spheres that locate_sphere materializes for its homology audit:
+    # every pair of units on Coxeter(5), as the m = 6 models use them, and
+    # one pair and one triple on Coxeter(6), as m = 7 would
+    n, size = map(int, rest.split())
+    ground = ca(n)
+    units = itertools.combinations(range(1, n + 1), size)
+    return [
+        ground.materialize(locate_sphere(ground, frozenset(u)))
+        for u in itertools.islice(units, None if n == 5 else 1)
+    ]
+
+
+ORACLE_CASES = [f"coxeter {n}" for n in range(2, 6)] + [
+    f"run {name} {mode}{projective}"
+    for name in ("<5>", "<15>", "<25>", "<35>", "<45>", "<125>")
+    for mode in ("attach", "collapse")
+    for projective in ("", " projective")
+] + ["spheres 5 2", "spheres 6 2", "spheres 6 3"]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_cellular_homology_matches_barycentric(case) -> None:
+    # the barycentric subdivision of a regular complex is homeomorphic to
+    # it, so its simplicial homology and names are an independent oracle
+    for complex_ in oracle_complexes(case):
+        subdivided = barycentric(complex_)
+        assert homology(complex_) == homology(subdivided)
+        assert identify_small(complex_) == identify_small(subdivided)
+
+
+def test_cell_homology_builds_no_subdivision(monkeypatch) -> None:
+    mod = importlib.import_module("polygonspaces.homology")
+
+    def refuse(*args):
+        raise AssertionError("subdivision built")
+
+    monkeypatch.setattr(mod, "barycentric", refuse)
+    monkeypatch.setattr(mod, "_chain_simplices", refuse)
+    assert str(homology(ca(5))) == "H0=Z H1=0 H2=0 H3=Z"
+    assert identify_small(projective_quotient(ca(4))[0]) == "N_1"
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_large_coxeter_spheres_and_projective_spaces(n) -> None:
+    # out of reach through the subdivision: Coxeter(7) passes the
+    # 2,000,000-simplex cap
+    d = n - 2
+    sphere = coxeter_complex(range(1, n + 1))
+    rep = homology(sphere)
+    assert rep.betti == (1,) + (0,) * (d - 1) + (1,)
+    assert not rep.has_torsion()
+    assert rep.orientable is True
+    quotient, _ = projective_quotient(sphere)
+    rep = homology(quotient)
+    assert rep.betti == (1,) + (0,) * (d - 1) + (d % 2,)
+    assert rep.torsion == tuple(
+        (2,) if k % 2 and k < d else () for k in range(d + 1)
+    )
+    assert rep.orientable is (d % 2 == 1)
+
+
+def cone_on_projective_plane() -> RegularCellComplex:
+    """The 2-cells of the projective Coxeter(4) complex plus one 3-cell
+    whose facets are all of them.  Every edge lies on exactly two of those
+    2-cells, so the diamond audit of ``seal()`` passes, but the boundary
+    of the 3-cell is RP^2, not a sphere: the complex is not regular."""
+    rp2, _ = projective_quotient(ca(4))
+    out = RegularCellComplex()
+    for cell in sorted(rp2, key=lambda c: (c.dim, c.ident)):
+        out.add_cell(cell.dim, cell.label, cell.facets, ident=cell.ident)
+    out.add_cell(3, ("cone", "rp2"), [c.ident for c in rp2 if c.dim == 2])
+    return out.seal()
+
+
+def test_non_regular_cell_fails_the_audit() -> None:
+    cone = cone_on_projective_plane()
+    assert cone.f_vector() == (7, 18, 12, 1)
+    with pytest.raises(AuditError, match="not an oriented sphere"):
+        homology(cone)
+    with pytest.raises(AuditError):
+        identify_small(cone)
 
 
 def test_barycentric_sizes() -> None:
