@@ -167,6 +167,11 @@ class RegularCellComplex:
         self._sealed = True
         return self
 
+    @property
+    def sealed(self) -> bool:
+        """Whether ``seal()`` has audited and frozen the complex."""
+        return self._sealed
+
     # -- audits --------------------------------------------------------
 
     def _audit_edges(self) -> None:

@@ -19,6 +19,22 @@ remains).  Betti numbers come from ranks, torsion from invariant factors
 bigger than one.  Everything is over the integers; no floating point is
 involved anywhere.
 
+The elimination compresses as it climbs (Bauer, Kerber & Reininghaus,
+"Clear and compress", 2014): the reduction of the boundary matrix in
+degree ``k + 1`` leaves out every row that is a unit-pivot column of the
+matrix in degree ``k``.  Column operations that clear those pivot rows of
+``∂_k`` change the basis of the ``k``-chains; the matching row operations
+on ``∂_{k+1}`` are unimodular and touch only the rows of the pivot
+columns, and ``∂_k ∂_{k+1} = 0`` then forces those rows to zero.  So rank
+and invariant factors stay exact over the integers, since every pivot of
+the sparse phase is ±1; pivots of the dense phase are not used.  The
+union-find and orientation audits still read the full matrices.
+
+The pass is made once per complex: a simplicial complex, or a sealed
+cell complex, cannot change, so :func:`homology` and
+:func:`identify_small` share its survey (counts, ranks and factors, never
+matrices) through a memo keyed weakly by the complex itself.
+
 ``barycentric`` and ``subdivide`` build simplicial subdivisions for the
 simplicial surgery model of ``surgery.run_model``; homology never needs
 them.
@@ -28,8 +44,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Container, Iterable, Optional, Sequence
 
 from .errors import AuditError, NotApplicableError, TooLargeError
 from .coxeter import Cell, RegularCellComplex, connected_components
@@ -245,21 +262,24 @@ def _dense_snf(matrix: list[list[int]]) -> list[int]:
 
 
 def _sparse_reduce(
-    entries: dict[tuple[int, int], int]
-) -> tuple[int, list[int]]:
-    """Rank and invariant factors of a sparse integer matrix.
+    entries: dict[tuple[int, int], int], drop_rows: Container[int] = ()
+) -> tuple[int, list[int], set[int]]:
+    """Rank, invariant factors and unit-pivot columns of a sparse integer
+    matrix, leaving out the rows in ``drop_rows``.
 
     Unit entries are eliminated greedily with a Markowitz-style pivot
-    choice; the leftover submatrix goes through the dense routine.
+    choice; the leftover submatrix goes through the dense routine.  The
+    third value holds the columns of the unit pivots, not those of the
+    dense phase.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (r, c), v in entries.items():
-        if v:
+        if v and r not in drop_rows:
             rows.setdefault(r, {})[c] = v
             cols.setdefault(c, set()).add(r)
     rank = 0
-    ones = 0
+    pivots: set[int] = set()
     # Unit pivots in row-length order, shortest first, with a lazy heap:
     # stale lengths are re-pushed instead of decrease-keyed.  Within a row
     # the shortest column wins, so zero-fill pivots (single-entry rows or
@@ -310,8 +330,8 @@ def _sparse_reduce(
             else:
                 del rows[r]
         rank += 1
-        ones += 1
-    factors = [1] * ones
+        pivots.add(c0)
+    factors = [1] * rank
     if rows:
         live_rows = sorted(r for r, row in rows.items() if row)
         live_cols = sorted({c for row in rows.values() for c in row})
@@ -323,7 +343,7 @@ def _sparse_reduce(
         rest = _dense_snf(dense)
         rank += len(rest)
         factors.extend(rest)
-    return rank, factors
+    return rank, factors, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +469,38 @@ class _Survey:
     ``d`` lies on a cell one dimension up, and every ``(d - 1)``-cell on
     exactly two ``d``-cells.  Otherwise it says whether sign propagation
     of the ``d``-cells across those ridges orients the component.
+    ``ranks`` and ``factors`` are ``None`` when the pass reduced nothing.
     """
 
     sizes: list[int]
     f_vectors: list[list[int]]
     manifold: list[Optional[bool]]
-    ranks: dict[int, int]
-    factors: dict[int, list[int]]
+    ranks: Optional[dict[int, int]]
+    factors: Optional[dict[int, list[int]]]
+
+
+# Surveys of complexes that cannot change, keyed by the complex itself
+# (neither kind defines equality, so the key is its identity); an entry
+# goes with its complex.
+_SURVEYS: "weakref.WeakKeyDictionary[object, _Survey]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _surveyed(
+    source: "SimplicialComplex | RegularCellComplex", reduce: bool
+) -> _Survey:
+    """The survey of a nonempty complex, shared by every caller while a
+    simplicial or sealed cell complex lives.  A memoised survey without
+    ranks is redone with them when ``reduce`` asks for them; an unsealed
+    cell complex may still grow, so it is surveyed afresh each time."""
+    frozen = isinstance(source, SimplicialComplex) or source.sealed
+    survey = _SURVEYS.get(source) if frozen else None
+    if survey is None or (reduce and survey.ranks is None):
+        survey = _survey(source, reduce)
+        if frozen:
+            _SURVEYS[source] = survey
+    return survey
 
 
 def _survey(
@@ -463,18 +508,23 @@ def _survey(
 ) -> _Survey:
     """Components, face counts and orientations of a nonempty complex,
     plus the rank and invariant factors of every boundary matrix when
-    ``reduce`` is set."""
+    ``reduce`` is set.
+
+    The rows of each boundary matrix that the unit pivots of the one below
+    paired are left out of its reduction (see the module docstring).
+    """
     sizes, boundary = _chain_complex(source)
     top = len(sizes) - 1
     owner: list[list[int]] = [list(range(sizes[0]))]
     lowest_bare: dict[int, int] = {}  # component -> lowest cell with no coface
-    ranks: dict[int, int] = {}
-    factors: dict[int, list[int]] = {}
+    ranks: Optional[dict[int, int]] = {} if reduce else None
+    factors: Optional[dict[int, list[int]]] = {} if reduce else None
+    paired: set[int] = set()  # (k-1)-cells paired by the reduction below
     matrix: Boundary = {}
     for k in range(1, top + 1):
         matrix = boundary(k)
         if reduce:
-            ranks[k], factors[k] = _sparse_reduce(matrix)
+            ranks[k], factors[k], paired = _sparse_reduce(matrix, paired)
         if k == 1:
             owner[0] = _vertex_components(sizes, matrix)
         below = owner[k - 1]
@@ -620,7 +670,7 @@ def homology(
     """
     if not len(source):
         raise NotApplicableError("the empty complex has no homology")
-    survey = _survey(source, reduce=True)
+    survey = _surveyed(source, reduce=True)
     top = len(survey.sizes) - 1
     ranks = survey.ranks
     betti = []
@@ -690,7 +740,7 @@ def identify_small(
     """
     if not len(source):
         return "empty"
-    survey = _survey(source, reduce=False)
+    survey = _surveyed(source, reduce=False)
     top = len(survey.sizes) - 1
     if top == 0:
         n = survey.sizes[0]

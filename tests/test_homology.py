@@ -2,11 +2,15 @@
 form of the boundary matrices as an independent oracle."""
 
 import functools
+import gc
 import importlib
 import itertools
 import random
+import weakref
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polygonspaces.coxeter import (
     RegularCellComplex,
@@ -18,21 +22,30 @@ from polygonspaces.genetics import parse_code
 from polygonspaces.homology import (
     HomologyReport,
     SimplicialComplex,
+    _chain_complex,
     _chain_simplices,
     _dense_snf,
     _sparse_reduce,
+    _survey,
     barycentric,
     betti_oracle,
     homology,
     identify_small,
     subdivide,
 )
-from polygonspaces.surgery import locate_sphere, run_chain
+from polygonspaces.surgery import locate_sphere, run_chain, run_model
 
 
 @functools.cache
 def ca(n: int):
     return coxeter_complex(range(1, n + 1))
+
+
+@pytest.fixture(autouse=True)
+def fresh_surveys():
+    """Empty the survey memo before each test, so that a complex shared
+    through ``ca`` is surveyed again and no test reads another's survey."""
+    importlib.import_module("polygonspaces.homology")._SURVEYS.clear()
 
 
 def grid_surface(n: int, flip: bool, tag: str = "v") -> list[tuple]:
@@ -194,26 +207,43 @@ def sympy_homology(sc: SimplicialComplex) -> tuple[tuple, tuple]:
 
 MOBIUS_FACES = [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1)]
 
+SYMPY_FIXTURES = {
+    "sphere": (sphere_faces(), True),
+    "torus": (grid_surface(3, False), True),
+    "rp2": (RP2_FACES, False),
+    "genus2": (genus2_faces(), True),
+    # free faces: a boundary, or a face outside every top simplex
+    "simplex": ([(0, 1, 2, 3)], None),
+    "mobius": (MOBIUS_FACES, None),
+    "whisker": (grid_surface(3, False) + [(("v", 0, 0), ("w", 0, 0))], None),
+}
+
 
 @pytest.mark.parametrize(
     "faces,orientable",
-    [
-        (sphere_faces(), True),
-        (grid_surface(3, False), True),
-        (RP2_FACES, False),
-        (genus2_faces(), True),
-        # free faces: a boundary, or a face outside every top simplex
-        ([(0, 1, 2, 3)], None),
-        (MOBIUS_FACES, None),
-        (grid_surface(3, False) + [(("v", 0, 0), ("w", 0, 0))], None),
-    ],
-    ids=["sphere", "torus", "rp2", "genus2", "simplex", "mobius", "whisker"],
+    list(SYMPY_FIXTURES.values()),
+    ids=list(SYMPY_FIXTURES),
 )
 def test_homology_matches_sympy_smith_form(faces, orientable) -> None:
     sc = SimplicialComplex(faces)
     rep = homology(sc)
     assert (rep.betti, rep.torsion) == sympy_homology(sc)
     assert rep.orientable is orientable
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.sets(st.integers(0, 6), min_size=1, max_size=7),
+        min_size=1,
+        max_size=10,
+    )
+)
+@example(RP2_FACES)  # 6 vertices, Z/2 in degree one
+def test_random_complexes_match_sympy_smith_form(faces) -> None:
+    sc = SimplicialComplex(faces)
+    rep = homology(sc)
+    assert (rep.betti, rep.torsion) == sympy_homology(sc)
 
 
 def test_subdivision_invariance() -> None:
@@ -242,7 +272,7 @@ def test_smith_normal_form_against_sympy() -> None:
             for c, v in enumerate(row)
             if v
         }
-        rank, factors = _sparse_reduce(entries)
+        rank, factors, _ = _sparse_reduce(entries)
         ref = smith_normal_form(Matrix(mat), domain=ZZ)
         ref_diag = sorted(
             abs(ref[i, i])
@@ -319,8 +349,123 @@ def test_cellular_homology_matches_barycentric(case) -> None:
         assert identify_small(complex_) == identify_small(subdivided)
 
 
+def compression_complexes(case: str) -> list:
+    """The complexes of one compression case (see the parametrization)."""
+    kind, _, rest = case.partition(" ")
+    if kind == "model":
+        return [run_model(parse_code(rest)).complex]
+    if kind == "sympy":
+        return [SimplicialComplex(SYMPY_FIXTURES[rest][0])]
+    return oracle_complexes(case)
+
+
+COMPRESSION_CASES = (
+    [f"coxeter {n}" for n in range(2, 6)]
+    + [f"run <45> {mode} projective" for mode in ("attach", "collapse")]
+    + ["model <6>"]
+    + [f"sympy {name}" for name in SYMPY_FIXTURES]
+)
+
+
+@pytest.mark.parametrize("case", COMPRESSION_CASES)
+def test_compressed_reduction_matches_the_full_matrix(case) -> None:
+    # leaving out the rows that the reduction one degree down paired keeps
+    # the rank and every invariant factor, torsion included
+    for complex_ in compression_complexes(case):
+        sizes, boundary = _chain_complex(complex_)
+        survey = _survey(complex_, reduce=True)
+        paired: set[int] = set()
+        dropped = 0
+        for k in range(1, len(sizes)):
+            matrix = boundary(k)
+            rank, factors, _ = _sparse_reduce(matrix)
+            dropped += len(paired)
+            got = _sparse_reduce(matrix, paired)
+            assert got[0] == rank == survey.ranks[k]
+            assert sorted(got[1]) == sorted(factors) == sorted(
+                survey.factors[k]
+            )
+            paired = got[2]
+        assert dropped or len(sizes) < 3
+
+
+def count_chain_complexes(monkeypatch) -> list:
+    """Record each complex whose chain complex homology builds."""
+    mod = importlib.import_module("polygonspaces.homology")
+    built = []
+    original = mod._chain_complex
+
+    def counted(source):
+        built.append(source)
+        return original(source)
+
+    monkeypatch.setattr(mod, "_chain_complex", counted)
+    return built
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SimplicialComplex(RP2_FACES),
+        lambda: projective_quotient(ca(4))[0],
+    ],
+    ids=["simplicial", "sealed cells"],
+)
+def test_name_reuses_the_homology_survey(make, monkeypatch) -> None:
+    built = count_chain_complexes(monkeypatch)
+    space = make()
+    rep = homology(space)
+    assert identify_small(space) == "N_1"
+    assert homology(space) == rep
+    assert str(rep) == "H0=Z H1=Z/2 H2=0"
+    assert len(built) == 1
+
+
+def test_survey_without_ranks_gains_them_once(monkeypatch) -> None:
+    built = count_chain_complexes(monkeypatch)
+    space = SimplicialComplex(grid_surface(4, True))
+    assert identify_small(space) == "N_2"
+    assert str(homology(space)) == "H0=Z H1=Z+Z/2 H2=0"
+    assert identify_small(space) == "N_2"
+    assert str(homology(space)) == "H0=Z H1=Z+Z/2 H2=0"
+    assert len(built) == 2
+
+
+def test_unsealed_complex_is_surveyed_afresh() -> None:
+    mod = importlib.import_module("polygonspaces.homology")
+    loop = RegularCellComplex()
+    a, b, c = (loop.add_cell(0, (v,)) for v in "abc")
+    edges = [
+        loop.add_cell(1, ("ab",), [a, b]),
+        loop.add_cell(1, ("bc",), [b, c]),
+        loop.add_cell(1, ("ac",), [a, c]),
+    ]
+    assert str(homology(loop)) == "H0=Z H1=Z"
+    assert identify_small(loop) == "1 circle"
+    loop.add_cell(2, ("disk",), edges)
+    assert str(homology(loop)) == "H0=Z H1=0 H2=0"
+    assert identify_small(loop) == "complex(chi=1)"
+    assert loop not in mod._SURVEYS
+
+
+def test_survey_memo_lets_go_of_a_dead_complex() -> None:
+    mod = importlib.import_module("polygonspaces.homology")
+    gc.collect()
+    before = len(mod._SURVEYS)
+    space = SimplicialComplex(sphere_faces())
+    homology(space)
+    assert space in mod._SURVEYS
+    assert len(mod._SURVEYS) == before + 1
+    alive = weakref.ref(space)
+    del space
+    gc.collect()
+    assert alive() is None
+    assert len(mod._SURVEYS) == before
+
+
 def test_cell_homology_builds_no_subdivision(monkeypatch) -> None:
     mod = importlib.import_module("polygonspaces.homology")
+    built = count_chain_complexes(monkeypatch)
 
     def refuse(*args):
         raise AssertionError("subdivision built")
@@ -329,6 +474,7 @@ def test_cell_homology_builds_no_subdivision(monkeypatch) -> None:
     monkeypatch.setattr(mod, "_chain_simplices", refuse)
     assert str(homology(ca(5))) == "H0=Z H1=0 H2=0 H3=Z"
     assert identify_small(projective_quotient(ca(4))[0]) == "N_1"
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("n", [6, 7])
