@@ -82,7 +82,8 @@ class SphereNotEmbeddedError(PolygonSpacesError):
 
 
 class ProjectionNotSimplicialError(PolygonSpacesError):
-    """A simplicial approximation step failed even after refinement."""
+    """The frontier of a sphere neighborhood in the simplicial surgery
+    model does not map simplicially onto the link of the sphere."""
 
     code = "PROJECTION_NOT_SIMPLICIAL"
 

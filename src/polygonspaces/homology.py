@@ -35,9 +35,8 @@ cell complex, cannot change, so :func:`homology` and
 :func:`identify_small` share its survey (counts, ranks and factors, never
 matrices) through a memo keyed weakly by the complex itself.
 
-``barycentric`` and ``subdivide`` build simplicial subdivisions for the
-simplicial surgery model of ``surgery.run_model``; homology never needs
-them.
+``barycentric`` builds the simplicial subdivision for the simplicial
+surgery model of ``surgery.run_model``; homology never needs it.
 """
 
 from __future__ import annotations
@@ -182,13 +181,6 @@ def barycentric(complex_: RegularCellComplex) -> SimplicialComplex:
         return sorted(complex_.faces_of(ident) - {ident})
 
     return SimplicialComplex(_chain_simplices(sorted(cells), strict_faces))
-
-
-def subdivide(sc: SimplicialComplex) -> SimplicialComplex:
-    """Barycentric subdivision of a simplicial complex; vertices of the
-    result are the faces of the input."""
-    all_faces = [f for d in sc.faces_by_dim.values() for f in d]
-    return SimplicialComplex(_chain_simplices(all_faces, proper_faces))
 
 
 # ---------------------------------------------------------------------------

@@ -295,10 +295,14 @@ def partition_str(p: Partition) -> str:
     return "|".join(sep.join(str(e) for e in b) for b in p)
 
 
-def coarsens(coarse: Partition, fine: Partition) -> bool:
-    """True when every block of ``fine`` lies inside one block of ``coarse``."""
-    owner = {e: i for i, block in enumerate(coarse) for e in block}
-    return all(len({owner[e] for e in block}) == 1 for block in fine)
+def _merges(p: Partition) -> Iterator[Partition]:
+    """The partitions that merge two blocks of ``p``: its covers in the
+    partition lattice."""
+    for i, j in itertools.combinations(range(len(p)), 2):
+        merged = list(p)
+        merged[i] = tuple(sorted(p[i] + p[j]))
+        del merged[j]
+        yield canonical_partition(merged)
 
 
 def partition_lattice(ground_size: int) -> FinitePoset:
@@ -313,13 +317,7 @@ def partition_lattice(ground_size: int) -> FinitePoset:
             f"partition lattice supports 1..{MAX_PARTITION_GROUND} elements"
         )
     elems = list(partitions_of(range(1, ground_size + 1)))
-    pairs = []
-    for p in elems:
-        for i, j in itertools.combinations(range(len(p)), 2):
-            merged = list(p)
-            merged[i] = tuple(sorted(p[i] + p[j]))
-            del merged[j]
-            pairs.append((p, canonical_partition(merged)))
+    pairs = [(p, merged) for p in elems for merged in _merges(p)]
     return FinitePoset.from_relations(elems, pairs)
 
 
@@ -385,7 +383,9 @@ def intersection_poset(
     an incomparable barred twin; a barred element sits above exactly the
     refinements that are themselves barred or connected, and below only
     barred coarsenings.  Construction realizes the code to get exact edge
-    lengths and audits that disconnection is inherited upward.
+    lengths.  The order is generated by the two-block merges between short
+    partitions, and the audit that disconnection is inherited upward runs
+    along those merges.
     """
     if code.is_empty_space():
         raise NotApplicableError("the empty code has no intersection poset")
@@ -408,36 +408,31 @@ def intersection_poset(
         plain.append(p)
         disconnected[p] = is_disconnected_quotient(sums)
 
-    for fine in plain:  # disconnection must be inherited by coarsenings
-        if not disconnected[fine]:
-            continue
-        for coarse in plain:
-            if coarse != fine and coarsens(coarse, fine):
-                if not disconnected[coarse]:
-                    raise AuditError(
-                        "disconnected quotient coarsened to a connected one: "
-                        f"{partition_str(fine)} <= {partition_str(coarse)}"
-                    )
-
-    if not barred:
-        return FinitePoset.from_leq(
-            plain, lambda a, b: coarsens(b, a)
-        )
+    # Short partitions are a lower ideal of the partition lattice, so the
+    # merges between them generate the refinement order, and inheritance of
+    # disconnection along merges implies it along every comparable pair.
+    # A connected p lies below Barred(q) through the first disconnected
+    # partition on a merge path from p to q.
+    pairs: list[tuple[Hashable, Hashable]] = []
+    for fine in plain:
+        for merged in _merges(fine):
+            if merged not in disconnected:
+                continue  # some block of the merge is long
+            if disconnected[fine] and not disconnected[merged]:
+                raise AuditError(
+                    "disconnected quotient coarsened to a connected one: "
+                    f"{partition_str(fine)} <= {partition_str(merged)}"
+                )
+            pairs.append((fine, merged))
+            if barred and disconnected[fine]:
+                pairs.append((Barred(fine), Barred(merged)))
+            elif barred and disconnected[merged]:
+                pairs.append((fine, Barred(merged)))
 
     elements: list = list(plain)
-    elements.extend(Barred(p) for p in plain if disconnected[p])
-
-    def leq(a, b) -> bool:
-        abar, bbar = isinstance(a, Barred), isinstance(b, Barred)
-        pa = a.partition if abar else a
-        pb = b.partition if bbar else b
-        if abar and not bbar:
-            return False
-        if not abar and bbar:
-            return coarsens(pb, pa) and not disconnected[pa]
-        return coarsens(pb, pa)
-
-    return FinitePoset.from_leq(elements, leq)
+    if barred:
+        elements.extend(Barred(p) for p in plain if disconnected[p])
+    return FinitePoset.from_relations(elements, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +458,9 @@ def comb_surgery(poset: FinitePoset, locus: Hashable) -> FinitePoset:
     Intervals inherit the order of their bases, and a surviving element
     ``z`` slips below the interval at base ``y`` exactly when ``z`` shares
     an upper bound with the locus and every common lower bound of ``z``
-    and the locus lies below ``y``.
+    and the locus lies below ``y``.  The inherited orders come from the
+    covers of the input: kept and below elements are lower ideals, so the
+    covers inside them generate the same order.
 
     When the input has all pairwise meets the output must as well, else
     :class:`NotMeetSemilatticeError` is raised.
@@ -486,14 +483,11 @@ def comb_surgery(poset: FinitePoset, locus: Hashable) -> FinitePoset:
     locus_up = up[poset.index[locus]]
     locus_down = poset._down[poset.index[locus]]
     pairs: list[tuple[Hashable, Hashable]] = []
-    for a in kept:
-        for b in kept:
-            if a != b and poset.leq(a, b):
-                pairs.append((a, b))
-    for y in below:
-        for z in below:
-            if y != z and poset.leq(y, z):
-                pairs.append((grafted[y], grafted[z]))
+    for a, b in poset.covers():
+        if not poset.leq(locus, b):
+            pairs.append((a, b))
+        if b in grafted:
+            pairs.append((grafted[a], grafted[b]))
     for z in kept:
         iz = poset.index[z]
         if not up[iz] & locus_up:

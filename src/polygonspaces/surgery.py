@@ -51,7 +51,6 @@ from .homology import (
     barycentric,
     homology,
     proper_faces,
-    subdivide,
 )
 from .posets import canonical_partition
 
@@ -642,28 +641,17 @@ class ModelResult:
     complex: SimplicialComplex
 
 
-def _support(vertex) -> frozenset:
-    if isinstance(vertex, tuple):
-        out: frozenset = frozenset()
-        for v in vertex:
-            out |= _support(v)
-        return out
-    return frozenset((vertex,))
-
-
 def _build_model(
     complex_: RegularCellComplex,
     jobs: list[tuple[frozenset, tuple[int, ...]]],
-    depth: int,
 ) -> SimplicialComplex:
+    # Each vertex of the barycentric subdivision is the id of a cell.
     ambient = barycentric(complex_)
-    for _ in range(depth - 1):
-        ambient = subdivide(ambient)
     spheres = [frozenset(sphere) for _, sphere in jobs]
     sphere_all = frozenset().union(*spheres)
-    supports = {v: _support(v) for v in ambient.vertices}
-    far = {v for v, sup in supports.items() if not sup & sphere_all}
-    if not far or len(far) == len(supports):
+    vertices = ambient.vertices
+    far = {v for v in vertices if v not in sphere_all}
+    if not far or len(far) == len(vertices):
         raise NotFullError(
             "the sphere neighborhoods leave no room for a complement"
         )
@@ -671,12 +659,7 @@ def _build_model(
 
     frontier: list[set[tuple]] = [set() for _ in jobs]
     for m in ambient.maximal_faces():
-        hit = {
-            i
-            for i, sph in enumerate(spheres)
-            for v in m
-            if supports[v] & sph
-        }
+        hit = {i for i, sph in enumerate(spheres) for v in m if v in sph}
         if not hit:
             continue
         if len(hit) > 1:
@@ -693,30 +676,20 @@ def _build_model(
             for v in face_set:
                 if v in gmap:
                     continue
-                meets = [
-                    cell
-                    for cell in supports[v]
-                    if complex_.faces_of(cell) & sph
-                ]
-                if not meets:
+                if not complex_.faces_of(v) & sph:
                     raise AuditError(
                         f"frontier vertex {v!r} never meets its sphere"
                     )
-                cell = min(
-                    meets, key=lambda c: (complex_.cells[c].dim, c)
-                )
-                blocks = restrict_pattern(
-                    complex_.cells[cell].pattern, units
-                )
+                blocks = restrict_pattern(complex_.cells[v].pattern, units)
                 if len(blocks) < 2:
                     raise ProjectionNotSimplicialError(
-                        f"projection of cell {cell} degenerates"
+                        f"projection of cell {v} degenerates"
                     )
                 try:
                     gmap[v] = link.by_label(("osp", blocks))
                 except KeyError:
                     raise ProjectionNotSimplicialError(
-                        f"projection of cell {cell} misses the link"
+                        f"projection of cell {v} misses the link"
                     )
         for face_set in frontier[len(links)]:
             image = sorted({gmap[v] for v in face_set})
@@ -801,11 +774,7 @@ def run_model(code: GeneticCode) -> ModelResult:
         )
     if not jobs:
         return ModelResult(str(code), (), barycentric(complex_))
-    try:
-        model = _build_model(complex_, jobs, depth=1)
-    except ProjectionNotSimplicialError:
-        model = _build_model(complex_, jobs, depth=2)
-    return ModelResult(str(code), tuple(infos), model)
+    return ModelResult(str(code), tuple(infos), _build_model(complex_, jobs))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from polygonspaces.homology import (
     betti_oracle,
     homology,
     identify_small,
-    subdivide,
+    proper_faces,
 )
 from polygonspaces.surgery import locate_sphere, run_chain, run_model
 
@@ -244,6 +244,12 @@ def test_random_complexes_match_sympy_smith_form(faces) -> None:
     sc = SimplicialComplex(faces)
     rep = homology(sc)
     assert (rep.betti, rep.torsion) == sympy_homology(sc)
+
+
+def subdivide(sc: SimplicialComplex) -> SimplicialComplex:
+    """Barycentric subdivision: one vertex per face of ``sc``."""
+    faces = [f for fs in sc.faces_by_dim.values() for f in fs]
+    return SimplicialComplex(_chain_simplices(faces, proper_faces))
 
 
 def test_subdivision_invariance() -> None:

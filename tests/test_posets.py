@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from polygonspaces import posets
 from polygonspaces.errors import (
     AuditError,
     InvalidCodeError,
@@ -12,13 +13,18 @@ from polygonspaces.errors import (
     NotApplicableError,
     TooLargeError,
 )
-from polygonspaces.genetics import genetic_code, parse_code
+from polygonspaces.genetics import (
+    enumerate_codes,
+    genetic_code,
+    parse_code,
+    realize,
+    saturated_chain,
+)
 from polygonspaces.posets import (
     Barred,
     FinitePoset,
     Interval,
     canonical_partition,
-    coarsens,
     comb_surgery,
     intersection_poset,
     is_disconnected_quotient,
@@ -29,6 +35,7 @@ from polygonspaces.posets import (
     poset_isomorphic,
     quotient_sums,
 )
+from polygonspaces.surgery import step_locus
 
 
 def divisor_poset(n: int) -> FinitePoset:
@@ -42,6 +49,12 @@ def chain(n: int) -> FinitePoset:
 
 def antichain(n: int) -> FinitePoset:
     return FinitePoset.from_leq(list(range(n)), lambda a, b: a == b)
+
+
+def coarsens(coarse, fine) -> bool:
+    """True when every block of ``fine`` lies inside one block of ``coarse``."""
+    owner = {e: i for i, block in enumerate(coarse) for e in block}
+    return all(len({owner[e] for e in block}) == 1 for block in fine)
 
 
 # --- FinitePoset core -------------------------------------------------------
@@ -277,6 +290,53 @@ def test_barred_refinement_cone_factorizes():
     assert poset_isomorphic(cone, partition_lattice(3)) is not None
 
 
+def test_intersection_poset_order_is_refinement():
+    """Independent oracle: every pair compared by refinement, with a
+    connected partition below a barred one exactly when the barred one
+    coarsens it."""
+
+    def part(e):
+        return e.partition if isinstance(e, Barred) else e
+
+    codes = [
+        code
+        for m in (3, 4, 5)
+        for code in enumerate_codes(m)
+        if not code.is_empty_space() and realize(code) is not None
+    ]
+    for code in codes + [parse_code("<26>"), parse_code("<126>")]:
+        vector = realize(code)
+        for barred in (False, True):
+            poset = intersection_poset(code, barred=barred)
+            for e in poset:
+                if not isinstance(e, Barred):
+                    disconnected = is_disconnected_quotient(
+                        quotient_sums(vector, e)
+                    )
+                    assert (Barred(e) in poset) == (barred and disconnected)
+            for a in poset:
+                for b in poset:
+                    expected = coarsens(part(b), part(a))
+                    if isinstance(a, Barred) and not isinstance(b, Barred):
+                        expected = False
+                    if not isinstance(a, Barred) and isinstance(b, Barred):
+                        expected = expected and Barred(a) not in poset
+                    assert poset.leq(a, b) == expected, (str(code), a, b)
+
+
+def test_intersection_poset_audits_disconnection(monkeypatch):
+    """A coarsening of a disconnected partition that reads as connected
+    fails the inheritance audit."""
+    real = is_disconnected_quotient
+    monkeypatch.setattr(
+        posets,
+        "is_disconnected_quotient",
+        lambda sums: real(sums) and len(sums) > 3,
+    )
+    with pytest.raises(AuditError, match="coarsened to a connected one"):
+        intersection_poset(parse_code("<26>"))
+
+
 def test_intersection_poset_rejects_bad_codes():
     with pytest.raises(NotApplicableError):
         intersection_poset(parse_code("<>", edge_count=4))
@@ -344,6 +404,46 @@ def test_comb_surgery_clause_for_incomparables():
     paired = canonical_partition([(1,), (2,), (3,), (4, 5), (6,)])
     assert not out.leq(tricky, lowest)
     assert out.leq(tricky, Interval(x, paired))
+
+
+def comb_surgery_reference(poset: FinitePoset, locus) -> FinitePoset:
+    """Poset surgery with every comparable pair as a generating relation."""
+    kept = [e for e in poset if not poset.leq(locus, e)]
+    below = [e for e in poset if poset.leq(e, locus) and e != locus]
+    grafted = {y: Interval(locus, y) for y in below}
+    pairs = [(a, b) for a in kept for b in kept if a != b and poset.leq(a, b)]
+    pairs += [
+        (grafted[y], grafted[z])
+        for y in below
+        for z in below
+        if y != z and poset.leq(y, z)
+    ]
+    for z in kept:
+        if not any(poset.leq(z, u) and poset.leq(locus, u) for u in poset):
+            continue
+        shared = [w for w in poset if poset.leq(w, z) and poset.leq(w, locus)]
+        for y in below:
+            if all(poset.leq(w, y) for w in shared):
+                pairs.append((z, grafted[y]))
+    return FinitePoset.from_relations(kept + list(grafted.values()), pairs)
+
+
+def test_comb_surgery_matches_all_pairs_reference():
+    steps = []
+    for code in enumerate_codes(5):
+        if code.is_empty_space() or realize(code) is None:
+            continue
+        chain = saturated_chain(code)
+        steps.extend(zip(chain.codes, chain.added_sets))
+    chain = saturated_chain(parse_code("<126>"))  # its last step leaves <26>
+    steps.append((chain.codes[-2], chain.added_sets[-1]))
+    for lo, added in steps:
+        poset = intersection_poset(lo)
+        locus = step_locus(lo, frozenset(added))
+        got = comb_surgery(poset, locus)
+        want = comb_surgery_reference(poset, locus)
+        assert got.elements == want.elements, (str(lo), added)
+        assert got._down == want._down, (str(lo), added)
 
 
 def test_comb_surgery_interval_ranks():
