@@ -88,12 +88,6 @@ class ProjectionNotSimplicialError(PolygonSpacesError):
     code = "PROJECTION_NOT_SIMPLICIAL"
 
 
-class NotFullError(PolygonSpacesError):
-    """A subcomplex required to be full in its ambient complex is not."""
-
-    code = "NOT_FULL"
-
-
 class ChainInterferenceError(PolygonSpacesError):
     """Surgery loci of distinct steps overlap, so they cannot be modelled
     simultaneously."""

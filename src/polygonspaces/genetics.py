@@ -178,6 +178,14 @@ def _gene_sort_key(gene: Gene) -> tuple[int, ...]:
     return tuple(sorted(gene))
 
 
+def _anchor_sets(edge_count: int) -> Iterator[Gene]:
+    """Every subset of the edges that contains the anchor, by size."""
+    rest = range(1, edge_count)
+    for r in range(edge_count):
+        for combo in itertools.combinations(rest, r):
+            yield frozenset(combo) | {edge_count}
+
+
 @dataclass(frozen=True)
 class GeneticCode:
     """An antichain of anchor-containing edge subsets at a fixed edge count.
@@ -231,14 +239,11 @@ class GeneticCode:
 
     def anchor_short_sets(self) -> frozenset:
         """All short subsets containing the anchor (the down-set of the genes)."""
-        rest = range(1, self.edge_count)
-        out = []
-        for r in range(self.edge_count):
-            for combo in itertools.combinations(rest, r):
-                s = frozenset(combo) | {self.anchor}
-                if any(dominance_leq(s, g) for g in self.genes):
-                    out.append(s)
-        return frozenset(out)
+        return frozenset(
+            s
+            for s in _anchor_sets(self.edge_count)
+            if any(dominance_leq(s, g) for g in self.genes)
+        )
 
     def __str__(self) -> str:
         return format_code(self)
@@ -259,13 +264,11 @@ def genetic_code(lengths: Union[LengthVector, Iterable[RationalLike]]) -> Geneti
     vec = lengths if isinstance(lengths, LengthVector) else LengthVector(lengths)
     m = vec.edge_count
     half = vec.perimeter
-    shorts = set()
-    rest = range(1, m)
-    for r in range(m):
-        for combo in itertools.combinations(rest, r):
-            s = frozenset(combo) | {m}
-            if 2 * sum(vec.values[i - 1] for i in s) < half:
-                shorts.add(s)
+    shorts = {
+        s
+        for s in _anchor_sets(m)
+        if 2 * sum(vec.values[i - 1] for i in s) < half
+    }
     genes = _maximal_in_downset(frozenset(shorts))
     return GeneticCode(m, genes)
 
@@ -300,15 +303,12 @@ def minimal_long_sets(code: GeneticCode) -> tuple[Gene, ...]:
     """
     m = code.edge_count
     shorts = code.anchor_short_sets()
-    out = []
-    rest = range(1, m)
-    for r in range(m):
-        for combo in itertools.combinations(rest, r):
-            s = frozenset(combo) | {m}
-            if s in shorts:
-                continue
-            if all(c in shorts for c in _dominance_down_covers(s, m)):
-                out.append(s)
+    out = [
+        s
+        for s in _anchor_sets(m)
+        if s not in shorts
+        and all(c in shorts for c in _dominance_down_covers(s, m))
+    ]
     return tuple(sorted(out, key=_gene_sort_key))
 
 
@@ -394,12 +394,9 @@ def enumerate_codes(edge_count: int) -> list[GeneticCode]:
         raise GroundSetTooLargeError(
             f"code enumeration supports at most {MAX_EDGES_ENUMERATE} edges"
         )
-    rest = range(1, edge_count)
-    anchor_sets = []
-    for r in range(edge_count):
-        for combo in itertools.combinations(rest, r):
-            anchor_sets.append(frozenset(combo) | {edge_count})
-    anchor_sets.sort(key=lambda s: (len(s), _gene_sort_key(s)))
+    anchor_sets = sorted(
+        _anchor_sets(edge_count), key=lambda s: (len(s), _gene_sort_key(s))
+    )
     out: list[GeneticCode] = []
 
     def extend(start: int, chosen: list) -> None:

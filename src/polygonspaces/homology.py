@@ -35,8 +35,10 @@ cell complex, cannot change, so :func:`homology` and
 :func:`identify_small` share its survey (counts, ranks and factors, never
 matrices) through a memo keyed weakly by the complex itself.
 
-``barycentric`` builds the simplicial subdivision for the simplicial
-surgery model of ``surgery.run_model``; homology never needs it.
+``barycentric`` builds the order complex of a cell complex's whole face
+poset, and ``_order_chains`` that of any sub-poset; the simplicial surgery
+model of ``surgery.run_model`` is made of such chains, and homology never
+needs them.
 """
 
 from __future__ import annotations
@@ -89,17 +91,14 @@ class SimplicialComplex:
         self.faces_by_dim: dict[int, tuple[tuple, ...]] = {
             d: tuple(sorted(fs)) for d, fs in sorted(by_dim.items())
         }
-        self._face_set = seen
+        self._size = len(seen)
 
     @property
     def dim(self) -> int:
         return max(self.faces_by_dim, default=-1)
 
     def __len__(self) -> int:
-        return len(self._face_set)
-
-    def __contains__(self, face: Sequence) -> bool:
-        return tuple(sorted(face)) in self._face_set
+        return self._size
 
     def faces(self, dim: int) -> tuple[tuple, ...]:
         return self.faces_by_dim.get(dim, ())
@@ -127,14 +126,6 @@ class SimplicialComplex:
             out.extend(f for f in fs if f not in covered)
         return tuple(sorted(out, key=lambda f: (len(f), f)))
 
-    def full_subcomplex(self, keep: Iterable) -> "SimplicialComplex":
-        keep_set = set(keep)
-        return SimplicialComplex(
-            f
-            for f in self._face_set
-            if all(v in keep_set for v in f)
-        )
-
 
 def proper_faces(face: tuple) -> list[tuple]:
     """Every nonempty proper sub-face of a simplex, smallest first."""
@@ -145,42 +136,71 @@ def proper_faces(face: tuple) -> list[tuple]:
     ]
 
 
-def _chain_simplices(elements, strict_faces) -> list[tuple]:
-    """All nonempty chains of a poset given by a strict-faces map; raises
-    ``TooLargeError`` as soon as more than ``MAX_SIMPLICES`` are built."""
-    memo: dict = {}
-    built = 0
+def _chain_counter(
+    elements: Sequence, strict_faces, spent: int = 0
+) -> tuple[int, Callable[[], list[tuple]]]:
+    """How many nonempty chains end at ``elements`` in a poset given by a
+    strict-faces map, and a function that builds them, each lowest
+    element first.  Counting uses memoised ints and builds no chain; it
+    raises ``TooLargeError`` once the count plus ``spent`` passes
+    ``MAX_SIMPLICES``."""
+    below: dict = {}
+    ending: dict = {}  # element -> number of chains ending at it
 
-    def ending_at(e) -> list[tuple]:
-        nonlocal built
-        got = memo.get(e)
-        if got is None:
-            got = [(e,)]
-            for f in strict_faces(e):
-                got.extend(ch + (e,) for ch in ending_at(f))
-            built += len(got)
-            if built > MAX_SIMPLICES:
-                raise TooLargeError(
-                    f"subdivision passes {MAX_SIMPLICES} simplices, the cap"
-                )
-            memo[e] = got
-        return got
+    def count(e) -> int:
+        if e not in ending:
+            below[e] = faces = tuple(strict_faces(e))
+            ending[e] = 1 + sum(count(f) for f in faces)
+        return ending[e]
 
-    out: list[tuple] = []
+    total = spent
     for e in elements:
-        out.extend(ending_at(e))
-    return out
+        total += count(e)
+        if total > MAX_SIMPLICES:
+            raise TooLargeError(
+                f"subdivision passes {MAX_SIMPLICES} simplices, the cap"
+            )
+
+    def build() -> list[tuple]:
+        memo: dict = {}
+
+        def ending_at(e) -> list[tuple]:
+            got = memo.get(e)
+            if got is None:
+                got = memo[e] = [(e,)]
+                for f in below[e]:
+                    got.extend(ch + (e,) for ch in ending_at(f))
+            return got
+
+        return [ch for e in elements for ch in ending_at(e)]
+
+    return total - spent, build
+
+
+def _chain_simplices(elements: Sequence, strict_faces) -> list[tuple]:
+    """All nonempty chains ending at ``elements`` (see
+    :func:`_chain_counter`); none is built when there are more than
+    ``MAX_SIMPLICES``."""
+    return _chain_counter(elements, strict_faces)[1]()
+
+
+def _order_chains(
+    complex_: RegularCellComplex, keep: Iterable[int]
+) -> list[tuple]:
+    """The simplices of the order complex of the cells in ``keep``: every
+    chain of them under the face relation, lowest cell first."""
+    keep = frozenset(keep)
+
+    def strict_faces(ident: int):
+        return sorted((complex_.faces_of(ident) & keep) - {ident})
+
+    return _chain_simplices(sorted(keep), strict_faces)
 
 
 def barycentric(complex_: RegularCellComplex) -> SimplicialComplex:
     """The order complex of the face poset: one vertex per cell, one
     simplex per chain of cells under the face relation."""
-    cells = complex_.cells
-
-    def strict_faces(ident: int):
-        return sorted(complex_.faces_of(ident) - {ident})
-
-    return SimplicialComplex(_chain_simplices(sorted(cells), strict_faces))
+    return SimplicialComplex(_order_chains(complex_, complex_.cells))
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,7 @@ class FinitePoset:
         self._covers: Optional[tuple] = None
         self._meet_flag: Optional[bool] = None
         self._up_masks: Optional[tuple[int, ...]] = None
+        self._by_down_mask: Optional[dict[int, int]] = None
 
     def _up(self) -> tuple[int, ...]:
         """Bitmask up-sets, built on the first call.
@@ -78,6 +79,13 @@ class FinitePoset:
                     up[j] |= 1 << i
             self._up_masks = tuple(up)
         return self._up_masks
+
+    def _principal(self) -> dict[int, int]:
+        """Index of each element by its down-set mask, built on the first
+        call and kept in a plain attribute, as ``_up`` is."""
+        if self._by_down_mask is None:
+            self._by_down_mask = {m: i for i, m in enumerate(self._down)}
+        return self._by_down_mask
 
     # -- construction --------------------------------------------------
 
@@ -195,18 +203,21 @@ class FinitePoset:
         return mins[0] if len(mins) == 1 else None
 
     def meet(self, a: Hashable, b: Hashable) -> Optional[Hashable]:
-        """The greatest common lower bound, or None if absent or non-unique."""
+        """The greatest common lower bound, or None if absent or non-unique.
+
+        The common down-set has a greatest element exactly when it is that
+        element's own down-set.
+        """
         common = self._down[self.index[a]] & self._down[self.index[b]]
-        for i in _bits(common):
-            if common & ~self._down[i] == 0:
-                return self.elements[i]
-        return None
+        i = self._principal().get(common)
+        return None if i is None else self.elements[i]
 
     def is_meet_semilattice(self) -> bool:
         if self._meet_flag is None:
+            principal = self._principal()
             self._meet_flag = all(
-                self.meet(a, b) is not None
-                for a, b in itertools.combinations(self.elements, 2)
+                (a & b) in principal
+                for a, b in itertools.combinations(self._down, 2)
             )
         return self._meet_flag
 

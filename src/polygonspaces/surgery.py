@@ -15,15 +15,16 @@ two resulting boundary cycles.  Two closures are supported on surfaces:
 
 ``run_chain`` drives a whole saturated chain on the five-edge surfaces.
 ``run_model`` handles any dimension by a simplicial mapping-cylinder
-construction: complement of the sphere neighborhoods in the subdivided
-complex, glued along the frontier onto the subdivided sphere links, all
-sphere boundaries of one surgery landing on a single copy of the link.
-Every step is audited; failures raise rather than degrade.
+construction made from the face poset, with no subdivision of the whole
+complex: the order complex of the cells in no sphere, subdivided once
+more, glued along each sphere's frontier (the order complex of its
+adjacent cells) onto the subdivided sphere link, all sphere boundaries
+of one surgery landing on a single copy of the link.  Every step is
+audited; failures raise rather than degrade.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .coxeter import (
@@ -39,7 +40,6 @@ from .errors import (
     FixedCellError,
     Not2DError,
     NotApplicableError,
-    NotFullError,
     ProjectionNotSimplicialError,
     SphereNotEmbeddedError,
     SphereRelocationFailedError,
@@ -47,7 +47,8 @@ from .errors import (
 from .genetics import GeneticCode, saturated_chain
 from .homology import (
     SimplicialComplex,
-    _chain_simplices,
+    _chain_counter,
+    _order_chains,
     barycentric,
     homology,
     proper_faces,
@@ -645,103 +646,75 @@ def _build_model(
     complex_: RegularCellComplex,
     jobs: list[tuple[frozenset, tuple[int, ...]]],
 ) -> SimplicialComplex:
-    # Each vertex of the barycentric subdivision is the id of a cell.
-    ambient = barycentric(complex_)
+    """The second subdivision of the bulk (the order complex of the cells
+    in no sphere), glued along each sphere's frontier (the order complex
+    of its adjacent cells) to the subdivided link of its surgery.  All the
+    parts are counted before any of them is built."""
     spheres = [frozenset(sphere) for _, sphere in jobs]
     sphere_all = frozenset().union(*spheres)
-    vertices = ambient.vertices
-    far = {v for v in vertices if v not in sphere_all}
-    if not far or len(far) == len(vertices):
-        raise NotFullError(
-            "the sphere neighborhoods leave no room for a complement"
-        )
-    bulk = ambient.full_subcomplex(far)
-
-    frontier: list[set[tuple]] = [set() for _ in jobs]
-    for m in ambient.maximal_faces():
-        hit = {i for i, sph in enumerate(spheres) for v in m if v in sph}
-        if not hit:
-            continue
-        if len(hit) > 1:
-            raise AuditError("one simplex touches two surgery spheres")
-        rest = tuple(v for v in m if v in far)
-        if rest:
-            frontier[hit.pop()].add(rest)
-
-    links = []
-    for (units, _), sph in zip(jobs, spheres):
+    far = [c for c in complex_.cells if c not in sphere_all]
+    # (elements, strict faces) of each part.  Coxeter cell ids grow along
+    # the face order, so a chain of cells is a sorted tuple, as a face of a
+    # SimplicialComplex is.  Frontier chains are closed under faces, so a
+    # chain of them is built once, in its cylinder: the bulk part ends its
+    # chains only at the other bulk chains.
+    parts = []
+    frontier: set[tuple] = set()
+    for i, ((units, _), sph) in enumerate(zip(jobs, spheres)):
         link = coxeter_complex(units)
+        adjacent = adjacent_cells(complex_, sph)
         gmap: dict = {}
-        for face_set in frontier[len(links)]:
-            for v in face_set:
-                if v in gmap:
-                    continue
-                if not complex_.faces_of(v) & sph:
-                    raise AuditError(
-                        f"frontier vertex {v!r} never meets its sphere"
-                    )
-                blocks = restrict_pattern(complex_.cells[v].pattern, units)
-                if len(blocks) < 2:
-                    raise ProjectionNotSimplicialError(
-                        f"projection of cell {v} degenerates"
-                    )
-                try:
-                    gmap[v] = link.by_label(("osp", blocks))
-                except KeyError:
-                    raise ProjectionNotSimplicialError(
-                        f"projection of cell {v} misses the link"
-                    )
-        for face_set in frontier[len(links)]:
-            image = sorted({gmap[v] for v in face_set})
-            for a, b in itertools.combinations(image, 2):
-                if a not in link.faces_of(b) and b not in link.faces_of(a):
-                    raise ProjectionNotSimplicialError(
-                        f"image of a frontier simplex is no chain: {a}, {b}"
-                    )
-        links.append((link, gmap))
+        for v in sorted(adjacent):
+            # a pattern of fewer than two blocks names no cell of the link
+            blocks = restrict_pattern(complex_.cells[v].pattern, units)
+            try:
+                gmap[v] = link.by_label(("osp", blocks))
+            except KeyError:
+                raise ProjectionNotSimplicialError(
+                    f"projection of cell {v} misses the link"
+                )
+        front = _order_chains(complex_, adjacent)
+        # comparable images on the 2-chains make every image a chain
+        pairs = (sorted(gmap[v] for v in ch) for ch in front if len(ch) == 2)
+        for a, b in pairs:
+            if a != b and not (a in link.faces_of(b) or b in link.faces_of(a)):
+                raise ProjectionNotSimplicialError(
+                    f"image of a frontier simplex is no chain: {a}, {b}"
+                )
+        frontier.update(front)
 
-    simplices: list[tuple] = []
-    bulk_faces = [
-        f for fs in bulk.faces_by_dim.values() for f in fs
-    ]
-    for chain in _chain_simplices(bulk_faces, proper_faces):
-        simplices.append(tuple(("c", f) for f in chain))
-
-    for i, ((units, _), (link, gmap)) in enumerate(zip(jobs, links)):
-        fronts = SimplicialComplex(frontier[i])
-        front_faces = [
-            f for fs in fronts.faces_by_dim.values() for f in fs
-        ]
-        link_chains = _chain_simplices(
-            sorted(link.cells),
-            lambda ident: sorted(link.faces_of(ident) - {ident}),
-        )
-        link_chain_set = set(link_chains)
-        elements = [("c", f) for f in front_faces] + [
-            ("b", (i, ch)) for ch in link_chains
-        ]
-
-        def strict_below(el, i=i, gmap=gmap, link_chain_set=link_chain_set):
+        def strict_below(el, i=i, gmap=gmap):
             kind, payload = el
             if kind == "b":
-                _, ch = payload
-                return [("b", (i, sub)) for sub in proper_faces(ch)]
-            below = [("c", sub) for sub in proper_faces(payload)]
+                return [("b", (i, sub)) for sub in proper_faces(payload[1])]
             image = tuple(sorted({gmap[v] for v in payload}))
-            for sub in proper_faces(image) + [image]:
-                if sub in link_chain_set:
-                    below.append(("b", (i, sub)))
-            return below
+            return [("c", sub) for sub in proper_faces(payload)] + [
+                ("b", (i, sub)) for sub in proper_faces(image) + [image]
+            ]
 
-        for chain in _chain_simplices(elements, strict_below):
-            simplices.append(chain)
-
-    return SimplicialComplex(simplices)
+        elements = [("c", f) for f in front]
+        elements += [("b", (i, ch)) for ch in _order_chains(link, link.cells)]
+        parts.append((elements, strict_below))
+    bulk = [("c", f) for f in _order_chains(complex_, far)]
+    bulk = [el for el in bulk if el[1] not in frontier]
+    parts.append((bulk, lambda el: [("c", f) for f in proper_faces(el[1])]))
+    spent = 0
+    builds = []
+    for elements, strict_faces in parts:
+        count, build = _chain_counter(elements, strict_faces, spent)
+        spent += count
+        builds.append(build)
+    return SimplicialComplex(ch for build in builds for ch in build())
 
 
 def run_model(code: GeneticCode) -> ModelResult:
     """Build a simplicial model of the polygon space of any genetic code
-    whose chain additions have pairwise disjoint sphere neighborhoods."""
+    whose chain additions have pairwise disjoint sphere neighborhoods.
+
+    The model is assembled from chains of the Coxeter complex's face
+    poset; the complex as a whole is subdivided only for a code that
+    needs no surgery, whose model is that first subdivision.
+    """
     if code.is_empty_space():
         raise NotApplicableError("the space of this code is empty")
     ground = frozenset(range(1, code.edge_count))

@@ -536,10 +536,6 @@ def test_barycentric_sizes() -> None:
 def test_maximal_faces_and_subcomplex() -> None:
     sc = SimplicialComplex([(0, 1, 2), (2, 3)])
     assert sc.maximal_faces() == ((2, 3), (0, 1, 2))
-    sub = sc.full_subcomplex([0, 1, 2])
-    assert sub.f_vector() == (3, 3, 1)
-    assert (0, 1) in sub
-    assert (2, 3) not in sub
 
 
 def test_simplex_count_cap(monkeypatch) -> None:

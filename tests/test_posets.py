@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from polygonspaces import posets
 from polygonspaces.errors import (
@@ -101,6 +103,54 @@ def test_product_and_subposet():
     sub = grid.subposet([(0, 0), (1, 0), (0, 2)])
     assert len(sub) == 3
     assert sub.leq((0, 0), (0, 2)) and not sub.leq((1, 0), (0, 2))
+
+
+def greatest_lower_bound(p: FinitePoset, a, b):
+    """Brute force: the common lower bound above every other, if any."""
+    lower = [x for x in p if p.leq(x, a) and p.leq(x, b)]
+    top = [g for g in lower if all(p.leq(x, g) for x in lower)]
+    return top[0] if top else None
+
+
+# a bowtie: c and d share the lower bounds a and b, and neither is above
+# the other, so c and d have no meet; a and b have no common lower bound
+BOWTIE = [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda pair: pair[0] < pair[1]
+                ),
+                max_size=12,
+            ),
+        )
+    )
+)
+@example((4, [(0, 2), (0, 3), (1, 2), (1, 3)]))
+def test_meet_matches_brute_force(case):
+    n, relations = case
+    p = FinitePoset.from_relations(range(n), relations)
+    for a in p:
+        for b in p:
+            assert p.meet(a, b) == greatest_lower_bound(p, a, b)
+    assert p.is_meet_semilattice() == all(
+        greatest_lower_bound(p, a, b) is not None
+        for a, b in itertools.combinations(p, 2)
+    )
+
+
+def test_bowtie_has_no_meets():
+    p = FinitePoset.from_relations("abcd", BOWTIE)
+    assert p.meet("c", "d") is None
+    assert p.meet("a", "b") is None
+    assert p.meet("a", "c") == "a"
+    assert p.meet("c", "c") == "c"
+    assert not p.is_meet_semilattice()
+    assert p.product(chain(2)).meet(("c", 1), ("d", 1)) is None
 
 
 def test_rank_and_height():

@@ -1,6 +1,7 @@
 """Surgery pipeline: interface spheres, cut-and-cap runs, homotopy models."""
 
 import functools
+import importlib
 
 import pytest
 from hypothesis import given
@@ -13,12 +14,16 @@ from polygonspaces.errors import (
     Not2DError,
     NotApplicableError,
     SphereRelocationFailedError,
+    TooLargeError,
 )
 from polygonspaces.genetics import GeneticCode, parse_code
 from polygonspaces.homology import (
+    SimplicialComplex,
+    _chain_simplices,
     betti_oracle,
     homology,
     identify_small,
+    proper_faces,
 )
 from polygonspaces.posets import (
     canonical_partition,
@@ -438,6 +443,133 @@ def test_model_three_sphere() -> None:
     rep = homology(res.complex)
     assert rep.betti == betti_oracle(parse_code("<6>")) == (1, 0, 0, 1)
     assert not rep.has_torsion()
+
+
+def reference_model(complex_, jobs) -> SimplicialComplex:
+    """The model built the long way: subdivide the whole complex, cut the
+    bulk back out as the full subcomplex on the cells in no sphere, and
+    read each frontier off the tails of the maximal flags that meet its
+    sphere."""
+
+    def strict_faces(ident):
+        return sorted(complex_.faces_of(ident) - {ident})
+
+    ambient = SimplicialComplex(
+        _chain_simplices(sorted(complex_.cells), strict_faces)
+    )
+    if not jobs:
+        return ambient
+    spheres = [frozenset(sphere) for _, sphere in jobs]
+    far = {v for v in ambient.vertices if not any(v in s for s in spheres)}
+    bulk = [
+        f for fs in ambient.faces_by_dim.values() for f in fs if far >= set(f)
+    ]
+    frontier = [set() for _ in jobs]
+    for flag in ambient.maximal_faces():
+        hit = {i for i, sphere in enumerate(spheres) if sphere & set(flag)}
+        if not hit:
+            continue
+        assert len(hit) == 1, "one simplex touches two surgery spheres"
+        rest = tuple(v for v in flag if v in far)
+        if rest:
+            frontier[hit.pop()].add(rest)
+
+    simplices = [
+        tuple(("c", f) for f in ch)
+        for ch in _chain_simplices(bulk, proper_faces)
+    ]
+    for i, ((units, _), sphere) in enumerate(zip(jobs, spheres)):
+        link = coxeter_complex(units)
+        front = SimplicialComplex(frontier[i])
+        gmap = {}
+        for v in front.vertices:
+            assert complex_.faces_of(v) & sphere, "frontier misses its sphere"
+            blocks = restrict_pattern(complex_.cells[v].pattern, units)
+            gmap[v] = link.by_label(("osp", blocks))
+        link_chains = _chain_simplices(
+            sorted(link.cells), lambda c: sorted(link.faces_of(c) - {c})
+        )
+        link_chain_set = set(link_chains)
+
+        def strict_below(el, i=i, gmap=gmap, link_chain_set=link_chain_set):
+            kind, payload = el
+            if kind == "b":
+                return [("b", (i, sub)) for sub in proper_faces(payload[1])]
+            below = [("c", sub) for sub in proper_faces(payload)]
+            image = tuple(sorted({gmap[v] for v in payload}))
+            for sub in proper_faces(image) + [image]:
+                if sub in link_chain_set:
+                    below.append(("b", (i, sub)))
+            return below
+
+        elements = [("c", f) for fs in front.faces_by_dim.values() for f in fs]
+        elements += [("b", (i, ch)) for ch in link_chains]
+        simplices.extend(_chain_simplices(elements, strict_below))
+    return SimplicialComplex(simplices)
+
+
+@pytest.mark.parametrize("name", ["<14>", "<5>", "<15>", "<6>"])
+def test_model_matches_the_ambient_subdivision_reference(name) -> None:
+    code = parse_code(name)
+    result = model_run(name)
+    jobs = [(frozenset(step.units), step.sphere) for step in result.steps]
+    complex_ = coxeter_complex(range(1, code.edge_count))
+    reference = reference_model(complex_, jobs)
+    assert result.complex.faces_by_dim == reference.faces_by_dim
+
+
+def test_model_builds_without_the_ambient_subdivision(monkeypatch) -> None:
+    smod = importlib.import_module("polygonspaces.surgery")
+    counted = []
+    real = smod._chain_counter
+
+    def refuse(*args):
+        raise AssertionError("the whole complex was subdivided")
+
+    def spy(elements, strict_faces, spent=0):
+        count, build = real(elements, strict_faces, spent)
+        counted.append(count)
+        return count, build
+
+    monkeypatch.setattr(smod, "barycentric", refuse)
+    monkeypatch.setattr(smod, "_chain_counter", spy)
+    assert run_model(parse_code("<15>")).complex.f_vector() == (
+        408, 1224, 816,
+    )
+    counted.clear()
+    model = run_model(parse_code("<16>")).complex
+    assert model.f_vector() == (12164, 79556, 134784, 67392)
+    # the parts are disjoint, so the cap counts each simplex once
+    assert sum(counted) == len(model)
+
+
+# 100,000 lies below the second subdivision of the <16> bulk alone, and
+# 293,895 is one below the whole model's 293,896 simplices
+@pytest.mark.parametrize("cap", [100_000, 293_895])
+def test_model_cap_trips_before_the_second_subdivision(
+    monkeypatch, cap
+) -> None:
+    hmod = importlib.import_module("polygonspaces.homology")
+    smod = importlib.import_module("polygonspaces.surgery")
+    monkeypatch.setattr(hmod, "MAX_SIMPLICES", cap)
+    counted, built = [], []
+    real = hmod._chain_counter
+
+    def spy(elements, strict_faces, spent=0):
+        count, build = real(elements, strict_faces, spent)
+        counted.append(count)
+
+        def spied_build():
+            built.append(count)
+            return build()
+
+        return count, spied_build
+
+    monkeypatch.setattr(smod, "_chain_counter", spy)
+    with pytest.raises(TooLargeError, match="subdivision passes"):
+        run_model(parse_code("<16>"))
+    assert built == []
+    assert sum(counted) <= cap
 
 
 # -- pattern utilities ----------------------------------------------------
