@@ -17,9 +17,11 @@ of the vector.  This module provides:
 * the partial order on codes at fixed edge count, its covering relations,
   and the canonical saturated chain from the minimal code up to a target,
 * exact realization of an abstract code by an integer length vector, or a
-  certificate of unrealizability, via a rational two-phase simplex.
+  certificate of unrealizability, via a two-phase simplex with
+  fraction-free integer pivoting.
 
-All arithmetic is ``fractions.Fraction``; floats never appear.
+All arithmetic is exact: ``fractions.Fraction`` for lengths, plain ints
+inside the simplex tableau; floats never appear.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ RationalLike = Union[int, str, Fraction]
 # set, so the exact routines carry explicit size caps.
 MAX_EDGES = 16
 MAX_EDGES_REALIZE = 10
-MAX_EDGES_ENUMERATE = 6
+MAX_EDGES_ENUMERATE = 7
 
 Gene = frozenset  # elements are 1-based edge indices
 
@@ -416,7 +418,8 @@ def enumerate_codes(edge_count: int) -> list[GeneticCode]:
 
 
 # ---------------------------------------------------------------------------
-# Exact realization via a rational two-phase simplex.
+# Exact realization via a two-phase simplex on a fraction-free integer
+# tableau (Edmonds 1967, Bareiss 1968): one common denominator, no floats.
 # ---------------------------------------------------------------------------
 
 
@@ -431,50 +434,82 @@ def _simplex_max(
     is deterministic.  Returns ``(value, x)`` or None when infeasible.
     The feasible regions built in this module are bounded; unboundedness
     therefore raises an audit error.
+
+    The tableau is kept fraction-free: the whole input is scaled by ``L``,
+    the lcm of its denominators, which changes neither the feasible region
+    nor the optimal ``x``, and the integer tableau ``T`` stands for
+    ``T / D`` with one common denominator ``D > 0``, starting at 1.  A pivot
+    on ``p = T[r][c]`` leaves row ``r`` as it is and replaces every other
+    row ``i``, objective rows included, by
+    ``(p * T[i][j] - T[i][c] * T[r][j]) // D``; then ``D`` becomes ``p``
+    (every row and ``D`` are negated if ``p < 0``).  The division is exact
+    (Bareiss): ``D`` is, up to sign, the determinant of the current basis
+    matrix ``B``, so ``T`` is ``adj(B)`` applied to the integer input,
+    objective rows included, and the quotient is that integer tableau for
+    the next basis.  Signs, zero tests and the ratio test do not see ``D``,
+    so the pivots are those of the rational tableau.
     """
-    zero, one = Fraction(0), Fraction(1)
+    scale = math.lcm(
+        *(v.denominator for v in objective),
+        *(v.denominator for row in rows for v in row),
+        *(v.denominator for v in rhs),
+    )
+
+    def scaled(v: Fraction) -> int:
+        return v.numerator * (scale // v.denominator)
+
     n = len(objective)
     k = len(rows)
     art_of_row = {}
     n_art = sum(1 for b in rhs if b < 0)
     width = n + k + n_art + 1
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     next_art = n + k
     for i in range(k):
-        row = [zero] * width
-        flip = -one if rhs[i] < 0 else one
+        row = [0] * width
+        flip = -1 if rhs[i] < 0 else 1
         for j in range(n):
-            row[j] = flip * rows[i][j]
+            row[j] = flip * scaled(rows[i][j])
         row[n + i] = flip
-        row[-1] = flip * rhs[i]
+        row[-1] = flip * scaled(rhs[i])
         if rhs[i] < 0:
-            row[next_art] = one
+            row[next_art] = 1
             art_of_row[i] = next_art
             next_art += 1
         tableau.append(row)
     basis = [art_of_row.get(i, n + i) for i in range(k)]
 
     # Objective rows in canonical form: z + sum(row[j] * x_j) = row[-1].
-    z_row = [zero] * width
+    z_row = [0] * width
     for j in range(n):
-        z_row[j] = -objective[j]
-    w_row = [zero] * width
+        z_row[j] = -scaled(objective[j])
+    w_row = [0] * width
     for i, art in art_of_row.items():
         for j in range(width):
             w_row[j] -= tableau[i][j]
-        w_row[art] += one  # cost of the artificial itself
+        w_row[art] += 1  # cost of the artificial itself
+    every_row = tableau + [z_row, w_row]
+    denom = 1
 
     def pivot(r: int, c: int) -> None:
-        inv = one / tableau[r][c]
-        tableau[r] = [v * inv for v in tableau[r]]
-        for row in itertools.chain(tableau, (z_row, w_row)):
-            if row is tableau[r] or row[c] == 0:
+        nonlocal denom
+        prow = tableau[r]
+        p = prow[c]
+        for row in every_row:
+            if row is prow:
                 continue
             f = row[c]
-            for j in range(width):
-                row[j] -= f * tableau[r][j]
+            if f:
+                row[:] = [(p * v - f * w) // denom for v, w in zip(row, prow)]
+            else:
+                row[:] = [p * v // denom for v in row]
+        if p < 0:
+            for row in every_row:
+                row[:] = [-v for v in row]
+            p = -p
+        denom = p
 
-    def iterate(obj: list[Fraction], allowed: int) -> bool:
+    def iterate(obj: list[int], allowed: int) -> bool:
         """Run Bland pivots until optimal; False means unbounded."""
         while True:
             enter = next(
@@ -485,15 +520,18 @@ def _simplex_max(
             best = None
             for i in range(k):
                 coef = tableau[i][enter]
-                if coef > 0:
-                    ratio = tableau[i][-1] / coef
-                    key = (ratio, basis[i])
-                    if best is None or key < best[0]:
-                        best = (key, i)
+                num = tableau[i][-1]
+                # the key (num / coef, basis[i]), ratios cross-multiplied
+                if coef > 0 and (
+                    best is None
+                    or (num * best[1], basis[i])
+                    < (best[0] * coef, basis[best[2]])
+                ):
+                    best = (num, coef, i)
             if best is None:
                 return False
-            pivot(best[1], enter)
-            basis[best[1]] = enter
+            pivot(best[2], enter)
+            basis[best[2]] = enter
 
     if n_art:
         if not iterate(w_row, n + k + n_art):
@@ -510,11 +548,11 @@ def _simplex_max(
                     basis[i] = col
     if not iterate(z_row, n + k):
         raise AuditError("objective unbounded on a bounded polytope")
-    x = [zero] * n
+    x = [Fraction(0)] * n
     for i in range(k):
         if basis[i] < n:
-            x[basis[i]] = tableau[i][-1]
-    return z_row[-1], x
+            x[basis[i]] = Fraction(tableau[i][-1], denom)
+    return Fraction(z_row[-1], denom * scale), x
 
 
 def realize(code: GeneticCode) -> Optional[LengthVector]:

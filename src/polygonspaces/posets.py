@@ -3,7 +3,7 @@
 The central objects are:
 
 * :class:`FinitePoset`: an immutable finite poset with bitmask down-sets,
-  supporting covers, meets, products, subposets and grading.
+  supporting covers, meets and grading.
 * set-partition utilities and the full partition lattice ordered by
   reverse refinement (coarser partitions sit higher),
 * the intersection poset of a realizable genetic code: partitions of the
@@ -21,7 +21,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import (
+    Callable,
+    Hashable,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from .errors import (
     AuditError,
@@ -31,7 +39,7 @@ from .errors import (
     NotMeetSemilatticeError,
     TooLargeError,
 )
-from .genetics import GeneticCode, LengthVector, realize
+from .genetics import GeneticCode, realize
 
 MAX_PARTITION_GROUND = 9
 MAX_BUILDING_GROUND = 12
@@ -247,33 +255,6 @@ class FinitePoset:
                 depth[i] = 1 + max(depth[j] for j in _bits(strict))
         return max(depth, default=0)
 
-    # -- derived posets ---------------------------------------------------
-
-    def product(self, other: "FinitePoset") -> "FinitePoset":
-        elems = list(itertools.product(self.elements, other.elements))
-        na = len(self.elements)
-        nb = len(other.elements)
-        down = []
-        for (ia, ib) in itertools.product(range(na), range(nb)):
-            mask = 0
-            for ja in _bits(self._down[ia]):
-                for jb in _bits(other._down[ib]):
-                    mask |= 1 << (ja * nb + jb)
-            down.append(mask)
-        return FinitePoset(elems, down)
-
-    def subposet(self, keep: Iterable[Hashable]) -> "FinitePoset":
-        kept = [e for e in self.elements if e in set(keep)]
-        positions = [self.index[e] for e in kept]
-        down = []
-        for i in positions:
-            mask = 0
-            for new_j, j in enumerate(positions):
-                if self._down[i] & (1 << j):
-                    mask |= 1 << new_j
-            down.append(mask)
-        return FinitePoset(kept, down)
-
 
 # ---------------------------------------------------------------------------
 # Set partitions and the partition lattice.
@@ -360,7 +341,7 @@ class Barred:
     partition: Partition
 
 
-def is_disconnected_quotient(sums: Sequence[Fraction]) -> bool:
+def is_disconnected_quotient(sums: Sequence[Union[int, Fraction]]) -> bool:
     """Whether a polygon space with these edge lengths is disconnected.
 
     Exact criterion: the second and third largest lengths together exceed
@@ -380,11 +361,6 @@ def is_disconnected_quotient(sums: Sequence[Fraction]) -> bool:
     return doubled > total
 
 
-def quotient_sums(vector: LengthVector, partition: Partition) -> tuple:
-    """Edge lengths of the quotient polygon: one totalled edge per block."""
-    return tuple(sum(vector.values[e - 1] for e in block) for block in partition)
-
-
 def intersection_poset(
     code: GeneticCode, *, barred: bool = False
 ) -> FinitePoset:
@@ -394,9 +370,10 @@ def intersection_poset(
     an incomparable barred twin; a barred element sits above exactly the
     refinements that are themselves barred or connected, and below only
     barred coarsenings.  Construction realizes the code to get exact edge
-    lengths.  The order is generated by the two-block merges between short
-    partitions, and the audit that disconnection is inherited upward runs
-    along those merges.
+    lengths; they are integers, so the block sums of every partition are
+    plain int sums.  The order is generated by the two-block merges between
+    short partitions, and the audit that disconnection is inherited upward
+    runs along those merges.
     """
     if code.is_empty_space():
         raise NotApplicableError("the empty code has no intersection poset")
@@ -409,11 +386,14 @@ def intersection_poset(
         raise InvalidCodeError(
             f"code {code} is not realizable, no intersection poset exists"
         )
-    perimeter = vector.perimeter
+    if any(v.denominator != 1 for v in vector.values):
+        raise AuditError(f"realization of {code} is not integral: {vector}")
+    lengths = [int(v) for v in vector.values]
+    perimeter = sum(lengths)
     plain = []
     disconnected = {}
     for p in partitions_of(range(1, code.edge_count + 1)):
-        sums = quotient_sums(vector, p)
+        sums = tuple(sum(lengths[e - 1] for e in block) for block in p)
         if any(2 * s >= perimeter for s in sums):
             continue
         plain.append(p)

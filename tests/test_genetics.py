@@ -4,10 +4,12 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from polygonspaces import genetics
 from polygonspaces.errors import (
+    AuditError,
     GroundSetTooLargeError,
     InvalidCodeError,
     NonGenericError,
@@ -355,7 +357,7 @@ def test_enumerate_codes_counts():
     assert minimal_code(4) in codes4
     assert GeneticCode(4, []) in codes4
     with pytest.raises(GroundSetTooLargeError):
-        enumerate_codes(7)
+        enumerate_codes(8)
 
 
 # --- realization -----------------------------------------------------------
@@ -380,11 +382,198 @@ def test_simplex_small_cases():
     assert best[0] == Fraction(5, 2)
 
 
+def reference_simplex_max(objective, rows, rhs):
+    """The rational two-phase tableau simplex that the integer one replaced:
+    every entry a ``Fraction``, each pivot row divided by its pivot."""
+    zero, one = Fraction(0), Fraction(1)
+    n = len(objective)
+    k = len(rows)
+    art_of_row = {}
+    n_art = sum(1 for b in rhs if b < 0)
+    width = n + k + n_art + 1
+    tableau = []
+    next_art = n + k
+    for i in range(k):
+        row = [zero] * width
+        flip = -one if rhs[i] < 0 else one
+        for j in range(n):
+            row[j] = flip * rows[i][j]
+        row[n + i] = flip
+        row[-1] = flip * rhs[i]
+        if rhs[i] < 0:
+            row[next_art] = one
+            art_of_row[i] = next_art
+            next_art += 1
+        tableau.append(row)
+    basis = [art_of_row.get(i, n + i) for i in range(k)]
+    z_row = [zero] * width
+    for j in range(n):
+        z_row[j] = -objective[j]
+    w_row = [zero] * width
+    for i, art in art_of_row.items():
+        for j in range(width):
+            w_row[j] -= tableau[i][j]
+        w_row[art] += one
+
+    def pivot(r, c):
+        inv = one / tableau[r][c]
+        tableau[r] = [v * inv for v in tableau[r]]
+        for row in itertools.chain(tableau, (z_row, w_row)):
+            if row is tableau[r] or row[c] == 0:
+                continue
+            f = row[c]
+            for j in range(width):
+                row[j] -= f * tableau[r][j]
+
+    def iterate(obj, allowed):
+        while True:
+            enter = next((j for j in range(allowed) if obj[j] < 0), None)
+            if enter is None:
+                return True
+            best = None
+            for i in range(k):
+                coef = tableau[i][enter]
+                if coef > 0:
+                    key = (tableau[i][-1] / coef, basis[i])
+                    if best is None or key < best[0]:
+                        best = (key, i)
+            if best is None:
+                return False
+            pivot(best[1], enter)
+            basis[best[1]] = enter
+
+    if n_art:
+        if not iterate(w_row, n + k + n_art):
+            raise AuditError("phase-1 objective unbounded")
+        if w_row[-1] != 0:
+            return None
+        for i in range(k):
+            if basis[i] >= n + k:
+                col = next(
+                    (j for j in range(n + k) if tableau[i][j] != 0), None
+                )
+                if col is not None:
+                    pivot(i, col)
+                    basis[i] = col
+    if not iterate(z_row, n + k):
+        raise AuditError("objective unbounded on a bounded polytope")
+    x = [zero] * n
+    for i in range(k):
+        if basis[i] < n:
+            x[basis[i]] = tableau[i][-1]
+    return z_row[-1], x
+
+
+def outcome(solver, objective, rows, rhs):
+    """The solver's answer, or the type and message of the error it raised."""
+    try:
+        return solver(objective, rows, rhs)
+    except AuditError as err:
+        return type(err), str(err)
+
+
+# small numerators and denominators, zeros included, so ratio ties and
+# degenerate vertices are common
+small_fractions = st.builds(
+    Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 1, 2, 3, 6])
+)
+
+
+@st.composite
+def bounded_lps(draw):
+    """A random LP ``max c.x, A x <= b, x >= 0`` whose first row, all ones,
+    bounds the region.  Negative right-hand sides force phase 1, and some
+    of them make the LP infeasible; a zero bound makes every vertex
+    degenerate."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 5))
+    objective = draw(st.lists(small_fractions, min_size=n, max_size=n))
+    rows = [[Fraction(1)] * n] + draw(
+        st.lists(
+            st.lists(small_fractions, min_size=n, max_size=n),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    bound = draw(st.integers(0, 4))
+    rhs = [Fraction(bound)] + draw(
+        st.lists(
+            st.builds(Fraction, st.integers(-2, 6), st.sampled_from([1, 3])),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    # equalities as opposite pairs of rows, as ``realize`` poses them, leave
+    # artificial variables in the basis at zero after phase 1
+    for i in range(draw(st.integers(0, min(k, 2)))):
+        rows.append([-v for v in rows[i + 1]])
+        rhs.append(-rhs[i + 1])
+    return objective, rows, rhs
+
+
+def ints(*values):
+    return [Fraction(v) for v in values]
+
+
+@settings(max_examples=400, deadline=None)
+@given(bounded_lps())
+# a ratio tie that only the basis index breaks, with the smaller index in
+# the later row; the two vertices it can lead to are both optimal
+@example(
+    (
+        ints(3, 2, 3),
+        [ints(1, 1, 1), ints(0, -2, -2), ints(0, 2, 1), ints(0, 2, -1)],
+        ints(2, -1, 1, 3),
+    )
+)
+def test_simplex_matches_rational_reference(lp):
+    expected = outcome(reference_simplex_max, *lp)
+    assert outcome(_simplex_max, *lp) == expected
+
+
+def test_simplex_matches_reference_on_realize_lps(monkeypatch):
+    """Every LP that ``realize`` poses for the nonempty codes with
+    3 <= m <= 6 has the reference's answer, value and vertex both."""
+    posed = []
+
+    def recording(objective, rows, rhs):
+        solved = _simplex_max(objective, rows, rhs)
+        posed.append(((objective, rows, rhs), solved))
+        return solved
+
+    monkeypatch.setattr(genetics, "_simplex_max", recording)
+    codes = [
+        g
+        for m in range(3, 7)
+        for g in enumerate_codes(m)
+        if not g.is_empty_space()
+    ]
+    assert len(codes) == 157
+    for g in codes:
+        realize(g)
+    assert len(posed) == 157
+    for lp, solved in posed:
+        assert solved == reference_simplex_max(*lp)
+
+
 def test_realize_catalog_m5():
     realizable = {
         format_code(g) for g in enumerate_codes(5) if realize(g) is not None
     }
     assert realizable == {"<>", "<5>", "<15>", "<25>", "<35>", "<45>", "<125>"}
+
+
+def test_chamber_census():
+    """Hausmann & Rodriguez count the chambers of generic length vectors
+    up to permutation: 7, 21 and 135 for m = 5, 6 and 7, the empty space
+    included.  Every realizable code is one chamber."""
+    for m, chambers in [(5, 7), (6, 21), (7, 135)]:
+        realized = [
+            g
+            for g in enumerate_codes(m)
+            if g.is_empty_space() or realize(g) is not None
+        ]
+        assert len(realized) == chambers, m
 
 
 def test_realize_round_trips_and_is_integral():

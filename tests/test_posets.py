@@ -16,6 +16,7 @@ from polygonspaces.errors import (
     TooLargeError,
 )
 from polygonspaces.genetics import (
+    LengthVector,
     enumerate_codes,
     genetic_code,
     parse_code,
@@ -35,7 +36,6 @@ from polygonspaces.posets import (
     partition_str,
     partitions_of,
     poset_isomorphic,
-    quotient_sums,
 )
 from polygonspaces.surgery import step_locus
 
@@ -51,6 +51,25 @@ def chain(n: int) -> FinitePoset:
 
 def antichain(n: int) -> FinitePoset:
     return FinitePoset.from_leq(list(range(n)), lambda a, b: a == b)
+
+
+def product(a: FinitePoset, b: FinitePoset) -> FinitePoset:
+    """The product order on pairs."""
+    return FinitePoset.from_leq(
+        list(itertools.product(a.elements, b.elements)),
+        lambda x, y: a.leq(x[0], y[0]) and b.leq(x[1], y[1]),
+    )
+
+
+def subposet(p: FinitePoset, keep) -> FinitePoset:
+    """The induced order on the kept elements, in ``p``'s element order."""
+    kept = set(keep)
+    return FinitePoset.from_leq([e for e in p if e in kept], p.leq)
+
+
+def quotient_sums(vector, partition) -> tuple:
+    """Edge lengths of the quotient polygon: one totalled edge per block."""
+    return tuple(sum(vector.values[e - 1] for e in b) for b in partition)
 
 
 def coarsens(coarse, fine) -> bool:
@@ -94,13 +113,13 @@ def test_from_leq_validates_axioms():
 
 
 def test_product_and_subposet():
-    grid = chain(2).product(chain(3))
+    grid = product(chain(2), chain(3))
     assert len(grid) == 6
     assert grid.leq((0, 0), (1, 2))
     assert not grid.leq((1, 0), (0, 2))
     assert grid.is_meet_semilattice()
     assert grid.meet((1, 0), (0, 2)) == (0, 0)
-    sub = grid.subposet([(0, 0), (1, 0), (0, 2)])
+    sub = subposet(grid, [(0, 0), (1, 0), (0, 2)])
     assert len(sub) == 3
     assert sub.leq((0, 0), (0, 2)) and not sub.leq((1, 0), (0, 2))
 
@@ -150,7 +169,7 @@ def test_bowtie_has_no_meets():
     assert p.meet("a", "c") == "a"
     assert p.meet("c", "c") == "c"
     assert not p.is_meet_semilattice()
-    assert p.product(chain(2)).meet(("c", 1), ("d", 1)) is None
+    assert product(p, chain(2)).meet(("c", 1), ("d", 1)) is None
 
 
 def test_rank_and_height():
@@ -324,9 +343,10 @@ def test_barred_twins_are_incomparable():
 def test_refinement_cone_factorizes():
     p26 = intersection_poset(parse_code("<26>"))
     pi = canonical_partition([(1, 2), (3, 4, 5), (6,)])
-    cone = p26.subposet(p26.down_set(pi))
-    model = partition_lattice(2).product(partition_lattice(3)).product(
-        partition_lattice(1)
+    cone = subposet(p26, p26.down_set(pi))
+    model = product(
+        product(partition_lattice(2), partition_lattice(3)),
+        partition_lattice(1),
     )
     assert len(cone) == 10
     assert poset_isomorphic(cone, model) is not None
@@ -335,7 +355,7 @@ def test_refinement_cone_factorizes():
 def test_barred_refinement_cone_factorizes():
     b26 = intersection_poset(parse_code("<26>"), barred=True)
     pi = canonical_partition([(1, 3, 4), (2,), (5,), (6,)])
-    cone = b26.subposet(b26.down_set(Barred(pi)))
+    cone = subposet(b26, b26.down_set(Barred(pi)))
     assert len(cone) == 5
     assert poset_isomorphic(cone, partition_lattice(3)) is not None
 
@@ -384,6 +404,16 @@ def test_intersection_poset_audits_disconnection(monkeypatch):
         lambda sums: real(sums) and len(sums) > 3,
     )
     with pytest.raises(AuditError, match="coarsened to a connected one"):
+        intersection_poset(parse_code("<26>"))
+
+
+def test_intersection_poset_audits_integral_lengths(monkeypatch):
+    """The block sums are taken on ints, so a realization that is not
+    integral fails the audit instead of being rounded."""
+    monkeypatch.setattr(
+        posets, "realize", lambda code: LengthVector(["1/2", 1, 1, 1, 1, 3])
+    )
+    with pytest.raises(AuditError, match="not integral"):
         intersection_poset(parse_code("<26>"))
 
 
