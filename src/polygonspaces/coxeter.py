@@ -9,10 +9,10 @@ the whole complex is a sphere of dimension ``n - 2``.
 :class:`RegularCellComplex` stores cells append-only with stable integer
 identities, so cells that survive a surgery step keep their identity in the
 result.  ``seal()`` freezes a complex and audits it: edges have two distinct
-endpoints, two-cell boundaries are single simple cycles, every cell
-satisfies the diamond property (each face of codimension two is reached
-through exactly two facets), and a declared involution is free, dimension
-preserving and facet compatible.
+endpoints, every cell satisfies the diamond property (each face of
+codimension two is reached through exactly two facets), the boundary of
+each two-cell is connected and so a single simple cycle, and a declared
+involution is free, dimension preserving and facet compatible.
 """
 
 from __future__ import annotations
@@ -79,27 +79,6 @@ def reversal(blocks: Blocks) -> Blocks:
     return tuple(reversed(blocks))
 
 
-def blocks_str(blocks: Blocks) -> str:
-    sep = "," if any(e > 9 for b in blocks for e in b) else ""
-    return "|".join(sep.join(str(e) for e in sorted(b)) for b in blocks)
-
-
-def label_str(label: tuple) -> str:
-    kind, payload = label
-    if kind == "osp":
-        return blocks_str(payload)
-    if kind == "prod":
-        return f"{label_str(payload[0])}*{label_str(payload[1])}"
-    if kind == "orbit":
-        return f"[{label_str(payload)}]"
-    if kind in ("trunc", "iface", "cone", "cap", "seg"):
-        inner = label_str(payload) if isinstance(payload, tuple) and len(
-            payload
-        ) == 2 and isinstance(payload[0], str) else repr(payload)
-        return f"{kind}({inner})"
-    return repr(label)
-
-
 class RegularCellComplex:
     """An append-only regular cell complex with stable cell identities."""
 
@@ -160,7 +139,6 @@ class RegularCellComplex:
         if self._sealed:
             return self
         self._audit_edges()
-        self._audit_two_cell_boundaries()
         self._audit_diamond()
         if self.involution:
             self._audit_involution()
@@ -179,22 +157,6 @@ class RegularCellComplex:
             if c.dim == 1 and len(set(c.facets)) != 2:
                 raise AuditError(f"edge {c.label!r} lacks two distinct ends")
 
-    def _audit_two_cell_boundaries(self) -> None:
-        for c in self.cells.values():
-            if c.dim != 2:
-                continue
-            ends = [self.cells[e].facets for e in c.facets]
-            degree: dict[int, int] = {}
-            for pair in ends:
-                for v in pair:
-                    degree[v] = degree.get(v, 0) + 1
-            if any(k != 2 for k in degree.values()):
-                raise AuditError(f"boundary of {c.label!r} is not a cycle")
-            if len(connected_components(degree, ends)) != 1:
-                raise AuditError(
-                    f"boundary of {c.label!r} is not a single cycle"
-                )
-
     def _audit_diamond(self) -> None:
         for c in self.cells.values():
             if c.dim < 2:
@@ -208,6 +170,12 @@ class RegularCellComplex:
                 raise AuditError(
                     f"diamond property fails at {c.label!r}: {bad}"
                 )
+            if c.dim == 2:
+                ends = (self.cells[e].facets for e in c.facets)
+                if len(connected_components(counts, ends)) != 1:
+                    raise AuditError(
+                        f"boundary of {c.label!r} is not a single cycle"
+                    )
 
     def _audit_involution(self) -> None:
         if set(self.involution) != set(self.cells):

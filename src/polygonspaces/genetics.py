@@ -240,12 +240,18 @@ class GeneticCode:
         return not self.genes
 
     def anchor_short_sets(self) -> frozenset:
-        """All short subsets containing the anchor (the down-set of the genes)."""
-        return frozenset(
-            s
-            for s in _anchor_sets(self.edge_count)
-            if any(dominance_leq(s, g) for g in self.genes)
-        )
+        """All short subsets containing the anchor (the down-set of the
+        genes), walked down the dominance covers from the genes."""
+        anchor = self.edge_count
+        seen = set(self.genes)
+        stack = list(self.genes)
+        while stack:
+            for s in _dominance_down_covers(stack.pop(), anchor):
+                # at one edge the only cover below the anchor is empty
+                if anchor in s and s not in seen:
+                    seen.add(s)
+                    stack.append(s)
+        return frozenset(seen)
 
     def __str__(self) -> str:
         return format_code(self)

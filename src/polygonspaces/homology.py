@@ -5,14 +5,16 @@ within each dimension, and one boundary matrix per dimension with entries
 +1 and -1.  A simplex gives the face that drops vertex ``i`` the sign
 ``(-1)^i``.  A regular cell complex is used as it is, with no subdivision:
 an edge has -1 and +1 on its two ends, and a higher cell takes its
-incidence numbers from the diamond property that ``seal()`` audits (see
-:func:`_facet_signs`).  A cell whose facets cannot be signed that way has
-a boundary that is not a sphere, and homology fails the audit rather than
-answer for a complex that is not regular.
+incidence numbers from the diamond property that ``seal()`` audits, by
+spreading signs over its facets across the faces of codimension two.  A
+cell whose facets cannot be signed that way has a boundary that is not a
+sphere, and homology fails the audit rather than answer for a complex
+that is not regular.
 
 From there one pass serves both kinds: components by union-find over the
 edges, Euler characteristics from the face counts, pseudo-manifold and
-orientation checks by sign propagation of top cells across ridges, and
+orientation checks by the same sign spread over the top cells across
+their ridges (:func:`_spread_signs` does both), and
 ranks by exact integer elimination (greedy unit pivots on the sparse
 matrix, then a dense Smith normal form on whatever small residual
 remains).  Betti numbers come from ranks, torsion from invariant factors
@@ -380,51 +382,81 @@ def _boundary_entries(
     return entries
 
 
+def _spread_signs(
+    columns: Sequence[dict[int, int]],
+) -> tuple[list[int], dict[int, int], list[int], int]:
+    """Orient cells ``0 .. n - 1`` across the faces they share.
+
+    ``columns[t]`` maps each face of cell ``t`` to its incidence number.
+    The lowest cell of each piece gets +1, and the sign then spreads
+    across every face ``g`` on exactly two cells ``t, u`` so that
+    ``e_t [t:g] + e_u [u:g] = 0``.  Returns the sign of every cell, each
+    face on some other number of cells with that number, the cells where
+    the spread met a sign it did not give, and the number of pieces.
+    """
+    through: dict[int, list[int]] = {}
+    for t, column in enumerate(columns):
+        for g in column:
+            through.setdefault(g, []).append(t)
+    sign = [0] * len(columns)
+    conflicts: list[int] = []
+    pieces = 0
+    for start in range(len(columns)):
+        if sign[start]:
+            continue
+        pieces += 1
+        sign[start] = 1
+        stack = [start]
+        while stack:
+            t = stack.pop()
+            for g, s in columns[t].items():
+                pair = through[g]
+                if len(pair) != 2:
+                    continue
+                a, b = pair
+                u = b if a == t else a
+                want = -sign[t] * s * columns[u][g]
+                if not sign[u]:
+                    sign[u] = want
+                    stack.append(u)
+                elif sign[u] != want:
+                    conflicts.append(u)
+    bad = {g: len(ts) for g, ts in through.items() if len(ts) != 2}
+    return sign, bad, conflicts, pieces
+
+
 def _facet_signs(
     cell: Cell, incidence: dict[int, dict[int, int]]
 ) -> dict[int, int]:
     """Incidence numbers ``[c:f]`` of a cell of dimension at least two.
 
-    The first facet gets +1; the sign then spreads across each face ``g``
-    of codimension two, which must lie on exactly two facets ``f, f'``
-    with ``[c:f][f:g] + [c:f'][f':g] = 0``.  That holds for every cell of
-    a regular complex, whose boundary is a sphere.  A face on some other
-    number of facets, a sign conflict (a non-orientable boundary) or a
-    facet the spread never reaches (a disconnected boundary) fails the
-    audit.
+    They are the signs that :func:`_spread_signs` gives the facets across
+    the faces of codimension two, each of which must lie on exactly two
+    facets.  That holds for every cell of a regular complex, whose
+    boundary is a sphere.  A face on some other number of facets, a sign
+    conflict (a non-orientable boundary) or facets in more than one piece
+    (a disconnected boundary) fail the audit.
     """
-    through: dict[int, list[int]] = {}
-    for f in cell.facets:
-        for g in incidence[f]:
-            through.setdefault(g, []).append(f)
-    for g, fs in through.items():
-        if len(fs) != 2:
-            raise AuditError(
-                f"face {g} of {cell.label!r} lies on {len(fs)} facets, not 2"
-            )
-    first = cell.facets[0]
-    sign = {first: 1}
-    stack = [first]
-    while stack:
-        f = stack.pop()
-        for g, s in incidence[f].items():
-            a, b = through[g]
-            other = b if a == f else a
-            want = -sign[f] * s * incidence[other][g]
-            if other not in sign:
-                sign[other] = want
-                stack.append(other)
-            elif sign[other] != want:
-                raise AuditError(
-                    f"incidence signs of {cell.label!r} conflict at face "
-                    f"{g}: its boundary is not an oriented sphere"
-                )
-    if len(sign) != len(cell.facets):
+    signs, bad, conflicts, pieces = _spread_signs(
+        [incidence[f] for f in cell.facets]
+    )
+    if bad:
+        g, k = next(iter(bad.items()))
         raise AuditError(
-            f"incidence signs of {cell.label!r} reach {len(sign)} of its "
-            f"{len(cell.facets)} facets: its boundary is not connected"
+            f"face {g} of {cell.label!r} lies on {k} facets, not 2"
         )
-    return {f: sign[f] for f in cell.facets}
+    if conflicts:
+        raise AuditError(
+            f"incidence signs of {cell.label!r} conflict at facet "
+            f"{cell.facets[conflicts[0]]}: its boundary is not an oriented "
+            "sphere"
+        )
+    if pieces != 1:
+        raise AuditError(
+            f"the facets of {cell.label!r} fall into {pieces} pieces: its "
+            "boundary is not connected"
+        )
+    return dict(zip(cell.facets, signs))
 
 
 def _cellular_chains(
@@ -567,15 +599,14 @@ def _survey(
     }
     twisted: set[int] = set()
     for d in sorted(set(dims) - {0}):
-        wanted = {comp for comp in range(n_components) if dims[comp] == d}
-        _orient(
-            matrix if d == top else boundary(d),
-            owner[d - 1],
-            owner[d],
-            wanted - broken,
-            broken,
-            twisted,
-        )
+        # the top cells of the components of dimension d, across their ridges
+        columns: list[dict[int, int]] = [{} for _ in range(sizes[d])]
+        for (r, c), v in (matrix if d == top else boundary(d)).items():
+            if dims[owner[d][c]] == d:
+                columns[c][r] = v
+        _, bad, conflicts, _ = _spread_signs(columns)
+        broken.update(owner[d - 1][r] for r in bad)
+        twisted.update(owner[d][c] for c in conflicts)
     manifold = [
         None if comp in broken else comp not in twisted
         for comp in range(n_components)
@@ -593,45 +624,6 @@ def _vertex_components(sizes: list[int], edges: Boundary) -> list[int]:
         for v in comp:
             owner[v] = i
     return owner
-
-
-def _orient(
-    matrix: Boundary,
-    ridge_owner: list[int],
-    top_owner: list[int],
-    wanted: set[int],
-    broken: set[int],
-    twisted: set[int],
-) -> None:
-    """Orient the top cells of the ``wanted`` components across their
-    ridges; add components with a ridge not on exactly two top cells to
-    ``broken`` and components with a sign conflict to ``twisted``."""
-    tops_of: list[list[int]] = [[] for _ in ridge_owner]
-    ridges_of: list[list[int]] = [[] for _ in top_owner]
-    for r, c in matrix:
-        if top_owner[c] in wanted:
-            tops_of[r].append(c)
-            ridges_of[c].append(r)
-    for r, tops in enumerate(tops_of):
-        if tops and len(tops) != 2:
-            broken.add(ridge_owner[r])
-    sign = [0] * len(top_owner)
-    for start, comp in enumerate(top_owner):
-        if sign[start] or comp not in wanted or comp in broken:
-            continue
-        sign[start] = 1
-        stack = [start]
-        while stack:
-            c = stack.pop()
-            for r in ridges_of[c]:
-                a, b = tops_of[r]
-                other = b if a == c else a
-                want = -sign[c] * matrix[(r, c)] * matrix[(r, other)]
-                if not sign[other]:
-                    sign[other] = want
-                    stack.append(other)
-                elif sign[other] != want:
-                    twisted.add(comp)
 
 
 # ---------------------------------------------------------------------------

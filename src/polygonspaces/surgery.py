@@ -115,22 +115,13 @@ def locate_sphere(
             raise SphereRelocationFailedError(
                 f"point sphere has {len(ids)} vertices, expected {expected}"
             )
-    elif index == 1:
-        verts = [i for i in ids if complex_.cells[i].dim == 0]
-        edges = [i for i in ids if complex_.cells[i].dim == 1]
-        degree: dict[int, int] = {v: 0 for v in verts}
-        for e in edges:
-            for v in complex_.cells[e].facets:
-                degree[v] += 1
-        if len(verts) != len(edges) or any(d != 2 for d in degree.values()):
-            raise SphereRelocationFailedError(
-                "circle sphere is not a plain cycle"
-            )
-        ends = (complex_.cells[e].facets for e in edges)
-        if len(connected_components(verts, ends)) != 1:
-            raise SphereRelocationFailedError("circle sphere is disconnected")
     else:
         rep = homology(complex_.materialize(ids))
+        if rep.orientable is None:
+            raise SphereRelocationFailedError(
+                f"candidate is not a closed pseudo-manifold, so not a "
+                f"{index}-sphere"
+            )
         want = tuple(
             1 if k in (0, index) else 0 for k in range(index + 1)
         )

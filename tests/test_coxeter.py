@@ -7,9 +7,7 @@ import pytest
 from polygonspaces.coxeter import (
     Cell,
     RegularCellComplex,
-    blocks_str,
     coxeter_complex,
-    label_str,
     product,
     projective_quotient,
     reversal,
@@ -262,18 +260,7 @@ def test_product_cylinder_keeps_patterns() -> None:
     assert all(c.pattern == () for c in square)
 
 
-# -- formatting and export ------------------------------------------------
-
-
-def test_blocks_and_label_strings() -> None:
-    assert blocks_str((fs(1, 2), fs(3))) == "12|3"
-    assert blocks_str((fs(1, 10), fs(2))) == "1,10|2"
-    assert label_str(("osp", (fs(1), fs(2)))) == "1|2"
-    assert label_str(("orbit", ("osp", (fs(1), fs(2))))) == "[1|2]"
-    assert (
-        label_str(("prod", (("seg", 0), ("osp", (fs(1), fs(2))))))
-        == "seg(0)*1|2"
-    )
+# -- cells ----------------------------------------------------------------
 
 
 def test_cell_is_frozen() -> None:

@@ -351,6 +351,17 @@ def test_chain_structure_for_every_m5_code():
         assert gained == set(g.anchor_short_sets())
 
 
+def test_anchor_short_sets_match_the_dominance_filter():
+    # the reference: every anchor set below some gene
+    for m in range(1, genetics.MAX_EDGES_ENUMERATE + 1):
+        for g in enumerate_codes(m):
+            assert g.anchor_short_sets() == {
+                s
+                for s in genetics._anchor_sets(m)
+                if any(dominance_leq(s, gene) for gene in g.genes)
+            }, g
+
+
 def test_enumerate_codes_counts():
     codes4 = enumerate_codes(4)
     assert len(codes4) == len({c for c in codes4})

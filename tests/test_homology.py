@@ -524,6 +524,40 @@ def test_non_regular_cell_fails_the_audit() -> None:
         identify_small(cone)
 
 
+def test_cell_bounded_by_two_spheres_fails_the_audit() -> None:
+    # two copies of the 2-sphere Coxeter(4) and one 3-cell bounded by all
+    # their 2-cells: every edge lies on two of them, so seal() passes
+    sphere = ca(4)
+    out = RegularCellComplex()
+    tops = []
+    for copy in range(2):
+        shift = copy * len(sphere)
+        for cell in sorted(sphere, key=lambda c: (c.dim, c.ident)):
+            out.add_cell(
+                cell.dim,
+                (copy, cell.label),
+                [f + shift for f in cell.facets],
+                ident=cell.ident + shift,
+            )
+            if cell.dim == 2:
+                tops.append(cell.ident + shift)
+    out.add_cell(3, ("ball", "two spheres"), tops)
+    with pytest.raises(AuditError, match="not connected"):
+        homology(out.seal())
+
+
+def test_face_on_three_facets_fails_the_audit_unsealed() -> None:
+    # a 2-cell on three edges between the same two vertices; without
+    # seal() only the homology audit sees each vertex lie on three facets
+    k = RegularCellComplex()
+    a = k.add_cell(0, ("v", "a"))
+    b = k.add_cell(0, ("v", "b"))
+    edges = [k.add_cell(1, ("e", i), (a, b)) for i in range(3)]
+    k.add_cell(2, ("f", "theta"), edges)
+    with pytest.raises(AuditError, match="lies on 3 facets"):
+        homology(k)
+
+
 def test_barycentric_sizes() -> None:
     sd = barycentric(ca(4))
     assert sd.f_vector() == (74, 216, 144)

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polygonspaces.coxeter import coxeter_complex, projective_quotient
+from polygonspaces.coxeter import (
+    RegularCellComplex,
+    coxeter_complex,
+    projective_quotient,
+)
 from polygonspaces.errors import (
     AuditError,
     ChainInterferenceError,
@@ -328,6 +332,49 @@ def test_locate_sphere_missing_stratum() -> None:
     k = coxeter_complex(range(1, 5))
     with pytest.raises(SphereRelocationFailedError):
         locate_sphere(k, fs(1, 2, 3, 4))
+
+
+def patterned_graph(sphere_edges: list, other_edges: list):
+    """A graph whose cells on ``sphere_edges`` keep units 1 and 2 in one
+    block; the other edges, and their vertices off the sphere, split them."""
+    together, apart = (fs(1, 2), fs(3)), (fs(1), fs(2, 3))
+    on = {v for e in sphere_edges for v in e}
+    k = RegularCellComplex()
+    ids = {
+        v: k.add_cell(0, ("v", v), pattern=together if v in on else apart)
+        for v in sorted({v for e in sphere_edges + other_edges for v in e})
+    }
+    for edges, pattern in ((sphere_edges, together), (other_edges, apart)):
+        for e in edges:
+            k.add_cell(1, ("e", e), [ids[v] for v in e], pattern=pattern)
+    return k.seal()
+
+
+TRIANGLE = [(0, 1), (1, 2), (2, 0)]
+
+
+def test_locate_sphere_accepts_a_plain_cycle() -> None:
+    k = patterned_graph(TRIANGLE, [(0, 9)])
+    sphere = locate_sphere(k, fs(1, 2))
+    assert sorted(k.cells[i].label for i in sphere) == sorted(
+        [("v", v) for v in range(3)] + [("e", e) for e in TRIANGLE]
+    )
+
+
+@pytest.mark.parametrize(
+    "sphere_edges,other_edges",
+    [
+        (TRIANGLE + [(0, 3), (3, 4), (4, 0)], [(1, 9)]),  # figure-eight
+        (TRIANGLE + [(3, 4), (4, 5), (5, 3)], [(0, 9)]),  # two circles
+        (TRIANGLE + [(0, 3)], [(3, 9)]),  # a circle with a tail
+    ],
+)
+def test_locate_sphere_rejects_graphs_that_are_no_circle(
+    sphere_edges, other_edges
+) -> None:
+    k = patterned_graph(sphere_edges, other_edges)
+    with pytest.raises(SphereRelocationFailedError):
+        locate_sphere(k, fs(1, 2))
 
 
 # -- guard rails ---------------------------------------------------------
