@@ -276,10 +276,10 @@ def _dense_snf(matrix: list[list[int]]) -> list[int]:
 
 
 def _sparse_reduce(
-    entries: dict[tuple[int, int], int], drop_rows: Container[int] = ()
+    columns: Boundary, drop_rows: Container[int] = ()
 ) -> tuple[int, list[int], set[int]]:
     """Rank, invariant factors and unit-pivot columns of a sparse integer
-    matrix, leaving out the rows in ``drop_rows``.
+    matrix given by its columns, leaving out the rows in ``drop_rows``.
 
     Unit entries are eliminated greedily with a Markowitz-style pivot
     choice; the leftover submatrix goes through the dense routine.  The
@@ -288,10 +288,11 @@ def _sparse_reduce(
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
-    for (r, c), v in entries.items():
-        if v and r not in drop_rows:
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, set()).add(r)
+    for c, column in enumerate(columns):
+        for r, v in column.items():
+            if v and r not in drop_rows:
+                rows.setdefault(r, {})[c] = v
+                cols.setdefault(c, set()).add(r)
     rank = 0
     pivots: set[int] = set()
     # Unit pivots in row-length order, shortest first, with a lazy heap:
@@ -364,9 +365,10 @@ def _sparse_reduce(
 # Chain complexes: cells by dimension and signed boundary matrices.
 # ---------------------------------------------------------------------------
 
-# A boundary matrix maps (facet index, cell index) to the incidence number,
-# +1 or -1; cells of each dimension are numbered from zero.
-Boundary = dict[tuple[int, int], int]
+# A boundary matrix holds one column per cell, which maps the index of
+# each facet to its incidence number, +1 or -1; cells of each dimension
+# are numbered from zero.
+Boundary = list[dict[int, int]]
 
 
 def _boundary_entries(
@@ -374,12 +376,10 @@ def _boundary_entries(
 ) -> Boundary:
     """The face that drops vertex ``i`` of a simplex has sign ``(-1)^i``."""
     index = {f: i for i, f in enumerate(lower)}
-    entries: Boundary = {}
-    for c, g in enumerate(upper):
-        for i in range(len(g)):
-            sub = g[:i] + g[i + 1 :]
-            entries[(index[sub], c)] = (-1) ** i
-    return entries
+    return [
+        {index[g[:i] + g[i + 1 :]]: (-1) ** i for i in range(len(g))}
+        for g in upper
+    ]
 
 
 def _spread_signs(
@@ -481,11 +481,10 @@ def _cellular_chains(
                 incidence[ident] = _facet_signs(cell, incidence)
 
     def boundary(k: int) -> Boundary:
-        return {
-            (index[f], j): s
-            for j, ident in enumerate(by_dim[k])
-            for f, s in incidence[ident].items()
-        }
+        return [
+            {index[f]: s for f, s in incidence[ident].items()}
+            for ident in by_dim[k]
+        ]
 
     return [len(cells) for cells in by_dim], boundary
 
@@ -564,7 +563,7 @@ def _survey(
     ranks: Optional[dict[int, int]] = {} if reduce else None
     factors: Optional[dict[int, list[int]]] = {} if reduce else None
     paired: set[int] = set()  # (k-1)-cells paired by the reduction below
-    matrix: Boundary = {}
+    matrix: Boundary = []
     for k in range(1, top + 1):
         matrix = boundary(k)
         if reduce:
@@ -574,9 +573,10 @@ def _survey(
         below = owner[k - 1]
         above = [0] * sizes[k]
         cofaced = bytearray(sizes[k - 1])
-        for r, c in matrix:
-            above[c] = below[r]
-            cofaced[r] = 1
+        for c, column in enumerate(matrix):
+            for r in column:
+                above[c] = below[r]
+                cofaced[r] = 1
         owner.append(above)
         for r, hit in enumerate(cofaced):
             if not hit:
@@ -600,10 +600,10 @@ def _survey(
     twisted: set[int] = set()
     for d in sorted(set(dims) - {0}):
         # the top cells of the components of dimension d, across their ridges
-        columns: list[dict[int, int]] = [{} for _ in range(sizes[d])]
-        for (r, c), v in (matrix if d == top else boundary(d)).items():
-            if dims[owner[d][c]] == d:
-                columns[c][r] = v
+        columns = [
+            column if dims[owner[d][c]] == d else {}
+            for c, column in enumerate(matrix if d == top else boundary(d))
+        ]
         _, bad, conflicts, _ = _spread_signs(columns)
         broken.update(owner[d - 1][r] for r in bad)
         twisted.update(owner[d][c] for c in conflicts)
@@ -615,12 +615,10 @@ def _survey(
 
 
 def _vertex_components(sizes: list[int], edges: Boundary) -> list[int]:
-    """The component of each vertex, numbered in order of first vertex."""
-    ends: list[list[int]] = [[] for _ in range(sizes[1])]
-    for r, c in edges:
-        ends[c].append(r)
+    """The component of each vertex, numbered in order of first vertex.
+    Each column of ``edges`` holds the two ends of its edge."""
     owner = [0] * sizes[0]
-    for i, comp in enumerate(connected_components(range(sizes[0]), ends)):
+    for i, comp in enumerate(connected_components(range(sizes[0]), edges)):
         for v in comp:
             owner[v] = i
     return owner

@@ -229,30 +229,6 @@ class FinitePoset:
             )
         return self._meet_flag
 
-    def _depths(self) -> list[int]:
-        """The length of the longest chain ending at each element."""
-        n = len(self.elements)
-        depth = [0] * n
-        order = sorted(range(n), key=lambda i: bin(self._down[i]).count("1"))
-        for i in order:
-            strict = self._down[i] & ~(1 << i)
-            if strict:
-                depth[i] = 1 + max(depth[j] for j in _bits(strict))
-        return depth
-
-    def rank_function(self) -> Optional[dict]:
-        """Longest-path rank from the minimal elements, or None when some
-        cover jumps more than one level (the poset is not graded)."""
-        rank = self._depths()
-        for a, b in self.covers():
-            if rank[self.index[b]] != rank[self.index[a]] + 1:
-                return None
-        return {e: rank[self.index[e]] for e in self.elements}
-
-    def height(self) -> int:
-        """Length of the longest chain (number of covers along it)."""
-        return max(self._depths(), default=0)
-
 
 # ---------------------------------------------------------------------------
 # Set partitions and the partition lattice.

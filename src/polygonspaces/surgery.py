@@ -3,8 +3,12 @@
 A genetic code is reached from the minimal code by a saturated chain of
 single-set additions.  Each addition is realized geometrically: locate the
 subcomplex spanned by cells whose pattern keeps the complement units in a
-single block (an embedded sphere), cut out its neighborhood, and close the
-two resulting boundary cycles.  Two closures are supported on surfaces:
+single block (an embedded sphere), cut out its open star, and close the
+interface that the cut leaves.  On a surface the interface is read off the
+cells adjacent to the sphere: one node per adjacent edge, at its sphere
+end, and one link per adjacent face, which joins the nodes of its two
+adjacent edges (its flanks).  The links chain the nodes into boundary
+cycles.  Two closures are supported on surfaces:
 
 * ``attach``: insert explicit new cells (a prism tube between the two
   cycles of an index-zero surgery, one capping disk per cycle of an
@@ -12,6 +16,10 @@ two resulting boundary cycles.  Two closures are supported on surfaces:
 * ``collapse``: insert no interior cells (identify the two cycles of an
   index-zero surgery point by point, crush each cycle of an index-one
   surgery to a cone vertex).
+
+An index-zero (point) surgery pairs the nodes, then the faces, that carry
+one pattern: across the two cycles, or within the single cycle of a
+projective complex, where a pattern and its reversal are the same.
 
 ``run_chain`` drives a whole saturated chain on the five-edge surfaces.
 ``run_model`` handles any dimension by a simplicial mapping-cylinder
@@ -28,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coxeter import (
-    Cell,
     RegularCellComplex,
     connected_components,
     coxeter_complex,
@@ -163,65 +170,6 @@ def _audit_closed_surface(complex_: RegularCellComplex) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _face_flanks(
-    complex_: RegularCellComplex, face: Cell, sphere: frozenset
-) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The two (edge, sphere-vertex) pairs where an adjacent face leaves
-    the sphere.  The face's trace on the sphere must be a single vertex
-    or a single path of edges."""
-    boundary = face.facets
-    arc_edges = [e for e in boundary if e in sphere]
-    touched = {
-        v
-        for e in boundary
-        for v in complex_.cells[e].facets
-        if v in sphere
-    }
-    if not arc_edges:
-        if len(touched) != 1:
-            raise SphereNotEmbeddedError(
-                f"face {face.ident} touches the sphere at "
-                f"{len(touched)} separate corners"
-            )
-        v = next(iter(touched))
-        flanks = [
-            e for e in boundary if v in complex_.cells[e].facets
-        ]
-        if len(flanks) != 2:
-            raise AuditError(f"corner {v} of face {face.ident} is singular")
-        a, b = sorted(flanks)
-        return ((a, v), (b, v))
-    count: dict[int, int] = {}
-    for e in arc_edges:
-        for v in complex_.cells[e].facets:
-            count[v] = count.get(v, 0) + 1
-    ends = sorted(v for v, k in count.items() if k == 1)
-    if len(ends) != 2 or any(k > 2 for k in count.values()):
-        raise SphereNotEmbeddedError(
-            f"face {face.ident} meets the sphere in more than a path"
-        )
-    if set(count) != touched:
-        raise SphereNotEmbeddedError(
-            f"face {face.ident} touches the sphere beside its arc"
-        )
-    ends_of = (complex_.cells[e].facets for e in arc_edges)
-    if len(connected_components(count, ends_of)) != 1:
-        raise SphereNotEmbeddedError(
-            f"face {face.ident} meets the sphere in several arcs"
-        )
-    flanks = []
-    for v in ends:
-        fl = [
-            e
-            for e in boundary
-            if e not in arc_edges and v in complex_.cells[e].facets
-        ]
-        if len(fl) != 1:
-            raise AuditError(f"arc end {v} of face {face.ident} is singular")
-        flanks.append((fl[0], v))
-    return (flanks[0], flanks[1])
-
-
 def surgery_2d(
     complex_: RegularCellComplex,
     sphere: tuple[int, ...],
@@ -233,7 +181,11 @@ def surgery_2d(
     """One surgery step on a closed surface complex.
 
     ``sphere`` is the audited cell set to remove, ``units`` the element
-    set that interface patterns are restricted to.
+    set that interface patterns are restricted to.  The interface nodes
+    are the adjacent edges, each at its sphere end; each adjacent face
+    joins its two flanks, the nodes of its adjacent edges, and a face
+    with other than two fails as ``SphereNotEmbeddedError``.  Point
+    surgery pairs nodes and faces by pattern.
     """
     if mode not in ("attach", "collapse"):
         raise NotApplicableError(f"unknown surgery mode {mode!r}")
@@ -241,6 +193,9 @@ def surgery_2d(
         raise Not2DError(
             f"direct surgery needs a surface, got dimension {complex_.dim}"
         )
+    # the flanks below rely on this audit: every adjacent edge lies on two
+    # faces, both adjacent, so every interface node is the flank of two
+    # faces and the links chain the nodes into cycles
     _audit_closed_surface(complex_)
     sphere = frozenset(sphere)
     index = max(complex_.cells[i].dim for i in sphere)
@@ -254,8 +209,6 @@ def surgery_2d(
     adj_faces = sorted(
         i for i in adjacent if complex_.cells[i].dim == 2
     )
-    if any(complex_.cells[i].dim == 0 for i in adjacent):
-        raise AuditError("a vertex cannot be adjacent to the sphere")
 
     # each adjacent edge leaves the sphere from exactly one endpoint
     edge_exit: dict[int, tuple[int, int]] = {}
@@ -269,31 +222,68 @@ def surgery_2d(
         (pole,) = [v for v in complex_.cells[e].facets if v in sphere]
         edge_exit[e] = (far_v, pole)
 
-    face_flanks = {
-        f: _face_flanks(complex_, complex_.cells[f], sphere)
-        for f in adj_faces
-    }
-
-    # interface combinatorics: one node per (edge, sphere endpoint), one
-    # link per adjacent face; the links must chain the nodes into cycles
+    # interface combinatorics: one node per adjacent edge, at its sphere
+    # end; each adjacent face links the nodes of its adjacent edges, its
+    # flanks.  A face boundary is one cycle (seal() audits that), and each
+    # piece of it on the sphere, short of the whole cycle, leaves by two
+    # adjacent edges: so two flanks means one piece.
     nodes = sorted((e, edge_exit[e][1]) for e in adj_edges)
     node_pattern = {
         (e, v): restrict_pattern(complex_.cells[e].pattern, units)
         for e, v in nodes
     }
-    degree = {key: 0 for key in nodes}
+    face_flanks: dict[int, tuple] = {}
     for f in adj_faces:
-        for key in face_flanks[f]:
-            if key not in degree:
-                raise AuditError(f"face {f} flanks a non-adjacent edge")
-            degree[key] += 1
-    if any(d != 2 for d in degree.values()):
-        raise AuditError("interface nodes do not chain into cycles")
+        facets = complex_.cells[f].facets
+        flanks = [(e, edge_exit[e][1]) for e in facets if e in edge_exit]
+        if len(flanks) != 2:
+            raise SphereNotEmbeddedError(
+                f"face {f} leaves the sphere by {len(flanks)} edges, not 2"
+            )
+        # sorted by (pole, edge)
+        face_flanks[f] = tuple(sorted(flanks, key=lambda key: key[::-1]))
 
     # nodes are sorted, so each cycle starts with its smallest node
     groups = connected_components(nodes, face_flanks.values())
     cycles = [group[0] for group in groups]
     side = {key: s for s, group in enumerate(groups) for key in group}
+    face_side = {f: side[flanks[0]] for f, flanks in face_flanks.items()}
+
+    # point surgery pairs the nodes, then the faces, of one pattern: across
+    # the two cycles, or within the one cycle of a projective complex
+    vertex_groups: dict = {}
+    face_groups: dict = {}
+    if index == 0:
+        want = 1 if projective else 2
+        if len(cycles) != want:
+            raise AuditError(
+                f"point surgery expects {want} interface cycles, found "
+                f"{len(cycles)}"
+            )
+        pattern_key = _canonical_pattern_key if projective else _pattern_key
+
+        def pair_up(members, pattern_of, side_of) -> dict:
+            found: dict = {}
+            for member in members:
+                pk = pattern_key(pattern_of(member))
+                found.setdefault(pk, []).append(member)
+            pairs = {}
+            for pk, pair in sorted(found.items()):
+                sides = {side_of(m) for m in pair}
+                if len(pair) != 2 or len(sides) != want:
+                    raise AuditError(
+                        f"pattern {pk} has {len(pair)} interface cells on "
+                        f"{len(sides)} cycles, not 2 on {want}"
+                    )
+                pairs[pk] = tuple(sorted(pair, key=lambda m: (side_of(m), m)))
+            return pairs
+
+        vertex_groups = pair_up(nodes, node_pattern.get, side.get)
+        face_groups = pair_up(
+            adj_faces,
+            lambda f: restrict_pattern(complex_.cells[f].pattern, units),
+            face_side.get,
+        )
 
     out = RegularCellComplex(first_ident=complex_._next)
     removed = sphere | adjacent
@@ -302,83 +292,7 @@ def surgery_2d(
         out.add_cell(c.dim, c.label, c.facets, c.pattern, ident=c.ident)
 
     new_vertex: dict[tuple[int, int], int] = {}
-    vertex_groups: dict = {}
-    face_groups: dict = {}
     iface_edge: dict[int, int] = {}
-
-    def pattern_map(keys) -> dict:
-        got: dict = {}
-        for key in keys:
-            pk = _pattern_key(node_pattern[key])
-            if pk in got:
-                raise AuditError(
-                    f"two interface nodes share the pattern {pk}"
-                )
-            got[pk] = key
-        return got
-
-    if index == 0:
-        if projective:
-            if len(cycles) != 1:
-                raise AuditError(
-                    f"folded surgery expects one cycle, found {len(cycles)}"
-                )
-            groups: dict = {}
-            for key in nodes:
-                groups.setdefault(
-                    _canonical_pattern_key(node_pattern[key]), []
-                ).append(key)
-            for ck, pair in sorted(groups.items()):
-                if len(pair) != 2:
-                    raise AuditError(
-                        f"pattern orbit {ck} has {len(pair)} nodes, not 2"
-                    )
-                vertex_groups[ck] = tuple(sorted(pair))
-            fgroups: dict = {}
-            for f in adj_faces:
-                fgroups.setdefault(
-                    _canonical_pattern_key(
-                        restrict_pattern(complex_.cells[f].pattern, units)
-                    ),
-                    [],
-                ).append(f)
-            for ck, pair in sorted(fgroups.items()):
-                if len(pair) != 2:
-                    raise AuditError(
-                        f"face orbit {ck} has {len(pair)} members, not 2"
-                    )
-                face_groups[ck] = tuple(sorted(pair))
-        else:
-            if len(cycles) != 2:
-                raise AuditError(
-                    f"point surgery expects two cycles, found {len(cycles)}"
-                )
-            left, right = pattern_map(groups[0]), pattern_map(groups[1])
-            if set(left) != set(right):
-                raise AuditError(
-                    "the two interface cycles carry different patterns"
-                )
-            for pk in sorted(left):
-                vertex_groups[pk] = (left[pk], right[pk])
-            fsides: list[dict] = [{}, {}]
-            for f in adj_faces:
-                s = side[face_flanks[f][0]]
-                if side[face_flanks[f][1]] != s:
-                    raise AuditError(f"face {f} straddles both cycles")
-                pk = _pattern_key(
-                    restrict_pattern(complex_.cells[f].pattern, units)
-                )
-                if pk in fsides[s]:
-                    raise AuditError(
-                        f"two faces on one cycle share the pattern {pk}"
-                    )
-                fsides[s][pk] = f
-            if set(fsides[0]) != set(fsides[1]):
-                raise AuditError(
-                    "the two cycles see different face patterns"
-                )
-            for pk in sorted(fsides[0]):
-                face_groups[pk] = (fsides[0][pk], fsides[1][pk])
 
     # vertices of the result; cap_of_side holds the cone vertex (collapse)
     # or the capping disk (attach) of each cycle of an index-one surgery
@@ -493,11 +407,7 @@ def surgery_2d(
     elif index == 1 and mode == "attach":
         for s, root in enumerate(cycles):
             rim = sorted(
-                {
-                    iface_edge[f]
-                    for f in adj_faces
-                    if side[face_flanks[f][0]] == s
-                }
+                {iface_edge[f] for f in adj_faces if face_side[f] == s}
             )
             cap_of_side[s] = out.add_cell(2, ("cap", ("disk", root)), rim)
 

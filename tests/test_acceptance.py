@@ -39,6 +39,7 @@ from polygonspaces.surgery import (
     run_model,
     surgery_2d,
 )
+from test_posets import height, rank_function
 
 
 @functools.cache
@@ -163,14 +164,14 @@ def test_criterion_07_combinatorial_surgery() -> None:
     surgered = comb_surgery(poset, locus)
     target = intersection_poset(parse_code("<126>"))
     assert poset_isomorphic(surgered, target) is not None
-    old_rank = poset.rank_function()
-    new_rank = surgered.rank_function()
-    height = poset.height()
+    old_rank = rank_function(poset)
+    new_rank = rank_function(surgered)
+    top = height(poset)
     intervals = [e for e in surgered if isinstance(e, Interval)]
     assert intervals
     for element in intervals:
         assert new_rank[element] == (
-            height - old_rank[element.locus] + old_rank[element.base] + 1
+            top - old_rank[element.locus] + old_rank[element.base] + 1
         )
 
 

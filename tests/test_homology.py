@@ -272,13 +272,11 @@ def test_smith_normal_form_against_sympy() -> None:
             [rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(nc)]
             for _ in range(nr)
         ]
-        entries = {
-            (r, c): v
-            for r, row in enumerate(mat)
-            for c, v in enumerate(row)
-            if v
-        }
-        rank, factors, _ = _sparse_reduce(entries)
+        columns = [
+            {r: row[c] for r, row in enumerate(mat) if row[c]}
+            for c in range(nc)
+        ]
+        rank, factors, _ = _sparse_reduce(columns)
         ref = smith_normal_form(Matrix(mat), domain=ZZ)
         ref_diag = sorted(
             abs(ref[i, i])

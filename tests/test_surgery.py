@@ -17,6 +17,7 @@ from polygonspaces.errors import (
     ChainInterferenceError,
     Not2DError,
     NotApplicableError,
+    SphereNotEmbeddedError,
     SphereRelocationFailedError,
     TooLargeError,
 )
@@ -411,6 +412,70 @@ def test_open_complex_fails_the_closed_audit() -> None:
     disk = k.materialize(k.faces_of(top) | {top})
     with pytest.raises(AuditError):
         surgery_2d(disk, tuple(sphere_cells(disk, fs(3, 4))), fs(3, 4))
+
+
+def polyhedron(faces: list, pattern=lambda corners: ()):
+    """The closed surface whose faces are the given cycles of corners,
+    with its vertex ids; ``pattern`` gives each edge and face its pattern
+    from the corners it spans."""
+    k = RegularCellComplex()
+    ids = {v: k.add_cell(0, ("v", v)) for v in sorted(set().union(*faces))}
+    edges: dict = {}
+    for face in faces:
+        sides = [tuple(sorted(p)) for p in zip(face, face[1:] + face[:1])]
+        for e in sides:
+            if e not in edges:
+                edges[e] = k.add_cell(
+                    1, ("e", e), [ids[v] for v in e], pattern(e)
+                )
+        k.add_cell(2, ("f", face), [edges[e] for e in sides], pattern(face))
+    return k.seal(), ids
+
+
+# corners are coordinate strings; each face keeps one coordinate fixed
+CUBE = [
+    ("000", "100", "110", "010"),
+    ("001", "101", "111", "011"),
+    ("000", "100", "101", "001"),
+    ("010", "110", "111", "011"),
+    ("000", "010", "011", "001"),
+    ("100", "110", "111", "101"),
+]
+
+
+def axis_pattern(corners) -> tuple:
+    """The coordinates a cell moves along, one block each, then the fixed
+    ones: the two cells of each axis at opposite corners share a pattern."""
+    moving = [len({v[i] for v in corners}) > 1 for i in range(3)]
+    fixed = fs(*(i + 1 for i in range(3) if not moving[i]))
+    return tuple(fs(i + 1) for i in range(3) if moving[i]) + (fixed,)
+
+
+def test_point_sphere_on_one_face_twice_is_not_embedded() -> None:
+    k, ids = polyhedron(CUBE, axis_pattern)
+    with pytest.raises(SphereNotEmbeddedError):
+        surgery_2d(k, (ids["000"], ids["110"]), fs(1, 2, 3))
+
+
+def test_point_sphere_joined_by_an_edge_is_not_embedded() -> None:
+    k, ids = polyhedron([tuple(f) for f in ("abc", "abd", "acd", "bcd")])
+    with pytest.raises(SphereNotEmbeddedError):
+        surgery_2d(k, (ids["a"], ids["b"]), fs(1, 2, 3))
+
+
+@pytest.mark.parametrize("mode", ["attach", "collapse"])
+def test_point_surgery_pairs_the_antipodal_corners(mode: str) -> None:
+    k, ids = polyhedron(CUBE, axis_pattern)
+    out = surgery_2d(k, (ids["000"], ids["111"]), fs(1, 2, 3), mode=mode)
+    assert identify_small(out) == "T^2"
+
+
+def test_point_surgery_refuses_an_unpartnered_pattern() -> None:
+    # the x edge into corner 111 has a pattern that no edge at 000 has
+    odd = {("011", "111"): (fs(1, 2, 3),)}
+    k, ids = polyhedron(CUBE, lambda c: odd.get(c) or axis_pattern(c))
+    with pytest.raises(AuditError):
+        surgery_2d(k, (ids["000"], ids["111"]), fs(1, 2, 3))
 
 
 # -- step loci and poset shadows -----------------------------------------
