@@ -12,8 +12,11 @@ The central objects are:
 * :func:`comb_surgery`: the order-level shadow of cellular surgery, which
   removes the up-set of a chosen element and grafts in one interval element
   per element strictly below it,
-* :func:`poset_isomorphic`: certified isomorphism testing by invariant
-  refinement plus backtracking.
+* :func:`poset_isomorphic`: certified isomorphism testing. Colour
+  refinement on the covers seeds a candidate bitmask per element; the
+  search then branches on the element with the fewest candidates and
+  forward-checks every assignment against the whole order, with an
+  explicit stack and an undo trail instead of recursion.
 """
 
 from __future__ import annotations
@@ -77,8 +80,7 @@ class FinitePoset:
 
         A plain attribute set in ``__init__`` rather than a
         ``cached_property``: writing through ``__dict__`` after
-        construction slows every later attribute read on the instance,
-        which the isomorphism search makes millions of.
+        construction slows every later attribute read on the instance.
         """
         if self._up_masks is None:
             up = [0] * len(self.elements)
@@ -475,78 +477,118 @@ def comb_surgery(poset: FinitePoset, locus: Hashable) -> FinitePoset:
 # ---------------------------------------------------------------------------
 
 
-def _stable_colors(poset: FinitePoset) -> list[int]:
-    n = len(poset.elements)
-    down_counts = [bin(m).count("1") for m in poset._down]
-    up_counts = [bin(m).count("1") for m in poset._up()]
-    colors = [hash((d, u)) for d, u in zip(down_counts, up_counts)]
-    cover_up: list[list[int]] = [[] for _ in range(n)]
-    cover_down: list[list[int]] = [[] for _ in range(n)]
-    for a, b in poset.covers():
-        ia, ib = poset.index[a], poset.index[b]
-        cover_up[ia].append(ib)
-        cover_down[ib].append(ia)
-    for _ in range(n):
-        fresh = [
-            hash(
-                (
-                    colors[i],
-                    tuple(sorted(colors[j] for j in cover_up[i])),
-                    tuple(sorted(colors[j] for j in cover_down[i])),
-                )
-            )
-            for i in range(n)
+def _stable_colors(*posets: FinitePoset) -> list[list[int]]:
+    """Colour refinement on the covers of all ``posets`` at once, so that a
+    class id means the same class in each of them."""
+    sides = []
+    for poset in posets:
+        n = len(poset.elements)
+        cover_up: list[list[int]] = [[] for _ in range(n)]
+        cover_down: list[list[int]] = [[] for _ in range(n)]
+        for a, b in poset.covers():
+            ia, ib = poset.index[a], poset.index[b]
+            cover_up[ia].append(ib)
+            cover_down[ib].append(ia)
+        sides.append((cover_up, cover_down))
+    ids: dict = {}
+    colors = [
+        [
+            ids.setdefault((d.bit_count(), u.bit_count()), len(ids))
+            for d, u in zip(poset._down, poset._up())
         ]
-        if len(set(fresh)) == len(set(colors)):
-            colors = fresh
-            break
-        colors = fresh
-    return colors
+        for poset in posets
+    ]
+    classes = len(ids)
+    while True:
+        ids = {}
+        colors = [
+            [
+                ids.setdefault(
+                    (
+                        c,
+                        tuple(sorted([old[j] for j in up])),
+                        tuple(sorted([old[j] for j in down])),
+                    ),
+                    len(ids),
+                )
+                for c, up, down in zip(old, cover_up, cover_down)
+            ]
+            for old, (cover_up, cover_down) in zip(colors, sides)
+        ]
+        if len(ids) == classes:
+            return colors
+        classes = len(ids)
 
 
 def poset_isomorphic(p: FinitePoset, q: FinitePoset) -> Optional[dict]:
     """An order isomorphism ``p -> q`` as a dict, or None when none exists."""
-    if len(p.elements) != len(q.elements):
+    n = len(p.elements)
+    if n != len(q.elements):
         return None
-    if len(p.elements) > MAX_ISO_SIZE:
+    if n > MAX_ISO_SIZE:
         raise TooLargeError(
             f"isomorphism search capped at {MAX_ISO_SIZE} elements"
         )
-    pc = _stable_colors(p)
-    qc = _stable_colors(q)
+    pc, qc = _stable_colors(p, q)
     if sorted(pc) != sorted(qc):
         return None
-    candidates: dict[int, list[int]] = {}
-    for i in range(len(p.elements)):
-        candidates[i] = [j for j in range(len(q.elements)) if qc[j] == pc[i]]
-    order = sorted(range(len(p.elements)), key=lambda i: len(candidates[i]))
-    assigned: dict[int, int] = {}
-    used: set[int] = set()
-
-    def compatible(i: int, j: int) -> bool:
-        bit_i, bit_j = 1 << i, 1 << j
-        for a, b in assigned.items():
-            if bool(p._down[i] & (1 << a)) != bool(q._down[j] & (1 << b)):
-                return False
-            if bool(p._down[a] & bit_i) != bool(q._down[b] & bit_j):
-                return False
-        return True
-
-    def search(k: int) -> bool:
-        if k == len(order):
-            return True
-        i = order[k]
-        for j in candidates[i]:
-            if j in used or not compatible(i, j):
-                continue
-            assigned[i] = j
-            used.add(j)
-            if search(k + 1):
-                return True
-            del assigned[i]
-            used.remove(j)
-        return False
-
-    if not search(0):
-        return None
-    return {p.elements[i]: q.elements[j] for i, j in assigned.items()}
+    if n == 0:
+        return {}
+    by_color: dict[int, int] = {}
+    for j, c in enumerate(qc):
+        by_color[c] = by_color.get(c, 0) | 1 << j
+    # masks[i]: the elements of q that i may still map to
+    masks = [by_color[c] for c in pc]
+    p_down, p_up = p._down, p._up()
+    q_down, q_up = q._down, q._up()
+    image = [0] * n
+    unplaced = list(range(n))
+    trail: list[tuple[int, int]] = []  # (element, mask before a narrowing)
+    first = min(unplaced, key=lambda i: masks[i].bit_count())
+    unplaced.remove(first)
+    # a frame: (element, candidates not yet tried, trail length at entry)
+    stack = [(first, masks[first], 0)]
+    while stack:
+        i, untried, mark = stack[-1]
+        while len(trail) > mark:
+            k, old = trail.pop()
+            masks[k] = old
+        if not untried:
+            stack.pop()
+            unplaced.append(i)
+            continue
+        low = untried & -untried
+        stack[-1] = (i, untried ^ low, mark)
+        j = low.bit_length() - 1
+        image[i] = j
+        # forward check: each unplaced k keeps the images that relate to j
+        # as k relates to i, with j itself gone
+        below, above = q_down[j] ^ low, q_up[j] ^ low
+        apart = ~(q_down[j] | q_up[j])
+        down_i, up_i = p_down[i], p_up[i]
+        best, best_count = -1, n + 1
+        for k in unplaced:
+            old = masks[k]
+            if down_i >> k & 1:
+                new = old & below
+            elif up_i >> k & 1:
+                new = old & above
+            else:
+                new = old & apart
+            if new != old:
+                if not new:
+                    break
+                trail.append((k, old))
+                masks[k] = new
+            count = new.bit_count()
+            if count < best_count:
+                best, best_count = k, count
+        else:
+            if not unplaced:
+                return {
+                    p.elements[a]: q.elements[b] for a, b in enumerate(image)
+                }
+            # branch on the unplaced element with the fewest candidates
+            unplaced.remove(best)
+            stack.append((best, masks[best], len(trail)))
+    return None

@@ -1,14 +1,20 @@
 """Posets, partition lattices, intersection posets, poset surgery."""
 
 import itertools
+import random
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polygonspaces import posets
+from polygonspaces.coxeter import (
+    RegularCellComplex,
+    coxeter_complex,
+    projective_quotient,
+)
 from polygonspaces.errors import (
     AuditError,
     InvalidCodeError,
@@ -569,6 +575,48 @@ def test_comb_surgery_interval_ranks():
 # --- isomorphism testing -----------------------------------------------------
 
 
+def assert_order_isomorphism(p: FinitePoset, q: FinitePoset, iso) -> None:
+    """``iso`` is a bijection ``p -> q`` with ``a <= b`` exactly when
+    ``iso[a] <= iso[b]``."""
+    assert iso is not None
+    assert set(iso) == set(p.elements)
+    assert sorted(q.index[b] for b in iso.values()) == list(range(len(q)))
+    for a in p:
+        for b in p:
+            assert p.leq(a, b) == q.leq(iso[a], iso[b]), (a, b)
+
+
+def face_poset(k: RegularCellComplex) -> FinitePoset:
+    """The cells of ``k`` ordered by the face relation."""
+    return FinitePoset.from_relations(
+        sorted(k.cells), [(f, c.ident) for c in k for f in c.facets]
+    )
+
+
+def relabelled(
+    elements: Sequence, covers: Iterable[tuple], seed: int
+) -> FinitePoset:
+    """The poset generated by ``covers``, with fresh element names listed
+    in a shuffled order."""
+    order = list(elements)
+    random.Random(seed).shuffle(order)
+    return FinitePoset.from_relations(
+        [("r", e) for e in order], [(("r", a), ("r", b)) for a, b in covers]
+    )
+
+
+def brute_force_isomorphic(p: FinitePoset, q: FinitePoset) -> bool:
+    n = len(p)
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    return len(q) == n and any(
+        all(
+            bool(p._down[b] >> a & 1) == bool(q._down[perm[b]] >> perm[a] & 1)
+            for a, b in pairs
+        )
+        for perm in itertools.permutations(range(n))
+    )
+
+
 def test_poset_isomorphic_positive():
     iso = poset_isomorphic(chain(4), chain(4))
     assert iso == {0: 0, 1: 1, 2: 2, 3: 3}
@@ -576,11 +624,7 @@ def test_poset_isomorphic_positive():
     shuffled = FinitePoset.from_leq(
         list(reversed(lat.elements)), lambda a, b: lat.leq(a, b)
     )
-    iso = poset_isomorphic(lat, shuffled)
-    assert iso is not None
-    for a in lat:
-        for b in lat:
-            assert lat.leq(a, b) == shuffled.leq(iso[a], iso[b])
+    assert_order_isomorphism(lat, shuffled, poset_isomorphic(lat, shuffled))
 
 
 def test_poset_isomorphic_negative():
@@ -590,6 +634,91 @@ def test_poset_isomorphic_negative():
     )
     assert poset_isomorphic(diamond, chain(4)) is None
     assert poset_isomorphic(chain(3), chain(4)) is None
+
+
+def test_poset_isomorphic_when_colours_cannot_tell():
+    # the crown whose covers form one 8-cycle, against two disjoint
+    # 4-cycles: every minimal element lies below two of the four maximal
+    # ones and every maximal one above two minimal ones, so colour
+    # refinement gives both posets the same two classes and only the
+    # search can answer.  No such pair exists on seven or fewer elements.
+    lows, highs = [f"a{i}" for i in range(4)], [f"b{i}" for i in range(4)]
+    cycle = [(lows[i], highs[i]) for i in range(4)]
+    cycle += [(lows[(i + 1) % 4], highs[i]) for i in range(4)]
+    two_squares = [(a, b) for a in lows[:2] for b in highs[:2]]
+    two_squares += [(a, b) for a in lows[2:] for b in highs[2:]]
+    crown = FinitePoset.from_relations(lows + highs, cycle)
+    squares = FinitePoset.from_relations(lows + highs, two_squares)
+    pc, qc = posets._stable_colors(crown, squares)
+    assert sorted(pc) == sorted(qc) and len(set(pc)) == 2
+    assert poset_isomorphic(crown, squares) is None
+    again = relabelled(crown.elements, cycle, seed=8)
+    assert_order_isomorphism(crown, again, poset_isomorphic(crown, again))
+
+
+@st.composite
+def poset_pairs(draw) -> tuple[FinitePoset, FinitePoset]:
+    """A poset on at most six elements, and a relabelled copy of it from
+    which some generating relations may be dropped and others added."""
+    n = draw(st.integers(1, 6))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda ab: ab[0] < ab[1]
+    )
+    relations = draw(st.lists(pair, max_size=10))
+    p = FinitePoset.from_relations(range(n), relations)
+    kept = relations[draw(st.integers(0, len(relations))):]
+    perm = draw(st.permutations(range(n)))
+    q = FinitePoset.from_relations(
+        range(n),
+        [(perm[a], perm[b]) for a, b in kept + draw(st.lists(pair, max_size=2))],
+    )
+    return p, q
+
+
+@given(poset_pairs())
+@example((chain(3), FinitePoset.from_relations(range(3), [(2, 0), (0, 1)])))
+@example((chain(3), FinitePoset.from_relations(range(3), [(0, 2), (1, 2)])))
+def test_poset_isomorphic_matches_brute_force(case):
+    p, q = case
+    iso = poset_isomorphic(p, q)
+    assert (iso is not None) == brute_force_isomorphic(p, q)
+    if iso is not None:
+        assert_order_isomorphism(p, q, iso)
+
+
+@pytest.mark.parametrize("ground", [4, 5])
+def test_poset_isomorphic_coxeter_face_posets(ground):
+    k = coxeter_complex(range(1, ground + 1))
+    p = face_poset(k)
+    assert len(p) == {4: 74, 5: 540}[ground]
+    q = relabelled(p.elements, p.covers(), seed=ground)
+    assert_order_isomorphism(p, q, poset_isomorphic(p, q))
+    # move one vertex-to-edge cover to a vertex that is not an end of the
+    # edge: the sizes stay, the order is no longer the face poset's
+    edge = next(c for c in k if c.dim == 1)
+    end = edge.facets[0]
+    other = next(v for v in p.minimal_elements() if v not in edge.facets)
+    moved = [(a, b) for a, b in p.covers() if (a, b) != (end, edge.ident)]
+    moved.append((other, edge.ident))
+    assert len(moved) == len(p.covers())
+    assert poset_isomorphic(p, relabelled(p.elements, moved, seed=1)) is None
+
+
+def test_poset_isomorphic_projective_quotient():
+    quotient, _ = projective_quotient(coxeter_complex(range(1, 6)))
+    p = face_poset(quotient)
+    assert len(p) == 270
+    q = relabelled(p.elements, p.covers(), seed=3)
+    assert_order_isomorphism(p, q, poset_isomorphic(p, q))
+
+
+def test_poset_isomorphic_long_chain():
+    # the search keeps its own stack: a chain far longer than the
+    # interpreter's recursion limit still maps to itself
+    long = FinitePoset.from_relations(
+        range(1500), [(i, i + 1) for i in range(1499)]
+    )
+    assert poset_isomorphic(long, long) == {i: i for i in range(1500)}
 
 
 def test_poset_isomorphic_cap():

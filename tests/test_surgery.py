@@ -494,7 +494,10 @@ def test_step_locus_partition() -> None:
     )
 
 
-@pytest.mark.parametrize("name", ["<45>", "<125>", "<126>"])
+# <56> and <236,56> hold the shadow benchmark's slowest isomorphism steps
+@pytest.mark.parametrize(
+    "name", ["<45>", "<125>", "<126>", "<56>", "<236,56>"]
+)
 def test_poset_shadow_of_each_step(name: str) -> None:
     # cutting the big complex along a stratum shows up in the intersection
     # poset as combinatorial surgery at that stratum's partition.
@@ -508,7 +511,14 @@ def test_poset_shadow_of_each_step(name: str) -> None:
         shadow = comb_surgery(intersection_poset(before), locus)
         target = intersection_poset(after)
         assert len(shadow) == len(target)
-        assert poset_isomorphic(shadow, target) is not None
+        iso = poset_isomorphic(shadow, target)
+        assert iso is not None
+        assert sorted(target.index[b] for b in iso.values()) == list(
+            range(len(target))
+        )
+        for a in shadow:
+            for b in shadow:
+                assert shadow.leq(a, b) == target.leq(iso[a], iso[b])
 
 
 # -- homotopy models ------------------------------------------------------
