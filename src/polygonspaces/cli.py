@@ -364,11 +364,11 @@ def _load_dump(path: str):
                 f"{path}: 'cells' must list cells with an integer 'dim' "
                 "of at least 0 and a list of integer 'facets'"
             )
+        # by dimension, so that facets come first in any dump order
+        cells = sorted(enumerate(data["cells"]), key=lambda kc: kc[1]["dim"])
         out = RegularCellComplex()
-        for k, cell in enumerate(data["cells"]):
-            out.add_cell(
-                cell["dim"], ("c", k), tuple(cell["facets"]), ident=k
-            )
+        for k, cell in cells:
+            out.add_cell(cell["dim"], ("c", k), tuple(cell["facets"]), ident=k)
         out.seal()
         return out
     raise InvalidCodeError(f"unknown dump kind {data['kind']!r}")

@@ -349,43 +349,3 @@ def projective_quotient(
             f"quotient face counts {new_f} are not half of {old_f}"
         )
     return out, mapping
-
-
-def segment() -> RegularCellComplex:
-    """An interval: two vertices and one edge, with the end-swap involution
-    declared only through labels (an interval has a fixed midpoint, so no
-    free involution is registered)."""
-    seg = RegularCellComplex()
-    a = seg.add_cell(0, ("seg", 0))
-    b = seg.add_cell(0, ("seg", 1))
-    seg.add_cell(1, ("seg", "mid"), (a, b))
-    return seg.seal()
-
-
-def product(
-    left: RegularCellComplex, right: RegularCellComplex
-) -> RegularCellComplex:
-    """The product cell complex; cells are pairs, facets follow Leibniz.
-
-    A cell keeps the pattern of whichever factor has one (products used
-    here always have a pattern-free factor).
-    """
-    out = RegularCellComplex()
-    ids: dict[tuple[int, int], int] = {}
-    pairs = sorted(
-        itertools.product(left.cells.values(), right.cells.values()),
-        key=lambda ab: (ab[0].dim + ab[1].dim, ab[0].ident, ab[1].ident),
-    )
-    for a, b in pairs:
-        facets = [ids[(fa, b.ident)] for fa in a.facets]
-        facets += [ids[(a.ident, fb)] for fb in b.facets]
-        pattern = a.pattern if a.pattern else b.pattern
-        if a.pattern and b.pattern:
-            pattern = ()
-        ids[(a.ident, b.ident)] = out.add_cell(
-            a.dim + b.dim,
-            ("prod", (a.label, b.label)),
-            facets,
-            pattern,
-        )
-    return out.seal()

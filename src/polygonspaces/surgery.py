@@ -1,50 +1,40 @@
 """Cellular surgery on polygon-space complexes.
 
 A genetic code is reached from the minimal code by a saturated chain of
-single-set additions.  Each addition is realized geometrically: locate the
-subcomplex spanned by cells whose pattern keeps the complement units in a
-single block (an embedded sphere), cut out its open star, and close the
-interface that the cut leaves.  On a surface the interface is read off the
-cells adjacent to the sphere: one node per adjacent edge, at its sphere
-end, and one link per adjacent face, which joins the nodes of its two
-adjacent edges (its flanks).  The links chain the nodes into boundary
-cycles.  Two closures are supported on surfaces:
+single-set additions.  Each addition is realized on the cell complex:
+locate the cells whose pattern keeps the complement units in a single
+block (an embedded sphere, or its quotient in a projective complex), cut
+them out, and close the cut.  ``collapse`` does so in every dimension by
+Panina's rule, so that every complex on the chain is the cyclic-partition
+complex of its code (``surgery_step``); ``attach`` does so on surfaces by
+inserting new cells (``surgery_2d``).
 
-* ``attach``: insert explicit new cells (a prism tube between the two
-  cycles of an index-zero surgery, one capping disk per cycle of an
-  index-one surgery; in projective complexes the tube folds to a band),
-* ``collapse``: insert no interior cells (identify the two cycles of an
-  index-zero surgery point by point, crush each cycle of an index-one
-  surgery to a cone vertex).
-
-An index-zero (point) surgery pairs the nodes, then the faces, that carry
-one pattern: across the two cycles, or within the single cycle of a
-projective complex, where a pattern and its reversal are the same.
-
-``run_chain`` drives a whole saturated chain on the five-edge surfaces.
-``run_model`` handles any dimension by a simplicial mapping-cylinder
-construction made from the face poset, with no subdivision of the whole
-complex: the order complex of the cells in no sphere, subdivided once
-more, glued along each sphere's frontier (the order complex of its
-adjacent cells) onto the subdivided sphere link, all sphere boundaries
-of one surgery landing on a single copy of the link.  Every step is
-audited; failures raise rather than degrade.
+``run_chain`` drives a whole saturated chain.  ``run_model`` handles any
+dimension by a simplicial mapping-cylinder construction made from the
+face poset, with no subdivision of the whole complex: the order complex
+of the cells in no sphere, subdivided once more, glued along each
+sphere's frontier (the order complex of its adjacent cells) onto the
+subdivided sphere link, all sphere boundaries of one surgery landing on
+a single copy of the link.  Every step is audited; failures raise rather
+than degrade.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .coxeter import (
+    Cell,
     RegularCellComplex,
+    _ordered_partitions,
     connected_components,
     coxeter_complex,
     projective_quotient,
+    reversal,
 )
 from .errors import (
     AuditError,
     ChainInterferenceError,
-    FixedCellError,
     Not2DError,
     NotApplicableError,
     ProjectionNotSimplicialError,
@@ -101,7 +91,8 @@ def locate_sphere(
     units: frozenset,
     projective: bool = False,
 ) -> tuple[int, ...]:
-    """Find and audit the embedded surgery sphere for a unit set."""
+    """Find and audit the embedded surgery sphere for a unit set, or in a
+    projective complex its quotient, the real projective space."""
     ids = sphere_cells(complex_, units)
     if not ids:
         raise SphereRelocationFailedError(
@@ -114,8 +105,8 @@ def locate_sphere(
                 raise SphereRelocationFailedError(
                     f"sphere is not a closed subcomplex at cell {i}"
                 )
-    dims = [complex_.cells[i].dim for i in ids]
-    index = max(dims)
+    index = max(complex_.cells[i].dim for i in ids)
+    shape = f"RP^{index}" if projective else f"{index}-sphere"
     if index == 0:
         expected = 1 if projective else 2
         if len(ids) != expected:
@@ -126,17 +117,21 @@ def locate_sphere(
         rep = homology(complex_.materialize(ids))
         if rep.orientable is None:
             raise SphereRelocationFailedError(
-                f"candidate is not a closed pseudo-manifold, so not a "
-                f"{index}-sphere"
+                f"candidate is not a closed pseudo-manifold, so not a {shape}"
             )
-        want = tuple(
-            1 if k in (0, index) else 0 for k in range(index + 1)
+        # RP^k: Z/2 in each odd degree below k, Z on top when k is odd
+        top = 0 if projective and index % 2 == 0 else 1
+        want = (1,) + (0,) * (index - 1) + (top,)
+        torsion = tuple(
+            (2,) if projective and k % 2 and k < index else ()
+            for k in range(index + 1)
         )
-        if rep.betti != want or rep.has_torsion():
+        if rep.betti != want or rep.torsion != torsion:
             raise SphereRelocationFailedError(
-                f"candidate has homology {rep}, not a {index}-sphere"
+                f"candidate has homology {rep}, not a {shape}"
             )
-    if not adjacent_cells(complex_, frozenset(ids)):
+    outside = (c for c in complex_ if c.ident not in id_set)
+    if all(id_set.isdisjoint(c.facets) for c in outside):
         raise NotApplicableError("sphere has no complement to cut from")
     return ids
 
@@ -144,11 +139,19 @@ def locate_sphere(
 def adjacent_cells(
     complex_: RegularCellComplex, sphere: frozenset
 ) -> frozenset:
-    return frozenset(
-        c.ident
-        for c in complex_
-        if c.ident not in sphere and complex_.faces_of(c.ident) & sphere
-    )
+    """The cells off ``sphere`` whose closure meets it, walked up from the
+    sphere over the cofacets."""
+    up: dict[int, list[int]] = {i: [] for i in complex_.cells}
+    for c in complex_:
+        for f in c.facets:
+            up[f].append(c.ident)
+    star, stack = set(sphere), list(sphere)
+    while stack:
+        for c in up[stack.pop()]:
+            if c not in star:
+                star.add(c)
+                stack.append(c)
+    return frozenset(star - sphere)
 
 
 def _audit_closed_surface(complex_: RegularCellComplex) -> None:
@@ -166,8 +169,77 @@ def _audit_closed_surface(complex_: RegularCellComplex) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Surface surgery.
+# Surgery steps: collapse in every dimension, attach on surfaces.
 # ---------------------------------------------------------------------------
+
+
+def surgery_step(
+    complex_: RegularCellComplex,
+    sphere: tuple[int, ...],
+    units: frozenset,
+    code: GeneticCode,
+    *,
+    projective: bool = False,
+) -> RegularCellComplex:
+    """One collapse step onto the complex of ``code``, the code after it.
+
+    A cell's pattern ``(B1..Bk)`` stands for the cyclic partition
+    ``(A0, B1..Bk)`` whose anchor block ``A0`` holds the other edges, and
+    its facets merge two cyclically adjacent blocks with a short union
+    (G. Panina, Arnold Math. J., 2017).  The step makes ``units`` long and
+    the set ``A`` of the other edges short: it removes the ``sphere``, the
+    cells with block ``units``, adds a cell per ordered partition of
+    ``units`` into at least two blocks, and re-derives the facets of the
+    new cells and of the kept cells that lost a facet or gain the merge
+    onto ``A``.  Cells are keyed by pattern, up to reversal in a
+    projective complex.
+    """
+    key = _canonical_pattern_key if projective else _pattern_key
+    ground = frozenset(range(1, code.edge_count + 1))
+    shorts = code.anchor_short_sets()
+    sphere = frozenset(sphere)
+    cells = {c.ident: c for c in complex_ if c.ident not in sphere}
+    # the kept cells that lose a facet, or gain one of anchor block A
+    touched = {
+        i
+        for i, c in cells.items()
+        if not sphere.isdisjoint(c.facets)
+        or units == frozenset().union(*c.pattern[1:])
+        or units == frozenset().union(*c.pattern[:-1])
+    }
+    new: dict[tuple, int] = {}
+    for k in range(2, len(units) + 1):
+        for p in _ordered_partitions(tuple(sorted(units)), k):
+            # a projective complex has one cell for p and its reversal
+            if key(p) not in new:
+                i = new[key(p)] = complex_._next + len(new)
+                cells[i] = Cell(i, k - 2, ("osp", p), (), p)
+                touched.add(i)
+    for i in touched:
+        p = cells[i].pattern
+        anchor = ground.difference(*p)
+        merged = [
+            p[:j] + (a | b,) + p[j + 2 :]
+            for j, (a, b) in enumerate(zip(p, p[1:]))
+            if ground - (a | b) not in shorts
+        ]
+        merged += [q for b, q in ((p[0], p[1:]), (p[-1], p[:-1]))
+                   if anchor | b in shorts]
+        # each facet is new, or was a facet before the step
+        old = {key(complex_.cells[f].pattern): f for f in cells[i].facets}
+        facets = tuple(new.get(k, old.get(k)) for k in map(key, merged))
+        cells[i] = replace(cells[i], facets=facets)
+
+    out = RegularCellComplex()
+    for c in sorted(cells.values(), key=lambda c: (c.dim, c.ident)):
+        out.add_cell(c.dim, c.label, c.facets, c.pattern, ident=c.ident)
+    if not projective:
+        inv = complex_.involution
+        out.involution.update(
+            (i, inv[i] if i in inv else new[key(reversal(c.pattern))])
+            for i, c in cells.items()
+        )
+    return out.seal()
 
 
 def surgery_2d(
@@ -175,10 +247,11 @@ def surgery_2d(
     sphere: tuple[int, ...],
     units: frozenset,
     *,
-    mode: str = "attach",
     projective: bool = False,
 ) -> RegularCellComplex:
-    """One surgery step on a closed surface complex.
+    """One attach step on a closed surface complex: a prism tube between
+    the two interface cycles of a point surgery (folded to a band in a
+    projective complex), or a capping disk on each cycle of a circle one.
 
     ``sphere`` is the audited cell set to remove, ``units`` the element
     set that interface patterns are restricted to.  The interface nodes
@@ -187,8 +260,6 @@ def surgery_2d(
     with other than two fails as ``SphereNotEmbeddedError``.  Point
     surgery pairs nodes and faces by pattern.
     """
-    if mode not in ("attach", "collapse"):
-        raise NotApplicableError(f"unknown surgery mode {mode!r}")
     if complex_.dim != 2:
         raise Not2DError(
             f"direct surgery needs a surface, got dimension {complex_.dim}"
@@ -245,20 +316,17 @@ def surgery_2d(
 
     # nodes are sorted, so each cycle starts with its smallest node
     groups = connected_components(nodes, face_flanks.values())
-    cycles = [group[0] for group in groups]
     side = {key: s for s, group in enumerate(groups) for key in group}
     face_side = {f: side[flanks[0]] for f, flanks in face_flanks.items()}
 
     # point surgery pairs the nodes, then the faces, of one pattern: across
     # the two cycles, or within the one cycle of a projective complex
-    vertex_groups: dict = {}
-    face_groups: dict = {}
     if index == 0:
         want = 1 if projective else 2
-        if len(cycles) != want:
+        if len(groups) != want:
             raise AuditError(
                 f"point surgery expects {want} interface cycles, found "
-                f"{len(cycles)}"
+                f"{len(groups)}"
             )
         pattern_key = _canonical_pattern_key if projective else _pattern_key
 
@@ -291,31 +359,10 @@ def surgery_2d(
     for c in sorted(kept, key=lambda c: (c.dim, c.ident)):
         out.add_cell(c.dim, c.label, c.facets, c.pattern, ident=c.ident)
 
-    new_vertex: dict[tuple[int, int], int] = {}
-    iface_edge: dict[int, int] = {}
-
-    # vertices of the result; cap_of_side holds the cone vertex (collapse)
-    # or the capping disk (attach) of each cycle of an index-one surgery
-    cap_of_side: dict[int, int] = {}
-    if index == 0 and mode == "collapse":
-        for gk, (a, b) in sorted(vertex_groups.items()):
-            ident = out.add_cell(
-                0,
-                ("iface", ("join", a, b)),
-                pattern=node_pattern[a],
-            )
-            new_vertex[a] = ident
-            new_vertex[b] = ident
-    elif index == 1 and mode == "collapse":
-        for s, root in enumerate(cycles):
-            cap_of_side[s] = out.add_cell(0, ("cone", root))
-        for key in nodes:
-            new_vertex[key] = cap_of_side[side[key]]
-    else:
-        for key in nodes:
-            new_vertex[key] = out.add_cell(
-                0, ("iface", key), pattern=node_pattern[key]
-            )
+    new_vertex = {
+        key: out.add_cell(0, ("iface", key), pattern=node_pattern[key])
+        for key in nodes
+    }
 
     # truncated edges
     trunc_edge: dict[int, int] = {}
@@ -330,36 +377,19 @@ def surgery_2d(
         )
 
     # interface edges
-    if mode == "attach":
-        for f in adj_faces:
-            a, b = face_flanks[f]
-            iface_edge[f] = out.add_cell(
-                1,
-                ("iface", (f,)),
-                (new_vertex[a], new_vertex[b]),
-                restrict_pattern(complex_.cells[f].pattern, units),
-            )
-    elif index == 0:
-        for gk, (f1, f2) in sorted(face_groups.items()):
-            a1, b1 = face_flanks[f1]
-            a2, b2 = face_flanks[f2]
-            ends = {new_vertex[a1], new_vertex[b1]}
-            if ends != {new_vertex[a2], new_vertex[b2]}:
-                raise AuditError(
-                    f"faces {f1} and {f2} do not meet matching nodes"
-                )
-            ident = out.add_cell(
-                1,
-                ("iface", ("join", f1, f2)),
-                (new_vertex[a1], new_vertex[b1]),
-                restrict_pattern(complex_.cells[f1].pattern, units),
-            )
-            iface_edge[f1] = ident
-            iface_edge[f2] = ident
+    iface_edge: dict[int, int] = {}
+    for f in adj_faces:
+        a, b = face_flanks[f]
+        iface_edge[f] = out.add_cell(
+            1,
+            ("iface", (f,)),
+            (new_vertex[a], new_vertex[b]),
+            restrict_pattern(complex_.cells[f].pattern, units),
+        )
 
     # rungs of the tube or band, one per vertex group
     rung_of_node: dict[tuple[int, int], int] = {}
-    if index == 0 and mode == "attach":
+    if index == 0:
         for gk, (a, b) in sorted(vertex_groups.items()):
             ident = out.add_cell(
                 1,
@@ -381,15 +411,16 @@ def surgery_2d(
             e for e in cell.facets if e not in arc and e not in flank_edges
         ]
         facets += [trunc_edge[e] for e, _ in flanks]
-        if f in iface_edge:
-            facets.append(iface_edge[f])
+        facets.append(iface_edge[f])
         trunc_face[f] = out.add_cell(
             2, ("trunc", cell.label), facets, cell.pattern
         )
 
-    # closing cells
+    # closing cells: the quads of the tube or band, or the capping disk of
+    # each cycle of an index-one surgery
     quad_of_face: dict[int, int] = {}
-    if index == 0 and mode == "attach":
+    cap_of_side: dict[int, int] = {}
+    if index == 0:
         for gk, (f1, f2) in sorted(face_groups.items()):
             r1, r2 = (rung_of_node[k] for k in face_flanks[f1])
             if {rung_of_node[k] for k in face_flanks[f2]} != {r1, r2}:
@@ -404,8 +435,8 @@ def surgery_2d(
             )
             quad_of_face[f1] = ident
             quad_of_face[f2] = ident
-    elif index == 1 and mode == "attach":
-        for s, root in enumerate(cycles):
+    else:
+        for s, (root, *_) in enumerate(groups):
             rim = sorted(
                 {iface_edge[f] for f in adj_faces if face_side[f] == s}
             )
@@ -453,7 +484,7 @@ def surgery_2d(
 
 
 # ---------------------------------------------------------------------------
-# Chain driver for surfaces.
+# Chain driver.
 # ---------------------------------------------------------------------------
 
 
@@ -486,18 +517,22 @@ def run_chain(
     mode: str = "attach",
     projective: bool = False,
 ) -> SurgeryTrace:
-    """Build the surface of a five-edge genetic code by iterated surgery."""
+    """Build the polygon space of a genetic code by surgery along its
+    saturated chain.  ``collapse`` runs on 3 to 8 edges and builds Panina's
+    complex of each code on the chain; ``attach`` runs on five edges."""
+    if mode not in ("attach", "collapse"):
+        raise NotApplicableError(f"unknown surgery mode {mode!r}")
     if code.is_empty_space():
         raise NotApplicableError("the space of this code is empty")
-    if code.edge_count != 5:
+    if mode == "attach" and code.edge_count != 5:
         raise Not2DError(
-            f"direct surgery runs on five edges, got {code.edge_count}"
+            f"attach surgery runs on five edges, got {code.edge_count}"
         )
     ground = frozenset(range(1, code.edge_count))
-    chain = saturated_chain(code)
     current = coxeter_complex(ground)
     if projective:
         current, _ = projective_quotient(current)
+    chain = saturated_chain(code)
     complexes = [current]
     steps = []
     for nxt, added in zip(chain.codes[1:], chain.added_sets):
@@ -505,9 +540,14 @@ def run_chain(
         units = ground - rest
         sphere = locate_sphere(current, units, projective)
         before = current.f_vector()
-        current = surgery_2d(
-            current, sphere, units, mode=mode, projective=projective
-        )
+        if mode == "collapse":
+            current = surgery_step(
+                current, sphere, units, nxt, projective=projective
+            )
+        else:
+            current = surgery_2d(
+                current, sphere, units, projective=projective
+            )
         steps.append(
             ChainStep(
                 code=str(nxt),

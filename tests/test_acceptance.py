@@ -76,9 +76,7 @@ def test_criterion_01_coxeter_cell_counts() -> None:
 def test_criterion_02_first_surgery_figure() -> None:
     sphere = coxeter_complex(range(1, 5))
     units = frozenset({1, 2, 3})
-    torus = surgery_2d(
-        sphere, locate_sphere(sphere, units), units, mode="attach"
-    )
+    torus = surgery_2d(sphere, locate_sphere(sphere, units), units)
     assert torus.euler_characteristic() == 0
     assert face_shape_counts(torus) == {4: 18, 3: 12}
     rep = homology(torus)
@@ -95,7 +93,6 @@ def test_criterion_03_projective_surgery_figure() -> None:
         quotient,
         locate_sphere(quotient, units, projective=True),
         units,
-        mode="attach",
         projective=True,
     )
     assert klein.euler_characteristic() == 0

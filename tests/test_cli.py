@@ -7,7 +7,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from polygonspaces.cli import main
-from polygonspaces.coxeter import coxeter_complex, projective_quotient
+from polygonspaces.coxeter import (
+    RegularCellComplex,
+    coxeter_complex,
+    projective_quotient,
+)
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +163,20 @@ def test_run_wrong_dimension(capsys) -> None:
     code, _, err = run_cli(capsys, "run", "<4>")
     assert code == 2
     assert "NOT_2D" in err
+
+
+def test_run_collapse_refuses_nine_edges_before_building(
+    capsys, monkeypatch
+) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell was built")
+
+    monkeypatch.setattr(RegularCellComplex, "add_cell", refuse)
+    code, out, err = run_cli(capsys, "run", "<19>", "--mode", "collapse")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error [GROUND_SET_TOO_LARGE]")
+    assert "Traceback" not in err
 
 
 # -- dumps and homology ---------------------------------------------------

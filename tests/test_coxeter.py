@@ -1,4 +1,4 @@
-"""Cell complex layer: audits, Coxeter spheres, quotients, products."""
+"""Cell complex layer: audits, Coxeter spheres, quotients."""
 
 import functools
 
@@ -8,10 +8,8 @@ from polygonspaces.coxeter import (
     Cell,
     RegularCellComplex,
     coxeter_complex,
-    product,
     projective_quotient,
     reversal,
-    segment,
 )
 from polygonspaces.errors import (
     AuditError,
@@ -134,8 +132,13 @@ def test_projective_quotient_f_vectors() -> None:
 
 
 def test_projective_quotient_requires_involution() -> None:
+    # an interval: its end swap fixes the midpoint, so it declares none
+    segment = RegularCellComplex()
+    a = segment.add_cell(0, ("v", "a"))
+    b = segment.add_cell(0, ("v", "b"))
+    segment.add_cell(1, ("e", "ab"), (a, b))
     with pytest.raises(NotApplicableError):
-        projective_quotient(segment())
+        projective_quotient(segment.seal())
 
 
 def test_quotient_regularity_guard() -> None:
@@ -237,27 +240,6 @@ def test_add_cell_validations() -> None:
     k.seal()
     with pytest.raises(AuditError):
         k.add_cell(0, ("v", "late"))
-
-
-# -- products ------------------------------------------------------------
-
-
-def test_product_square() -> None:
-    square = product(segment(), segment())
-    assert square.f_vector() == (4, 4, 1)
-    assert square.euler_characteristic() == 1
-
-
-def test_product_cylinder_keeps_patterns() -> None:
-    cyl = product(ca(3), segment())
-    assert cyl.f_vector() == (12, 18, 6)
-    assert cyl.euler_characteristic() == 0
-    for cell in cyl:
-        left_label, right_label = cell.label[1]
-        if left_label[0] == "osp":
-            assert cell.pattern == left_label[1]
-    square = product(segment(), segment())
-    assert all(c.pattern == () for c in square)
 
 
 # -- cells ----------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import functools
 import importlib
+import itertools
 
 import pytest
 from hypothesis import given
@@ -21,7 +22,12 @@ from polygonspaces.errors import (
     SphereRelocationFailedError,
     TooLargeError,
 )
-from polygonspaces.genetics import GeneticCode, parse_code
+from polygonspaces.genetics import (
+    GeneticCode,
+    enumerate_codes,
+    parse_code,
+    realize,
+)
 from polygonspaces.homology import (
     SimplicialComplex,
     _chain_simplices,
@@ -37,6 +43,7 @@ from polygonspaces.posets import (
     poset_isomorphic,
 )
 from polygonspaces.surgery import (
+    adjacent_cells,
     locate_sphere,
     restrict_pattern,
     run_chain,
@@ -45,6 +52,7 @@ from polygonspaces.surgery import (
     step_locus,
     surgery_2d,
 )
+from test_posets import face_poset
 
 
 @functools.cache
@@ -276,46 +284,167 @@ def test_collapse_keeps_face_count() -> None:
     assert [s.f_after[2] for s in tr.steps] == [24, 24, 24, 24]
 
 
+# -- collapse in every dimension -----------------------------------------
+
+TRACES = [
+    (name, mode, projective)
+    for name in STEPPED
+    for mode in ("attach", "collapse")
+    for projective in (False, True)
+]
+
+
+@pytest.mark.parametrize("name,mode,projective", TRACES)
+def test_adjacent_cells_match_the_closure_definition(
+    name: str, mode: str, projective: bool
+) -> None:
+    tr = chain_run(name, mode, projective)
+    for k, step in zip(tr.complexes, tr.steps):
+        sphere = frozenset(step.sphere)
+        closure = frozenset(
+            c.ident
+            for c in k
+            if c.ident not in sphere and k.faces_of(c.ident) & sphere
+        )
+        assert adjacent_cells(k, sphere) == closure
+
+
+def set_partitions(items: list):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [frozenset({first})] + part
+        for i in range(len(part)):
+            yield part[:i] + [part[i] | {first}] + part[i + 1 :]
+
+
+def panina_complex(code: GeneticCode):
+    """Panina's complex of a code, with shortness read off lengths that
+    realize it: a cell per cyclically ordered partition of the edges into
+    at least 3 short blocks, the anchor's block first; its facets merge
+    two cyclically adjacent blocks into a short one; reversal of the
+    other blocks is the involution."""
+    lengths = realize(code).values
+    m = len(lengths)
+    half = sum(lengths) / 2
+
+    def short(block) -> bool:
+        return sum(lengths[e - 1] for e in block) < half
+
+    def anchored(blocks) -> tuple:
+        first = next(i for i, b in enumerate(blocks) if m in b)
+        return tuple(blocks[first:] + blocks[:first])
+
+    cells = []
+    for part in set_partitions(list(range(1, m + 1))):
+        if len(part) >= 3 and all(map(short, part)):
+            anchor = next(b for b in part if m in b)
+            rest = [b for b in part if b is not anchor]
+            cells += [(anchor,) + p for p in itertools.permutations(rest)]
+    k = RegularCellComplex()
+    ids = {}
+    for cell in sorted(cells, key=len):
+        n = len(cell)
+        facets = []
+        for i in range(n):
+            j = (i + 1) % n
+            if short(cell[i] | cell[j]):
+                merged = [cell[i] | cell[j] if t == i else b
+                          for t, b in enumerate(cell) if t != j]
+                facets.append(ids[anchored(merged)])
+        ids[cell] = k.add_cell(n - 3, ("panina", cell), facets)
+    for cell, ident in ids.items():
+        k.pair(ident, ids[cell[:1] + cell[:0:-1]])
+    return k.seal()
+
+
+@functools.cache
+def panina_poset(name: str, projective: bool):
+    k = panina_complex(parse_code(name))
+    return face_poset(projective_quotient(k)[0] if projective else k)
+
+
+@pytest.mark.parametrize("name", STEPPED)
+@pytest.mark.parametrize("projective", [False, True])
+def test_collapse_steps_are_panina_complexes(
+    name: str, projective: bool
+) -> None:
+    tr = chain_run(name, "collapse", projective)
+    for k, code in zip(tr.complexes, ["<5>"] + [s.code for s in tr.steps]):
+        assert k.sealed
+        iso = poset_isomorphic(face_poset(k), panina_poset(code, projective))
+        assert iso is not None, code
+
+
+REALIZABLE_6 = [
+    str(code)
+    for code in enumerate_codes(6)
+    if not code.is_empty_space() and realize(code) is not None
+]
+
+
+def test_collapse_builds_every_six_edge_code() -> None:
+    assert len(REALIZABLE_6) == 20
+    for name in REALIZABLE_6:
+        tr = chain_run(name, "collapse")
+        assert all(k.sealed for k in tr.complexes)
+        rep = homology(tr.final)
+        assert rep.betti == betti_oracle(parse_code(name)), name
+        assert not rep.has_torsion()
+
+
+@pytest.mark.parametrize("name", REALIZABLE_6)
+def test_six_edge_finals_are_panina_complexes(name: str) -> None:
+    plain = face_poset(chain_run(name, "collapse").final)
+    assert poset_isomorphic(plain, panina_poset(name, False)) is not None
+    folded = chain_run(name, "collapse", True)
+    assert all(k.sealed for k in folded.complexes)
+    quotient = projective_quotient(chain_run(name, "collapse").final)[0]
+    final = face_poset(folded.final)
+    assert poset_isomorphic(final, face_poset(quotient)) is not None
+    assert poset_isomorphic(final, panina_poset(name, True)) is not None
+
+
 # -- sphere relocation ---------------------------------------------------
+
+
+def blocks_name(pattern) -> str:
+    return " ".join("".join(map(str, sorted(b))) for b in pattern)
 
 
 def test_relocated_circle_runs_through_scar_tissue() -> None:
     # third collapse step of <125>: the interface circle for units {3,4}
-    # crosses vertices merged by both earlier steps.
+    # crosses vertices made by both earlier steps.
     tr = chain_run("<125>", "collapse")
-    step = tr.steps[2]
     k = tr.complexes[2]
-    assert step.sphere == (2, 3, 74, 78, 80, 83, 110, 114, 116, 117, 126, 127)
-    patterns = {
-        i: k.cells[i].pattern for i in step.sphere if k.cells[i].dim == 0
-    }
-    assert patterns == {
-        2: (fs(1, 2), fs(3, 4)),
-        3: (fs(3, 4), fs(1, 2)),
-        74: (fs(2), fs(3, 4)),
-        78: (fs(3, 4), fs(2)),
-        110: (fs(1), fs(3, 4)),
-        114: (fs(3, 4), fs(1)),
-    }
-    kinds = {i: k.cells[i].label[0] for i in patterns}
-    assert kinds == {
-        2: "osp",
-        3: "osp",
-        74: "iface",
-        78: "iface",
-        110: "iface",
-        114: "iface",
-    }
+    sphere = [k.cells[i] for i in tr.steps[2].sphere]
+    vertices = {c.ident: blocks_name(c.pattern) for c in sphere if c.dim == 0}
+    assert sorted(vertices.values()) == [
+        "1 34", "12 34", "2 34", "34 1", "34 12", "34 2",
+    ]
+    start = {c.pattern for c in tr.complexes[0]}
+    scars = {blocks_name(c.pattern) for c in sphere if c.pattern not in start}
+    assert scars == {"1 34", "34 1", "2 34", "34 2"}
     edges = {
-        k.cells[i].facets
-        for i in step.sphere
-        if k.cells[i].dim == 1
+        blocks_name(c.pattern): {vertices[v] for v in c.facets}
+        for c in sphere
+        if c.dim == 1
     }
-    assert edges == {(2, 74), (3, 78), (2, 110), (3, 114), (78, 110), (74, 114)}
-    # one hexagon: 3-114-74-2-110-78-3
-    walk = [3, 114, 74, 2, 110, 78, 3]
-    for a, b in zip(walk, walk[1:]):
-        assert tuple(sorted((a, b))) in edges
+    assert edges == {
+        "1 2 34": {"12 34", "2 34"},
+        "2 1 34": {"12 34", "1 34"},
+        "1 34 2": {"1 34", "34 2"},
+        "2 34 1": {"2 34", "34 1"},
+        "34 1 2": {"34 12", "34 1"},
+        "34 2 1": {"34 12", "34 2"},
+    }
+    # one hexagon
+    walk = ["12 34", "2 34", "34 1", "34 12", "34 2", "1 34", "12 34"]
+    assert {frozenset(pair) for pair in zip(walk, walk[1:])} == {
+        frozenset(ends) for ends in edges.values()
+    }
 
 
 def test_sphere_cells_predicate() -> None:
@@ -327,6 +456,22 @@ def test_sphere_cells_predicate() -> None:
         (fs(1), fs(2, 3, 4)),
         (fs(2, 3, 4), fs(1)),
     }
+
+
+@pytest.mark.parametrize("n,size", [(5, 2), (6, 2), (6, 3)])
+def test_locate_sphere_accepts_projective_spaces(n: int, size: int) -> None:
+    # the cells keeping `size` units together form an (n - size - 1)-sphere,
+    # and in the quotient by reversal a real projective space
+    folded, _ = projective_quotient(coxeter_complex(range(1, n + 1)))
+    units = frozenset(range(1, size + 1))
+    rep = homology(folded.materialize(locate_sphere(folded, units, True)))
+    index = n - size - 1
+    assert rep.betti == (1,) + (0,) * (index - 1) + (index % 2,)
+    assert rep.torsion[1:index] == tuple(
+        (2,) if k % 2 else () for k in range(1, index)
+    )
+    with pytest.raises(SphereRelocationFailedError):
+        locate_sphere(folded, units)
 
 
 def test_locate_sphere_missing_stratum() -> None:
@@ -382,10 +527,12 @@ def test_locate_sphere_rejects_graphs_that_are_no_circle(
 
 
 def test_chain_needs_five_edges() -> None:
-    with pytest.raises(Not2DError):
-        run_chain(parse_code("<4>"))
-    with pytest.raises(Not2DError):
-        run_chain(parse_code("<6>"))
+    # attach is surface surgery; collapse runs at these edge counts
+    for name in ("<4>", "<6>"):
+        with pytest.raises(Not2DError):
+            run_chain(parse_code(name), mode="attach")
+        final = run_chain(parse_code(name), mode="collapse").final
+        assert homology(final).betti == betti_oracle(parse_code(name))
 
 
 def test_chain_rejects_empty_space() -> None:
@@ -394,10 +541,8 @@ def test_chain_rejects_empty_space() -> None:
 
 
 def test_unknown_mode() -> None:
-    k = coxeter_complex(range(1, 5))
-    sphere = locate_sphere(k, fs(2, 3, 4))
     with pytest.raises(NotApplicableError):
-        surgery_2d(k, sphere, fs(2, 3, 4), mode="sideways")
+        run_chain(parse_code("<15>"), mode="sideways")
 
 
 def test_surgery_needs_a_surface() -> None:
@@ -463,10 +608,9 @@ def test_point_sphere_joined_by_an_edge_is_not_embedded() -> None:
         surgery_2d(k, (ids["a"], ids["b"]), fs(1, 2, 3))
 
 
-@pytest.mark.parametrize("mode", ["attach", "collapse"])
-def test_point_surgery_pairs_the_antipodal_corners(mode: str) -> None:
+def test_point_surgery_pairs_the_antipodal_corners() -> None:
     k, ids = polyhedron(CUBE, axis_pattern)
-    out = surgery_2d(k, (ids["000"], ids["111"]), fs(1, 2, 3), mode=mode)
+    out = surgery_2d(k, (ids["000"], ids["111"]), fs(1, 2, 3))
     assert identify_small(out) == "T^2"
 
 
