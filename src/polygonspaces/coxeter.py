@@ -53,11 +53,14 @@ class Cell:
 
 def connected_components(
     nodes: Iterable[Hashable], links: Iterable[tuple]
-) -> list[list]:
+) -> tuple[list[list], list[int]]:
     """Components of the graph on ``nodes`` whose edges are the pairs in
-    ``links``, by union-find.  Components come in the order of their first
-    node, and each lists its nodes in input order."""
+    ``links``, by union-find, and a spanning forest: the positions in
+    ``links`` of the pairs that joined two components.  Components come in
+    the order of their first node, and each lists its nodes in input
+    order."""
     parent = {x: x for x in nodes}
+    forest: list[int] = []
 
     def find(x):
         while parent[x] != x:
@@ -65,14 +68,15 @@ def connected_components(
             x = parent[x]
         return x
 
-    for a, b in links:
+    for i, (a, b) in enumerate(links):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
+            forest.append(i)
     groups: dict = {}
     for x in parent:
         groups.setdefault(find(x), []).append(x)
-    return list(groups.values())
+    return list(groups.values()), forest
 
 
 def reversal(blocks: Blocks) -> Blocks:
@@ -107,7 +111,8 @@ class RegularCellComplex:
             ident = self._next
         if ident in self.cells:
             raise AuditError(f"duplicate cell identity {ident}")
-        self._next = max(self._next, ident + 1)
+        if label in self._labels:
+            raise AuditError(f"duplicate label {label!r}")
         if dim == 0 and facets:
             raise AuditError("a vertex has no facets")
         if dim > 0 and len(facets) < 2:
@@ -119,10 +124,9 @@ class RegularCellComplex:
                 raise AuditError(f"facet {f} of {label!r} does not exist")
             if self.cells[f].dim != dim - 1:
                 raise AuditError(f"facet {f} of {label!r} has wrong dimension")
-        cell = Cell(ident, dim, label, facets, pattern)
-        self.cells[ident] = cell
-        if label in self._labels:
-            raise AuditError(f"duplicate label {label!r}")
+        # every check has passed: only now does the complex change
+        self._next = max(self._next, ident + 1)
+        self.cells[ident] = Cell(ident, dim, label, facets, pattern)
         self._labels[label] = ident
         return ident
 
@@ -172,7 +176,7 @@ class RegularCellComplex:
                 )
             if c.dim == 2:
                 ends = (self.cells[e].facets for e in c.facets)
-                if len(connected_components(counts, ends)) != 1:
+                if len(connected_components(counts, ends)[0]) != 1:
                     raise AuditError(
                         f"boundary of {c.label!r} is not a single cycle"
                     )

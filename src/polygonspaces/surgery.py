@@ -315,7 +315,7 @@ def surgery_2d(
         face_flanks[f] = tuple(sorted(flanks, key=lambda key: key[::-1]))
 
     # nodes are sorted, so each cycle starts with its smallest node
-    groups = connected_components(nodes, face_flanks.values())
+    groups, _ = connected_components(nodes, face_flanks.values())
     side = {key: s for s, group in enumerate(groups) for key in group}
     face_side = {f: side[flanks[0]] for f, flanks in face_flanks.items()}
 

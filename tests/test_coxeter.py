@@ -164,6 +164,35 @@ def test_pairing_rejects_fixed_cell() -> None:
 # -- audits -------------------------------------------------------------
 
 
+REFUSED_CELLS = {
+    "duplicate label": lambda k, a: k.add_cell(0, ("v", "a")),
+    "duplicate identity": lambda k, a: k.add_cell(0, ("v", "b"), ident=a),
+    "vertex with facets": lambda k, a: k.add_cell(0, ("v", "b"), (a,)),
+    "one facet": lambda k, a: k.add_cell(1, ("e", 1), (a,), ident=9),
+    "repeated facet": lambda k, a: k.add_cell(1, ("e", 1), (a, a)),
+    "missing facet": lambda k, a: k.add_cell(1, ("e", 1), (a, 7), ident=9),
+    "wrong dimension": lambda k, a: k.add_cell(2, ("f", 1), (a, a + 1)),
+}
+
+
+@pytest.mark.parametrize(
+    "refuse", list(REFUSED_CELLS.values()), ids=list(REFUSED_CELLS)
+)
+def test_refused_cell_leaves_the_complex_unchanged(refuse) -> None:
+    k = RegularCellComplex()
+    a = k.add_cell(0, ("v", "a"))
+    k.add_cell(0, ("v", "c"))
+    before = dict(k.cells)
+    with pytest.raises(AuditError):
+        refuse(k, a)
+    assert k.cells == before
+    assert k.by_label(("v", "a")) == a
+    for label in (("v", "b"), ("e", 1), ("f", 1)):
+        with pytest.raises(KeyError):
+            k.by_label(label)
+    assert k.add_cell(0, ("v", "d")) == a + 2
+
+
 def test_edge_needs_two_distinct_ends() -> None:
     k = RegularCellComplex()
     a = k.add_cell(0, ("v", "a"))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from polygonspaces.coxeter import (
     RegularCellComplex,
+    connected_components,
     coxeter_complex,
     projective_quotient,
 )
@@ -27,6 +28,7 @@ from polygonspaces.homology import (
     _dense_snf,
     _sparse_reduce,
     _survey,
+    _vertex_components,
     barycentric,
     betti_oracle,
     homology,
@@ -260,18 +262,54 @@ def test_subdivision_invariance() -> None:
     assert homology(subdivide(rp2)).torsion == ((), (2,), ())
 
 
-def test_smith_normal_form_against_sympy() -> None:
+def sparse_draw(rng: random.Random) -> list[list[int]]:
+    """A random sparse integer matrix that runs every phase of
+    ``_sparse_reduce``: long rows that carry single-entry unit columns (the
+    queue), a mostly-unit body (the row heap), and rows of even entries
+    that unit pivots cannot clear (the dense routine)."""
+    nr, nc = rng.randint(10, 20), rng.randint(10, 20)
+    mat = [
+        [rng.choice((-1, 1, 1, -2, 3)) if rng.random() < 0.25 else 0
+         for _ in range(nc)]
+        for _ in range(nr)
+    ]
+    mat += [
+        [rng.choice((-2, 2, 4, 6)) if rng.random() < 0.5 else 0
+         for _ in range(nc)]
+        for _ in range(3)
+    ]
+    for r in rng.sample(range(nr), 3):
+        mat[r] = [v or rng.choice((-1, 1)) for v in mat[r]]
+        for _ in range(rng.randint(1, 3)):
+            for i, row in enumerate(mat):
+                row.append(rng.choice((-1, 1)) if i == r else 0)
+    return mat
+
+
+def test_smith_normal_form_against_sympy(monkeypatch) -> None:
     from sympy import Matrix, ZZ
     from sympy.matrices.normalforms import smith_normal_form
 
+    mod = importlib.import_module("polygonspaces.homology")
+    dense_shapes = []
+
+    def dense_snf(matrix):
+        dense_shapes.append((len(matrix), len(matrix[0])))
+        return _dense_snf(matrix)
+
+    monkeypatch.setattr(mod, "_dense_snf", dense_snf)
     rng = random.Random(7)
+    draws = []
     for _ in range(25):
         nr = rng.randint(1, 6)
         nc = rng.randint(1, 6)
-        mat = [
+        draws.append([
             [rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(nc)]
             for _ in range(nr)
-        ]
+        ])
+    draws += [sparse_draw(rng) for _ in range(15)]
+    for mat in draws:
+        nr, nc = len(mat), len(mat[0])
         columns = [
             {r: row[c] for r, row in enumerate(mat) if row[c]}
             for c in range(nc)
@@ -285,6 +323,7 @@ def test_smith_normal_form_against_sympy() -> None:
         )
         assert sorted(factors) == ref_diag
         assert rank == len(ref_diag)
+    assert any(rows > 1 and cols > 1 for rows, cols in dense_shapes)
 
 
 def test_dense_snf_pinned_cases() -> None:
@@ -292,6 +331,17 @@ def test_dense_snf_pinned_cases() -> None:
     assert _dense_snf([[2, 4], [6, 8]]) == [2, 4]
     assert _dense_snf([[0, 0], [0, 0]]) == []
     assert _dense_snf([[1, 0], [0, 6]]) == [1, 6]
+    # a residual of the sparse draws above, whose entries grew past 20,000
+    # bits under floor remainders and alternating row and column passes
+    residual = [
+        [3, -37, 3, 10, -34, -3, 8],
+        [0, 0, 0, 0, 3, 0, 0],
+        [21, -112, -10, 25, -97, -8, 61],
+        [4, 172, 10, -36, 176, 12, -62],
+        [30, -236, -74, 28, -180, -6, 176],
+        [42, -276, 2, 76, -266, -22, 136],
+    ]
+    assert _dense_snf(residual) == [1, 1, 1, 2, 2, 12]  # sympy's form
 
 
 # -- complexes from the cell layer ----------------------------------------
@@ -373,24 +423,73 @@ COMPRESSION_CASES = (
 
 @pytest.mark.parametrize("case", COMPRESSION_CASES)
 def test_compressed_reduction_matches_the_full_matrix(case) -> None:
-    # leaving out the rows that the reduction one degree down paired keeps
-    # the rank and every invariant factor, torsion included
+    # leaving out the rows that the survey drops (the spanning forest for
+    # ∂2, the unit pivots of the reduction one degree down above that)
+    # keeps the rank and every invariant factor, torsion included
     for complex_ in compression_complexes(case):
         sizes, boundary = _chain_complex(complex_)
         survey = _survey(complex_, reduce=True)
-        paired: set[int] = set()
         dropped = 0
         for k in range(1, len(sizes)):
             matrix = boundary(k)
             rank, factors, _ = _sparse_reduce(matrix)
-            dropped += len(paired)
-            got = _sparse_reduce(matrix, paired)
+            if k == 1:
+                _, paired = _vertex_components(sizes, matrix)
+                got = len(paired), [1] * len(paired)
+            else:
+                dropped += len(paired)
+                got = _sparse_reduce(matrix, paired)
+                paired = got[2]
             assert got[0] == rank == survey.ranks[k]
             assert sorted(got[1]) == sorted(factors) == sorted(
                 survey.factors[k]
             )
-            paired = got[2]
         assert dropped or len(sizes) < 3
+
+
+def forest_complexes(case: str) -> list:
+    """The disconnected complexes of one forest case."""
+    if case == "run <125> collapse":
+        return list(run_chain(parse_code("<125>"), mode="collapse").complexes)
+    if case == "circle and wedge":
+        return [SimplicialComplex(
+            [(0, 1), (1, 2), (0, 2)]
+            + [(10, 11), (11, 12), (10, 12), (10, 13), (13, 14), (10, 14)]
+        )]
+    # a vertex on no edge, beside a torus and beside a circle of two edges
+    lone = RegularCellComplex()
+    a, b = lone.add_cell(0, ("v", "a")), lone.add_cell(0, ("v", "b"))
+    lone.add_cell(1, ("e", 1), (a, b))
+    lone.add_cell(1, ("e", 2), (a, b))
+    lone.add_cell(0, ("v", "lone"))
+    return [
+        SimplicialComplex(grid_surface(3, False) + [(("lone", 0, 0),)]),
+        lone.seal(),
+    ]
+
+
+@pytest.mark.parametrize(
+    "case", ["run <125> collapse", "circle and wedge", "isolated vertex"]
+)
+def test_forest_rank_is_vertices_minus_components(case) -> None:
+    complexes = forest_complexes(case)
+    for complex_ in complexes:
+        sizes, boundary = _chain_complex(complex_)
+        edges = boundary(1)
+        owner, forest = _vertex_components(sizes, edges)
+        components = max(owner) + 1
+        assert len(forest) == sizes[0] - components
+        # the forest edges alone join the vertices into the same pieces
+        pieces, _ = connected_components(
+            range(sizes[0]), [edges[e] for e in forest]
+        )
+        assert len(pieces) == components
+        survey = _survey(complex_, reduce=True)
+        assert survey.ranks[1] == len(forest) == _sparse_reduce(edges)[0]
+        assert survey.factors[1] == [1] * len(forest)
+        assert homology(complex_).components == components
+    # every case ends in two pieces: <125> is T^2 ⊔ T^2
+    assert homology(complexes[-1]).components == 2
 
 
 def count_chain_complexes(monkeypatch) -> list:
