@@ -132,6 +132,23 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 # -- run ------------------------------------------------------------------
 
 
+def _dump_dir(path: str) -> None:
+    """Make the ``--dump-cells`` directory, before anything is built."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InvalidCodeError(f"cannot make dump directory {path}: {exc}")
+
+
+def _write_dump(payload: dict, path: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2)
+            handle.write("\n")
+    except OSError as exc:
+        raise InvalidCodeError(f"cannot write dump {path}: {exc}")
+
+
 def _dump_cells(complex_: RegularCellComplex, path: str) -> None:
     order = sorted(complex_.cells)
     index = {ident: k for k, ident in enumerate(order)}
@@ -142,9 +159,7 @@ def _dump_cells(complex_: RegularCellComplex, path: str) -> None:
         }
         for i in order
     ]
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"kind": "cells", "cells": cells}, handle, indent=2)
-        handle.write("\n")
+    _write_dump({"kind": "cells", "cells": cells}, path)
 
 
 def _dump_simplicial(complex_: SimplicialComplex, path: str) -> None:
@@ -153,9 +168,7 @@ def _dump_simplicial(complex_: SimplicialComplex, path: str) -> None:
     maximal = sorted(
         sorted(index[v] for v in face) for face in complex_.maximal_faces()
     )
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"kind": "simplicial", "maximal": maximal}, handle, indent=2)
-        handle.write("\n")
+    _write_dump({"kind": "simplicial", "maximal": maximal}, path)
 
 
 def _figure_row(tag: str, f_vector: tuple[int, ...]) -> str:
@@ -166,16 +179,17 @@ def _figure_row(tag: str, f_vector: tuple[int, ...]) -> str:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     code = parse_code(args.code, args.m)
+    if args.mode == "model" and args.projective:
+        raise InvalidCodeError(
+            "--projective only applies to the surface modes"
+        )
+    if args.dump_cells:
+        _dump_dir(args.dump_cells)
     if args.mode == "model":
-        if args.projective:
-            raise InvalidCodeError(
-                "--projective only applies to the surface modes"
-            )
         return _run_model(code, args)
     trace = run_chain(code, mode=args.mode, projective=args.projective)
 
     if args.dump_cells:
-        os.makedirs(args.dump_cells, exist_ok=True)
         for k, complex_ in enumerate(trace.complexes):
             _dump_cells(
                 complex_, os.path.join(args.dump_cells, f"step-{k:02d}.json")
@@ -223,7 +237,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _run_model(code: GeneticCode, args: argparse.Namespace) -> int:
     result = run_model(code)
     if args.dump_cells:
-        os.makedirs(args.dump_cells, exist_ok=True)
         _dump_simplicial(
             result.complex, os.path.join(args.dump_cells, "model.json")
         )

@@ -89,8 +89,8 @@ class ProjectionNotSimplicialError(PolygonSpacesError):
 
 
 class ChainInterferenceError(PolygonSpacesError):
-    """Surgery loci of distinct steps overlap, so they cannot be modelled
-    simultaneously."""
+    """A code needs a second surgery, which the simplicial model cannot
+    make: the neighborhoods of any two spheres of a chain meet."""
 
     code = "CHAIN_INTERFERENCE"
 

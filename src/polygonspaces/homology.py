@@ -79,29 +79,35 @@ class SimplicialComplex:
     """A finite simplicial complex; faces are sorted tuples of vertices.
 
     Vertices may be any mutually sortable hashable values.  The closure of
-    the given faces is taken automatically.
+    the given faces is taken automatically; past ``MAX_SIMPLICES`` faces it
+    is refused, before any is built if one face's closure is that big.
     """
 
     def __init__(self, faces: Iterable[Sequence]) -> None:
+        cap = MAX_SIMPLICES
         by_dim: dict[int, set[tuple]] = {}
         stack = [tuple(sorted(f)) for f in faces]
         for f in stack:
             if len(set(f)) != len(f):
                 raise AuditError(f"face {f!r} repeats a vertex")
+            # k vertices close to 2^k - 1 faces
+            if len(f) >= (cap + 1).bit_length():
+                raise TooLargeError(
+                    f"a face of {len(f)} vertices passes the cap of {cap} "
+                    "simplices"
+                )
         seen: set[tuple] = set()
         while stack:
             f = stack.pop()
             if f in seen or not f:
                 continue
             seen.add(f)
+            if len(seen) > cap:
+                raise TooLargeError(f"complex passes {cap} simplices, the cap")
             by_dim.setdefault(len(f) - 1, set()).add(f)
             if len(f) > 1:
                 for i in range(len(f)):
                     stack.append(f[:i] + f[i + 1 :])
-        if len(seen) > MAX_SIMPLICES:
-            raise TooLargeError(
-                f"complex has {len(seen)} simplices, cap {MAX_SIMPLICES}"
-            )
         self.faces_by_dim: dict[int, tuple[tuple, ...]] = {
             d: tuple(sorted(fs)) for d, fs in sorted(by_dim.items())
         }

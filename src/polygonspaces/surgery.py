@@ -9,13 +9,9 @@ Panina's rule, so that every complex on the chain is the cyclic-partition
 complex of its code (``surgery_step``); ``attach`` does so on surfaces by
 inserting new cells (``surgery_2d``).
 
-``run_chain`` drives a whole saturated chain.  ``run_model`` handles any
-dimension by a simplicial mapping-cylinder construction made from the
-face poset, with no subdivision of the whole complex: the order complex
-of the cells in no sphere, subdivided once more, glued along each
-sphere's frontier (the order complex of its adjacent cells) onto the
-subdivided sphere link, all sphere boundaries of one surgery landing on
-a single copy of the link.  Every step is audited; failures raise rather
+``run_chain`` drives a whole saturated chain.  ``run_model`` builds a
+simplicial mapping-cylinder model, from the face poset, of a code that
+needs at most one surgery.  Every step is audited; failures raise rather
 than degrade.
 """
 
@@ -584,111 +580,94 @@ class ModelResult:
 
 
 def _build_model(
-    complex_: RegularCellComplex,
-    jobs: list[tuple[frozenset, tuple[int, ...]]],
+    complex_: RegularCellComplex, units: frozenset, sphere: tuple[int, ...]
 ) -> SimplicialComplex:
     """The second subdivision of the bulk (the order complex of the cells
-    in no sphere), glued along each sphere's frontier (the order complex
-    of its adjacent cells) to the subdivided link of its surgery.  All the
-    parts are counted before any of them is built."""
-    spheres = [frozenset(sphere) for _, sphere in jobs]
-    sphere_all = frozenset().union(*spheres)
-    far = [c for c in complex_.cells if c not in sphere_all]
-    # (elements, strict faces) of each part.  Coxeter cell ids grow along
-    # the face order, so a chain of cells is a sorted tuple, as a face of a
-    # SimplicialComplex is.  Frontier chains are closed under faces, so a
-    # chain of them is built once, in its cylinder: the bulk part ends its
-    # chains only at the other bulk chains.
-    parts = []
-    frontier: set[tuple] = set()
-    for i, ((units, _), sph) in enumerate(zip(jobs, spheres)):
-        link = coxeter_complex(units)
-        adjacent = adjacent_cells(complex_, sph)
-        gmap: dict = {}
-        for v in sorted(adjacent):
-            # a pattern of fewer than two blocks names no cell of the link
-            blocks = restrict_pattern(complex_.cells[v].pattern, units)
-            try:
-                gmap[v] = link.by_label(("osp", blocks))
-            except KeyError:
-                raise ProjectionNotSimplicialError(
-                    f"projection of cell {v} misses the link"
-                )
-        front = _order_chains(complex_, adjacent)
-        # comparable images on the 2-chains make every image a chain
-        pairs = (sorted(gmap[v] for v in ch) for ch in front if len(ch) == 2)
-        for a, b in pairs:
-            if a != b and not (a in link.faces_of(b) or b in link.faces_of(a)):
-                raise ProjectionNotSimplicialError(
-                    f"image of a frontier simplex is no chain: {a}, {b}"
-                )
-        frontier.update(front)
+    off the sphere), glued along the sphere's frontier (the order complex
+    of its adjacent cells) to the subdivided link of the surgery.  Both
+    parts are counted before either is built."""
+    sphere = frozenset(sphere)
+    link = coxeter_complex(units)
+    adjacent = adjacent_cells(complex_, sphere)
+    gmap: dict = {}
+    for v in sorted(adjacent):
+        # a pattern of fewer than two blocks names no cell of the link
+        blocks = restrict_pattern(complex_.cells[v].pattern, units)
+        try:
+            gmap[v] = link.by_label(("osp", blocks))
+        except KeyError:
+            raise ProjectionNotSimplicialError(
+                f"projection of cell {v} misses the link"
+            )
+    # Coxeter cell ids grow along the face order, so a chain of cells is a
+    # sorted tuple, as a face of a SimplicialComplex is
+    front = _order_chains(complex_, adjacent)
+    # comparable images on the 2-chains make every image a chain
+    pairs = (sorted(gmap[v] for v in ch) for ch in front if len(ch) == 2)
+    for a, b in pairs:
+        if a != b and not (a in link.faces_of(b) or b in link.faces_of(a)):
+            raise ProjectionNotSimplicialError(
+                f"image of a frontier simplex is no chain: {a}, {b}"
+            )
 
-        def strict_below(el, i=i, gmap=gmap):
-            kind, payload = el
-            if kind == "b":
-                return [("b", (i, sub)) for sub in proper_faces(payload[1])]
-            image = tuple(sorted({gmap[v] for v in payload}))
-            return [("c", sub) for sub in proper_faces(payload)] + [
-                ("b", (i, sub)) for sub in proper_faces(image) + [image]
-            ]
+    def strict_below(el):
+        kind, payload = el
+        if kind == "b":
+            return [("b", sub) for sub in proper_faces(payload)]
+        image = tuple(sorted({gmap[v] for v in payload}))
+        return [("c", sub) for sub in proper_faces(payload)] + [
+            ("b", sub) for sub in proper_faces(image) + [image]
+        ]
 
-        elements = [("c", f) for f in front]
-        elements += [("b", (i, ch)) for ch in _order_chains(link, link.cells)]
-        parts.append((elements, strict_below))
+    cylinder = [("c", f) for f in front]
+    cylinder += [("b", ch) for ch in _order_chains(link, link.cells)]
+    # frontier chains (of adjacent cells alone) are built once, in the
+    # cylinder: the bulk ends its chains only at the other far chains
+    far = [c for c in complex_.cells if c not in sphere]
     bulk = [("c", f) for f in _order_chains(complex_, far)]
-    bulk = [el for el in bulk if el[1] not in frontier]
-    parts.append((bulk, lambda el: [("c", f) for f in proper_faces(el[1])]))
-    spent = 0
-    builds = []
-    for elements, strict_faces in parts:
-        count, build = _chain_counter(elements, strict_faces, spent)
-        spent += count
-        builds.append(build)
-    return SimplicialComplex(ch for build in builds for ch in build())
+    bulk = [el for el in bulk if not adjacent.issuperset(el[1])]
+    spent, build_cylinder = _chain_counter(cylinder, strict_below)
+    _, build_bulk = _chain_counter(
+        bulk, lambda el: [("c", f) for f in proper_faces(el[1])], spent
+    )
+    return SimplicialComplex(
+        ch for build in (build_cylinder, build_bulk) for ch in build()
+    )
 
 
 def run_model(code: GeneticCode) -> ModelResult:
-    """Build a simplicial model of the polygon space of any genetic code
-    whose chain additions have pairwise disjoint sphere neighborhoods.
+    """Build a simplicial model of the polygon space of ``<m>``, the first
+    subdivision of Coxeter([m - 1]), or of ``<1m>``, the one code a step
+    above it, glued from the face poset around its point surgery.
 
-    The model is assembled from chains of the Coxeter complex's face
-    poset; the complex as a whole is subdivided only for a code that
-    needs no surgery, whose model is that first subdivision.
+    Any other code needs a second surgery, whose sphere neighborhood meets
+    the first: a cell of Coxeter(G) lies in the sphere of units ``U`` or
+    next to it exactly when its first or its last block misses ``U``, and
+    for nonempty proper ``U`` and ``V`` the cell ``({x}, G - x)`` with
+    ``x`` outside both, or else ``({x}, rest, {y})`` with ``x`` outside
+    ``U`` and ``y`` outside ``V``, does so for both.  So a second chain
+    step raises ``ChainInterferenceError`` once its sphere is located.
     """
     if code.is_empty_space():
         raise NotApplicableError("the space of this code is empty")
     ground = frozenset(range(1, code.edge_count))
     complex_ = coxeter_complex(ground)
-    chain = saturated_chain(code)
-    jobs: list[tuple[frozenset, tuple[int, ...]]] = []
-    stars: list[frozenset] = []
-    infos: list[ModelStep] = []
-    for added in chain.added_sets:
+    step = None
+    for added in saturated_chain(code).added_sets:
         rest = frozenset(added) - {code.edge_count}
         units = ground - rest
         sphere = locate_sphere(complex_, units, projective=False)
-        star = frozenset(sphere) | adjacent_cells(
-            complex_, frozenset(sphere)
-        )
-        for earlier, other in zip(stars, jobs):
-            if earlier & star:
-                raise ChainInterferenceError(
-                    "sphere neighborhoods for "
-                    f"{sorted(ground - other[0])} and {sorted(rest)} overlap"
-                )
-        stars.append(star)
-        jobs.append((units, sphere))
-        infos.append(
-            ModelStep(
-                added=tuple(sorted(added)),
-                units=tuple(sorted(units)),
-                sphere=sphere,
+        if step:
+            raise ChainInterferenceError(
+                "sphere neighborhoods for "
+                f"{sorted(ground.difference(step.units))} and {sorted(rest)} "
+                "overlap"
             )
-        )
-    if not jobs:
+        step = ModelStep(tuple(sorted(added)), tuple(sorted(units)), sphere)
+    if step is None:
         return ModelResult(str(code), (), barycentric(complex_))
-    return ModelResult(str(code), tuple(infos), _build_model(complex_, jobs))
+    model = _build_model(complex_, frozenset(step.units), step.sphere)
+    return ModelResult(str(code), (step,), model)
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,54 @@ def test_dump_model_then_homology(capsys, tmp_path) -> None:
     assert payload["identification"] == "2 circles"
 
 
+def test_homology_refuses_a_face_past_the_cap_at_once(
+    capsys, tmp_path
+) -> None:
+    # its closure would hold 2^40 - 1 faces
+    dump = tmp_path / "wide.json"
+    dump.write_text(
+        json.dumps({"kind": "simplicial", "maximal": [list(range(40))]})
+    )
+    code, out, err = run_cli(capsys, "homology", str(dump))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error [TOO_LARGE]")
+
+
+@pytest.mark.parametrize(
+    "name, mode, written",
+    [("<15>", "collapse", "step-00.json"), ("<14>", "model", "model.json")],
+)
+def test_run_refuses_an_unwritable_dump_path(
+    capsys, monkeypatch, tmp_path, name, mode, written
+) -> None:
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    # a dump file name taken by a directory fails at the write
+    taken = tmp_path / "taken"
+    (taken / written).mkdir(parents=True)
+    for target in (blocker, blocker / "sub", taken):
+        code, out, err = run_cli(
+            capsys, "run", name, "--mode", mode, "--dump-cells", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error [INVALID_CODE]")
+        assert "Traceback" not in err
+
+    # a directory that cannot be made is refused before anything is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a complex was built")
+
+    monkeypatch.setattr("polygonspaces.cli.run_chain", refuse)
+    monkeypatch.setattr("polygonspaces.cli.run_model", refuse)
+    code, _, err = run_cli(
+        capsys, "run", name, "--mode", mode, "--dump-cells", str(blocker)
+    )
+    assert code == 2
+    assert "cannot make dump directory" in err
+
+
 def test_homology_missing_file(capsys, tmp_path) -> None:
     code, _, err = run_cli(capsys, "homology", str(tmp_path / "nope.json"))
     assert code == 2

@@ -681,6 +681,31 @@ def test_simplex_count_cap(monkeypatch) -> None:
         barycentric(ca(4))
 
 
+def test_simplex_cap_stops_the_closure_early(monkeypatch) -> None:
+    mod = importlib.import_module("polygonspaces.homology")
+    monkeypatch.setattr(mod, "MAX_SIMPLICES", 50)
+    largest = [0]
+
+    class CountingSet(set):
+        def add(self, item) -> None:
+            super().add(item)
+            largest[0] = max(largest[0], len(self))
+
+    # the largest set the closure fills is the number of faces it built
+    monkeypatch.setattr(mod, "set", CountingSet, raising=False)
+    # 2^6 - 1 = 63 faces: refused before any is built
+    with pytest.raises(TooLargeError, match="a face of 6 vertices"):
+        SimplicialComplex([range(6)])
+    assert largest == [0]
+    # 40 triangles of 7 faces each, every one under the cap on its own
+    triangles = [(3 * k, 3 * k + 1, 3 * k + 2) for k in range(40)]
+    with pytest.raises(TooLargeError, match="passes 50 simplices"):
+        SimplicialComplex(triangles)
+    assert largest == [51]
+    # 2^5 - 1 = 31 faces fit
+    assert len(SimplicialComplex([range(5)])) == 31
+
+
 def test_chain_builder_stops_at_the_cap(monkeypatch) -> None:
     # the chains of a 15-element total order number 2^15 - 1 = 32,767;
     # the cap trips before the top elements are ever expanded

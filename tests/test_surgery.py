@@ -27,6 +27,7 @@ from polygonspaces.genetics import (
     enumerate_codes,
     parse_code,
     realize,
+    saturated_chain,
 )
 from polygonspaces.homology import (
     SimplicialComplex,
@@ -40,6 +41,7 @@ from polygonspaces.posets import (
     canonical_partition,
     comb_surgery,
     intersection_poset,
+    minimal_building_set,
     poset_isomorphic,
 )
 from polygonspaces.surgery import (
@@ -638,6 +640,26 @@ def test_step_locus_partition() -> None:
     )
 
 
+def test_step_loci_lie_in_the_minimal_building_set() -> None:
+    # each step cuts along a sub-collection of the minimal building set:
+    # the partition whose one non-singleton block is the step's units
+    steps = 0
+    for m in range(3, 8):
+        building = set(minimal_building_set(m))
+        for code in enumerate_codes(m):
+            if code.is_empty_space() or realize(code) is None:
+                continue
+            chain = saturated_chain(code)
+            for before, added in zip(chain.codes, chain.added_sets):
+                locus = step_locus(before, frozenset(added))
+                assert locus in building
+                units = frozenset(range(1, m)) - frozenset(added)
+                wide = [b for b in locus if len(b) > 1]
+                assert wide == [tuple(sorted(units))]
+                steps += 1
+    assert steps == 1 + 13 + 103 + 1652
+
+
 # <56> and <236,56> hold the shadow benchmark's slowest isomorphism steps
 @pytest.mark.parametrize(
     "name", ["<45>", "<125>", "<126>", "<56>", "<236,56>"]
@@ -645,8 +667,6 @@ def test_step_locus_partition() -> None:
 def test_poset_shadow_of_each_step(name: str) -> None:
     # cutting the big complex along a stratum shows up in the intersection
     # poset as combinatorial surgery at that stratum's partition.
-    from polygonspaces.genetics import saturated_chain
-
     chain = saturated_chain(parse_code(name))
     for before, after, added in zip(
         chain.codes, chain.codes[1:], chain.added_sets
@@ -697,10 +717,52 @@ def test_model_matches_exact_surfaces() -> None:
         assert rep.torsion == exact.torsion
 
 
-def test_model_interference() -> None:
-    for name in ("<45>", "<125>", "<26>", "<126>"):
-        with pytest.raises(ChainInterferenceError):
-            run_model(parse_code(name))
+def test_model_interference(monkeypatch) -> None:
+    # every code past <1m> has a second chain step, refused once its sphere
+    # is located; the two builds are stubbed out
+    smod = importlib.import_module("polygonspaces.surgery")
+    monkeypatch.setattr(smod, "barycentric", lambda complex_: None)
+    monkeypatch.setattr(smod, "_build_model", lambda *args: None)
+    outcome: dict[str, list[str]] = {}
+    for m in range(3, 7):
+        for code in enumerate_codes(m):
+            if code.is_empty_space():
+                continue
+            try:
+                run_model(code)
+                kind = "built"
+            except (ChainInterferenceError, NotApplicableError) as exc:
+                kind = type(exc).__name__
+            outcome.setdefault(kind, []).append(str(code))
+    assert sorted(outcome["built"]) == sorted(
+        ["<3>", "<4>", "<14>", "<5>", "<15>", "<6>", "<16>"]
+    )
+    assert sorted(outcome["NotApplicableError"]) == ["<123>", "<13>", "<23>"]
+    assert len(outcome["ChainInterferenceError"]) == 147
+    assert {"<45>", "<125>", "<26>", "<126>"} <= set(
+        outcome["ChainInterferenceError"]
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_any_two_sphere_neighborhoods_meet(n: int) -> None:
+    # why run_model stops at one surgery: a cell lies in the sphere of U or
+    # next to it exactly when its first or last block misses U, and some
+    # cell does so for any two nonempty proper unit sets
+    complex_ = coxeter_complex(range(1, n + 1))
+    stars = []
+    for r in range(1, n):
+        for block in itertools.combinations(range(1, n + 1), r):
+            units = frozenset(block)
+            sphere = frozenset(sphere_cells(complex_, units))
+            star = sphere | adjacent_cells(complex_, sphere)
+            assert star == {
+                c.ident
+                for c in complex_
+                if not (units & c.pattern[0] and units & c.pattern[-1])
+            }
+            stars.append(star)
+    assert all(a & b for a, b in itertools.combinations(stars, 2))
 
 
 def test_model_three_sphere() -> None:
@@ -711,11 +773,10 @@ def test_model_three_sphere() -> None:
     assert not rep.has_torsion()
 
 
-def reference_model(complex_, jobs) -> SimplicialComplex:
+def reference_model(complex_, steps) -> SimplicialComplex:
     """The model built the long way: subdivide the whole complex, cut the
-    bulk back out as the full subcomplex on the cells in no sphere, and
-    read each frontier off the tails of the maximal flags that meet its
-    sphere."""
+    bulk back out as the full subcomplex on the cells off the sphere, and
+    read the frontier off the tails of the maximal flags that meet it."""
 
     def strict_faces(ident):
         return sorted(complex_.faces_of(ident) - {ident})
@@ -723,54 +784,50 @@ def reference_model(complex_, jobs) -> SimplicialComplex:
     ambient = SimplicialComplex(
         _chain_simplices(sorted(complex_.cells), strict_faces)
     )
-    if not jobs:
+    if not steps:
         return ambient
-    spheres = [frozenset(sphere) for _, sphere in jobs]
-    far = {v for v in ambient.vertices if not any(v in s for s in spheres)}
+    (step,) = steps
+    units, sphere = frozenset(step.units), frozenset(step.sphere)
+    far = {v for v in ambient.vertices if v not in sphere}
     bulk = [
         f for fs in ambient.faces_by_dim.values() for f in fs if far >= set(f)
     ]
-    frontier = [set() for _ in jobs]
+    frontier = set()
     for flag in ambient.maximal_faces():
-        hit = {i for i, sphere in enumerate(spheres) if sphere & set(flag)}
-        if not hit:
-            continue
-        assert len(hit) == 1, "one simplex touches two surgery spheres"
         rest = tuple(v for v in flag if v in far)
-        if rest:
-            frontier[hit.pop()].add(rest)
+        if rest and sphere & set(flag):
+            frontier.add(rest)
 
     simplices = [
         tuple(("c", f) for f in ch)
         for ch in _chain_simplices(bulk, proper_faces)
     ]
-    for i, ((units, _), sphere) in enumerate(zip(jobs, spheres)):
-        link = coxeter_complex(units)
-        front = SimplicialComplex(frontier[i])
-        gmap = {}
-        for v in front.vertices:
-            assert complex_.faces_of(v) & sphere, "frontier misses its sphere"
-            blocks = restrict_pattern(complex_.cells[v].pattern, units)
-            gmap[v] = link.by_label(("osp", blocks))
-        link_chains = _chain_simplices(
-            sorted(link.cells), lambda c: sorted(link.faces_of(c) - {c})
-        )
-        link_chain_set = set(link_chains)
+    link = coxeter_complex(units)
+    front = SimplicialComplex(frontier)
+    gmap = {}
+    for v in front.vertices:
+        assert complex_.faces_of(v) & sphere, "frontier misses its sphere"
+        blocks = restrict_pattern(complex_.cells[v].pattern, units)
+        gmap[v] = link.by_label(("osp", blocks))
+    link_chains = _chain_simplices(
+        sorted(link.cells), lambda c: sorted(link.faces_of(c) - {c})
+    )
+    link_chain_set = set(link_chains)
 
-        def strict_below(el, i=i, gmap=gmap, link_chain_set=link_chain_set):
-            kind, payload = el
-            if kind == "b":
-                return [("b", (i, sub)) for sub in proper_faces(payload[1])]
-            below = [("c", sub) for sub in proper_faces(payload)]
-            image = tuple(sorted({gmap[v] for v in payload}))
-            for sub in proper_faces(image) + [image]:
-                if sub in link_chain_set:
-                    below.append(("b", (i, sub)))
-            return below
+    def strict_below(el):
+        kind, payload = el
+        if kind == "b":
+            return [("b", sub) for sub in proper_faces(payload)]
+        below = [("c", sub) for sub in proper_faces(payload)]
+        image = tuple(sorted({gmap[v] for v in payload}))
+        for sub in proper_faces(image) + [image]:
+            if sub in link_chain_set:
+                below.append(("b", sub))
+        return below
 
-        elements = [("c", f) for fs in front.faces_by_dim.values() for f in fs]
-        elements += [("b", (i, ch)) for ch in link_chains]
-        simplices.extend(_chain_simplices(elements, strict_below))
+    elements = [("c", f) for fs in front.faces_by_dim.values() for f in fs]
+    elements += [("b", ch) for ch in link_chains]
+    simplices.extend(_chain_simplices(elements, strict_below))
     return SimplicialComplex(simplices)
 
 
@@ -778,9 +835,8 @@ def reference_model(complex_, jobs) -> SimplicialComplex:
 def test_model_matches_the_ambient_subdivision_reference(name) -> None:
     code = parse_code(name)
     result = model_run(name)
-    jobs = [(frozenset(step.units), step.sphere) for step in result.steps]
     complex_ = coxeter_complex(range(1, code.edge_count))
-    reference = reference_model(complex_, jobs)
+    reference = reference_model(complex_, result.steps)
     assert result.complex.faces_by_dim == reference.faces_by_dim
 
 
