@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .coxeter import RegularCellComplex
+from .coxeter import RegularCellComplex, euler
 from .errors import USER_ERRORS, InvalidCodeError, PolygonSpacesError
 from .genetics import (
     GeneticCode,
@@ -172,9 +172,8 @@ def _dump_simplicial(complex_: SimplicialComplex, path: str) -> None:
 
 
 def _figure_row(tag: str, f_vector: tuple[int, ...]) -> str:
-    euler = sum((-1) ** k * n for k, n in enumerate(f_vector))
     f_text = " ".join(str(n) for n in f_vector)
-    return f"{tag:<12} f = {f_text:<16} chi = {euler}"
+    return f"{tag:<12} f = {f_text:<16} chi = {euler(f_vector)}"
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

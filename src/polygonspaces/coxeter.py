@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Optional
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     AuditError,
@@ -32,6 +32,11 @@ MIN_COXETER_GROUND = 2
 MAX_COXETER_GROUND = 7
 
 Blocks = tuple  # ordered tuple of frozensets
+
+
+def euler(f_vector: Sequence[int]) -> int:
+    """The Euler characteristic of a face count ``f_vector``."""
+    return sum((-1) ** d * n for d, n in enumerate(f_vector))
 
 
 @dataclass(frozen=True)
@@ -217,7 +222,7 @@ class RegularCellComplex:
         return tuple(counts)
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** d * k for d, k in enumerate(self.f_vector()))
+        return euler(self.f_vector())
 
     def by_label(self, label: tuple) -> int:
         return self._labels[label]

@@ -253,6 +253,16 @@ class GeneticCode:
                     stack.append(s)
         return frozenset(seen)
 
+    def short_sets(self) -> frozenset:
+        """Every short subset of the edges: the anchor short sets and the
+        complement of each long anchor set, since of two complementary
+        sets exactly one is short."""
+        shorts = self.anchor_short_sets()
+        ground = frozenset(range(1, self.edge_count + 1))
+        return shorts.union(
+            ground - s for s in _anchor_sets(self.edge_count) if s not in shorts
+        )
+
     def __str__(self) -> str:
         return format_code(self)
 

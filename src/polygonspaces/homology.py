@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Optional, Sequence
 
 from .errors import AuditError, NotApplicableError, TooLargeError
-from .coxeter import Cell, RegularCellComplex, connected_components
+from .coxeter import Cell, RegularCellComplex, connected_components, euler
 from .genetics import GeneticCode
 
 MAX_SIMPLICES = 2_000_000
@@ -104,7 +104,10 @@ class SimplicialComplex:
             seen.add(f)
             if len(seen) > cap:
                 raise TooLargeError(f"complex passes {cap} simplices, the cap")
-            by_dim.setdefault(len(f) - 1, set()).add(f)
+            d = len(f) - 1
+            if d not in by_dim:
+                by_dim[d] = set()
+            by_dim[d].add(f)
             if len(f) > 1:
                 for i in range(len(f)):
                     stack.append(f[:i] + f[i + 1 :])
@@ -133,7 +136,7 @@ class SimplicialComplex:
         )
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** d * k for d, k in enumerate(self.f_vector()))
+        return euler(self.f_vector())
 
     def maximal_faces(self) -> tuple[tuple, ...]:
         out = []
@@ -795,7 +798,7 @@ def identify_small(
         if None not in survey.manifold:
             n = len(survey.manifold)
             return f"{n} circle" + ("s" if n != 1 else "")
-        return f"graph(chi={_euler(survey.sizes)})"
+        return f"graph(chi={euler(survey.sizes)})"
     names = sorted(
         _surface_name(f, oriented)
         for f, oriented in zip(survey.f_vectors, survey.manifold)
@@ -803,12 +806,8 @@ def identify_small(
     return " ⊔ ".join(names)
 
 
-def _euler(f_vector: Sequence[int]) -> int:
-    return sum((-1) ** d * n for d, n in enumerate(f_vector))
-
-
 def _surface_name(f_vector: list[int], oriented: Optional[bool]) -> str:
-    chi = _euler(f_vector)
+    chi = euler(f_vector)
     if len(f_vector) != 3 or oriented is None:
         return f"complex(chi={chi})"
     if oriented:

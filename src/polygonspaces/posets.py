@@ -8,7 +8,8 @@ The central objects are:
   reverse refinement (coarser partitions sit higher),
 * the intersection poset of a realizable genetic code: partitions of the
   edge set into short blocks, optionally doubled by *barred* copies of the
-  partitions whose quotient polygon space is disconnected,
+  partitions whose quotient polygon space is disconnected; both are read
+  off the code's short sets, with no edge lengths,
 * :func:`comb_surgery`: the order-level shadow of cellular surgery, which
   removes the up-set of a chosen element and grafts in one interval element
   per element strictly below it,
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import (
     Callable,
     Hashable,
@@ -31,13 +31,11 @@ from typing import (
     Iterator,
     Optional,
     Sequence,
-    Union,
 )
 
 from .errors import (
     AuditError,
     InvalidCodeError,
-    NonGenericError,
     NotApplicableError,
     NotMeetSemilatticeError,
     TooLargeError,
@@ -317,39 +315,24 @@ class Barred:
     partition: Partition
 
 
-def is_disconnected_quotient(sums: Sequence[Union[int, Fraction]]) -> bool:
-    """Whether a polygon space with these edge lengths is disconnected.
-
-    Exact criterion: the second and third largest lengths together exceed
-    half the perimeter.  Ties with half the perimeter mean the input was
-    not generic and are rejected.
-    """
-    if len(sums) < 3:
-        raise NotApplicableError("need at least three edges")
-    ordered = sorted(sums)
-    doubled = 2 * (ordered[-2] + ordered[-3])
-    total = sum(ordered)
-    if doubled == total:
-        raise NonGenericError(
-            "second plus third largest equals half the perimeter",
-            witness=tuple(ordered),
-        )
-    return doubled > total
-
-
 def intersection_poset(
     code: GeneticCode, *, barred: bool = False
 ) -> FinitePoset:
     """Partitions of the edge set into short blocks, coarser ones higher.
 
-    With ``barred=True`` every partition with a disconnected quotient gains
+    Shortness is read off :meth:`GeneticCode.short_sets`.  A partition's
+    quotient space is disconnected when three of its blocks are pairwise
+    long in union.  For the three largest block sums ``s1 >= s2 >= s3``
+    that is the length criterion ``2 (s2 + s3) >`` perimeter: those three
+    blocks are then pairwise long, and any pairwise long triple has its
+    two smaller sums at most ``s2`` and ``s3``.  With
+    ``barred=True`` every partition with a disconnected quotient gains
     an incomparable barred twin; a barred element sits above exactly the
     refinements that are themselves barred or connected, and below only
-    barred coarsenings.  Construction realizes the code to get exact edge
-    lengths; they are integers, so the block sums of every partition are
-    plain int sums.  The order is generated by the two-block merges between
-    short partitions, and the audit that disconnection is inherited upward
-    runs along those merges.
+    barred coarsenings.  The order is generated by the two-block merges
+    between short partitions, and the audit that disconnection is
+    inherited upward runs along those merges.  An unrealizable code is
+    refused: its short sets need not obey that inheritance.
     """
     if code.is_empty_space():
         raise NotApplicableError("the empty code has no intersection poset")
@@ -357,23 +340,22 @@ def intersection_poset(
         raise TooLargeError(
             f"intersection poset supports at most {MAX_INTERSECTION_GROUND} edges"
         )
-    vector = realize(code)
-    if vector is None:
+    if realize(code) is None:
         raise InvalidCodeError(
             f"code {code} is not realizable, no intersection poset exists"
         )
-    if any(v.denominator != 1 for v in vector.values):
-        raise AuditError(f"realization of {code} is not integral: {vector}")
-    lengths = [int(v) for v in vector.values]
-    perimeter = sum(lengths)
+    short = code.short_sets()
     plain = []
     disconnected = {}
     for p in partitions_of(range(1, code.edge_count + 1)):
-        sums = tuple(sum(lengths[e - 1] for e in block) for block in p)
-        if any(2 * s >= perimeter for s in sums):
+        blocks = [frozenset(b) for b in p]
+        if not all(b in short for b in blocks):
             continue
         plain.append(p)
-        disconnected[p] = is_disconnected_quotient(sums)
+        disconnected[p] = any(
+            a | b not in short and a | c not in short and b | c not in short
+            for a, b, c in itertools.combinations(blocks, 3)
+        )
 
     # Short partitions are a lower ideal of the partition lattice, so the
     # merges between them generate the refinement order, and inheritance of

@@ -192,7 +192,7 @@ def surgery_step(
     """
     key = _canonical_pattern_key if projective else _pattern_key
     ground = frozenset(range(1, code.edge_count + 1))
-    shorts = code.anchor_short_sets()
+    short = code.short_sets()
     sphere = frozenset(sphere)
     cells = {c.ident: c for c in complex_ if c.ident not in sphere}
     # the kept cells that lose a facet, or gain one of anchor block A
@@ -217,10 +217,10 @@ def surgery_step(
         merged = [
             p[:j] + (a | b,) + p[j + 2 :]
             for j, (a, b) in enumerate(zip(p, p[1:]))
-            if ground - (a | b) not in shorts
+            if a | b in short
         ]
         merged += [q for b, q in ((p[0], p[1:]), (p[-1], p[:-1]))
-                   if anchor | b in shorts]
+                   if anchor | b in short]
         # each facet is new, or was a facet before the step
         old = {key(complex_.cells[f].pattern): f for f in cells[i].facets}
         facets = tuple(new.get(k, old.get(k)) for k in map(key, merged))
@@ -646,28 +646,25 @@ def run_model(code: GeneticCode) -> ModelResult:
     for nonempty proper ``U`` and ``V`` the cell ``({x}, G - x)`` with
     ``x`` outside both, or else ``({x}, rest, {y})`` with ``x`` outside
     ``U`` and ``y`` outside ``V``, does so for both.  So a second chain
-    step raises ``ChainInterferenceError`` once its sphere is located.
+    step raises ``ChainInterferenceError`` once the first sphere is
+    located, and its own sphere is never built.
     """
     if code.is_empty_space():
         raise NotApplicableError("the space of this code is empty")
     ground = frozenset(range(1, code.edge_count))
     complex_ = coxeter_complex(ground)
-    step = None
-    for added in saturated_chain(code).added_sets:
-        rest = frozenset(added) - {code.edge_count}
-        units = ground - rest
-        sphere = locate_sphere(complex_, units, projective=False)
-        if step:
-            raise ChainInterferenceError(
-                "sphere neighborhoods for "
-                f"{sorted(ground.difference(step.units))} and {sorted(rest)} "
-                "overlap"
-            )
-        step = ModelStep(tuple(sorted(added)), tuple(sorted(units)), sphere)
-    if step is None:
+    added = saturated_chain(code).added_sets
+    if not added:
         return ModelResult(str(code), (), barycentric(complex_))
-    model = _build_model(complex_, frozenset(step.units), step.sphere)
-    return ModelResult(str(code), (step,), model)
+    rest = [sorted(s - {code.edge_count}) for s in added[:2]]
+    units = ground.difference(rest[0])
+    sphere = locate_sphere(complex_, units, projective=False)
+    if len(rest) > 1:
+        raise ChainInterferenceError(
+            f"sphere neighborhoods for {rest[0]} and {rest[1]} overlap"
+        )
+    step = ModelStep(tuple(sorted(added[0])), tuple(sorted(units)), sphere)
+    return ModelResult(str(code), (step,), _build_model(complex_, units, sphere))
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,13 @@ def test_poset_barred_size(capsys) -> None:
     assert len(barred) == 39
 
 
+def test_poset_refuses_an_unrealizable_code(capsys) -> None:
+    code, out, err = run_cli(capsys, "poset", "<246>")
+    assert code == 2
+    assert out == ""
+    assert "INVALID_CODE" in err
+
+
 @pytest.mark.parametrize(
     "locus, error",
     [

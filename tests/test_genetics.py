@@ -362,6 +362,15 @@ def test_anchor_short_sets_match_the_dominance_filter():
             }, g
 
 
+def test_short_sets_match_realized_lengths():
+    # every subset of every realizable code, against 2 * sum < perimeter
+    for m in range(1, 7):
+        for g in enumerate_codes(m):
+            v = realize(g)
+            if v is not None:
+                assert g.short_sets() == short_sets(v), g
+
+
 def test_enumerate_codes_counts():
     codes4 = enumerate_codes(4)
     assert len(codes4) == len({c for c in codes4})

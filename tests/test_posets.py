@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import pytest
@@ -18,12 +17,10 @@ from polygonspaces.coxeter import (
 from polygonspaces.errors import (
     AuditError,
     InvalidCodeError,
-    NonGenericError,
     NotApplicableError,
     TooLargeError,
 )
 from polygonspaces.genetics import (
-    LengthVector,
     enumerate_codes,
     genetic_code,
     parse_code,
@@ -37,7 +34,6 @@ from polygonspaces.posets import (
     canonical_partition,
     comb_surgery,
     intersection_poset,
-    is_disconnected_quotient,
     minimal_building_set,
     partition_lattice,
     partition_str,
@@ -100,6 +96,19 @@ def height(p: FinitePoset) -> int:
 def quotient_sums(vector, partition) -> tuple:
     """Edge lengths of the quotient polygon: one totalled edge per block."""
     return tuple(sum(vector.values[e - 1] for e in b) for b in partition)
+
+
+def disconnected_by_lengths(sums) -> bool:
+    """Reference: a polygon space is disconnected when its second and third
+    largest edges together exceed half the perimeter."""
+    ordered = sorted(sums)
+    return 2 * (ordered[-2] + ordered[-3]) > sum(ordered)
+
+
+def block_labels(partition) -> tuple:
+    """The index of the block holding each element, in element order."""
+    owner = {e: i for i, block in enumerate(partition) for e in block}
+    return tuple(owner[e] for e in sorted(owner))
 
 
 def coarsens(coarse, fine) -> bool:
@@ -280,18 +289,6 @@ def test_minimal_building_set():
 # --- disconnection of quotient spaces ---------------------------------------
 
 
-def test_disconnection_predicate():
-    f = Fraction
-    assert is_disconnected_quotient((f(1), f(1), f(1)))  # triangle: two points
-    assert not is_disconnected_quotient((f(1), f(1), f(1), f(1), f(3)))
-    assert is_disconnected_quotient((f(1), f(2), f(5), f(5)))
-    assert not is_disconnected_quotient((f(1), f(1), f(2), f(2), f(2), f(5)))
-    with pytest.raises(NotApplicableError):
-        is_disconnected_quotient((f(1), f(2)))
-    with pytest.raises(NonGenericError):
-        is_disconnected_quotient((f(1), f(1), f(2)))
-
-
 def test_disconnected_quotient_matches_its_code():
     # the quotient (1,2,5,5) realizes <14>, whose space has two components
     assert str(genetic_code((1, 2, 5, 5))) == "<14>"
@@ -395,56 +392,52 @@ def test_intersection_poset_order_is_refinement():
     connected partition below a barred one exactly when the barred one
     coarsens it."""
 
-    def part(e):
-        return e.partition if isinstance(e, Barred) else e
-
     codes = [
         code
-        for m in (3, 4, 5)
+        for m in (3, 4, 5, 6)
         for code in enumerate_codes(m)
         if not code.is_empty_space() and realize(code) is not None
     ]
-    for code in codes + [parse_code("<26>"), parse_code("<126>")]:
+    assert len(codes) == 1 + 2 + 6 + 20
+    for code in codes:
         vector = realize(code)
         for barred in (False, True):
             poset = intersection_poset(code, barred=barred)
             for e in poset:
                 if not isinstance(e, Barred):
-                    disconnected = is_disconnected_quotient(
+                    disconnected = disconnected_by_lengths(
                         quotient_sums(vector, e)
                     )
                     assert (Barred(e) in poset) == (barred and disconnected)
-            for a in poset:
-                for b in poset:
-                    expected = coarsens(part(b), part(a))
-                    if isinstance(a, Barred) and not isinstance(b, Barred):
+            # (element, block labels, block count, barred, has a barred
+            # twin); ``fine`` refines ``coarse`` exactly when the block of
+            # each edge in ``fine`` fixes its block in ``coarse``
+            rows = []
+            for e in poset:
+                bar = isinstance(e, Barred)
+                p = e.partition if bar else e
+                twinned = not bar and Barred(e) in poset
+                rows.append((e, block_labels(p), len(p), bar, twinned))
+            for a, fine, blocks, a_bar, twinned in rows:
+                for b, coarse, _, b_bar, _ in rows:
+                    if a_bar and not b_bar:
                         expected = False
-                    if not isinstance(a, Barred) and isinstance(b, Barred):
-                        expected = expected and Barred(a) not in poset
+                    else:
+                        expected = len(set(zip(fine, coarse))) == blocks
+                        if b_bar and not a_bar:
+                            expected = expected and not twinned
                     assert poset.leq(a, b) == expected, (str(code), a, b)
 
 
 def test_intersection_poset_audits_disconnection(monkeypatch):
-    """A coarsening of a disconnected partition that reads as connected
-    fails the inheritance audit."""
-    real = is_disconnected_quotient
-    monkeypatch.setattr(
-        posets,
-        "is_disconnected_quotient",
-        lambda sums: real(sums) and len(sums) > 3,
-    )
+    """The unrealizable code <245>, let past the realizability refusal,
+    has short sets under which a disconnected partition coarsens to a
+    connected one, and fails the inheritance audit."""
+    code = parse_code("<245>")
+    assert realize(code) is None
+    monkeypatch.setattr(posets, "realize", lambda code: object())
     with pytest.raises(AuditError, match="coarsened to a connected one"):
-        intersection_poset(parse_code("<26>"))
-
-
-def test_intersection_poset_audits_integral_lengths(monkeypatch):
-    """The block sums are taken on ints, so a realization that is not
-    integral fails the audit instead of being rounded."""
-    monkeypatch.setattr(
-        posets, "realize", lambda code: LengthVector(["1/2", 1, 1, 1, 1, 3])
-    )
-    with pytest.raises(AuditError, match="not integral"):
-        intersection_poset(parse_code("<26>"))
+        intersection_poset(code)
 
 
 def test_intersection_poset_rejects_bad_codes():

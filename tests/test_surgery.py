@@ -718,21 +718,30 @@ def test_model_matches_exact_surfaces() -> None:
 
 
 def test_model_interference(monkeypatch) -> None:
-    # every code past <1m> has a second chain step, refused once its sphere
-    # is located; the two builds are stubbed out
+    # every code past <1m> has a second chain step, refused once the first
+    # sphere is located, the second never; the two builds are stubbed out
     smod = importlib.import_module("polygonspaces.surgery")
     monkeypatch.setattr(smod, "barycentric", lambda complex_: None)
     monkeypatch.setattr(smod, "_build_model", lambda *args: None)
+    located = []
+
+    def spy(*args, **kwargs):
+        located.append(args[1])
+        return locate_sphere(*args, **kwargs)
+
+    monkeypatch.setattr(smod, "locate_sphere", spy)
     outcome: dict[str, list[str]] = {}
     for m in range(3, 7):
         for code in enumerate_codes(m):
             if code.is_empty_space():
                 continue
+            located.clear()
             try:
                 run_model(code)
                 kind = "built"
             except (ChainInterferenceError, NotApplicableError) as exc:
                 kind = type(exc).__name__
+            assert len(located) <= 1, str(code)
             outcome.setdefault(kind, []).append(str(code))
     assert sorted(outcome["built"]) == sorted(
         ["<3>", "<4>", "<14>", "<5>", "<15>", "<6>", "<16>"]
