@@ -468,8 +468,9 @@ def _facet_signs(
     the faces of codimension two, each of which must lie on exactly two
     facets.  That holds for every cell of a regular complex, whose
     boundary is a sphere.  A face on some other number of facets, a sign
-    conflict (a non-orientable boundary) or facets in more than one piece
-    (a disconnected boundary) fail the audit.
+    conflict (a non-orientable boundary), facets in more than one piece
+    (a disconnected boundary) or, for a 3-cell, a boundary whose
+    V - E + F is not 2 (a torus, say) fail the audit.
     """
     signs, bad, conflicts, pieces = _spread_signs(
         [incidence[f] for f in cell.facets]
@@ -490,6 +491,15 @@ def _facet_signs(
             f"the facets of {cell.label!r} fall into {pieces} pieces: its "
             "boundary is not connected"
         )
+    if cell.dim == 3:
+        edges = set().union(*(incidence[f] for f in cell.facets))
+        ends = set().union(*(incidence[e] for e in edges))
+        chi = len(ends) - len(edges) + len(cell.facets)
+        if chi != 2:
+            raise AuditError(
+                f"the boundary of {cell.label!r} has V - E + F = {chi}, "
+                "not 2: it is not a sphere"
+            )
     return dict(zip(cell.facets, signs))
 
 
@@ -714,8 +724,12 @@ def homology(
     number of components from union-find must equal ``betti[0]``, and on a
     closed pseudo-manifold sign propagation of the top cells must agree
     with the top Betti number.  A cell whose facets admit no consistent
-    incidence numbers, so that the complex cannot be regular, fails with
-    ``AuditError`` instead of giving a wrong answer.
+    incidence numbers, or a 3-cell whose boundary has an Euler
+    characteristic other than 2, so that the complex cannot be regular,
+    fails with ``AuditError`` instead of giving a wrong answer.  Cells of
+    dimension 4 and up are not counted: the boundary of a 4-cell is a
+    closed 3-manifold, whose Euler characteristic is 0 whatever it is, and
+    a count in higher dimensions would need the cell's whole closure.
     """
     if not len(source):
         raise NotApplicableError("the empty complex has no homology")

@@ -17,6 +17,7 @@ than degrade.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .coxeter import (
@@ -59,9 +60,7 @@ def _pattern_key(pattern: tuple) -> tuple:
 
 
 def _canonical_pattern_key(pattern: tuple) -> tuple:
-    forward = _pattern_key(pattern)
-    backward = _pattern_key(tuple(reversed(pattern)))
-    return min(forward, backward)
+    return min(_pattern_key(pattern), _pattern_key(reversal(pattern)))
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +150,11 @@ def adjacent_cells(
 
 
 def _audit_closed_surface(complex_: RegularCellComplex) -> None:
-    counts: dict[int, int] = {}
+    counts = Counter(e for c in complex_ if c.dim == 2 for e in c.facets)
     for c in complex_:
-        if c.dim == 2:
-            for e in c.facets:
-                counts[e] = counts.get(e, 0) + 1
-    for c in complex_:
-        if c.dim == 1 and counts.get(c.ident, 0) != 2:
+        if c.dim == 1 and counts[c.ident] != 2:
             raise AuditError(
-                f"edge {c.ident} lies in {counts.get(c.ident, 0)} faces; "
+                f"edge {c.ident} lies in {counts[c.ident]} faces; "
                 "the complex is not a closed surface"
             )
 
@@ -250,11 +245,16 @@ def surgery_2d(
     projective complex), or a capping disk on each cycle of a circle one.
 
     ``sphere`` is the audited cell set to remove, ``units`` the element
-    set that interface patterns are restricted to.  The interface nodes
-    are the adjacent edges, each at its sphere end; each adjacent face
-    joins its two flanks, the nodes of its adjacent edges, and a face
-    with other than two fails as ``SphereNotEmbeddedError``.  Point
-    surgery pairs nodes and faces by pattern.
+    set that interface patterns are restricted to.  Each adjacent edge
+    leaves the sphere at one end, its pole, as the interface node
+    ``(edge, pole)``.  Each adjacent face joins its two flanks, the nodes
+    of its adjacent edges; a face with other than two fails as
+    ``SphereNotEmbeddedError``.  Point surgery pairs nodes and faces by
+    pattern.  An involution is carried by one rule: a kept cell keeps its
+    partner, a new vertex pairs with the node of its edge's image, and
+    any other new cell with the new cell on the images of its facets.  A
+    partner cut out, an image that is no new cell, or two new cells on one
+    facet set fail as ``AuditError``, before ``seal()`` audits the result.
     """
     if complex_.dim != 2:
         raise Not2DError(
@@ -268,55 +268,39 @@ def surgery_2d(
     index = max(complex_.cells[i].dim for i in sphere)
     if index > 1:
         raise Not2DError(f"a surface admits no index-{index} surgery")
-
+    cells = complex_.cells
     adjacent = adjacent_cells(complex_, sphere)
-    adj_edges = sorted(
-        i for i in adjacent if complex_.cells[i].dim == 1
-    )
-    adj_faces = sorted(
-        i for i in adjacent if complex_.cells[i].dim == 2
-    )
+    removed = sphere | adjacent
 
-    # each adjacent edge leaves the sphere from exactly one endpoint
-    edge_exit: dict[int, tuple[int, int]] = {}
-    for e in adj_edges:
-        far = [v for v in complex_.cells[e].facets if v not in sphere]
-        if len(far) != 1:
+    def restricted(i: int) -> tuple:
+        return restrict_pattern(cells[i].pattern, units)
+
+    node: dict[int, tuple[int, int]] = {}
+    for e in sorted(i for i in adjacent if cells[i].dim == 1):
+        poles = [v for v in cells[e].facets if v in sphere]
+        if len(poles) != 1:
             raise SphereNotEmbeddedError(
-                f"edge {e} has {2 - len(far)} endpoints on the sphere"
+                f"edge {e} has {len(poles)} endpoints on the sphere"
             )
-        (far_v,) = far
-        (pole,) = [v for v in complex_.cells[e].facets if v in sphere]
-        edge_exit[e] = (far_v, pole)
-
-    # interface combinatorics: one node per adjacent edge, at its sphere
-    # end; each adjacent face links the nodes of its adjacent edges, its
-    # flanks.  A face boundary is one cycle (seal() audits that), and each
-    # piece of it on the sphere, short of the whole cycle, leaves by two
-    # adjacent edges: so two flanks means one piece.
-    nodes = sorted((e, edge_exit[e][1]) for e in adj_edges)
-    node_pattern = {
-        (e, v): restrict_pattern(complex_.cells[e].pattern, units)
-        for e, v in nodes
-    }
-    face_flanks: dict[int, tuple] = {}
-    for f in adj_faces:
-        facets = complex_.cells[f].facets
-        flanks = [(e, edge_exit[e][1]) for e in facets if e in edge_exit]
-        if len(flanks) != 2:
+        node[e] = (e, poles[0])
+    # a face boundary is one cycle (seal() audits that), and each piece of
+    # it on the sphere, short of the whole cycle, leaves by two adjacent
+    # edges: so two flanks means one piece
+    flanks: dict[int, tuple] = {}
+    for f in sorted(i for i in adjacent if cells[i].dim == 2):
+        ends = [node[e] for e in cells[f].facets if e in node]
+        if len(ends) != 2:
             raise SphereNotEmbeddedError(
-                f"face {f} leaves the sphere by {len(flanks)} edges, not 2"
+                f"face {f} leaves the sphere by {len(ends)} edges, not 2"
             )
-        # sorted by (pole, edge)
-        face_flanks[f] = tuple(sorted(flanks, key=lambda key: key[::-1]))
-
+        flanks[f] = tuple(sorted(ends, key=lambda n: n[::-1]))
     # nodes are sorted, so each cycle starts with its smallest node
-    groups, _ = connected_components(nodes, face_flanks.values())
-    side = {key: s for s, group in enumerate(groups) for key in group}
-    face_side = {f: side[flanks[0]] for f, flanks in face_flanks.items()}
+    groups, _ = connected_components(node.values(), flanks.values())
+    side = {n: s for s, group in enumerate(groups) for n in group}
 
     # point surgery pairs the nodes, then the faces, of one pattern: across
     # the two cycles, or within the one cycle of a projective complex
+    rungs = quads = ()
     if index == 0:
         want = 1 if projective else 2
         if len(groups) != want:
@@ -326,12 +310,10 @@ def surgery_2d(
             )
         pattern_key = _canonical_pattern_key if projective else _pattern_key
 
-        def pair_up(members, pattern_of, side_of) -> dict:
+        def pair_up(members, pattern_of, side_of) -> list[tuple]:
             found: dict = {}
-            for member in members:
-                pk = pattern_key(pattern_of(member))
-                found.setdefault(pk, []).append(member)
-            pairs = {}
+            for m in members:
+                found.setdefault(pattern_key(pattern_of(m)), []).append(m)
             for pk, pair in sorted(found.items()):
                 sides = {side_of(m) for m in pair}
                 if len(pair) != 2 or len(sides) != want:
@@ -339,108 +321,63 @@ def surgery_2d(
                         f"pattern {pk} has {len(pair)} interface cells on "
                         f"{len(sides)} cycles, not 2 on {want}"
                     )
-                pairs[pk] = tuple(sorted(pair, key=lambda m: (side_of(m), m)))
-            return pairs
+            return [
+                tuple(sorted(pair, key=lambda m: (side_of(m), m)))
+                for _, pair in sorted(found.items())
+            ]
 
-        vertex_groups = pair_up(nodes, node_pattern.get, side.get)
-        face_groups = pair_up(
-            adj_faces,
-            lambda f: restrict_pattern(complex_.cells[f].pattern, units),
-            face_side.get,
-        )
+        rungs = pair_up(node.values(), lambda n: restricted(n[0]), side.get)
+        quads = pair_up(flanks, restricted, lambda f: side[flanks[f][0]])
 
     out = RegularCellComplex(first_ident=complex_._next)
-    removed = sphere | adjacent
     kept = [c for c in complex_ if c.ident not in removed]
     for c in sorted(kept, key=lambda c: (c.dim, c.ident)):
         out.add_cell(c.dim, c.label, c.facets, c.pattern, ident=c.ident)
-
-    new_vertex = {
-        key: out.add_cell(0, ("iface", key), pattern=node_pattern[key])
-        for key in nodes
+    vertex = {
+        n: out.add_cell(0, ("iface", n), pattern=restricted(n[0]))
+        for n in node.values()
     }
-
-    # truncated edges
-    trunc_edge: dict[int, int] = {}
-    for e in adj_edges:
-        far_v, pole = edge_exit[e]
-        cell = complex_.cells[e]
-        trunc_edge[e] = out.add_cell(
-            1,
-            ("trunc", cell.label),
-            (far_v, new_vertex[(e, pole)]),
-            cell.pattern,
+    # each adjacent edge, cut back to run from its far end to its node
+    trunc: dict[int, int] = {}
+    for e, pole in node.values():
+        (far,) = (v for v in cells[e].facets if v != pole)
+        trunc[e] = out.add_cell(
+            1, ("trunc", cells[e].label), (far, vertex[e, pole]),
+            cells[e].pattern,
         )
-
-    # interface edges
-    iface_edge: dict[int, int] = {}
-    for f in adj_faces:
-        a, b = face_flanks[f]
-        iface_edge[f] = out.add_cell(
-            1,
-            ("iface", (f,)),
-            (new_vertex[a], new_vertex[b]),
-            restrict_pattern(complex_.cells[f].pattern, units),
+    rim = {
+        f: out.add_cell(
+            1, ("iface", (f,)), (vertex[a], vertex[b]), restricted(f)
         )
-
-    # rungs of the tube or band, one per vertex group
-    rung_of_node: dict[tuple[int, int], int] = {}
-    if index == 0:
-        for gk, (a, b) in sorted(vertex_groups.items()):
-            ident = out.add_cell(
-                1,
-                ("cap", ("rung", a, b)),
-                (new_vertex[a], new_vertex[b]),
-                node_pattern[a],
-            )
-            rung_of_node[a] = ident
-            rung_of_node[b] = ident
-
-    # truncated faces
-    trunc_face: dict[int, int] = {}
-    for f in adj_faces:
-        cell = complex_.cells[f]
-        flanks = face_flanks[f]
-        arc = {e for e in cell.facets if e in sphere}
-        flank_edges = {e for e, _ in flanks}
-        facets = [
-            e for e in cell.facets if e not in arc and e not in flank_edges
-        ]
-        facets += [trunc_edge[e] for e, _ in flanks]
-        facets.append(iface_edge[f])
-        trunc_face[f] = out.add_cell(
-            2, ("trunc", cell.label), facets, cell.pattern
+        for f, (a, b) in flanks.items()
+    }
+    rung: dict[tuple[int, int], int] = {}
+    for a, b in rungs:
+        rung[a] = rung[b] = out.add_cell(
+            1, ("cap", ("rung", a, b)), (vertex[a], vertex[b]),
+            restricted(a[0]),
         )
-
+    for f, ends in flanks.items():
+        facets = [e for e in cells[f].facets if e not in removed]
+        facets += [trunc[e] for e, _ in ends] + [rim[f]]
+        out.add_cell(2, ("trunc", cells[f].label), facets, cells[f].pattern)
     # closing cells: the quads of the tube or band, or the capping disk of
     # each cycle of an index-one surgery
-    quad_of_face: dict[int, int] = {}
-    cap_of_side: dict[int, int] = {}
-    if index == 0:
-        for gk, (f1, f2) in sorted(face_groups.items()):
-            r1, r2 = (rung_of_node[k] for k in face_flanks[f1])
-            if {rung_of_node[k] for k in face_flanks[f2]} != {r1, r2}:
-                raise AuditError(
-                    f"faces {f1} and {f2} do not span matching rungs"
-                )
-            ident = out.add_cell(
-                2,
-                ("cap", ("quad", f1, f2)),
-                (iface_edge[f1], iface_edge[f2], r1, r2),
-                restrict_pattern(complex_.cells[f1].pattern, units),
+    for f1, f2 in quads:
+        r1, r2 = (rung[n] for n in flanks[f1])
+        if {rung[n] for n in flanks[f2]} != {r1, r2}:
+            raise AuditError(
+                f"faces {f1} and {f2} do not span matching rungs"
             )
-            quad_of_face[f1] = ident
-            quad_of_face[f2] = ident
-    else:
+        out.add_cell(
+            2, ("cap", ("quad", f1, f2)), (rim[f1], rim[f2], r1, r2),
+            restricted(f1),
+        )
+    if index == 1:
         for s, (root, *_) in enumerate(groups):
-            rim = sorted(
-                {iface_edge[f] for f in adj_faces if face_side[f] == s}
-            )
-            cap_of_side[s] = out.add_cell(2, ("cap", ("disk", root)), rim)
+            disk = [rim[f] for f, ends in flanks.items() if side[ends[0]] == s]
+            out.add_cell(2, ("cap", ("disk", root)), sorted(disk))
 
-    # carry the involution through, when there is one: every new cell is
-    # recorded under the old cell, node or cycle it came from, and pairs
-    # with the new cell recorded under that one's image
     if complex_.involution and not projective:
         inv = complex_.involution
         for c in kept:
@@ -449,30 +386,23 @@ def surgery_2d(
                     f"involution moves kept cell {c.ident} off the kept set"
                 )
             out.pair(c.ident, inv[c.ident])
-
-        def node_image(key):
-            e, v = key
-            return (inv[e], inv[v])
-
-        def carry(cells: dict, image) -> None:
-            for key, cell in cells.items():
-                partner = cells[image(key)]
-                if out.involution.get(cell) != partner:
-                    out.pair(cell, partner)
-
-        carry(trunc_edge, inv.__getitem__)
-        carry(trunc_face, inv.__getitem__)
-        carry(new_vertex, node_image)
-        carry(iface_edge, inv.__getitem__)
-        carry(rung_of_node, node_image)
-        carry(quad_of_face, inv.__getitem__)
-        if index == 1:
-            side_image: dict[int, int] = {}
-            for key in side:
-                s, t = side[key], side[node_image(key)]
-                if side_image.setdefault(s, t) != t:
-                    raise AuditError("involution shears the boundary cycles")
-            carry(cap_of_side, side_image.__getitem__)
+        new = [c for c in out if c.ident >= complex_._next]
+        on_facets = {frozenset(c.facets): c.ident for c in new if c.dim}
+        if len(on_facets) != sum(1 for c in new if c.dim):
+            raise AuditError("two new cells have the same facets")
+        # vertices come first, so every other new cell finds its facets paired
+        for c in new:
+            if c.dim:
+                image = frozenset(out.involution[f] for f in c.facets)
+                partner = on_facets.get(image)
+            else:
+                e, _ = c.label[1]
+                partner = vertex.get(node.get(inv[e]))
+            if partner is None:
+                raise AuditError(
+                    f"involution takes new cell {c.label!r} to no new cell"
+                )
+            out.pair(c.ident, partner)
 
     out.seal()
     _audit_closed_surface(out)
@@ -490,7 +420,6 @@ class ChainStep:
     added: tuple[int, ...]
     index: int
     sphere: tuple[int, ...]
-    f_before: tuple[int, ...]
     f_after: tuple[int, ...]
 
 
@@ -535,22 +464,18 @@ def run_chain(
         rest = frozenset(added) - {code.edge_count}
         units = ground - rest
         sphere = locate_sphere(current, units, projective)
-        before = current.f_vector()
         if mode == "collapse":
             current = surgery_step(
                 current, sphere, units, nxt, projective=projective
             )
         else:
-            current = surgery_2d(
-                current, sphere, units, projective=projective
-            )
+            current = surgery_2d(current, sphere, units, projective=projective)
         steps.append(
             ChainStep(
                 code=str(nxt),
                 added=tuple(sorted(added)),
                 index=len(rest) - 1,
                 sphere=sphere,
-                f_before=before,
                 f_after=current.f_vector(),
             )
         )

@@ -1,6 +1,7 @@
 """Command line front end: verbs, exit codes, deterministic output."""
 
 import json
+import pathlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -339,6 +340,16 @@ def test_homology_non_regular_dump_is_an_audit_failure(capsys, tmp_path) -> None
     assert "Traceback" not in err
 
 
+def test_homology_refuses_a_cell_bounded_by_a_torus(capsys) -> None:
+    # the collapse torus of <15> plus one 3-cell on all its faces
+    dump = pathlib.Path(__file__).parent / "fixtures" / "torus_ball.json"
+    code, out, err = run_cli(capsys, "homology", str(dump))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("audit failure [AUDIT]")
+    assert "V - E + F = 0" in err
+
+
 # -- poset ----------------------------------------------------------------
 
 
@@ -372,6 +383,18 @@ def test_poset_refuses_an_unrealizable_code(capsys) -> None:
     assert code == 2
     assert out == ""
     assert "INVALID_CODE" in err
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_poset_json_locus_reads_as_digit_groups(capsys, fmt) -> None:
+    digits = run_cli(
+        capsys, "poset", "<26>", "--surgery", "345", "--format", fmt
+    )
+    listed = run_cli(
+        capsys, "poset", "<26>", "--surgery", "[[3,4,5]]", "--format", fmt
+    )
+    assert digits[0] == 0
+    assert listed == digits
 
 
 @pytest.mark.parametrize(

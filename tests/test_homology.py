@@ -5,6 +5,8 @@ import functools
 import gc
 import importlib
 import itertools
+import json
+import pathlib
 import random
 import weakref
 
@@ -641,6 +643,33 @@ def test_cell_bounded_by_two_spheres_fails_the_audit() -> None:
     out.add_cell(3, ("ball", "two spheres"), tops)
     with pytest.raises(AuditError, match="not connected"):
         homology(out.seal())
+
+
+TORUS_BALL = pathlib.Path(__file__).parent / "fixtures" / "torus_ball.json"
+
+
+def torus_ball() -> RegularCellComplex:
+    """The collapse torus of ``<15>`` (f = 18, 42, 24) and one 3-cell on
+    all 24 of its faces, read from a cell dump.  Every edge lies on two of
+    those faces, on one connected, oriented boundary, so ``seal()`` and
+    the sign spread pass; only the count V - E + F = 0 shows that the
+    boundary of the 3-cell is a torus, not a sphere."""
+    cells = json.loads(TORUS_BALL.read_text())["cells"]
+    out = RegularCellComplex()
+    for k, cell in sorted(enumerate(cells), key=lambda kc: kc[1]["dim"]):
+        out.add_cell(cell["dim"], ("c", k), cell["facets"], ident=k)
+    return out.seal()
+
+
+def test_cell_bounded_by_a_torus_fails_the_audit() -> None:
+    ball = torus_ball()
+    assert ball.f_vector() == (18, 42, 24, 1)
+    torus = homology(ball.materialize(c.ident for c in ball if c.dim == 2))
+    assert (torus.betti, torus.orientable) == ((1, 2, 1), True)
+    with pytest.raises(AuditError, match="V - E \\+ F = 0, not 2"):
+        homology(ball)
+    with pytest.raises(AuditError):
+        identify_small(ball)
 
 
 def test_face_on_three_facets_fails_the_audit_unsealed() -> None:

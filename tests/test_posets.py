@@ -649,6 +649,70 @@ def test_poset_isomorphic_when_colours_cannot_tell():
     assert_order_isomorphism(crown, again, poset_isomorphic(crown, again))
 
 
+def regular_bipartite_poset(degree: int, seed: int) -> FinitePoset:
+    """A height-two poset on five minimal and five maximal elements whose
+    covers form a seeded random ``degree``-regular bipartite graph: the
+    union of ``degree`` permutations that never agree.  Its elements are
+    listed in a shuffled order."""
+    rng = random.Random(seed)
+    while True:
+        perms = [rng.sample(range(5), 5) for _ in range(degree)]
+        covers = {(i, perm[i]) for perm in perms for i in range(5)}
+        if len(covers) == 5 * degree:
+            break
+    elements = [("a", i) for i in range(5)] + [("b", j) for j in range(5)]
+    rng.shuffle(elements)
+    return FinitePoset.from_relations(
+        elements, [(("a", i), ("b", j)) for i, j in sorted(covers)]
+    )
+
+
+def brute_force_by_colour(p: FinitePoset, q: FinitePoset) -> bool:
+    """Whether some bijection ``p -> q`` that keeps the stable colour
+    classes is an order isomorphism, trying every one of them."""
+    pc, qc = posets._stable_colors(p, q)
+    if sorted(pc) != sorted(qc):
+        return False
+    n = len(p)
+    strict_p = [(a, b) for a in range(n) for b in range(n)
+                if a != b and p._down[b] >> a & 1]
+    strict_q = {(a, b) for a in range(n) for b in range(n)
+                if a != b and q._down[b] >> a & 1}
+    if len(strict_p) != len(strict_q):
+        return False
+    colours = sorted(set(pc))
+    sources = [i for c in colours for i, ci in enumerate(pc) if ci == c]
+    targets = [[i for i, ci in enumerate(qc) if ci == c] for c in colours]
+    for images in itertools.product(*map(itertools.permutations, targets)):
+        to = dict(zip(sources, itertools.chain(*images)))
+        if all((to[a], to[b]) in strict_q for a, b in strict_p):
+            return True
+    return False
+
+
+def test_poset_isomorphic_on_regular_bipartite_draws():
+    # 2-regular bipartite graphs on 5 + 5 vertices are a 10-cycle or a
+    # 4-cycle beside a 6-cycle, and the 3-regular ones their complements
+    # in K(5,5): colour refinement sees only two classes in each, so the
+    # search must tell the draws of one degree apart
+    draws = [
+        regular_bipartite_poset(degree, seed)
+        for degree in (2, 3)
+        for seed in range(4)
+    ]
+    outcomes = set()
+    for p, q in itertools.combinations(draws, 2):
+        pc, qc = posets._stable_colors(p, q)
+        if sorted(pc) == sorted(qc):
+            assert len(set(pc)) == 2
+        iso = poset_isomorphic(p, q)
+        assert (iso is not None) == brute_force_by_colour(p, q)
+        if iso is not None:
+            assert_order_isomorphism(p, q, iso)
+        outcomes.add((sorted(pc) == sorted(qc), iso is not None))
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
 @st.composite
 def poset_pairs(draw) -> tuple[FinitePoset, FinitePoset]:
     """A poset on at most six elements, and a relabelled copy of it from

@@ -140,7 +140,7 @@ LADDERS = {
 def test_f_vector_ladder(key) -> None:
     name, projective, mode = key
     tr = chain_run(name, mode, bool(projective))
-    got = [s.f_before for s in tr.steps] + [tr.final.f_vector()]
+    got = [k.f_vector() for k in tr.complexes]
     assert got == LADDERS[key]
     assert [s.f_after for s in tr.steps] == got[1:]
     assert tr.mode == mode
@@ -153,10 +153,7 @@ def test_step_records() -> None:
     assert [s.added for s in tr.steps] == [(1, 5), (2, 5), (1, 2, 5)]
     assert [s.index for s in tr.steps] == [0, 0, 1]
     assert [len(s.sphere) for s in tr.steps] == [2, 2, 12]
-    for before, after, step in zip(
-        tr.complexes, tr.complexes[1:], tr.steps
-    ):
-        assert step.f_before == before.f_vector()
+    for after, step in zip(tr.complexes[1:], tr.steps):
         assert step.f_after == after.f_vector()
 
 
@@ -622,6 +619,47 @@ def test_point_surgery_refuses_an_unpartnered_pattern() -> None:
     k, ids = polyhedron(CUBE, lambda c: odd.get(c) or axis_pattern(c))
     with pytest.raises(AuditError):
         surgery_2d(k, (ids["000"], ids["111"]), fs(1, 2, 3))
+
+
+def point_surgery_input():
+    """The 2-sphere Coxeter({1..4}), its reversal involution, and the
+    point sphere of the first step of ``<15>``."""
+    k = coxeter_complex(range(1, 5))
+    units = fs(2, 3, 4)
+    return k, locate_sphere(k, units), units
+
+
+def swap_partners(involution: dict, a: int, b: int) -> None:
+    """Pair ``a`` with ``b``, and their old partners with each other."""
+    pa, pb = involution[a], involution[b]
+    involution.update({a: b, b: a, pa: pb, pb: pa})
+
+
+def test_attach_refuses_a_kept_cell_paired_into_the_star() -> None:
+    k, sphere, units = point_surgery_input()
+    star = adjacent_cells(k, frozenset(sphere))
+    edges = [c.ident for c in k if c.dim == 1]
+    cut = next(e for e in edges if e in star)
+    kept = next(e for e in edges if e not in star and e not in sphere)
+    swap_partners(k.involution, cut, kept)
+    with pytest.raises(AuditError, match="off the kept set"):
+        surgery_2d(k, sphere, units)
+
+
+def test_attach_refuses_facet_images_that_match_no_cell() -> None:
+    # two adjacent edges swap partners: every node still has an image
+    # node, but a truncated edge now goes to the node of one edge from
+    # the far end of another, and no new edge has those ends
+    k, sphere, units = point_surgery_input()
+    inv = k.involution
+    star = adjacent_cells(k, frozenset(sphere))
+    edges = sorted(c.ident for c in k if c.dim == 1 and c.ident in star)
+    far = {e: set(k.cells[e].facets) - set(sphere) for e in edges}
+    a = edges[0]
+    b = next(e for e in edges if e not in (a, inv[a]) and far[e] != far[a])
+    swap_partners(inv, a, inv[b])
+    with pytest.raises(AuditError, match="to no new cell"):
+        surgery_2d(k, sphere, units)
 
 
 # -- step loci and poset shadows -----------------------------------------
