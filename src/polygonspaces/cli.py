@@ -123,7 +123,7 @@ def _cmd_chain(args: argparse.Namespace) -> int:
         {
             "codes": [str(c) for c in chain.codes],
             "added": [sorted(g) for g in chain.added_sets],
-            "signature": list(surgery_signature(code)),
+            "signature": list(surgery_signature(chain)),
         }
     )
     return 0

@@ -17,8 +17,9 @@ of the vector.  This module provides:
 * the partial order on codes at fixed edge count, its covering relations,
   and the canonical saturated chain from the minimal code up to a target,
 * exact realization of an abstract code by an integer length vector, or a
-  certificate of unrealizability, via a two-phase simplex with
-  fraction-free integer pivoting.
+  certificate of unrealizability, via a linear program posed so that the
+  origin is feasible and solved by a one-phase simplex with fraction-free
+  integer pivoting.
 
 All arithmetic is exact: ``fractions.Fraction`` for lengths, plain ints
 inside the simplex tableau; floats never appear.
@@ -36,6 +37,7 @@ from .errors import (
     GroundSetTooLargeError,
     InvalidCodeError,
     NonGenericError,
+    TooLargeError,
     AuditError,
 )
 
@@ -46,6 +48,9 @@ RationalLike = Union[int, str, Fraction]
 MAX_EDGES = 16
 MAX_EDGES_REALIZE = 10
 MAX_EDGES_ENUMERATE = 7
+# A saturated chain has one step per anchor short set; 2**9 admits every
+# code on up to 10 edges.
+MAX_CHAIN_SHORT_SETS = 512
 
 Gene = frozenset  # elements are 1-based edge indices
 
@@ -231,10 +236,6 @@ class GeneticCode:
         object.__setattr__(self, "edge_count", edge_count)
         object.__setattr__(self, "genes", ordered)
 
-    @property
-    def anchor(self) -> int:
-        return self.edge_count
-
     def is_empty_space(self) -> bool:
         """True when the code describes an empty polygon space (no genes)."""
         return not self.genes
@@ -378,29 +379,43 @@ def saturated_chain(code: GeneticCode) -> SaturatedChain:
     tuple is lexicographically largest, until only the anchor set remains.
     Each drop removes exactly one short set, so the chain is saturated and
     its added sets together with the anchor singleton exhaust the short
-    system of the target.
+    system of the target.  A set becomes maximal only when the dropped gene
+    was its one short up-cover, so the new genes are read off the dropped
+    gene's down-covers.  Codes with more than ``MAX_CHAIN_SHORT_SETS``
+    anchor short sets are refused before the descent.
     """
     if code.is_empty_space():
         return SaturatedChain((code,), ())
-    bottom = minimal_code(code.edge_count)
+    m = code.edge_count
+    shorts = set(code.anchor_short_sets())
+    if len(shorts) > MAX_CHAIN_SHORT_SETS:
+        raise TooLargeError(
+            f"{format_code(code)} has {len(shorts)} anchor short sets; "
+            f"chains are built for at most {MAX_CHAIN_SHORT_SETS}"
+        )
+    bottom = minimal_code(m)
     codes = [code]
     removed = []
-    current = code
-    while current != bottom:
-        gene = max(current.genes, key=lambda g: tuple(sorted(g, reverse=True)))
+    genes = set(code.genes)
+    while codes[-1] != bottom:
+        gene = max(genes, key=lambda g: tuple(sorted(g, reverse=True)))
         removed.append(gene)
-        current = GeneticCode(
-            current.edge_count,
-            _maximal_in_downset(current.anchor_short_sets() - {gene}),
+        shorts.remove(gene)
+        genes.remove(gene)
+        genes.update(
+            c
+            for c in _dominance_down_covers(gene, m)
+            if m in c
+            and not any(u in shorts for u in _dominance_up_covers(c, m))
         )
-        codes.append(current)
+        codes.append(GeneticCode(m, genes))
     return SaturatedChain(tuple(reversed(codes)), tuple(reversed(removed)))
 
 
-def surgery_signature(code: GeneticCode) -> tuple[int, ...]:
-    """Sphere dimensions met along the canonical chain: size of each added
+def surgery_signature(chain: SaturatedChain) -> tuple[int, ...]:
+    """Sphere dimensions met along a saturated chain: size of each added
     set minus two."""
-    return tuple(len(j) - 2 for j in saturated_chain(code).added_sets)
+    return tuple(len(j) - 2 for j in chain.added_sets)
 
 
 def enumerate_codes(edge_count: int) -> list[GeneticCode]:
@@ -434,186 +449,119 @@ def enumerate_codes(edge_count: int) -> list[GeneticCode]:
 
 
 # ---------------------------------------------------------------------------
-# Exact realization via a two-phase simplex on a fraction-free integer
-# tableau (Edmonds 1967, Bareiss 1968): one common denominator, no floats.
+# Exact realization via a one-phase simplex on a fraction-free integer
+# tableau (Edmonds 1967, Bareiss 1968): the origin is a feasible vertex,
+# so no phase 1 is needed, and no floats.
 # ---------------------------------------------------------------------------
 
 
 def _simplex_max(
-    objective: Sequence[Fraction],
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-) -> Optional[tuple[Fraction, list[Fraction]]]:
-    """Maximize ``objective . x`` over ``rows . x <= rhs``, ``x >= 0``.
+    objective: Sequence[int],
+    rows: Sequence[Sequence[int]],
+    rhs: Sequence[int],
+) -> tuple[Fraction, list[Fraction]]:
+    """Maximize ``objective . x`` over ``rows . x <= rhs``, ``x >= 0``, for
+    integer input with every ``rhs >= 0``.
 
-    Exact two-phase tableau simplex with Bland's rule, so it terminates and
-    is deterministic.  Returns ``(value, x)`` or None when infeasible.
-    The feasible regions built in this module are bounded; unboundedness
-    therefore raises an audit error.
+    The origin is then a feasible vertex, basic in the slacks, so one phase
+    of Bland's rule runs from it (ratio ties go to the smaller basis index):
+    it terminates on these degenerate LPs and is deterministic.  Returns
+    ``(value, x)``.  A negative right-hand side raises an audit error, as
+    does an unbounded objective: the callers' regions are bounded.
 
-    The tableau is kept fraction-free: the whole input is scaled by ``L``,
-    the lcm of its denominators, which changes neither the feasible region
-    nor the optimal ``x``, and the integer tableau ``T`` stands for
-    ``T / D`` with one common denominator ``D > 0``, starting at 1.  A pivot
-    on ``p = T[r][c]`` leaves row ``r`` as it is and replaces every other
-    row ``i``, objective rows included, by
-    ``(p * T[i][j] - T[i][c] * T[r][j]) // D``; then ``D`` becomes ``p``
-    (every row and ``D`` are negated if ``p < 0``).  The division is exact
-    (Bareiss): ``D`` is, up to sign, the determinant of the current basis
-    matrix ``B``, so ``T`` is ``adj(B)`` applied to the integer input,
-    objective rows included, and the quotient is that integer tableau for
-    the next basis.  Signs, zero tests and the ratio test do not see ``D``,
-    so the pivots are those of the rational tableau.
+    The integer tableau ``T`` stands for ``T / D`` with one common
+    denominator ``D > 0``, starting at 1.  A pivot on ``p = T[r][c] > 0``
+    leaves row ``r`` as it is and replaces every other row ``i``, the
+    objective row included, by ``(p * T[i][j] - T[i][c] * T[r][j]) // D``;
+    then ``D`` becomes ``p``.  The division is exact (Bareiss): ``D`` is the
+    determinant of the current basis matrix ``B``, so ``T`` is ``adj(B)``
+    applied to the integer input, and the quotient is that integer tableau
+    for the next basis.  Signs, zero tests and the ratio test do not see
+    ``D``, so the pivots are those of the rational tableau.
     """
-    scale = math.lcm(
-        *(v.denominator for v in objective),
-        *(v.denominator for row in rows for v in row),
-        *(v.denominator for v in rhs),
-    )
-
-    def scaled(v: Fraction) -> int:
-        return v.numerator * (scale // v.denominator)
-
-    n = len(objective)
-    k = len(rows)
-    art_of_row = {}
-    n_art = sum(1 for b in rhs if b < 0)
-    width = n + k + n_art + 1
-    tableau: list[list[int]] = []
-    next_art = n + k
-    for i in range(k):
-        row = [0] * width
-        flip = -1 if rhs[i] < 0 else 1
-        for j in range(n):
-            row[j] = flip * scaled(rows[i][j])
-        row[n + i] = flip
-        row[-1] = flip * scaled(rhs[i])
-        if rhs[i] < 0:
-            row[next_art] = 1
-            art_of_row[i] = next_art
-            next_art += 1
-        tableau.append(row)
-    basis = [art_of_row.get(i, n + i) for i in range(k)]
-
-    # Objective rows in canonical form: z + sum(row[j] * x_j) = row[-1].
-    z_row = [0] * width
-    for j in range(n):
-        z_row[j] = -scaled(objective[j])
-    w_row = [0] * width
-    for i, art in art_of_row.items():
-        for j in range(width):
-            w_row[j] -= tableau[i][j]
-        w_row[art] += 1  # cost of the artificial itself
-    every_row = tableau + [z_row, w_row]
+    if any(b < 0 for b in rhs):
+        raise AuditError("negative right-hand side: the origin is infeasible")
+    n, k = len(objective), len(rows)
+    tableau = [
+        [*rows[i], *(int(i == j) for j in range(k)), rhs[i]] for i in range(k)
+    ]
+    basis = [n + i for i in range(k)]
+    # the objective row in canonical form: z + sum(row[j] * x_j) = row[-1]
+    z_row = [*(-c for c in objective), *[0] * (k + 1)]
+    every_row = tableau + [z_row]
     denom = 1
-
-    def pivot(r: int, c: int) -> None:
-        nonlocal denom
-        prow = tableau[r]
-        p = prow[c]
+    while True:
+        enter = next((j for j in range(n + k) if z_row[j] < 0), None)
+        if enter is None:
+            break
+        best = None
+        for i in range(k):
+            coef = tableau[i][enter]
+            num = tableau[i][-1]
+            # the key (num / coef, basis[i]), ratios cross-multiplied
+            if coef > 0 and (
+                best is None
+                or (num * best[1], basis[i]) < (best[0] * coef, basis[best[2]])
+            ):
+                best = (num, coef, i)
+        if best is None:
+            raise AuditError("objective unbounded on a bounded polytope")
+        prow = tableau[best[2]]
+        p = best[1]
         for row in every_row:
             if row is prow:
                 continue
-            f = row[c]
+            f = row[enter]
             if f:
                 row[:] = [(p * v - f * w) // denom for v, w in zip(row, prow)]
             else:
                 row[:] = [p * v // denom for v in row]
-        if p < 0:
-            for row in every_row:
-                row[:] = [-v for v in row]
-            p = -p
         denom = p
-
-    def iterate(obj: list[int], allowed: int) -> bool:
-        """Run Bland pivots until optimal; False means unbounded."""
-        while True:
-            enter = next(
-                (j for j in range(allowed) if obj[j] < 0), None
-            )
-            if enter is None:
-                return True
-            best = None
-            for i in range(k):
-                coef = tableau[i][enter]
-                num = tableau[i][-1]
-                # the key (num / coef, basis[i]), ratios cross-multiplied
-                if coef > 0 and (
-                    best is None
-                    or (num * best[1], basis[i])
-                    < (best[0] * coef, basis[best[2]])
-                ):
-                    best = (num, coef, i)
-            if best is None:
-                return False
-            pivot(best[2], enter)
-            basis[best[2]] = enter
-
-    if n_art:
-        if not iterate(w_row, n + k + n_art):
-            raise AuditError("phase-1 objective unbounded")
-        if w_row[-1] != 0:
-            return None  # infeasible
-        for i in range(k):
-            if basis[i] >= n + k:  # artificial stuck in the basis at zero
-                col = next(
-                    (j for j in range(n + k) if tableau[i][j] != 0), None
-                )
-                if col is not None:
-                    pivot(i, col)
-                    basis[i] = col
-    if not iterate(z_row, n + k):
-        raise AuditError("objective unbounded on a bounded polytope")
+        basis[best[2]] = enter
     x = [Fraction(0)] * n
     for i in range(k):
         if basis[i] < n:
             x[basis[i]] = Fraction(tableau[i][-1], denom)
-    return Fraction(z_row[-1], denom * scale), x
+    return Fraction(z_row[-1], denom), x
 
 
 def realize(code: GeneticCode) -> Optional[LengthVector]:
     """An integer length vector with the given genetic code, or None.
 
-    Maximizes a uniform slack ``t`` over the polytope of ascending,
-    perimeter-one vectors whose gene sums stay short by ``t`` and whose
-    minimal long sets stay long by ``t``; domination monotonicity makes
-    those finitely many constraints imply all the rest.  A positive optimum
-    is scaled to a canonical integer vector and round-tripped through
-    :func:`genetic_code` as a self-check.
+    Maximizes a uniform slack ``t`` over ascending vectors ``x`` of
+    perimeter ``P <= 1`` with ``t <= x_1``, whose gene sums stay short by
+    ``t`` (``2 x(g) - P + t <= 0``) and whose minimal long sets stay long by
+    ``t`` (``P - 2 x(L) + t <= 0``); domination monotonicity makes those
+    finitely many constraints imply all the rest.  Every constraint but
+    ``P <= 1`` is homogeneous, so the origin is feasible, and scaling a
+    point with ``t > 0`` up to ``P = 1`` raises ``t``: a positive optimum
+    has ``P = 1``.  It is scaled to a canonical integer vector and
+    round-tripped through :func:`genetic_code` as a self-check.
     """
     m = code.edge_count
     if m > MAX_EDGES_REALIZE:
         raise GroundSetTooLargeError(
             f"realization supports at most {MAX_EDGES_REALIZE} edges"
         )
-    zero, one = Fraction(0), Fraction(1)
-    n = m + 1  # x_1..x_m and the slack t
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
 
-    def add(coefs: dict, bound: Fraction) -> None:
-        row = [zero] * n
-        for j, c in coefs.items():
-            row[j] = Fraction(c)
-        rows.append(row)
-        rhs.append(bound)
+    def row(coef, t: int = 1) -> list[int]:
+        """Coefficients ``coef(i)`` of the edges ``i = 1..m``, then ``t``."""
+        return [coef(i) for i in range(1, m + 1)] + [t]
 
-    add({j: 1 for j in range(m)}, one)
-    add({j: -1 for j in range(m)}, -one)
-    for j in range(m - 1):
-        add({j: 1, j + 1: -1}, zero)
-    add({0: -1, m: 1}, zero)  # t <= x_1 keeps every length positive
-    for gene in code.genes:
-        add({**{i - 1: 2 for i in gene}, m: 1}, one)
-    for long_set in minimal_long_sets(code):
-        add({**{i - 1: -2 for i in long_set}, m: 1}, -one)
-
-    objective = [zero] * n
-    objective[m] = one
-    solved = _simplex_max(objective, rows, rhs)
-    if solved is None or solved[0] <= 0:
+    rows = [row(lambda i: 1, t=0)]
+    rows += [row(lambda i: (i == j) - (i == j + 1), t=0) for j in range(1, m)]
+    # t <= x_1 keeps every length positive
+    rows.append(row(lambda i: -(i == 1)))
+    rows += [row(lambda i: 2 * (i in gene) - 1) for gene in code.genes]
+    rows += [
+        row(lambda i: 1 - 2 * (i in long_set))
+        for long_set in minimal_long_sets(code)
+    ]
+    maximize_t = row(lambda i: 0)
+    value, x = _simplex_max(maximize_t, rows, [1] + [0] * (len(rows) - 1))
+    if value <= 0:
         return None
-    lengths = solved[1][:m]
+    lengths = x[:m]
     scale = math.lcm(*(v.denominator for v in lengths))
     ints = [int(v * scale) for v in lengths]
     shrink = math.gcd(*ints)
@@ -669,7 +617,7 @@ def parse_code(text: str, edge_count: Optional[int] = None) -> GeneticCode:
                     elems = tuple(int(p) for p in inner.split(","))
                 except ValueError:
                     raise InvalidCodeError(f"bad gene token {token!r}") from None
-            elif token.isdigit():
+            elif token.isdecimal():
                 elems = tuple(int(c) for c in token)
             else:
                 raise InvalidCodeError(f"bad gene token {token!r}")

@@ -97,6 +97,30 @@ def test_chain_explicit_edge_count(capsys) -> None:
     assert payload["signature"] == [0]
 
 
+@pytest.mark.parametrize("name", ["<²5>", "<15²>"])
+def test_chain_refuses_non_decimal_digits(capsys, name) -> None:
+    code, out, err = run_cli(capsys, "chain", name)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error [INVALID_CODE]")
+
+
+def test_chain_refuses_a_large_short_system_before_descending(
+    capsys, monkeypatch
+) -> None:
+    # each descent step tests the up-covers of the dropped gene's covers
+    def refuse(*args, **kwargs):
+        raise AssertionError("the descent started")
+
+    monkeypatch.setattr("polygonspaces.genetics._dominance_up_covers", refuse)
+    code, out, err = run_cli(
+        capsys, "chain", "<[1,2,3,4,5,6,7,8,9,10,11,12,16]>"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error [TOO_LARGE]")
+
+
 # -- run ------------------------------------------------------------------
 
 
@@ -483,6 +507,19 @@ tokens = st.one_of(
 @given(lengths=st.lists(tokens, max_size=9))
 def test_fuzz_gencode_lengths(capsys, lengths) -> None:
     assert exit_status(capsys, ["gencode", "--", *lengths]) in (0, 2, 3)
+
+
+@FUZZ
+@given(
+    name=st.one_of(
+        st.text(alphabet="[]0123456789,²１ ", max_size=10).map(
+            lambda t: f"<{t}>"
+        ),
+        st.text(max_size=8),
+    )
+)
+def test_fuzz_chain_code(capsys, name) -> None:
+    assert exit_status(capsys, ["chain", "--", name]) in (0, 2, 3)
 
 
 @FUZZ

@@ -1,6 +1,8 @@
 """Genetic codes: vectors, domination, chains, realization."""
 
 import itertools
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from polygonspaces.errors import (
     GroundSetTooLargeError,
     InvalidCodeError,
     NonGenericError,
+    TooLargeError,
 )
 from polygonspaces.genetics import (
     GeneticCode,
@@ -325,10 +328,43 @@ def test_saturated_chain_m5_examples():
     ]
 
 
+def test_saturated_chain_matches_a_rebuilding_descent():
+    """The descent reads each step's new genes off the dropped gene's
+    down-covers; rebuilding the short system at every step, as a
+    reference, gives the same chain on every code up to m = 6."""
+
+    def rebuilt(g):
+        codes, removed = [g], []
+        while g != minimal_code(g.edge_count):
+            gene = max(g.genes, key=lambda h: sorted(h, reverse=True))
+            removed.append(gene)
+            shorts = g.anchor_short_sets() - {gene}
+            g = GeneticCode(g.edge_count, genetics._maximal_in_downset(shorts))
+            codes.append(g)
+        return SaturatedChain(tuple(reversed(codes)), tuple(reversed(removed)))
+
+    for m in range(1, 7):
+        for g in enumerate_codes(m):
+            if not g.is_empty_space():
+                assert saturated_chain(g) == rebuilt(g), format_code(g)
+
+
+def test_saturated_chain_caps_the_short_system():
+    # every anchor set of 10 edges is short: 2**9 = 512 of them, admitted
+    chain = saturated_chain(code("<[1,2,3,4,5,6,7,8,9,10]>"))
+    assert len(chain.codes) == genetics.MAX_CHAIN_SHORT_SETS == 512
+    # 2**12 anchor short sets on 16 edges: refused before the descent
+    with pytest.raises(TooLargeError, match="4096 anchor short sets"):
+        saturated_chain(code("<[1,2,3,4,5,6,7,8,9,10,11,12,16]>"))
+
+
 def test_surgery_signatures():
-    assert surgery_signature(code("<125>")) == (0, 0, 1)
-    assert surgery_signature(code("<45>")) == (0, 0, 0, 0)
-    assert surgery_signature(code("<256>")) == (
+    def signature(text):
+        return surgery_signature(saturated_chain(code(text)))
+
+    assert signature("<125>") == (0, 0, 1)
+    assert signature("<45>") == (0, 0, 0, 0)
+    assert signature("<256>") == (
         0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1,
     )
 
@@ -384,22 +420,15 @@ def test_enumerate_codes_counts():
 
 
 def test_simplex_small_cases():
-    one = Fraction(1)
-    best = _simplex_max(
-        [one, one],
-        [[one, Fraction(0)], [Fraction(0), one]],
-        [Fraction(2), Fraction(3)],
-    )
+    best = _simplex_max([1, 1], [[1, 0], [0, 1]], [2, 3])
     assert best == (Fraction(5), [Fraction(2), Fraction(3)])
-    assert _simplex_max([one], [[one]], [Fraction(-1)]) is None
-    # equality via paired rows, negative rhs exercises phase 1
-    best = _simplex_max(
-        [one, Fraction(0)],
-        [[one, one], [-one, -one], [one, -one]],
-        [Fraction(4), Fraction(-4), Fraction(1)],
-    )
-    assert best is not None
-    assert best[0] == Fraction(5, 2)
+    best = _simplex_max([1, 0], [[1, 1], [1, -1]], [4, 1])
+    assert best == (Fraction(5, 2), [Fraction(5, 2), Fraction(3, 2)])
+    # the one-phase start needs the origin feasible
+    with pytest.raises(AuditError, match="negative right-hand side"):
+        _simplex_max([1], [[1]], [-1])
+    with pytest.raises(AuditError, match="negative right-hand side"):
+        _simplex_max([1, 0], [[1, 1], [-1, -1], [1, -1]], [4, -4, 1])
 
 
 def reference_simplex_max(objective, rows, rhs):
@@ -492,47 +521,31 @@ def outcome(solver, objective, rows, rhs):
         return type(err), str(err)
 
 
-# small numerators and denominators, zeros included, so ratio ties and
-# degenerate vertices are common
-small_fractions = st.builds(
-    Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 1, 2, 3, 6])
-)
+# small integers, zeros included, so ratio ties and degenerate vertices are
+# common
+small_ints = st.integers(-4, 4)
 
 
 @st.composite
 def bounded_lps(draw):
-    """A random LP ``max c.x, A x <= b, x >= 0`` whose first row, all ones,
-    bounds the region.  Negative right-hand sides force phase 1, and some
-    of them make the LP infeasible; a zero bound makes every vertex
-    degenerate."""
+    """A random integer LP ``max c.x, A x <= b, x >= 0`` with ``b >= 0``,
+    so that the origin is feasible, whose first row, all ones, bounds the
+    region.  Zero right-hand sides make the origin degenerate, as in
+    ``realize``, and a zero bound makes every vertex degenerate."""
     n = draw(st.integers(1, 4))
     k = draw(st.integers(0, 5))
-    objective = draw(st.lists(small_fractions, min_size=n, max_size=n))
-    rows = [[Fraction(1)] * n] + draw(
+    objective = draw(st.lists(small_ints, min_size=n, max_size=n))
+    rows = [[1] * n] + draw(
         st.lists(
-            st.lists(small_fractions, min_size=n, max_size=n),
+            st.lists(small_ints, min_size=n, max_size=n),
             min_size=k,
             max_size=k,
         )
     )
-    bound = draw(st.integers(0, 4))
-    rhs = [Fraction(bound)] + draw(
-        st.lists(
-            st.builds(Fraction, st.integers(-2, 6), st.sampled_from([1, 3])),
-            min_size=k,
-            max_size=k,
-        )
+    rhs = [draw(st.integers(0, 4))] + draw(
+        st.lists(st.integers(0, 6), min_size=k, max_size=k)
     )
-    # equalities as opposite pairs of rows, as ``realize`` poses them, leave
-    # artificial variables in the basis at zero after phase 1
-    for i in range(draw(st.integers(0, min(k, 2)))):
-        rows.append([-v for v in rows[i + 1]])
-        rhs.append(-rhs[i + 1])
     return objective, rows, rhs
-
-
-def ints(*values):
-    return [Fraction(v) for v in values]
 
 
 @settings(max_examples=400, deadline=None)
@@ -541,9 +554,9 @@ def ints(*values):
 # the later row; the two vertices it can lead to are both optimal
 @example(
     (
-        ints(3, 2, 3),
-        [ints(1, 1, 1), ints(0, -2, -2), ints(0, 2, 1), ints(0, 2, -1)],
-        ints(2, -1, 1, 3),
+        [2, 4, 4, 0],
+        [[1, 1, 1, 1], [-2, 1, -1, 3], [0, 1, 1, -1], [3, 2, -2, -1]],
+        [3, 0, 2, 0],
     )
 )
 def test_simplex_matches_rational_reference(lp):
@@ -585,15 +598,27 @@ def test_realize_catalog_m5():
 
 def test_chamber_census():
     """Hausmann & Rodriguez count the chambers of generic length vectors
-    up to permutation: 7, 21 and 135 for m = 5, 6 and 7, the empty space
-    included.  Every realizable code is one chamber."""
-    for m, chambers in [(5, 7), (6, 21), (7, 135)]:
-        realized = [
-            g
-            for g in enumerate_codes(m)
-            if g.is_empty_space() or realize(g) is not None
-        ]
-        assert len(realized) == chambers, m
+    up to permutation: 2, 3, 7, 21 and 135 for m = 3 to 7, the empty space
+    included.  Every realizable code is one chamber.  Every answer is also
+    pinned: the fixture holds the vector (or null) that ``realize`` gave
+    for each nonempty code when it still ran a two-phase simplex."""
+    fixture = pathlib.Path(__file__).parent / "fixtures" / "realize_m7.json"
+    pinned = json.loads(fixture.read_text())
+    answers = {}
+    for m, chambers in [(3, 2), (4, 3), (5, 7), (6, 21), (7, 135)]:
+        realized = 0
+        for g in enumerate_codes(m):
+            if g.is_empty_space():
+                realized += 1
+                continue
+            v = realize(g)
+            realized += v is not None
+            answers[format_code(g)] = (
+                None if v is None else [int(x) for x in v.values]
+            )
+        assert realized == chambers, m
+    assert len(answers) == 1329
+    assert answers == pinned
 
 
 def test_realize_round_trips_and_is_integral():
@@ -646,6 +671,12 @@ def test_parse_errors():
         parse_code("<>")
     with pytest.raises(InvalidCodeError):
         parse_code("<25x>")
+    # superscript digits pass str.isdigit but are no decimal digits
+    for text in ("<²5>", "<15²>", "<[1,²]>"):
+        with pytest.raises(InvalidCodeError):
+            parse_code(text)
+    # other decimal digits read as int() reads them
+    assert parse_code("<１５>") == parse_code("<15>")
     with pytest.raises(InvalidCodeError):
         parse_code("<[2,4>")
     with pytest.raises(InvalidCodeError):
