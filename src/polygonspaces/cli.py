@@ -33,7 +33,6 @@ from .homology import (
 )
 from .posets import (
     Barred,
-    FinitePoset,
     Interval,
     canonical_partition,
     comb_surgery,
@@ -196,9 +195,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     if args.figures:
         _print(_figure_row("start", trace.complexes[0].f_vector()))
-        for step in trace.steps:
+        for step, after in zip(trace.steps, trace.complexes[1:]):
             cut = "".join(str(e) for e in step.added)
-            _print(_figure_row(f"cut {cut}", step.f_after))
+            _print(_figure_row(f"cut {cut}", after.f_vector()))
         _print(f"{'space':<12} {identify_small(trace.final)}")
         return 0
 
@@ -211,7 +210,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "added": list(step.added),
                 "index": step.index,
                 "sphere_size": len(step.sphere),
-                "f_after": list(step.f_after),
+                "f_after": list(after.f_vector()),
                 "betti": list(rep.betti),
                 "torsion": [list(t) for t in rep.torsion],
             }
@@ -376,6 +375,14 @@ def _load_dump(path: str):
                 f"{path}: 'cells' must list cells with an integer 'dim' "
                 "of at least 0 and a list of integer 'facets'"
             )
+        count = len(data["cells"])
+        for k, cell in enumerate(data["cells"]):
+            for f in cell["facets"]:
+                if not 0 <= f < count:
+                    raise InvalidCodeError(
+                        f"{path}: facet {f} of cell {k} is not one of the "
+                        f"dump's cells 0..{count - 1}"
+                    )
         # by dimension, so that facets come first in any dump order
         cells = sorted(enumerate(data["cells"]), key=lambda kc: kc[1]["dim"])
         out = RegularCellComplex()

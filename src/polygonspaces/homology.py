@@ -709,9 +709,6 @@ class HomologyReport:
             parts.append(f"H{k}=" + ("+".join(term) if term else "0"))
         return " ".join(parts)
 
-    def has_torsion(self) -> bool:
-        return any(self.torsion)
-
 
 def homology(
     source: "SimplicialComplex | RegularCellComplex",

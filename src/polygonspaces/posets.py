@@ -2,8 +2,9 @@
 
 The central objects are:
 
-* :class:`FinitePoset`: an immutable finite poset with bitmask down-sets,
-  supporting covers, meets and grading.
+* :class:`FinitePoset`: an immutable finite poset built from generating
+  relations, with bitmask down-sets; its covers are the relations with
+  nothing between their ends.
 * set-partition utilities and the full partition lattice ordered by
   reverse refinement (coarser partitions sit higher),
 * the intersection poset of a realizable genetic code: partitions of the
@@ -24,14 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Hashable,
-    Iterable,
-    Iterator,
-    Optional,
-    Sequence,
-)
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     AuditError,
@@ -56,22 +50,58 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 class FinitePoset:
-    """An immutable finite partial order.
+    """An immutable finite partial order, generated by relations ``a < b``.
 
     Elements keep their construction order; all queries go through integer
-    bitmasks of down-sets, so comparisons are O(1) and meets are cheap.
+    bitmasks of down-sets, so comparisons are O(1).  The relations are
+    deduplicated and closed transitively; a self-relation or a cycle
+    violates antisymmetry and fails construction.
     """
 
-    def __init__(self, elements: Sequence[Hashable], down_masks: Sequence[int]):
+    def __init__(
+        self,
+        elements: Sequence[Hashable],
+        relations: Iterable[tuple[Hashable, Hashable]],
+    ):
         self.elements: tuple = tuple(elements)
         self.index: dict = {e: i for i, e in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
+        n = len(self.elements)
+        if len(self.index) != n:
             raise AuditError("duplicate poset elements")
-        self._down = tuple(down_masks)
+        above: list[list[int]] = [[] for _ in range(n)]
+        # lower[b]: the lower ends of the distinct relations into b
+        lower: list[list[int]] = [[] for _ in range(n)]
+        seen = set()
+        for a, b in relations:
+            ia, ib = self.index[a], self.index[b]
+            if ia == ib:
+                raise AuditError(f"self-relation at {a!r}")
+            if (ia, ib) in seen:
+                continue
+            seen.add((ia, ib))
+            above[ia].append(ib)
+            lower[ib].append(ia)
+        indegree = [len(lows) for lows in lower]
+        order = [i for i in range(n) if indegree[i] == 0]
+        queue = list(order)
+        while queue:
+            i = queue.pop()
+            for j in above[i]:
+                indegree[j] -= 1
+                if indegree[j] == 0:
+                    order.append(j)
+                    queue.append(j)
+        if len(order) != n:
+            raise AuditError("generating relations contain a cycle")
+        down = [1 << i for i in range(n)]
+        for i in order:
+            for j in above[i]:
+                down[j] |= down[i]
+        self._down = tuple(down)
+        self._lower = lower
         self._covers: Optional[tuple] = None
         self._meet_flag: Optional[bool] = None
         self._up_masks: Optional[tuple[int, ...]] = None
-        self._by_down_mask: Optional[dict[int, int]] = None
 
     def _up(self) -> tuple[int, ...]:
         """Bitmask up-sets, built on the first call.
@@ -88,79 +118,6 @@ class FinitePoset:
             self._up_masks = tuple(up)
         return self._up_masks
 
-    def _principal(self) -> dict[int, int]:
-        """Index of each element by its down-set mask, built on the first
-        call and kept in a plain attribute, as ``_up`` is."""
-        if self._by_down_mask is None:
-            self._by_down_mask = {m: i for i, m in enumerate(self._down)}
-        return self._by_down_mask
-
-    # -- construction --------------------------------------------------
-
-    @staticmethod
-    def from_leq(
-        elements: Sequence[Hashable], leq: Callable[[Hashable, Hashable], bool]
-    ) -> "FinitePoset":
-        """Build from an explicit comparison; validates the order axioms."""
-        elems = tuple(elements)
-        n = len(elems)
-        down = [0] * n
-        for i, a in enumerate(elems):
-            if not leq(a, a):
-                raise AuditError(f"leq not reflexive at {a!r}")
-            for j, b in enumerate(elems):
-                if leq(b, a):
-                    down[i] |= 1 << j
-        for i in range(n):
-            for j in _bits(down[i]):
-                if i != j and down[j] & (1 << i):
-                    raise AuditError("leq not antisymmetric")
-                if down[j] & ~down[i]:
-                    raise AuditError("leq not transitive")
-        return FinitePoset(elems, down)
-
-    @staticmethod
-    def from_relations(
-        elements: Sequence[Hashable],
-        pairs: Iterable[tuple[Hashable, Hashable]],
-    ) -> "FinitePoset":
-        """Build from generating relations ``a < b``; closes transitively.
-
-        The generated digraph must be acyclic, otherwise antisymmetry is
-        violated and construction fails.
-        """
-        elems = tuple(elements)
-        index = {e: i for i, e in enumerate(elems)}
-        n = len(elems)
-        above: list[list[int]] = [[] for _ in range(n)]
-        indegree = [0] * n
-        seen = set()
-        for a, b in pairs:
-            ia, ib = index[a], index[b]
-            if ia == ib:
-                raise AuditError(f"self-relation at {a!r}")
-            if (ia, ib) in seen:
-                continue
-            seen.add((ia, ib))
-            above[ia].append(ib)
-            indegree[ib] += 1
-        order = [i for i in range(n) if indegree[i] == 0]
-        queue = list(order)
-        while queue:
-            i = queue.pop()
-            for j in above[i]:
-                indegree[j] -= 1
-                if indegree[j] == 0:
-                    order.append(j)
-                    queue.append(j)
-        if len(order) != n:
-            raise AuditError("generating relations contain a cycle")
-        down = [1 << i for i in range(n)]
-        for i in order:
-            for j in above[i]:
-                down[j] |= down[i]
-        return FinitePoset(elems, down)
-
     # -- queries ---------------------------------------------------------
 
     def __len__(self) -> int:
@@ -175,23 +132,27 @@ class FinitePoset:
     def leq(self, a: Hashable, b: Hashable) -> bool:
         return bool(self._down[self.index[b]] & (1 << self.index[a]))
 
-    def down_set(self, e: Hashable) -> list:
-        return [self.elements[i] for i in _bits(self._down[self.index[e]])]
-
-    def up_set(self, e: Hashable) -> list:
-        return [self.elements[i] for i in _bits(self._up()[self.index[e]])]
-
     def covers(self) -> tuple[tuple[Hashable, Hashable], ...]:
-        """All covering pairs ``(a, b)`` with ``a`` directly below ``b``."""
+        """All covering pairs ``(a, b)`` with ``a`` directly below ``b``,
+        ordered by the index of ``b`` and then of ``a``.
+
+        Every cover is a generating relation, since a path of two or more
+        relations puts an element between its ends.  A relation ``a < b``
+        is a cover unless ``a`` lies strictly below another lower end ``d``
+        of a relation into ``b``: an element strictly between ``a`` and
+        ``b`` lies below the last lower end on a path from it to ``b``.
+        """
         if self._covers is None:
-            up = self._up()
-            out = []
-            for ib in range(len(self.elements)):
-                strict_down = self._down[ib] & ~(1 << ib)
-                for ia in _bits(strict_down):
-                    between = up[ia] & ~(1 << ia) & strict_down
-                    if not between:
-                        out.append((self.elements[ia], self.elements[ib]))
+            down, out = self._down, []
+            for ib, lows in enumerate(self._lower):
+                between = 0
+                for d in lows:
+                    between |= down[d] ^ (1 << d)
+                out.extend(
+                    (self.elements[ia], self.elements[ib])
+                    for ia in sorted(lows)
+                    if not between >> ia & 1
+                )
             self._covers = tuple(out)
         return self._covers
 
@@ -202,27 +163,15 @@ class FinitePoset:
             if self._down[i] == (1 << i)
         ]
 
-    def maximal_elements(self) -> list:
-        up = self._up()
-        return [e for i, e in enumerate(self.elements) if up[i] == (1 << i)]
-
     def bottom(self) -> Optional[Hashable]:
         mins = self.minimal_elements()
         return mins[0] if len(mins) == 1 else None
 
-    def meet(self, a: Hashable, b: Hashable) -> Optional[Hashable]:
-        """The greatest common lower bound, or None if absent or non-unique.
-
-        The common down-set has a greatest element exactly when it is that
-        element's own down-set.
-        """
-        common = self._down[self.index[a]] & self._down[self.index[b]]
-        i = self._principal().get(common)
-        return None if i is None else self.elements[i]
-
     def is_meet_semilattice(self) -> bool:
+        """Whether every two elements have a greatest common lower bound:
+        their common down-set is then that element's own down-set."""
         if self._meet_flag is None:
-            principal = self._principal()
+            principal = set(self._down)
             self._meet_flag = all(
                 (a & b) in principal
                 for a, b in itertools.combinations(self._down, 2)
@@ -284,7 +233,7 @@ def partition_lattice(ground_size: int) -> FinitePoset:
         )
     elems = list(partitions_of(range(1, ground_size + 1)))
     pairs = [(p, merged) for p in elems for merged in _merges(p)]
-    return FinitePoset.from_relations(elems, pairs)
+    return FinitePoset(elems, pairs)
 
 
 def minimal_building_set(ground_size: int) -> list[Partition]:
@@ -381,7 +330,7 @@ def intersection_poset(
     elements: list = list(plain)
     if barred:
         elements.extend(Barred(p) for p in plain if disconnected[p])
-    return FinitePoset.from_relations(elements, pairs)
+    return FinitePoset(elements, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +395,7 @@ def comb_surgery(poset: FinitePoset, locus: Hashable) -> FinitePoset:
             if shared_below & ~poset._down[poset.index[y]] == 0:
                 pairs.append((z, grafted[y]))
 
-    out = FinitePoset.from_relations(elements, pairs)
+    out = FinitePoset(elements, pairs)
     if had_meets and not out.is_meet_semilattice():
         raise NotMeetSemilatticeError(
             "surgery destroyed meets although the input had them"

@@ -420,7 +420,6 @@ class ChainStep:
     added: tuple[int, ...]
     index: int
     sphere: tuple[int, ...]
-    f_after: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -476,7 +475,6 @@ def run_chain(
                 added=tuple(sorted(added)),
                 index=len(rest) - 1,
                 sphere=sphere,
-                f_after=current.f_vector(),
             )
         )
         complexes.append(current)

@@ -316,6 +316,20 @@ def test_homology_missing_file(capsys, tmp_path) -> None:
             {"kind": "cells", "cells": [{"dim": -1, "facets": []}]},
             id="negative-dim",
         ),
+        pytest.param(
+            {"kind": "cells", "cells": [{"dim": 1, "facets": [5, 6]}]},
+            id="dangling-facet",
+        ),
+        pytest.param(
+            {
+                "kind": "cells",
+                "cells": [
+                    {"dim": 0, "facets": []},
+                    {"dim": 1, "facets": [0, -1]},
+                ],
+            },
+            id="negative-facet",
+        ),
     ],
 )
 def test_homology_malformed_dump(capsys, tmp_path, dump) -> None:
@@ -339,6 +353,20 @@ def test_homology_bad_complex_is_an_audit_failure(capsys, tmp_path) -> None:
     code, _, err = run_cli(capsys, "homology", str(bad))
     assert code == 3
     assert "AUDIT" in err
+
+
+def test_homology_facet_of_wrong_dimension_is_an_audit_failure(
+    capsys, tmp_path
+) -> None:
+    # every facet index names a cell of the dump, but the second edge has
+    # the first edge as a facet
+    vertex, edge = {"dim": 0, "facets": []}, {"dim": 1, "facets": [0, 1]}
+    cells = [vertex, vertex, edge, {"dim": 1, "facets": [0, 2]}]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"kind": "cells", "cells": cells}))
+    code, _, err = run_cli(capsys, "homology", str(bad))
+    assert code == 3
+    assert "wrong dimension" in err
 
 
 def test_homology_non_regular_dump_is_an_audit_failure(capsys, tmp_path) -> None:

@@ -124,7 +124,7 @@ def test_solid_simplex_is_trivial() -> None:
 def test_torus() -> None:
     rep = homology(SimplicialComplex(grid_surface(3, False)))
     assert rep.betti == (1, 2, 1)
-    assert not rep.has_torsion()
+    assert not any(rep.torsion)
     assert rep.orientable is True
 
 
@@ -150,7 +150,7 @@ def test_genus_two() -> None:
     assert sc.euler_characteristic() == -2
     rep = homology(sc)
     assert rep.betti == (1, 4, 1)
-    assert not rep.has_torsion()
+    assert not any(rep.torsion)
     assert rep.orientable is True
 
 
@@ -590,7 +590,7 @@ def test_large_coxeter_spheres_and_projective_spaces(n) -> None:
     sphere = coxeter_complex(range(1, n + 1))
     rep = homology(sphere)
     assert rep.betti == (1,) + (0,) * (d - 1) + (1,)
-    assert not rep.has_torsion()
+    assert not any(rep.torsion)
     assert rep.orientable is True
     quotient, _ = projective_quotient(sphere)
     rep = homology(quotient)

@@ -142,7 +142,7 @@ def test_f_vector_ladder(key) -> None:
     tr = chain_run(name, mode, bool(projective))
     got = [k.f_vector() for k in tr.complexes]
     assert got == LADDERS[key]
-    assert [s.f_after for s in tr.steps] == got[1:]
+    assert len(tr.steps) == len(tr.complexes) - 1
     assert tr.mode == mode
     assert tr.projective is bool(projective)
 
@@ -153,8 +153,6 @@ def test_step_records() -> None:
     assert [s.added for s in tr.steps] == [(1, 5), (2, 5), (1, 2, 5)]
     assert [s.index for s in tr.steps] == [0, 0, 1]
     assert [len(s.sphere) for s in tr.steps] == [2, 2, 12]
-    for after, step in zip(tr.complexes[1:], tr.steps):
-        assert step.f_after == after.f_vector()
 
 
 # -- surface identification --------------------------------------------
@@ -199,7 +197,7 @@ def test_oracle_agreement(name: str, mode: str) -> None:
     tr = chain_run(name, mode)
     rep = homology(tr.final)
     assert rep.betti == betti_oracle(parse_code(name))
-    assert not rep.has_torsion()
+    assert not any(rep.torsion)
 
 
 @pytest.mark.parametrize("name", STEPPED)
@@ -224,7 +222,7 @@ def test_projective_runs_are_nonorientable(name: str, mode: str) -> None:
 def test_projective_two_torus_code_gives_one_torus() -> None:
     rep = homology(chain_run("<125>", "collapse", True).final)
     assert rep.betti == (1, 2, 1)
-    assert not rep.has_torsion()
+    assert not any(rep.torsion)
     assert rep.orientable is True
 
 
@@ -280,7 +278,7 @@ def test_projective_pentagon_complex() -> None:
 
 def test_collapse_keeps_face_count() -> None:
     tr = chain_run("<45>", "collapse")
-    assert [s.f_after[2] for s in tr.steps] == [24, 24, 24, 24]
+    assert [k.f_vector()[2] for k in tr.complexes[1:]] == [24, 24, 24, 24]
 
 
 # -- collapse in every dimension -----------------------------------------
@@ -391,7 +389,7 @@ def test_collapse_builds_every_six_edge_code() -> None:
         assert all(k.sealed for k in tr.complexes)
         rep = homology(tr.final)
         assert rep.betti == betti_oracle(parse_code(name)), name
-        assert not rep.has_torsion()
+        assert not any(rep.torsion)
 
 
 @pytest.mark.parametrize("name", REALIZABLE_6)
@@ -817,7 +815,7 @@ def test_model_three_sphere() -> None:
     assert res.steps == ()
     rep = homology(res.complex)
     assert rep.betti == betti_oracle(parse_code("<6>")) == (1, 0, 0, 1)
-    assert not rep.has_torsion()
+    assert not any(rep.torsion)
 
 
 def reference_model(complex_, steps) -> SimplicialComplex:
