@@ -24,13 +24,10 @@ from .genetics import (  # noqa: F401
     GeneticCode,
     LengthVector,
     SaturatedChain,
-    cover_step,
     dominance_leq,
-    down_covers,
     enumerate_codes,
     format_code,
     genetic_code,
-    genetic_leq,
     minimal_code,
     minimal_long_sets,
     parse_code,

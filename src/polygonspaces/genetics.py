@@ -14,8 +14,8 @@ of the vector.  This module provides:
   subset on failure,
 * the domination order, the genetic code of a vector, and the reconstruction
   of the full short-set system from a code,
-* the partial order on codes at fixed edge count, its covering relations,
-  and the canonical saturated chain from the minimal code up to a target,
+* the partial order on codes at fixed edge count, its up-covers, and the
+  canonical saturated chain from the minimal code up to a target,
 * exact realization of an abstract code by an integer length vector, or a
   certificate of unrealizability, via a linear program posed so that the
   origin is feasible and solved by a one-phase simplex with fraction-free
@@ -297,22 +297,6 @@ def genetic_code(lengths: Union[LengthVector, Iterable[RationalLike]]) -> Geneti
 # ---------------------------------------------------------------------------
 
 
-def _require_same_ground(a: GeneticCode, b: GeneticCode) -> None:
-    if a.edge_count != b.edge_count:
-        raise InvalidCodeError(
-            f"codes live on different edge counts: {a.edge_count} vs {b.edge_count}"
-        )
-
-
-def genetic_leq(a: GeneticCode, b: GeneticCode) -> bool:
-    """Order on codes: every gene of ``a`` dominated by some gene of ``b``.
-
-    Equivalent to inclusion of the corresponding anchor short-set systems.
-    """
-    _require_same_ground(a, b)
-    return all(any(dominance_leq(g, h) for h in b.genes) for g in a.genes)
-
-
 def minimal_long_sets(code: GeneticCode) -> tuple[Gene, ...]:
     """Minimal anchor-containing long sets, sorted by ascending element tuple.
 
@@ -338,26 +322,6 @@ def up_covers(code: GeneticCode) -> tuple[GeneticCode, ...]:
         genes = [t] + [g for g in code.genes if not dominance_leq(g, t)]
         out.append(GeneticCode(code.edge_count, genes))
     return tuple(out)
-
-
-def down_covers(code: GeneticCode) -> tuple[GeneticCode, ...]:
-    """Codes directly below: one gene is removed from the short system."""
-    shorts = code.anchor_short_sets()
-    out = []
-    for gene in code.genes:
-        out.append(
-            GeneticCode(code.edge_count, _maximal_in_downset(shorts - {gene}))
-        )
-    return tuple(out)
-
-
-def cover_step(lower: GeneticCode, upper: GeneticCode) -> Optional[Gene]:
-    """The single set adjoined when ``upper`` covers ``lower``, else None."""
-    _require_same_ground(lower, upper)
-    diff = upper.anchor_short_sets() - lower.anchor_short_sets()
-    if len(diff) == 1 and genetic_leq(lower, upper):
-        return next(iter(diff))
-    return None
 
 
 class SaturatedChain(NamedTuple):

@@ -43,10 +43,11 @@ every pivot of the sparse phase is ±1; pivots of the dense phase are not
 used.  The union-find and orientation audits still read the full
 matrices.
 
-The pass is made once per complex: a simplicial complex, or a sealed
-cell complex, cannot change, so :func:`homology` and
-:func:`identify_small` share its survey (counts, ranks and factors, never
-matrices) through a memo keyed weakly by the complex itself.
+The pass is made once per complex: a simplicial complex cannot change,
+and a cell complex is taken only once ``seal()`` has audited and frozen
+it, so :func:`homology` and :func:`identify_small` share its survey
+(counts, ranks and factors, never matrices) through a memo keyed weakly
+by the complex itself.
 
 ``barycentric`` builds the order complex of a cell complex's whole face
 poset, and ``_order_chains`` that of any sub-poset; the simplicial surgery
@@ -200,24 +201,18 @@ def _chain_counter(
     return total - spent, build
 
 
-def _chain_simplices(elements: Sequence, strict_faces) -> list[tuple]:
-    """All nonempty chains ending at ``elements`` (see
-    :func:`_chain_counter`); none is built when there are more than
-    ``MAX_SIMPLICES``."""
-    return _chain_counter(elements, strict_faces)[1]()
-
-
 def _order_chains(
     complex_: RegularCellComplex, keep: Iterable[int]
 ) -> list[tuple]:
     """The simplices of the order complex of the cells in ``keep``: every
-    chain of them under the face relation, lowest cell first."""
+    chain of them under the face relation, lowest cell first.  None is
+    built when there are more than ``MAX_SIMPLICES``."""
     keep = frozenset(keep)
 
     def strict_faces(ident: int):
         return sorted((complex_.faces_of(ident) & keep) - {ident})
 
-    return _chain_simplices(sorted(keep), strict_faces)
+    return _chain_counter(sorted(keep), strict_faces)[1]()
 
 
 def barycentric(complex_: RegularCellComplex) -> SimplicialComplex:
@@ -465,21 +460,15 @@ def _facet_signs(
     """Incidence numbers ``[c:f]`` of a cell of dimension at least two.
 
     They are the signs that :func:`_spread_signs` gives the facets across
-    the faces of codimension two, each of which must lie on exactly two
-    facets.  That holds for every cell of a regular complex, whose
-    boundary is a sphere.  A face on some other number of facets, a sign
+    the faces of codimension two, each of which lies on exactly two facets
+    in a sealed complex (the diamond audit of ``seal()``).  A sign
     conflict (a non-orientable boundary), facets in more than one piece
     (a disconnected boundary) or, for a 3-cell, a boundary whose
     V - E + F is not 2 (a torus, say) fail the audit.
     """
-    signs, bad, conflicts, pieces = _spread_signs(
+    signs, _, conflicts, pieces = _spread_signs(
         [incidence[f] for f in cell.facets]
     )
-    if bad:
-        g, k = next(iter(bad.items()))
-        raise AuditError(
-            f"face {g} of {cell.label!r} lies on {k} facets, not 2"
-        )
     if conflicts:
         raise AuditError(
             f"incidence signs of {cell.label!r} conflict at facet "
@@ -517,8 +506,6 @@ def _cellular_chains(
             if cell.dim == 0:
                 incidence[ident] = {}
             elif cell.dim == 1:
-                if len(cell.facets) != 2:
-                    raise AuditError(f"edge {cell.label!r} lacks two ends")
                 start, end = cell.facets
                 incidence[ident] = {start: -1, end: 1}
             else:
@@ -577,16 +564,16 @@ _SURVEYS: "weakref.WeakKeyDictionary[object, _Survey]" = (
 def _surveyed(
     source: "SimplicialComplex | RegularCellComplex", reduce: bool
 ) -> _Survey:
-    """The survey of a nonempty complex, shared by every caller while a
-    simplicial or sealed cell complex lives.  A memoised survey without
-    ranks is redone with them when ``reduce`` asks for them; an unsealed
-    cell complex may still grow, so it is surveyed afresh each time."""
-    frozen = isinstance(source, SimplicialComplex) or source.sealed
-    survey = _SURVEYS.get(source) if frozen else None
+    """The survey of a nonempty complex, shared by every caller while the
+    complex lives.  A memoised survey without ranks is redone with them
+    when ``reduce`` asks for them.  A cell complex must be sealed: an
+    unsealed one may still grow, and has not had the audits of ``seal()``
+    that the incidence numbers rely on."""
+    if isinstance(source, RegularCellComplex) and not source.sealed:
+        raise AuditError("homology takes a sealed cell complex")
+    survey = _SURVEYS.get(source)
     if survey is None or (reduce and survey.ranks is None):
-        survey = _survey(source, reduce)
-        if frozen:
-            _SURVEYS[source] = survey
+        survey = _SURVEYS[source] = _survey(source, reduce)
     return survey
 
 
@@ -715,9 +702,10 @@ def homology(
 ) -> HomologyReport:
     """Exact integer homology from the chain complex of the source.
 
-    A simplicial complex uses its simplices; a regular cell complex uses
-    its cells, with incidence numbers from the diamond property, so no
-    subdivision is built.  Two audits cross-check the elimination: the
+    A simplicial complex uses its simplices; a sealed regular cell complex
+    uses its cells, with incidence numbers from the diamond property, so no
+    subdivision is built.  An unsealed cell complex with cells fails with
+    ``AuditError``.  Two audits cross-check the elimination: the
     number of components from union-find must equal ``betti[0]``, and on a
     closed pseudo-manifold sign propagation of the top cells must agree
     with the top Betti number.  A cell whose facets admit no consistent
@@ -797,6 +785,7 @@ def identify_small(
     Works on the cells of the source as given, with Euler characteristics
     from the face counts of each component and orientability from sign
     propagation across ridges, the same pass that :func:`homology` makes.
+    A cell complex must be sealed, as for :func:`homology`.
     """
     if not len(source):
         return "empty"

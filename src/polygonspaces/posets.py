@@ -100,7 +100,6 @@ class FinitePoset:
         self._down = tuple(down)
         self._lower = lower
         self._covers: Optional[tuple] = None
-        self._meet_flag: Optional[bool] = None
         self._up_masks: Optional[tuple[int, ...]] = None
 
     def _up(self) -> tuple[int, ...]:
@@ -156,27 +155,23 @@ class FinitePoset:
             self._covers = tuple(out)
         return self._covers
 
-    def minimal_elements(self) -> list:
-        return [
+    def bottom(self) -> Optional[Hashable]:
+        """The minimal element, or None unless there is exactly one."""
+        mins = [
             e
             for i, e in enumerate(self.elements)
             if self._down[i] == (1 << i)
         ]
-
-    def bottom(self) -> Optional[Hashable]:
-        mins = self.minimal_elements()
         return mins[0] if len(mins) == 1 else None
 
     def is_meet_semilattice(self) -> bool:
         """Whether every two elements have a greatest common lower bound:
         their common down-set is then that element's own down-set."""
-        if self._meet_flag is None:
-            principal = set(self._down)
-            self._meet_flag = all(
-                (a & b) in principal
-                for a, b in itertools.combinations(self._down, 2)
-            )
-        return self._meet_flag
+        principal = set(self._down)
+        return all(
+            (a & b) in principal
+            for a, b in itertools.combinations(self._down, 2)
+        )
 
 
 # ---------------------------------------------------------------------------

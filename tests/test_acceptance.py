@@ -12,7 +12,6 @@ from polygonspaces.coxeter import coxeter_complex, projective_quotient
 from polygonspaces.errors import ChainInterferenceError
 from polygonspaces.genetics import (
     GeneticCode,
-    cover_step,
     enumerate_codes,
     genetic_code,
     parse_code,
@@ -151,7 +150,8 @@ def test_criterion_06_saturated_chain_of_256() -> None:
     for lower, upper, added in zip(
         chain.codes, chain.codes[1:], chain.added_sets
     ):
-        assert cover_step(lower, upper) == added
+        below, above = lower.anchor_short_sets(), upper.anchor_short_sets()
+        assert below < above and above - below == {added}
 
 
 def test_criterion_07_combinatorial_surgery() -> None:

@@ -402,6 +402,17 @@ def test_homology_refuses_a_cell_bounded_by_a_torus(capsys) -> None:
     assert "V - E + F = 0" in err
 
 
+def test_homology_refuses_the_theta_two_cell(capsys) -> None:
+    # one 2-cell on three edges between the same two vertices: seal()
+    # refuses it before homology runs
+    dump = pathlib.Path(__file__).parent / "fixtures" / "theta.json"
+    code, out, err = run_cli(capsys, "homology", str(dump))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("audit failure [AUDIT]")
+    assert "diamond property fails" in err
+
+
 # -- poset ----------------------------------------------------------------
 
 

@@ -200,6 +200,26 @@ def test_edge_needs_two_distinct_ends() -> None:
         k.add_cell(1, ("e", 1), (a, a))
 
 
+def test_seal_refuses_an_edge_with_three_ends() -> None:
+    k = RegularCellComplex()
+    ends = [k.add_cell(0, ("v", i)) for i in range(3)]
+    k.add_cell(1, ("e", 1), ends)
+    with pytest.raises(AuditError, match="lacks two distinct ends"):
+        k.seal()
+
+
+def test_seal_refuses_the_theta_two_cell() -> None:
+    # one 2-cell on three edges between the same two vertices: each
+    # vertex lies on three of its facets, not two
+    k = RegularCellComplex()
+    a = k.add_cell(0, ("v", "a"))
+    b = k.add_cell(0, ("v", "b"))
+    edges = [k.add_cell(1, ("e", i), (a, b)) for i in range(3)]
+    k.add_cell(2, ("f", "theta"), edges)
+    with pytest.raises(AuditError, match="diamond property fails"):
+        k.seal()
+
+
 def test_two_cell_boundary_must_close() -> None:
     k = RegularCellComplex()
     a = k.add_cell(0, ("v", "a"))

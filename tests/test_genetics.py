@@ -22,13 +22,10 @@ from polygonspaces.genetics import (
     LengthVector,
     SaturatedChain,
     _simplex_max,
-    cover_step,
     dominance_leq,
-    down_covers,
     enumerate_codes,
     format_code,
     genetic_code,
-    genetic_leq,
     minimal_code,
     minimal_long_sets,
     parse_code,
@@ -228,42 +225,20 @@ def test_genes_are_maximal_short_sets(raw):
 # --- the order on codes, covers, chains -------------------------------------
 
 
-def test_genetic_leq_matches_short_system_inclusion():
-    codes = enumerate_codes(4)
-    for a in codes:
-        for b in codes:
-            assert genetic_leq(a, b) == (
-                a.anchor_short_sets() <= b.anchor_short_sets()
-            )
-
-
-def test_genetic_leq_is_a_partial_order_m4():
-    codes = enumerate_codes(4)
-    for a in codes:
-        assert genetic_leq(a, a)
-    for a, b in itertools.permutations(codes, 2):
-        if genetic_leq(a, b) and genetic_leq(b, a):
-            assert a == b
-    for a, b, c in itertools.product(codes, repeat=3):
-        if genetic_leq(a, b) and genetic_leq(b, c):
-            assert genetic_leq(a, c)
-
-
-def test_up_and_down_covers_are_inverse_m4():
-    codes = enumerate_codes(4)
+@pytest.mark.parametrize("m", [4, 5])
+def test_up_covers_are_the_one_set_extensions(m):
+    # brute force over every code: h covers g exactly when its anchor
+    # short sets are those of g and one more
+    codes = enumerate_codes(m)
+    shorts = {c: c.anchor_short_sets() for c in codes}
     for g in codes:
-        for h in up_covers(g):
-            assert g in down_covers(h)
-            assert cover_step(g, h) is not None
-        for lower in down_covers(g):
-            assert g in up_covers(lower)
-
-
-def test_down_covers_examples():
-    assert down_covers(code("<256>")) == (
-        GeneticCode(6, [{1, 5, 6}, {2, 4, 6}]),
-    )
-    assert down_covers(code("<126>")) == (GeneticCode(6, [{2, 6}]),)
+        got = up_covers(g)
+        assert len(set(got)) == len(got)
+        assert set(got) == {
+            h
+            for h in codes
+            if shorts[g] < shorts[h] and len(shorts[h]) == len(shorts[g]) + 1
+        }
 
 
 def test_minimal_long_sets_examples():
@@ -382,7 +357,8 @@ def test_chain_structure_for_every_m5_code():
         for lower, upper, added in zip(
             chain.codes, chain.codes[1:], chain.added_sets
         ):
-            assert cover_step(lower, upper) == added
+            below, above = lower.anchor_short_sets(), upper.anchor_short_sets()
+            assert below < above and above - below == {added}
         gained = set(chain.added_sets) | {frozenset({5})}
         assert gained == set(g.anchor_short_sets())
 

@@ -31,7 +31,7 @@ from polygonspaces.genetics import (
 )
 from polygonspaces.homology import (
     SimplicialComplex,
-    _chain_simplices,
+    _chain_counter,
     betti_oracle,
     homology,
     identify_small,
@@ -818,6 +818,11 @@ def test_model_three_sphere() -> None:
     assert not any(rep.torsion)
 
 
+def chains(elements, strict_faces) -> list[tuple]:
+    """Every nonempty chain ending at ``elements``, lowest element first."""
+    return _chain_counter(elements, strict_faces)[1]()
+
+
 def reference_model(complex_, steps) -> SimplicialComplex:
     """The model built the long way: subdivide the whole complex, cut the
     bulk back out as the full subcomplex on the cells off the sphere, and
@@ -827,7 +832,7 @@ def reference_model(complex_, steps) -> SimplicialComplex:
         return sorted(complex_.faces_of(ident) - {ident})
 
     ambient = SimplicialComplex(
-        _chain_simplices(sorted(complex_.cells), strict_faces)
+        chains(sorted(complex_.cells), strict_faces)
     )
     if not steps:
         return ambient
@@ -845,7 +850,7 @@ def reference_model(complex_, steps) -> SimplicialComplex:
 
     simplices = [
         tuple(("c", f) for f in ch)
-        for ch in _chain_simplices(bulk, proper_faces)
+        for ch in chains(bulk, proper_faces)
     ]
     link = coxeter_complex(units)
     front = SimplicialComplex(frontier)
@@ -854,7 +859,7 @@ def reference_model(complex_, steps) -> SimplicialComplex:
         assert complex_.faces_of(v) & sphere, "frontier misses its sphere"
         blocks = restrict_pattern(complex_.cells[v].pattern, units)
         gmap[v] = link.by_label(("osp", blocks))
-    link_chains = _chain_simplices(
+    link_chains = chains(
         sorted(link.cells), lambda c: sorted(link.faces_of(c) - {c})
     )
     link_chain_set = set(link_chains)
@@ -872,7 +877,7 @@ def reference_model(complex_, steps) -> SimplicialComplex:
 
     elements = [("c", f) for fs in front.faces_by_dim.values() for f in fs]
     elements += [("b", ch) for ch in link_chains]
-    simplices.extend(_chain_simplices(elements, strict_below))
+    simplices.extend(chains(elements, strict_below))
     return SimplicialComplex(simplices)
 
 
