@@ -8,11 +8,11 @@ the whole complex is a sphere of dimension ``n - 2``.
 
 :class:`RegularCellComplex` stores cells append-only with stable integer
 identities, so cells that survive a surgery step keep their identity in the
-result.  ``seal()`` freezes a complex and audits it: edges have two distinct
-endpoints, every cell satisfies the diamond property (each face of
-codimension two is reached through exactly two facets), the boundary of
-each two-cell is connected and so a single simple cycle, and a declared
-involution is free, dimension preserving and facet compatible.
+result.  ``add_cell`` checks each cell's own facets (an edge has exactly
+two); ``seal()`` freezes a complex and audits how its cells meet: the
+diamond property (each face of codimension two is reached through exactly
+two facets), the boundary of each two-cell is a single cycle, and a
+declared involution is free, dimension preserving and facet compatible.
 """
 
 from __future__ import annotations
@@ -109,6 +109,7 @@ class RegularCellComplex:
         pattern: Blocks = (),
         ident: Optional[int] = None,
     ) -> int:
+        """Check a new cell's own facets, then add it."""
         if self._sealed:
             raise AuditError("complex is sealed")
         facets = tuple(facets)
@@ -129,6 +130,8 @@ class RegularCellComplex:
                 raise AuditError(f"facet {f} of {label!r} does not exist")
             if self.cells[f].dim != dim - 1:
                 raise AuditError(f"facet {f} of {label!r} has wrong dimension")
+        if dim == 1 and len(facets) != 2:
+            raise AuditError(f"edge {label!r} lacks two distinct ends")
         # every check has passed: only now does the complex change
         self._next = max(self._next, ident + 1)
         self.cells[ident] = Cell(ident, dim, label, facets, pattern)
@@ -145,9 +148,9 @@ class RegularCellComplex:
         self.involution[b] = a
 
     def seal(self) -> "RegularCellComplex":
+        """Audit diamonds, 2-cell cycles and any involution; then freeze."""
         if self._sealed:
             return self
-        self._audit_edges()
         self._audit_diamond()
         if self.involution:
             self._audit_involution()
@@ -160,11 +163,6 @@ class RegularCellComplex:
         return self._sealed
 
     # -- audits --------------------------------------------------------
-
-    def _audit_edges(self) -> None:
-        for c in self.cells.values():
-            if c.dim == 1 and len(set(c.facets)) != 2:
-                raise AuditError(f"edge {c.label!r} lacks two distinct ends")
 
     def _audit_diamond(self) -> None:
         for c in self.cells.values():
@@ -241,7 +239,7 @@ class RegularCellComplex:
         return result
 
     def materialize(self, idents: Iterable[int]) -> "RegularCellComplex":
-        """The closed subcomplex generated by ``idents``, keeping identities."""
+        """The closed subcomplex on ``idents``: same identities, no involution."""
         keep: set[int] = set()
         for i in idents:
             keep |= self.faces_of(i)
@@ -249,13 +247,6 @@ class RegularCellComplex:
         for i in sorted(keep, key=lambda i: (self.cells[i].dim, i)):
             c = self.cells[i]
             out.add_cell(c.dim, c.label, c.facets, c.pattern, ident=i)
-        both = {
-            a: b
-            for a, b in self.involution.items()
-            if a in keep and b in keep
-        }
-        if set(both) == keep:
-            out.involution.update(both)
         return out.seal()
 
 
@@ -323,15 +314,14 @@ def projective_quotient(
 ) -> tuple[RegularCellComplex, dict[int, int]]:
     """Identify each cell with its involution partner.
 
-    Requires a free involution; audits that the quotient halves the face
-    numbers and stays regular.  Returns the quotient and the map from old
-    cell identities to new ones.
+    Takes a sealed complex, whose audited involution makes the face numbers
+    halve; ``add_cell``'s refusal of repeated facets guards regularity.
+    Returns the sealed quotient and the map from old cell identities.
     """
+    if not complex_.sealed:
+        raise AuditError("projective_quotient takes a sealed cell complex")
     if not complex_.involution:
         raise NotApplicableError("complex has no involution to quotient by")
-    for a, b in complex_.involution.items():
-        if a == b:
-            raise FixedCellError(f"involution fixes cell {a}")
     out = RegularCellComplex()
     mapping: dict[int, int] = {}
     for c in sorted(complex_.cells.values(), key=lambda c: (c.dim, c.ident)):
@@ -339,22 +329,7 @@ def projective_quotient(
         if partner < c.ident:
             mapping[c.ident] = mapping[partner]
             continue
-        facets = []
-        for f in c.facets:
-            nf = mapping[f]
-            if nf in facets:
-                raise AuditError(
-                    f"quotient of {c.label!r} repeats facet {nf}; "
-                    "the quotient would not be regular"
-                )
-            facets.append(nf)
         mapping[c.ident] = out.add_cell(
-            c.dim, ("orbit", c.label), facets, c.pattern
+            c.dim, ("orbit", c.label), [mapping[f] for f in c.facets], c.pattern
         )
-    old_f = complex_.f_vector()
-    new_f = out.seal().f_vector()
-    if tuple(x // 2 for x in old_f) != new_f or any(x % 2 for x in old_f):
-        raise AuditError(
-            f"quotient face counts {new_f} are not half of {old_f}"
-        )
-    return out, mapping
+    return out.seal(), mapping

@@ -2,11 +2,12 @@
 
 Both kinds of complex come down to the same data: their cells numbered
 within each dimension, and one boundary matrix per dimension with entries
-+1 and -1.  A simplex gives the face that drops vertex ``i`` the sign
-``(-1)^i``.  A regular cell complex is used as it is, with no subdivision:
-an edge has -1 and +1 on its two ends, and a higher cell takes its
-incidence numbers from the diamond property that ``seal()`` audits, by
-spreading signs over its facets across the faces of codimension two.  A
++1 and -1, each column keyed by the positions of its facets.  A
+simplex gives the face that drops vertex ``i`` the sign ``(-1)^i``.  A
+regular cell complex is used as it is, with no subdivision, its columns
+built once, dimension by dimension: an edge has -1 and +1 on its two
+ends, and a higher cell spreads signs over its facets' columns across the
+faces of codimension two, which the diamond audit of ``seal()`` pairs.  A
 cell whose facets cannot be signed that way has a boundary that is not a
 sphere, and homology fails the audit rather than answer for a complex
 that is not regular.
@@ -455,9 +456,10 @@ def _spread_signs(
 
 
 def _facet_signs(
-    cell: Cell, incidence: dict[int, dict[int, int]]
+    cell: Cell, rows: list[int], columns: list[Boundary]
 ) -> dict[int, int]:
-    """Incidence numbers ``[c:f]`` of a cell of dimension at least two.
+    """Incidence numbers ``[c:f]`` of a cell of dimension at least two,
+    keyed by the positions ``rows`` of its facets in ``columns[dim - 1]``.
 
     They are the signs that :func:`_spread_signs` gives the facets across
     the faces of codimension two, each of which lies on exactly two facets
@@ -466,9 +468,8 @@ def _facet_signs(
     (a disconnected boundary) or, for a 3-cell, a boundary whose
     V - E + F is not 2 (a torus, say) fail the audit.
     """
-    signs, _, conflicts, pieces = _spread_signs(
-        [incidence[f] for f in cell.facets]
-    )
+    below = columns[cell.dim - 1]
+    signs, _, conflicts, pieces = _spread_signs([below[r] for r in rows])
     if conflicts:
         raise AuditError(
             f"incidence signs of {cell.label!r} conflict at facet "
@@ -481,50 +482,44 @@ def _facet_signs(
             "boundary is not connected"
         )
     if cell.dim == 3:
-        edges = set().union(*(incidence[f] for f in cell.facets))
-        ends = set().union(*(incidence[e] for e in edges))
-        chi = len(ends) - len(edges) + len(cell.facets)
+        edges = set().union(*(below[r] for r in rows))
+        ends = set().union(*(columns[1][e] for e in edges))
+        chi = len(ends) - len(edges) + len(rows)
         if chi != 2:
             raise AuditError(
                 f"the boundary of {cell.label!r} has V - E + F = {chi}, "
                 "not 2: it is not a sphere"
             )
-    return dict(zip(cell.facets, signs))
+    return dict(zip(rows, signs))
 
 
 def _cellular_chains(
     complex_: RegularCellComplex,
 ) -> tuple[list[int], Callable[[int], Boundary]]:
-    by_dim: list[list[int]] = [[] for _ in range(complex_.dim + 1)]
-    for ident in sorted(complex_.cells):
-        by_dim[complex_.cells[ident].dim].append(ident)
-    index = {ident: i for cells in by_dim for i, ident in enumerate(cells)}
-    incidence: dict[int, dict[int, int]] = {}
+    """Cells per dimension and the boundary columns of a sealed complex,
+    each built once, a dimension before the one above it."""
+    by_dim: list[list[Cell]] = [[] for _ in range(complex_.dim + 1)]
+    for cell in sorted(complex_, key=lambda c: c.ident):
+        by_dim[cell.dim].append(cell)
+    index = {c.ident: i for cells in by_dim for i, c in enumerate(cells)}
+    columns: list[Boundary] = []
     for cells in by_dim:
-        for ident in cells:
-            cell = complex_.cells[ident]
-            if cell.dim == 0:
-                incidence[ident] = {}
-            elif cell.dim == 1:
-                start, end = cell.facets
-                incidence[ident] = {start: -1, end: 1}
-            else:
-                incidence[ident] = _facet_signs(cell, incidence)
-
-    def boundary(k: int) -> Boundary:
-        return [
-            {index[f]: s for f, s in incidence[ident].items()}
-            for ident in by_dim[k]
-        ]
-
-    return [len(cells) for cells in by_dim], boundary
+        columns.append([])
+        for cell in cells:
+            rows = [index[f] for f in cell.facets]
+            if cell.dim >= 2:
+                columns[-1].append(_facet_signs(cell, rows, columns))
+            else:  # a vertex has no facets, an edge -1 and +1 on its ends
+                columns[-1].append(dict(zip(rows, (-1, 1))))
+    return [len(cells) for cells in by_dim], columns.__getitem__
 
 
 def _chain_complex(
     source: "SimplicialComplex | RegularCellComplex",
 ) -> tuple[list[int], Callable[[int], Boundary]]:
     """Cells per dimension and the boundary matrix of each dimension
-    ``k >= 1``, built on demand so that a pass need not hold them all."""
+    ``k >= 1``; a simplicial one is built on demand, so that a pass need
+    not hold them all."""
     if isinstance(source, RegularCellComplex):
         return _cellular_chains(source)
     faces = source.faces_by_dim

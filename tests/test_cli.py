@@ -413,6 +413,19 @@ def test_homology_refuses_the_theta_two_cell(capsys) -> None:
     assert "diamond property fails" in err
 
 
+def test_homology_refuses_an_edge_with_three_ends(capsys, tmp_path) -> None:
+    # add_cell refuses the edge as the loader adds it, before seal()
+    vertex = {"dim": 0, "facets": []}
+    cells = [vertex, vertex, vertex, {"dim": 1, "facets": [0, 1, 2]}]
+    bad = tmp_path / "three-ends.json"
+    bad.write_text(json.dumps({"kind": "cells", "cells": cells}))
+    code, out, err = run_cli(capsys, "homology", str(bad))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("audit failure [AUDIT]")
+    assert "edge ('c', 3) lacks two distinct ends" in err
+
+
 # -- poset ----------------------------------------------------------------
 
 

@@ -116,19 +116,23 @@ def test_closure_sizes() -> None:
 def test_projective_quotient_f_vectors() -> None:
     q2, _ = projective_quotient(ca(3))
     assert q2.f_vector() == (3, 3)
-    q3, mapping = projective_quotient(ca(4))
+    q3, _ = projective_quotient(ca(4))
     assert q3.f_vector() == (7, 18, 12)
     assert q3.euler_characteristic() == 1
     q4, _ = projective_quotient(ca(5))
     assert q4.f_vector() == (15, 75, 120, 60)
     assert q4.euler_characteristic() == 0
-    assert set(mapping) == set(ca(4).cells)
-    fibers: dict[int, int] = {}
-    for new in mapping.values():
-        fibers[new] = fibers.get(new, 0) + 1
-    assert set(fibers.values()) == {2}
-    for old, new in mapping.items():
-        assert ca(4).cells[old].dim == q3.cells[new].dim
+    # what the audited involution guarantees: one quotient cell per pair
+    for n in range(3, 7):
+        sphere = ca(n)
+        quotient, mapping = projective_quotient(sphere)
+        assert quotient.sealed
+        assert tuple(2 * x for x in quotient.f_vector()) == sphere.f_vector()
+        assert set(mapping) == set(sphere.cells)
+        assert set(mapping.values()) == set(quotient.cells)
+        for old, new in mapping.items():
+            assert mapping[sphere.involution[old]] == new
+            assert sphere.cells[old].dim == quotient.cells[new].dim
 
 
 def test_projective_quotient_requires_involution() -> None:
@@ -150,8 +154,27 @@ def test_quotient_regularity_guard() -> None:
     bigon.pair(a, b)
     bigon.pair(e1, e2)
     bigon.seal()
-    with pytest.raises(AuditError):
+    # each edge would have one end twice: add_cell refuses it
+    with pytest.raises(AuditError, match="repeats a facet"):
         projective_quotient(bigon)
+
+
+def test_projective_quotient_refuses_an_unsealed_complex() -> None:
+    k = RegularCellComplex()
+    a = k.add_cell(0, ("v", "a"))
+    b = k.add_cell(0, ("v", "b"))
+    c = k.add_cell(0, ("v", "c"))
+    k.pair(a, b)
+    with pytest.raises(AuditError, match="sealed"):
+        projective_quotient(k)
+    # pair() refuses a fixed cell, so plant one in the involution itself:
+    # seal() refuses it, so no quotient is ever taken of it
+    k.involution[c] = c
+    with pytest.raises(FixedCellError):
+        k.seal()
+    assert not k.sealed
+    with pytest.raises(AuditError, match="sealed"):
+        projective_quotient(k)
 
 
 def test_pairing_rejects_fixed_cell() -> None:
@@ -164,33 +187,59 @@ def test_pairing_rejects_fixed_cell() -> None:
 # -- audits -------------------------------------------------------------
 
 
+# each refusal of add_cell and the message that names it; the complex
+# holds the vertices a, a + 1 and a + 2
 REFUSED_CELLS = {
-    "duplicate label": lambda k, a: k.add_cell(0, ("v", "a")),
-    "duplicate identity": lambda k, a: k.add_cell(0, ("v", "b"), ident=a),
-    "vertex with facets": lambda k, a: k.add_cell(0, ("v", "b"), (a,)),
-    "one facet": lambda k, a: k.add_cell(1, ("e", 1), (a,), ident=9),
-    "repeated facet": lambda k, a: k.add_cell(1, ("e", 1), (a, a)),
-    "missing facet": lambda k, a: k.add_cell(1, ("e", 1), (a, 7), ident=9),
-    "wrong dimension": lambda k, a: k.add_cell(2, ("f", 1), (a, a + 1)),
+    "duplicate label": (
+        "duplicate label", lambda k, a: k.add_cell(0, ("v", "a"))
+    ),
+    "duplicate identity": (
+        "duplicate cell identity",
+        lambda k, a: k.add_cell(0, ("v", "b"), ident=a),
+    ),
+    "vertex with facets": (
+        "a vertex has no facets",
+        lambda k, a: k.add_cell(0, ("v", "b"), (a,)),
+    ),
+    "one facet": (
+        "needs >= 2 facets",
+        lambda k, a: k.add_cell(1, ("e", 1), (a,), ident=9),
+    ),
+    "repeated facet": (
+        "repeats a facet", lambda k, a: k.add_cell(1, ("e", 1), (a, a))
+    ),
+    "missing facet": (
+        "does not exist",
+        lambda k, a: k.add_cell(1, ("e", 1), (a, 7), ident=9),
+    ),
+    "wrong dimension": (
+        "has wrong dimension",
+        lambda k, a: k.add_cell(2, ("f", 1), (a, a + 1)),
+    ),
+    "three-ended edge": (
+        "lacks two distinct ends",
+        lambda k, a: k.add_cell(1, ("e", 1), (a, a + 1, a + 2)),
+    ),
 }
 
 
 @pytest.mark.parametrize(
-    "refuse", list(REFUSED_CELLS.values()), ids=list(REFUSED_CELLS)
+    "match, refuse", list(REFUSED_CELLS.values()), ids=list(REFUSED_CELLS)
 )
-def test_refused_cell_leaves_the_complex_unchanged(refuse) -> None:
+def test_refused_cell_leaves_the_complex_unchanged(match, refuse) -> None:
     k = RegularCellComplex()
     a = k.add_cell(0, ("v", "a"))
     k.add_cell(0, ("v", "c"))
+    k.add_cell(0, ("v", "e"))
     before = dict(k.cells)
-    with pytest.raises(AuditError):
+    with pytest.raises(AuditError, match=match):
         refuse(k, a)
     assert k.cells == before
     assert k.by_label(("v", "a")) == a
     for label in (("v", "b"), ("e", 1), ("f", 1)):
         with pytest.raises(KeyError):
             k.by_label(label)
-    assert k.add_cell(0, ("v", "d")) == a + 2
+    assert k.add_cell(0, ("v", "d")) == a + 3
 
 
 def test_edge_needs_two_distinct_ends() -> None:
@@ -198,14 +247,6 @@ def test_edge_needs_two_distinct_ends() -> None:
     a = k.add_cell(0, ("v", "a"))
     with pytest.raises(AuditError):
         k.add_cell(1, ("e", 1), (a, a))
-
-
-def test_seal_refuses_an_edge_with_three_ends() -> None:
-    k = RegularCellComplex()
-    ends = [k.add_cell(0, ("v", i)) for i in range(3)]
-    k.add_cell(1, ("e", 1), ends)
-    with pytest.raises(AuditError, match="lacks two distinct ends"):
-        k.seal()
 
 
 def test_seal_refuses_the_theta_two_cell() -> None:

@@ -30,6 +30,7 @@ from polygonspaces.genetics import (
     saturated_chain,
 )
 from polygonspaces.homology import (
+    HomologyReport,
     SimplicialComplex,
     _chain_counter,
     betti_oracle,
@@ -453,6 +454,21 @@ def test_sphere_cells_predicate() -> None:
         (fs(1), fs(2, 3, 4)),
         (fs(2, 3, 4), fs(1)),
     }
+
+
+def test_materialized_sphere_carries_no_involution() -> None:
+    # the 2-sphere keeping 1 and 2 together in Coxeter(5) is closed under
+    # reversal, but materialize leaves the involution, audited once in the
+    # parent's seal(), behind; its homology is the 2-sphere's all the same
+    ground = coxeter_complex(range(1, 6))
+    sphere = ground.materialize(locate_sphere(ground, frozenset({1, 2})))
+    assert sphere.sealed
+    assert sphere.involution == {}
+    assert sphere.f_vector() == (14, 36, 24)
+    assert homology(sphere) == HomologyReport(
+        betti=(1, 0, 1), torsion=((), (), ()), components=1, orientable=True
+    )
+    assert identify_small(sphere) == "S^2"
 
 
 @pytest.mark.parametrize("n,size", [(5, 2), (6, 2), (6, 3)])
