@@ -21,8 +21,10 @@ of the vector.  This module provides:
   origin is feasible and solved by a one-phase simplex with fraction-free
   integer pivoting.
 
-All arithmetic is exact: ``fractions.Fraction`` for lengths, plain ints
-inside the simplex tableau; floats never appear.
+All arithmetic is exact.  Lengths are ``fractions.Fraction`` values; their
+sums are compared as plain ints after every length is scaled by the common
+denominator.  The simplex tableau holds plain ints too.  Floats never
+appear.
 """
 
 from __future__ import annotations
@@ -63,26 +65,35 @@ def _as_fraction(value: RationalLike) -> Fraction:
     raise InvalidCodeError(f"not an exact rational: {value!r}")
 
 
+def _scaled(values: Sequence[Fraction]) -> list[int]:
+    """``values`` times the lcm of their denominators: integers in the same
+    ratios, so their sums compare as the fractions' sums do."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
 def _find_half_perimeter_subset(
     values: Sequence[Fraction],
 ) -> Optional[tuple[int, ...]]:
-    """First subset (1-based indices, lexicographic) summing to half the total."""
-    total = sum(values)
-    count = len(values)
+    """First subset (1-based indices, lexicographic) summing to half the
+    total of the ascending ``values``."""
+    ints = _scaled(values)
+    total = sum(ints)
+    count = len(ints)
 
-    def walk(start: int, acc: Fraction, chosen: tuple[int, ...]):
+    def walk(start: int, acc: int, chosen: tuple[int, ...]):
         for i in range(start, count):
-            doubled = 2 * (acc + values[i])
+            doubled = 2 * (acc + ints[i])
             if doubled == total:
                 return chosen + (i + 1,)
-            if doubled < total:
-                found = walk(i + 1, acc + values[i], chosen + (i + 1,))
-                if found is not None:
-                    return found
-            # values are ascending, so later picks only overshoot further
+            if doubled > total:
+                break  # values are ascending, so later picks overshoot too
+            found = walk(i + 1, acc + ints[i], chosen + (i + 1,))
+            if found is not None:
+                return found
         return None
 
-    return walk(0, Fraction(0), ())
+    return walk(0, 0, ())
 
 
 @dataclass(frozen=True)
@@ -282,11 +293,12 @@ def genetic_code(lengths: Union[LengthVector, Iterable[RationalLike]]) -> Geneti
     """
     vec = lengths if isinstance(lengths, LengthVector) else LengthVector(lengths)
     m = vec.edge_count
-    half = vec.perimeter
+    ints = _scaled(vec.values)
+    perimeter = sum(ints)
     shorts = {
         s
         for s in _anchor_sets(m)
-        if 2 * sum(vec.values[i - 1] for i in s) < half
+        if 2 * sum(ints[i - 1] for i in s) < perimeter
     }
     genes = _maximal_in_downset(frozenset(shorts))
     return GeneticCode(m, genes)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     AuditError,
@@ -185,19 +185,35 @@ def canonical_partition(blocks: Iterable[Iterable[int]]) -> Partition:
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
-def partitions_of(items: Iterable[int]) -> Iterator[Partition]:
-    """All set partitions of ``items`` in a deterministic order."""
-    pool = sorted(items)
+def _partitions(
+    pool: Sequence[int], keep: Callable[[tuple[int, ...]], bool]
+) -> Iterator[Partition]:
+    """The partitions of the ascending ``pool`` whose blocks all pass
+    ``keep``, a test that holds for every subset of a block it passes.
+
+    The smallest element joins each block of a partition of the rest in
+    turn, then starts a singleton; a block that fails ``keep`` ends its
+    branch, since every extension of it has a superset of that block.
+    The grown block starts with the smallest element, so it moves to the
+    front and the others keep their order: each partition comes out
+    canonical.
+    """
     if not pool:
         yield ()
         return
-    first, rest = pool[0], pool[1:]
-    for sub in partitions_of(rest):
-        for i in range(len(sub)):
-            blocks = list(sub)
-            blocks[i] = (first,) + blocks[i]
-            yield canonical_partition(blocks)
-        yield canonical_partition(((first,),) + sub)
+    first = pool[0]
+    for sub in _partitions(pool[1:], keep):
+        for i, block in enumerate(sub):
+            grown = (first,) + block
+            if keep(grown):
+                yield (grown,) + sub[:i] + sub[i + 1:]
+        if keep((first,)):
+            yield ((first,),) + sub
+
+
+def partitions_of(items: Iterable[int]) -> Iterator[Partition]:
+    """All set partitions of ``items`` in a deterministic order."""
+    return _partitions(sorted(items), lambda block: True)
 
 
 def partition_str(p: Partition) -> str:
@@ -209,10 +225,9 @@ def _merges(p: Partition) -> Iterator[Partition]:
     """The partitions that merge two blocks of ``p``: its covers in the
     partition lattice."""
     for i, j in itertools.combinations(range(len(p)), 2):
-        merged = list(p)
-        merged[i] = tuple(sorted(p[i] + p[j]))
-        del merged[j]
-        yield canonical_partition(merged)
+        # the merged block keeps p[i]'s first entry, so it keeps its place
+        merged = tuple(sorted(p[i] + p[j]))
+        yield p[:i] + (merged,) + p[i + 1:j] + p[j + 1:]
 
 
 def partition_lattice(ground_size: int) -> FinitePoset:
@@ -264,12 +279,17 @@ def intersection_poset(
 ) -> FinitePoset:
     """Partitions of the edge set into short blocks, coarser ones higher.
 
-    Shortness is read off :meth:`GeneticCode.short_sets`.  A partition's
-    quotient space is disconnected when three of its blocks are pairwise
-    long in union.  For the three largest block sums ``s1 >= s2 >= s3``
-    that is the length criterion ``2 (s2 + s3) >`` perimeter: those three
-    blocks are then pairwise long, and any pairwise long triple has its
-    two smaller sums at most ``s2`` and ``s3``.  With
+    Shortness is read off :meth:`GeneticCode.short_sets`.  Only short
+    partitions are built: the enumeration drops a partial partition as
+    soon as one of its blocks is long, since every superset of a long set
+    is long.  The partitions come out in the order, and in the canonical
+    form, of :func:`partitions_of`.
+
+    A partition's quotient space is disconnected when three of its blocks
+    are pairwise long in union.  For the three largest block sums
+    ``s1 >= s2 >= s3`` that is the length criterion ``2 (s2 + s3) >``
+    perimeter: those three blocks are then pairwise long, and any pairwise
+    long triple has its two smaller sums at most ``s2`` and ``s3``.  With
     ``barred=True`` every partition with a disconnected quotient gains
     an incomparable barred twin; a barred element sits above exactly the
     refinements that are themselves barred or connected, and below only
@@ -289,13 +309,13 @@ def intersection_poset(
             f"code {code} is not realizable, no intersection poset exists"
         )
     short = code.short_sets()
-    plain = []
+    short_blocks = {tuple(sorted(s)) for s in short}
+    plain = list(
+        _partitions(range(1, code.edge_count + 1), short_blocks.__contains__)
+    )
     disconnected = {}
-    for p in partitions_of(range(1, code.edge_count + 1)):
+    for p in plain:
         blocks = [frozenset(b) for b in p]
-        if not all(b in short for b in blocks):
-            continue
-        plain.append(p)
         disconnected[p] = any(
             a | b not in short and a | c not in short and b | c not in short
             for a, b, c in itertools.combinations(blocks, 3)

@@ -528,6 +528,18 @@ def test_byte_identical_reruns(capsys) -> None:
     assert third == fourth
 
 
+def test_output_matches_the_digest_manifest() -> None:
+    """``realize``, ``chain`` and ``poset`` print what the committed
+    manifest pins, byte for byte; ``tests/make_cli_digests.py`` rewrites
+    it when output changes on purpose."""
+    from make_cli_digests import FIXTURE, digests
+
+    pinned = json.loads(FIXTURE.read_text())
+    got = digests()
+    assert sorted(k for k in pinned.keys() | got.keys()
+                  if pinned.get(k) != got.get(k)) == []
+
+
 # -- fuzzing the input parsers ----------------------------------------------
 
 FUZZ = settings(

@@ -222,6 +222,57 @@ def test_genes_are_maximal_short_sets(raw):
                 assert (gene - {g}) | {g + 1} not in shorts
 
 
+def test_non_generic_fractions_report_the_first_witness():
+    # 1/6 + 1/3 + 1/2 = 1 is half the perimeter 2, and so is the 1 alone
+    with pytest.raises(NonGenericError) as err:
+        LengthVector(("1/2", "1/3", "1/6", "1"))
+    assert err.value.details["witness"] == (1, 2, 3)
+
+
+@st.composite
+def rational_lengths(draw) -> list[Fraction]:
+    """Up to seven positive lengths with mixed denominators.  Half the
+    draws are tied: the last length becomes the gap between the two sides
+    of a split of the others, so one subset sums to half the perimeter."""
+    fractions = st.builds(Fraction, st.integers(1, 24), st.integers(1, 12))
+    values = draw(st.lists(fractions, min_size=1, max_size=7))
+    if draw(st.booleans()):
+        rest = len(values) - 1
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=rest,
+                              max_size=rest))
+        gap = abs(sum(s * v for s, v in zip(signs, values)))
+        if gap:
+            values[-1] = gap
+    return values
+
+
+@given(rational_lengths())
+@settings(max_examples=200)
+@example([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(1)])
+@example([Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1)])
+def test_rational_lengths_match_fraction_arithmetic(lengths):
+    """Oracle: every subset summed and compared as ``Fraction``s.  A tie
+    with half the perimeter must be refused with the lexicographically
+    first tied subset; otherwise the code's short sets are exactly the
+    subsets below half the perimeter."""
+    values = sorted(lengths)
+    total = sum(values)
+    subsets = [
+        combo
+        for r in range(1, len(values) + 1)
+        for combo in itertools.combinations(range(1, len(values) + 1), r)
+    ]
+    doubled = {s: 2 * sum(values[i - 1] for i in s) for s in subsets}
+    ties = [s for s in subsets if doubled[s] == total]
+    if ties:
+        with pytest.raises(NonGenericError) as err:
+            genetic_code(lengths)
+        assert err.value.details["witness"] == min(ties)
+        return
+    shorts = {frozenset(s) for s in subsets if doubled[s] < total}
+    assert genetic_code(lengths).short_sets() == shorts | {frozenset()}
+
+
 # --- the order on codes, covers, chains -------------------------------------
 
 

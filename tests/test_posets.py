@@ -271,6 +271,60 @@ def test_partitions_of_counts_are_bell_numbers():
             assert p == canonical_partition(p)
 
 
+def sorting_partitions(items) -> Iterable[tuple]:
+    """Oracle: the same recursion with every partition sorted into
+    canonical form after it is built."""
+    pool = sorted(items)
+    if not pool:
+        yield ()
+        return
+    first, rest = pool[0], pool[1:]
+    for sub in sorting_partitions(rest):
+        for i in range(len(sub)):
+            blocks = list(sub)
+            blocks[i] = (first,) + blocks[i]
+            yield canonical_partition(blocks)
+        yield canonical_partition(((first,),) + sub)
+
+
+def test_partitions_and_merges_come_out_canonical():
+    for n in range(8):
+        ground = range(1, n + 1)
+        assert list(partitions_of(ground)) == list(sorting_partitions(ground))
+    lat = partition_lattice(5)
+    assert set(lat.covers()) == {
+        (p, canonical_partition([p[i] + p[j]] + [
+            b for k, b in enumerate(p) if k not in (i, j)
+        ]))
+        for p in lat
+        for i, j in itertools.combinations(range(len(p)), 2)
+    }
+
+
+def test_intersection_poset_builds_only_the_short_partitions():
+    """Oracle: every partition of the edges, filtered by shortness.  The
+    pruned enumeration must give the same elements in the same order."""
+    codes = [
+        code
+        for m in (3, 4, 5, 6)
+        for code in enumerate_codes(m)
+        if not code.is_empty_space() and realize(code) is not None
+    ]
+    assert len(codes) == 29
+    for code in codes + [parse_code("<1678>")]:
+        short = code.short_sets()
+        expected = [
+            p
+            for p in partitions_of(range(1, code.edge_count + 1))
+            if all(frozenset(b) in short for b in p)
+        ]
+        assert list(intersection_poset(code).elements) == expected
+        both = intersection_poset(code, barred=True)
+        assert [e for e in both if not isinstance(e, Barred)] == expected
+        bars = [e.partition for e in both if isinstance(e, Barred)]
+        assert bars == [p for p in expected if Barred(p) in both]
+
+
 def test_partition_helpers():
     p = canonical_partition([(3, 4, 5), (1,), (6,), (2,)])
     assert p == ((1,), (2,), (3, 4, 5), (6,))
