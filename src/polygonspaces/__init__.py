@@ -59,7 +59,6 @@ from .surgery import (  # noqa: F401
     ChainStep,
     ModelResult,
     ModelStep,
-    SurgeryTrace,
     locate_sphere,
     run_chain,
     run_model,

@@ -18,7 +18,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .coxeter import RegularCellComplex, euler
-from .errors import USER_ERRORS, InvalidCodeError, PolygonSpacesError
+from .errors import (
+    USER_ERRORS,
+    InvalidCodeError,
+    PolygonSpacesError,
+    TooLargeError,
+)
 from .genetics import (
     GeneticCode,
     genetic_code,
@@ -27,6 +32,7 @@ from .genetics import (
     surgery_signature,
 )
 from .homology import (
+    MAX_SIMPLICES,
     SimplicialComplex,
     homology,
     identify_small,
@@ -185,47 +191,48 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _dump_dir(args.dump_cells)
     if args.mode == "model":
         return _run_model(code, args)
-    trace = run_chain(code, mode=args.mode, projective=args.projective)
-
-    if args.dump_cells:
-        for k, complex_ in enumerate(trace.complexes):
+    # held until the chain ends, so that a failing run prints nothing
+    lines, steps = [], []
+    chain = run_chain(code, mode=args.mode, projective=args.projective)
+    for k, (step, complex_) in enumerate(chain):
+        if args.dump_cells:
             _dump_cells(
                 complex_, os.path.join(args.dump_cells, f"step-{k:02d}.json")
             )
-
-    if args.figures:
-        _print(_figure_row("start", trace.complexes[0].f_vector()))
-        for step, after in zip(trace.steps, trace.complexes[1:]):
+        if step is None:
+            start = complex_.f_vector()
+            lines.append(_figure_row("start", start))
+        elif args.figures:
             cut = "".join(str(e) for e in step.added)
-            _print(_figure_row(f"cut {cut}", after.f_vector()))
-        _print(f"{'space':<12} {identify_small(trace.final)}")
+            lines.append(_figure_row(f"cut {cut}", complex_.f_vector()))
+        else:
+            rep = homology(complex_)
+            steps.append(
+                {
+                    "code": step.code,
+                    "added": list(step.added),
+                    "index": step.index,
+                    "sphere_size": len(step.sphere),
+                    "f_after": list(complex_.f_vector()),
+                    "betti": list(rep.betti),
+                    "torsion": [list(t) for t in rep.torsion],
+                }
+            )
+    if args.figures:
+        lines.append(f"{'space':<12} {identify_small(complex_)}")
+        _print("\n".join(lines))
         return 0
-
-    steps = []
-    for step, after in zip(trace.steps, trace.complexes[1:]):
-        rep = homology(after)
-        steps.append(
-            {
-                "code": step.code,
-                "added": list(step.added),
-                "index": step.index,
-                "sphere_size": len(step.sphere),
-                "f_after": list(after.f_vector()),
-                "betti": list(rep.betti),
-                "torsion": [list(t) for t in rep.torsion],
-            }
-        )
     _emit_json(
         {
             "code": str(code),
-            "mode": trace.mode,
-            "projective": trace.projective,
-            "start": {"f_vector": list(trace.complexes[0].f_vector())},
+            "mode": args.mode,
+            "projective": args.projective,
+            "start": {"f_vector": list(start)},
             "steps": steps,
             "final": {
-                "f_vector": list(trace.final.f_vector()),
-                "euler_characteristic": trace.final.euler_characteristic(),
-                **_report_payload(trace.final),
+                "f_vector": list(complex_.f_vector()),
+                "euler_characteristic": complex_.euler_characteristic(),
+                **_report_payload(complex_),
             },
         }
     )
@@ -376,6 +383,10 @@ def _load_dump(path: str):
                 "of at least 0 and a list of integer 'facets'"
             )
         count = len(data["cells"])
+        if count > MAX_SIMPLICES:
+            raise TooLargeError(
+                f"{path}: {count} cells pass the cap of {MAX_SIMPLICES}"
+            )
         for k, cell in enumerate(data["cells"]):
             for f in cell["facets"]:
                 if not 0 <= f < count:

@@ -37,7 +37,6 @@ from .errors import (
 from .genetics import GeneticCode, realize
 
 MAX_PARTITION_GROUND = 9
-MAX_BUILDING_GROUND = 12
 MAX_ISO_SIZE = 5000
 MAX_INTERSECTION_GROUND = 8
 
@@ -244,22 +243,6 @@ def partition_lattice(ground_size: int) -> FinitePoset:
     elems = list(partitions_of(range(1, ground_size + 1)))
     pairs = [(p, merged) for p in elems for merged in _merges(p)]
     return FinitePoset(elems, pairs)
-
-
-def minimal_building_set(ground_size: int) -> list[Partition]:
-    """Partitions with exactly one non-singleton block, one per subset of
-    size at least two.  These generate the partition lattice under join."""
-    if not 1 <= ground_size <= MAX_BUILDING_GROUND:
-        raise TooLargeError(
-            f"building set supports 1..{MAX_BUILDING_GROUND} elements"
-        )
-    ground = range(1, ground_size + 1)
-    out = []
-    for r in range(2, ground_size + 1):
-        for block in itertools.combinations(ground, r):
-            singles = [(e,) for e in ground if e not in block]
-            out.append(canonical_partition([block] + singles))
-    return out
 
 
 # ---------------------------------------------------------------------------

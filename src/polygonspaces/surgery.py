@@ -9,7 +9,8 @@ Panina's rule, so that every complex on the chain is the cyclic-partition
 complex of its code (``surgery_step``); ``attach`` does so on surfaces by
 inserting new cells (``surgery_2d``).
 
-``run_chain`` drives a whole saturated chain.  ``run_model`` builds a
+``run_chain`` drives a whole saturated chain and yields each complex as
+it is built, holding only the current one.  ``run_model`` builds a
 simplicial mapping-cylinder model, from the face poset, of a code that
 needs at most one surgery.  Every step is audited; failures raise rather
 than degrade.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from typing import Iterator, Optional
 
 from .coxeter import (
     Cell,
@@ -422,28 +424,18 @@ class ChainStep:
     sphere: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SurgeryTrace:
-    code: str
-    mode: str
-    projective: bool
-    steps: tuple[ChainStep, ...]
-    complexes: tuple[RegularCellComplex, ...]
-
-    @property
-    def final(self) -> RegularCellComplex:
-        return self.complexes[-1]
-
-
 def run_chain(
     code: GeneticCode,
     *,
     mode: str = "attach",
     projective: bool = False,
-) -> SurgeryTrace:
+) -> Iterator[tuple[Optional[ChainStep], RegularCellComplex]]:
     """Build the polygon space of a genetic code by surgery along its
-    saturated chain.  ``collapse`` runs on 3 to 8 edges and builds Panina's
-    complex of each code on the chain; ``attach`` runs on five edges."""
+    saturated chain, one complex at a time: yield ``(None, start)`` and
+    then ``(step, complex_after)`` for each step.  Only the current complex
+    is held.  ``collapse`` runs on 3 to 8 edges and builds Panina's complex
+    of each code on the chain; ``attach`` runs on five edges.  The input is
+    checked when the first item is taken, before any complex is built."""
     if mode not in ("attach", "collapse"):
         raise NotApplicableError(f"unknown surgery mode {mode!r}")
     if code.is_empty_space():
@@ -457,8 +449,7 @@ def run_chain(
     if projective:
         current, _ = projective_quotient(current)
     chain = saturated_chain(code)
-    complexes = [current]
-    steps = []
+    yield None, current
     for nxt, added in zip(chain.codes[1:], chain.added_sets):
         rest = frozenset(added) - {code.edge_count}
         units = ground - rest
@@ -469,18 +460,12 @@ def run_chain(
             )
         else:
             current = surgery_2d(current, sphere, units, projective=projective)
-        steps.append(
-            ChainStep(
-                code=str(nxt),
-                added=tuple(sorted(added)),
-                index=len(rest) - 1,
-                sphere=sphere,
-            )
-        )
-        complexes.append(current)
-    return SurgeryTrace(
-        str(code), mode, projective, tuple(steps), tuple(complexes)
-    )
+        yield ChainStep(
+            code=str(nxt),
+            added=tuple(sorted(added)),
+            index=len(rest) - 1,
+            sphere=sphere,
+        ), current
 
 
 # ---------------------------------------------------------------------------

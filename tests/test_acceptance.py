@@ -5,7 +5,6 @@ criterion.  Everything here is exact integer arithmetic; there are no
 tolerances to tune.
 """
 
-import functools
 import itertools
 
 from polygonspaces.coxeter import coxeter_complex, projective_quotient
@@ -33,16 +32,11 @@ from polygonspaces.posets import (
 )
 from polygonspaces.surgery import (
     locate_sphere,
-    run_chain,
     run_model,
     surgery_2d,
 )
 from test_posets import down_set, from_leq, height, rank_function
-
-
-@functools.cache
-def chain_run(name: str, mode: str, projective: bool = False):
-    return run_chain(parse_code(name), mode=mode, projective=projective)
+from test_surgery import chain_run
 
 
 def face_shape_counts(complex_) -> dict[int, int]:
@@ -197,7 +191,7 @@ def test_criterion_09_oracle_coherence() -> None:
             assert rep.betti == betti_oracle(code), str(code)
             assert not any(rep.torsion)
     for code in realizable_codes(5):
-        rep = homology(run_chain(code, mode="collapse").final)
+        rep = homology(chain_run(str(code), "collapse").final)
         assert rep.betti == betti_oracle(code), str(code)
         assert not any(rep.torsion)
     ran = []

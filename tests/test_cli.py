@@ -240,6 +240,67 @@ def test_dump_model_then_homology(capsys, tmp_path) -> None:
     assert payload["identification"] == "2 circles"
 
 
+def test_failed_run_leaves_the_dumps_built_before_the_failure(
+    capsys, monkeypatch, tmp_path
+) -> None:
+    from polygonspaces import surgery
+    from polygonspaces.errors import AuditError
+
+    built = surgery.surgery_step
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise AuditError("planted failure at the second step")
+        return built(*args, **kwargs)
+
+    monkeypatch.setattr(surgery, "surgery_step", fail_second)
+    out_dir = tmp_path / "cells"
+    code, out, err = run_cli(
+        capsys, "run", "<125>", "--mode", "collapse",
+        "--dump-cells", str(out_dir),
+    )
+    assert code == 3
+    assert out == ""
+    assert "planted failure" in err
+    # each dump is written as its complex is built: the start and step one
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "step-00.json", "step-01.json",
+    ]
+    monkeypatch.undo()
+    start = run_json(capsys, "homology", str(out_dir / "step-00.json"))
+    assert start["betti"] == [1, 0, 1]
+    first = run_json(capsys, "homology", str(out_dir / "step-01.json"))
+    assert first["identification"] == "T^2"
+
+
+def test_homology_refuses_a_cell_dump_past_the_cap_before_adding_a_cell(
+    capsys, monkeypatch, tmp_path
+) -> None:
+    edge = [
+        {"dim": 0, "facets": []},
+        {"dim": 0, "facets": []},
+        {"dim": 1, "facets": [0, 1]},
+    ]
+    dump = tmp_path / "edge.json"
+    dump.write_text(json.dumps({"kind": "cells", "cells": edge}))
+    monkeypatch.setattr("polygonspaces.cli.MAX_SIMPLICES", 3)
+    assert run_json(capsys, "homology", str(dump))["betti"] == [1, 0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell was added")
+
+    monkeypatch.setattr(RegularCellComplex, "add_cell", refuse)
+    dump.write_text(
+        json.dumps({"kind": "cells", "cells": edge + [edge[0]]})
+    )
+    code, out, err = run_cli(capsys, "homology", str(dump))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error [TOO_LARGE]")
+
+
 def test_homology_refuses_a_face_past_the_cap_at_once(
     capsys, tmp_path
 ) -> None:

@@ -37,7 +37,8 @@ from polygonspaces.homology import (
     identify_small,
     proper_faces,
 )
-from polygonspaces.surgery import locate_sphere, run_chain, run_model
+from polygonspaces.surgery import locate_sphere, run_model
+from test_surgery import chain_run
 
 
 @functools.cache
@@ -374,10 +375,7 @@ def oracle_complexes(case: str) -> list:
         return [sphere, projective_quotient(sphere)[0]]
     if kind == "run":
         name, mode, *projective = rest.split()
-        trace = run_chain(
-            parse_code(name), mode=mode, projective=bool(projective)
-        )
-        return list(trace.complexes)
+        return list(chain_run(name, mode, bool(projective)).complexes)
     # the spheres that locate_sphere materializes for its homology audit:
     # every pair of units on Coxeter(5), as the m = 6 models use them, and
     # one pair and one triple on Coxeter(6), as m = 7 would
@@ -455,7 +453,7 @@ def test_compressed_reduction_matches_the_full_matrix(case) -> None:
 def forest_complexes(case: str) -> list:
     """The disconnected complexes of one forest case."""
     if case == "run <125> collapse":
-        return list(run_chain(parse_code("<125>"), mode="collapse").complexes)
+        return list(chain_run("<125>", "collapse").complexes)
     if case == "circle and wedge":
         return [SimplicialComplex(
             [(0, 1), (1, 2), (0, 2)]

