@@ -44,11 +44,12 @@ every pivot of the sparse phase is ±1; pivots of the dense phase are not
 used.  The union-find and orientation audits still read the full
 matrices.
 
-The pass is made once per complex: a simplicial complex cannot change,
-and a cell complex is taken only once ``seal()`` has audited and frozen
-it, so :func:`homology` and :func:`identify_small` share its survey
-(counts, ranks and factors, never matrices) through a memo keyed weakly
-by the complex itself.
+The pass is made once per complex, elimination and audits included: a
+simplicial complex cannot change, and a cell complex is taken only once
+``seal()`` has audited and frozen it, so :func:`homology` and
+:func:`identify_small` share its survey (counts, ranks, factors and the
+audited report, never matrices) through a memo keyed weakly by the
+complex itself.  Whichever of the two is called first reduces.
 
 ``barycentric`` builds the order complex of a cell complex's whole face
 poset, and ``_order_chains`` that of any sub-poset; the simplicial surgery
@@ -528,6 +529,35 @@ def _chain_complex(
     )
 
 
+# ---------------------------------------------------------------------------
+# The survey and its report.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class HomologyReport:
+    """Integer homology of a complex.
+
+    ``betti[k]`` is the free rank of the degree-``k`` group and
+    ``torsion[k]`` its invariant factors bigger than one.  ``orientable``
+    is meaningful only for closed pseudo-manifolds and is ``None``
+    otherwise.
+    """
+
+    betti: tuple[int, ...]
+    torsion: tuple[tuple[int, ...], ...]
+    components: int
+    orientable: Optional[bool]
+
+    def __str__(self) -> str:
+        parts = []
+        for k, b in enumerate(self.betti):
+            term = [f"Z^{b}" if b > 1 else "Z"] if b else []
+            term += [f"Z/{t}" for t in self.torsion[k]]
+            parts.append(f"H{k}=" + ("+".join(term) if term else "0"))
+        return " ".join(parts)
+
+
 @dataclass
 class _Survey:
     """What one pass over a chain complex finds.
@@ -538,14 +568,17 @@ class _Survey:
     ``d`` lies on a cell one dimension up, and every ``(d - 1)``-cell on
     exactly two ``d``-cells.  Otherwise it says whether sign propagation
     of the ``d``-cells across those ridges orients the component.
-    ``ranks`` and ``factors`` are ``None`` when the pass reduced nothing.
+    ``ranks`` and ``factors`` hold the rank and invariant factors of each
+    boundary matrix, and ``report`` the homology they give, audited
+    against the components and the orientations.
     """
 
     sizes: list[int]
     f_vectors: list[list[int]]
     manifold: list[Optional[bool]]
-    ranks: Optional[dict[int, int]]
-    factors: Optional[dict[int, list[int]]]
+    ranks: dict[int, int]
+    factors: dict[int, list[int]]
+    report: HomologyReport
 
 
 # Surveys of complexes that cannot change, keyed by the complex itself
@@ -556,28 +589,24 @@ _SURVEYS: "weakref.WeakKeyDictionary[object, _Survey]" = (
 )
 
 
-def _surveyed(
-    source: "SimplicialComplex | RegularCellComplex", reduce: bool
-) -> _Survey:
+def _surveyed(source: "SimplicialComplex | RegularCellComplex") -> _Survey:
     """The survey of a nonempty complex, shared by every caller while the
-    complex lives.  A memoised survey without ranks is redone with them
-    when ``reduce`` asks for them.  A cell complex must be sealed: an
-    unsealed one may still grow, and has not had the audits of ``seal()``
-    that the incidence numbers rely on."""
+    complex lives.  A cell complex must be sealed: an unsealed one may
+    still grow, and has not had the audits of ``seal()`` that the
+    incidence numbers rely on."""
     if isinstance(source, RegularCellComplex) and not source.sealed:
         raise AuditError("homology takes a sealed cell complex")
     survey = _SURVEYS.get(source)
-    if survey is None or (reduce and survey.ranks is None):
-        survey = _SURVEYS[source] = _survey(source, reduce)
+    if survey is None:
+        survey = _SURVEYS[source] = _survey(source)
     return survey
 
 
-def _survey(
-    source: "SimplicialComplex | RegularCellComplex", reduce: bool
-) -> _Survey:
+def _survey(source: "SimplicialComplex | RegularCellComplex") -> _Survey:
     """Components, face counts and orientations of a nonempty complex,
-    plus the rank and invariant factors of every boundary matrix when
-    ``reduce`` is set.
+    the rank and invariant factors of every boundary matrix, and the
+    homology they give once it passes the audits that :func:`homology`
+    names.
 
     ``∂_1`` is read off the spanning forest of the union-find.  The rows
     of each boundary matrix that the unit pivots of the one below paired
@@ -587,18 +616,20 @@ def _survey(
     top = len(sizes) - 1
     owner: list[list[int]] = [list(range(sizes[0]))]
     lowest_bare: dict[int, int] = {}  # component -> lowest cell with no coface
-    ranks: Optional[dict[int, int]] = {} if reduce else None
-    factors: Optional[dict[int, list[int]]] = {} if reduce else None
+    ranks: dict[int, int] = {}
+    factors: dict[int, list[int]] = {}
     paired: Container[int] = ()  # (k-1)-cells paired by the step below
     matrix: Boundary = []
     for k in range(1, top + 1):
         matrix = boundary(k)
         if k == 1:
-            owner[0], paired = _vertex_components(sizes, matrix)
-            if reduce:
-                ranks[1] = len(paired)
-                factors[1] = [1] * len(paired)
-        elif reduce:
+            comps, forest = connected_components(range(sizes[0]), matrix)
+            for i, comp in enumerate(comps):
+                for v in comp:
+                    owner[0][v] = i
+            paired = set(forest)
+            ranks[1], factors[1] = len(paired), [1] * len(paired)
+        else:
             ranks[k], factors[k], paired = _sparse_reduce(matrix, paired)
         below = owner[k - 1]
         above = [0] * sizes[k]
@@ -641,55 +672,28 @@ def _survey(
         None if comp in broken else comp not in twisted
         for comp in range(n_components)
     ]
-    return _Survey(sizes, f_vectors, manifold, ranks, factors)
 
-
-def _vertex_components(
-    sizes: list[int], edges: Boundary
-) -> tuple[list[int], set[int]]:
-    """The component of each vertex, numbered in order of first vertex, and
-    the edges of a spanning forest.  Each column of ``edges`` holds the two
-    ends of its edge.
-
-    The forest edges are the unit pivots of ``∂_1``: there are vertices
-    minus components of them, every invariant factor is one, and they are
-    the rows that the reduction of ``∂_2`` leaves out (see the module
-    docstring)."""
-    owner = [0] * sizes[0]
-    comps, forest = connected_components(range(sizes[0]), edges)
-    for i, comp in enumerate(comps):
-        for v in comp:
-            owner[v] = i
-    return owner, set(forest)
-
-
-# ---------------------------------------------------------------------------
-# The report.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HomologyReport:
-    """Integer homology of a complex.
-
-    ``betti[k]`` is the free rank of the degree-``k`` group and
-    ``torsion[k]`` its invariant factors bigger than one.  ``orientable``
-    is meaningful only for closed pseudo-manifolds and is ``None``
-    otherwise.
-    """
-
-    betti: tuple[int, ...]
-    torsion: tuple[tuple[int, ...], ...]
-    components: int
-    orientable: Optional[bool]
-
-    def __str__(self) -> str:
-        parts = []
-        for k, b in enumerate(self.betti):
-            term = [f"Z^{b}" if b > 1 else "Z"] if b else []
-            term += [f"Z/{t}" for t in self.torsion[k]]
-            parts.append(f"H{k}=" + ("+".join(term) if term else "0"))
-        return " ".join(parts)
+    betti = [n - ranks.get(k, 0) - ranks.get(k + 1, 0)
+             for k, n in enumerate(sizes)]
+    torsion = [tuple(t for t in factors.get(k + 1, ()) if t > 1)
+               for k in range(top + 1)]
+    if betti[0] != n_components:
+        raise AuditError(
+            f"union-find sees {n_components} components, homology "
+            f"{betti[0]}"
+        )
+    # a closed pseudo-manifold: every component is one, of the top dimension
+    orientable = None
+    if None not in manifold and all(len(f) == top + 1 for f in f_vectors):
+        orientable = betti[top] == n_components
+        if orientable != all(manifold):
+            raise AuditError(
+                "orientation propagation and top homology disagree"
+            )
+    report = HomologyReport(
+        tuple(betti), tuple(torsion), n_components, orientable
+    )
+    return _Survey(sizes, f_vectors, manifold, ranks, factors, report)
 
 
 def homology(
@@ -710,39 +714,12 @@ def homology(
     dimension 4 and up are not counted: the boundary of a 4-cell is a
     closed 3-manifold, whose Euler characteristic is 0 whatever it is, and
     a count in higher dimensions would need the cell's whole closure.
+    The first call of this function or of :func:`identify_small` on a
+    complex makes both audits; later calls read the memoised report.
     """
     if not len(source):
         raise NotApplicableError("the empty complex has no homology")
-    survey = _surveyed(source, reduce=True)
-    top = len(survey.sizes) - 1
-    ranks = survey.ranks
-    betti = []
-    torsion = []
-    for k, n_k in enumerate(survey.sizes):
-        betti.append(n_k - ranks.get(k, 0) - ranks.get(k + 1, 0))
-        torsion.append(
-            tuple(t for t in survey.factors.get(k + 1, ()) if t > 1)
-        )
-    n_components = len(survey.manifold)
-    if betti[0] != n_components:
-        raise AuditError(
-            f"union-find sees {n_components} components, homology "
-            f"{betti[0]}"
-        )
-    # a closed pseudo-manifold: every component is one, of the top dimension
-    closed = None not in survey.manifold and all(
-        len(f) == top + 1 for f in survey.f_vectors
-    )
-    orientable = None
-    if closed:
-        orientable = betti[top] == n_components
-        if orientable != all(survey.manifold):
-            raise AuditError(
-                "orientation propagation and top homology disagree"
-            )
-    return HomologyReport(
-        tuple(betti), tuple(torsion), n_components, orientable
-    )
+    return _surveyed(source).report
 
 
 # ---------------------------------------------------------------------------
@@ -779,12 +756,13 @@ def identify_small(
 
     Works on the cells of the source as given, with Euler characteristics
     from the face counts of each component and orientability from sign
-    propagation across ridges, the same pass that :func:`homology` makes.
-    A cell complex must be sealed, as for :func:`homology`.
+    propagation across ridges, from the survey that :func:`homology`
+    reports: a name is given only once its elimination has passed both
+    audits.  A cell complex must be sealed, as for :func:`homology`.
     """
     if not len(source):
         return "empty"
-    survey = _surveyed(source, reduce=False)
+    survey = _surveyed(source)
     top = len(survey.sizes) - 1
     if top == 0:
         n = survey.sizes[0]

@@ -220,13 +220,16 @@ def partition_str(p: Partition) -> str:
     return "|".join(sep.join(str(e) for e in b) for b in p)
 
 
-def _merges(p: Partition) -> Iterator[Partition]:
-    """The partitions that merge two blocks of ``p``: its covers in the
-    partition lattice."""
+def _merges(
+    p: Partition, keep: Callable[[tuple[int, ...]], bool]
+) -> Iterator[Partition]:
+    """The partitions that merge two blocks of ``p`` into a block that
+    passes ``keep``: covers of ``p`` in the partition lattice."""
     for i, j in itertools.combinations(range(len(p)), 2):
         # the merged block keeps p[i]'s first entry, so it keeps its place
         merged = tuple(sorted(p[i] + p[j]))
-        yield p[:i] + (merged,) + p[i + 1:j] + p[j + 1:]
+        if keep(merged):
+            yield p[:i] + (merged,) + p[i + 1:j] + p[j + 1:]
 
 
 def partition_lattice(ground_size: int) -> FinitePoset:
@@ -241,7 +244,11 @@ def partition_lattice(ground_size: int) -> FinitePoset:
             f"partition lattice supports 1..{MAX_PARTITION_GROUND} elements"
         )
     elems = list(partitions_of(range(1, ground_size + 1)))
-    pairs = [(p, merged) for p in elems for merged in _merges(p)]
+    pairs = [
+        (p, merged)
+        for p in elems
+        for merged in _merges(p, lambda block: True)
+    ]
     return FinitePoset(elems, pairs)
 
 
@@ -293,9 +300,8 @@ def intersection_poset(
         )
     short = code.short_sets()
     short_blocks = {tuple(sorted(s)) for s in short}
-    plain = list(
-        _partitions(range(1, code.edge_count + 1), short_blocks.__contains__)
-    )
+    keep = short_blocks.__contains__
+    plain = list(_partitions(range(1, code.edge_count + 1), keep))
     disconnected = {}
     for p in plain:
         blocks = [frozenset(b) for b in p]
@@ -311,9 +317,7 @@ def intersection_poset(
     # partition on a merge path from p to q.
     pairs: list[tuple[Hashable, Hashable]] = []
     for fine in plain:
-        for merged in _merges(fine):
-            if merged not in disconnected:
-                continue  # some block of the merge is long
+        for merged in _merges(fine, keep):
             if disconnected[fine] and not disconnected[merged]:
                 raise AuditError(
                     "disconnected quotient coarsened to a connected one: "

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Hashable, Iterator, Optional
 
 from .coxeter import (
     Cell,
@@ -184,10 +184,13 @@ def surgery_step(
     cells with block ``units``, adds a cell per ordered partition of
     ``units`` into at least two blocks, and re-derives the facets of the
     new cells and of the kept cells that lost a facet or gain the merge
-    onto ``A``.  Cells are keyed by pattern, up to reversal in a
-    projective complex.
+    onto ``A``.  Cells are keyed by pattern, in a projective complex by
+    the pair of a pattern and its reversal.
     """
-    key = _canonical_pattern_key if projective else _pattern_key
+
+    def key(p: tuple) -> Hashable:
+        return frozenset((p, reversal(p))) if projective else p
+
     ground = frozenset(range(1, code.edge_count + 1))
     short = code.short_sets()
     sphere = frozenset(sphere)
@@ -200,7 +203,7 @@ def surgery_step(
         or units == frozenset().union(*c.pattern[1:])
         or units == frozenset().union(*c.pattern[:-1])
     }
-    new: dict[tuple, int] = {}
+    new: dict[Hashable, int] = {}
     for k in range(2, len(units) + 1):
         for p in _ordered_partitions(tuple(sorted(units)), k):
             # a projective complex has one cell for p and its reversal
@@ -229,7 +232,7 @@ def surgery_step(
     if not projective:
         inv = complex_.involution
         out.involution.update(
-            (i, inv[i] if i in inv else new[key(reversal(c.pattern))])
+            (i, inv[i] if i in inv else new[reversal(c.pattern)])
             for i, c in cells.items()
         )
     return out.seal()
@@ -435,7 +438,9 @@ def run_chain(
     then ``(step, complex_after)`` for each step.  Only the current complex
     is held.  ``collapse`` runs on 3 to 8 edges and builds Panina's complex
     of each code on the chain; ``attach`` runs on five edges.  The input is
-    checked when the first item is taken, before any complex is built."""
+    checked when the first item is taken, before any complex is built.  A
+    located sphere whose dimension is not the step's index, one less than
+    the size of the added set without ``m``, fails as ``AuditError``."""
     if mode not in ("attach", "collapse"):
         raise NotApplicableError(f"unknown surgery mode {mode!r}")
     if code.is_empty_space():
@@ -454,6 +459,13 @@ def run_chain(
         rest = frozenset(added) - {code.edge_count}
         units = ground - rest
         sphere = locate_sphere(current, units, projective)
+        index = len(rest) - 1
+        found = max(current.cells[i].dim for i in sphere)
+        if found != index:
+            raise AuditError(
+                f"step {nxt} adds {sorted(added)}, an index-{index} "
+                f"surgery, but its sphere has dimension {found}"
+            )
         if mode == "collapse":
             current = surgery_step(
                 current, sphere, units, nxt, projective=projective
@@ -463,7 +475,7 @@ def run_chain(
         yield ChainStep(
             code=str(nxt),
             added=tuple(sorted(added)),
-            index=len(rest) - 1,
+            index=index,
             sphere=sphere,
         ), current
 

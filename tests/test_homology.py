@@ -30,7 +30,6 @@ from polygonspaces.homology import (
     _dense_snf,
     _sparse_reduce,
     _survey,
-    _vertex_components,
     barycentric,
     betti_oracle,
     homology,
@@ -431,13 +430,14 @@ def test_compressed_reduction_matches_the_full_matrix(case) -> None:
     # keeps the rank and every invariant factor, torsion included
     for complex_ in compression_complexes(case):
         sizes, boundary = _chain_complex(complex_)
-        survey = _survey(complex_, reduce=True)
+        survey = _survey(complex_)
         dropped = 0
         for k in range(1, len(sizes)):
             matrix = boundary(k)
             rank, factors, _ = _sparse_reduce(matrix)
             if k == 1:
-                _, paired = _vertex_components(sizes, matrix)
+                _, forest = connected_components(range(sizes[0]), matrix)
+                paired = set(forest)
                 got = len(paired), [1] * len(paired)
             else:
                 dropped += len(paired)
@@ -479,15 +479,15 @@ def test_forest_rank_is_vertices_minus_components(case) -> None:
     for complex_ in complexes:
         sizes, boundary = _chain_complex(complex_)
         edges = boundary(1)
-        owner, forest = _vertex_components(sizes, edges)
-        components = max(owner) + 1
+        comps, forest = connected_components(range(sizes[0]), edges)
+        components = len(comps)
         assert len(forest) == sizes[0] - components
         # the forest edges alone join the vertices into the same pieces
         pieces, _ = connected_components(
             range(sizes[0]), [edges[e] for e in forest]
         )
         assert len(pieces) == components
-        survey = _survey(complex_, reduce=True)
+        survey = _survey(complex_)
         assert survey.ranks[1] == len(forest) == _sparse_reduce(edges)[0]
         assert survey.factors[1] == [1] * len(forest)
         assert homology(complex_).components == components
@@ -527,14 +527,31 @@ def test_name_reuses_the_homology_survey(make, monkeypatch) -> None:
     assert len(built) == 1
 
 
-def test_survey_without_ranks_gains_them_once(monkeypatch) -> None:
+def test_naming_first_builds_one_chain_complex(monkeypatch) -> None:
     built = count_chain_complexes(monkeypatch)
     space = SimplicialComplex(grid_surface(4, True))
     assert identify_small(space) == "N_2"
     assert str(homology(space)) == "H0=Z H1=Z+Z/2 H2=0"
     assert identify_small(space) == "N_2"
     assert str(homology(space)) == "H0=Z H1=Z+Z/2 H2=0"
-    assert len(built) == 2
+    assert len(built) == 1
+
+
+def test_naming_is_audited_against_the_elimination(monkeypatch) -> None:
+    # an elimination one rank short on ∂2 leaves an RP^2 with a free top
+    # class, so the name must not stand on orientation propagation alone
+    mod = importlib.import_module("polygonspaces.homology")
+    original = mod._sparse_reduce
+
+    def short(columns, drop_rows=()):
+        rank, factors, pivots = original(columns, drop_rows)
+        return rank - 1, factors[:-1], pivots
+
+    monkeypatch.setattr(mod, "_sparse_reduce", short)
+    space = projective_quotient(ca(4))[0]
+    with pytest.raises(AuditError, match="orientation propagation"):
+        identify_small(space)
+    assert space not in mod._SURVEYS
 
 
 @pytest.mark.parametrize("measure", [homology, identify_small])

@@ -639,6 +639,25 @@ def test_unknown_mode() -> None:
         next(run_chain(parse_code("<15>"), mode="sideways"))
 
 
+@pytest.mark.parametrize("mode", ["attach", "collapse"])
+def test_sphere_of_another_dimension_fails_the_audit(
+    mode: str, monkeypatch
+) -> None:
+    # keeping only the vertices of the circle that the last step of <125>
+    # cuts hands an index-1 step a sphere of dimension 0
+    surgery = importlib.import_module("polygonspaces.surgery")
+    located = surgery.locate_sphere
+
+    def vertices_only(complex_, units, projective=False):
+        ids = located(complex_, units, projective)
+        return tuple(i for i in ids if complex_.cells[i].dim == 0)
+
+    monkeypatch.setattr(surgery, "locate_sphere", vertices_only)
+    chain = run_chain(parse_code("<125>"), mode=mode)
+    with pytest.raises(AuditError, match="its sphere has dimension 0"):
+        list(chain)
+
+
 def test_surgery_needs_a_surface() -> None:
     k = coxeter_complex(range(1, 6))
     with pytest.raises(Not2DError):
