@@ -11,6 +11,7 @@ in the message), and 3 when an internal audit fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -439,7 +440,10 @@ def _add_code_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="polygonspaces",
         description="Planar polygon moduli spaces as explicit cell complexes.",

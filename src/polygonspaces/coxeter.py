@@ -6,6 +6,13 @@ set partition of the ground into at least two blocks; a partition with
 of adjacent blocks.  Reversing the block order is a free involution, and
 the whole complex is a sphere of dimension ``n - 2``.
 
+The build works on bitmasks: bit ``i`` stands for the ``i``-th smallest
+element, a block is a mask, and a partition is keyed by the tuple of its
+masks, so a facet is found by OR-ing two adjacent masks.  Each block's
+frozenset is made once per mask (``2**n - 1`` of them) and shared by every
+cell's label and pattern that holds it.  ``surgery_step`` enumerates the
+new cells of a collapse step the same way, in the same order.
+
 :class:`RegularCellComplex` stores cells append-only with stable integer
 identities, so cells that survive a surgery step keep their identity in the
 result.  ``add_cell`` checks each cell's own facets (an edge has exactly
@@ -39,7 +46,7 @@ def euler(f_vector: Sequence[int]) -> int:
     return sum((-1) ** d * n for d, n in enumerate(f_vector))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """One cell of a regular cell complex.
 
@@ -113,9 +120,10 @@ class RegularCellComplex:
         if self._sealed:
             raise AuditError("complex is sealed")
         facets = tuple(facets)
+        cells = self.cells
         if ident is None:
             ident = self._next
-        if ident in self.cells:
+        if ident in cells:
             raise AuditError(f"duplicate cell identity {ident}")
         if label in self._labels:
             raise AuditError(f"duplicate label {label!r}")
@@ -126,15 +134,17 @@ class RegularCellComplex:
         if len(set(facets)) != len(facets):
             raise AuditError(f"cell {label!r} repeats a facet")
         for f in facets:
-            if f not in self.cells:
+            facet = cells.get(f)
+            if facet is None:
                 raise AuditError(f"facet {f} of {label!r} does not exist")
-            if self.cells[f].dim != dim - 1:
+            if facet.dim != dim - 1:
                 raise AuditError(f"facet {f} of {label!r} has wrong dimension")
         if dim == 1 and len(facets) != 2:
             raise AuditError(f"edge {label!r} lacks two distinct ends")
         # every check has passed: only now does the complex change
-        self._next = max(self._next, ident + 1)
-        self.cells[ident] = Cell(ident, dim, label, facets, pattern)
+        if ident >= self._next:
+            self._next = ident + 1
+        cells[ident] = Cell(ident, dim, label, facets, pattern)
         self._labels[label] = ident
         return ident
 
@@ -165,37 +175,50 @@ class RegularCellComplex:
     # -- audits --------------------------------------------------------
 
     def _audit_diamond(self) -> None:
-        for c in self.cells.values():
+        cells = self.cells
+        for c in cells.values():
             if c.dim < 2:
                 continue
-            counts: dict[int, int] = {}
-            for f in c.facets:
-                for g in self.cells[f].facets:
-                    counts[g] = counts.get(g, 0) + 1
-            bad = {g: k for g, k in counts.items() if k != 2}
-            if bad:
+            # each face of codimension two lies on exactly two facets: in
+            # sorted order the faces come in equal pairs, no two alike
+            faces = [g for f in c.facets for g in cells[f].facets]
+            faces.sort()
+            distinct = faces[0::2]
+            if distinct != faces[1::2] or len(set(distinct)) != len(distinct):
+                counts: dict[int, int] = {}
+                for f in c.facets:
+                    for g in cells[f].facets:
+                        counts[g] = counts.get(g, 0) + 1
+                bad = {g: k for g, k in counts.items() if k != 2}
                 raise AuditError(
                     f"diamond property fails at {c.label!r}: {bad}"
                 )
             if c.dim == 2:
-                ends = (self.cells[e].facets for e in c.facets)
-                if len(connected_components(counts, ends)[0]) != 1:
+                ends = (cells[e].facets for e in c.facets)
+                if len(connected_components(distinct, ends)[0]) != 1:
                     raise AuditError(
                         f"boundary of {c.label!r} is not a single cycle"
                     )
 
     def _audit_involution(self) -> None:
-        if set(self.involution) != set(self.cells):
+        inv, cells = self.involution, self.cells
+        if inv.keys() != cells.keys():
             raise AuditError("involution is not defined on every cell")
-        for a, b in self.involution.items():
+        # the facet test is symmetric in a pair, so it runs at the member
+        # met first, and the message names the same cell as a full pass
+        checked: set[int] = set()
+        for a, b in inv.items():
             if a == b:
                 raise FixedCellError(f"involution fixes cell {a}")
-            if self.involution[b] != a:
+            if inv[b] != a:
                 raise AuditError("involution is not an involution")
-            ca, cb = self.cells[a], self.cells[b]
+            if a in checked:
+                continue
+            checked.add(b)
+            ca, cb = cells[a], cells[b]
             if ca.dim != cb.dim:
                 raise AuditError("involution changes dimension")
-            image = {self.involution[f] for f in ca.facets}
+            image = {inv[f] for f in ca.facets}
             if image != set(cb.facets):
                 raise AuditError(
                     f"involution of {ca.label!r} does not respect facets"
@@ -255,28 +278,41 @@ class RegularCellComplex:
 # ---------------------------------------------------------------------------
 
 
-def _ordered_partitions(ground: tuple, k: int) -> Iterator[Blocks]:
-    """Ordered partitions of ``ground`` into exactly ``k`` nonempty blocks."""
-    for blocks in _set_partitions(ground, k):
-        for perm in itertools.permutations(blocks):
-            yield tuple(perm)
+def _block_sets(ground: tuple) -> list[frozenset]:
+    """The block of each bitmask over ``ground``: bit ``i`` stands for
+    ``ground[i]``, and the list is indexed by mask."""
+    sets = [frozenset()]
+    for x in ground:
+        sets += [s | {x} for s in sets]
+    return sets
 
 
-def _set_partitions(ground: tuple, k: int) -> Iterator[tuple]:
+def _ordered_partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Ordered partitions of the bits ``0..n-1`` into exactly ``k``
+    nonempty blocks, each block a bitmask."""
+    for blocks in _set_partitions(n, k):
+        yield from itertools.permutations(blocks)
+
+
+def _set_partitions(n: int, k: int, low: int = 0) -> Iterator[tuple[int, ...]]:
+    """Partitions of the bits ``low..n-1`` into ``k`` blocks: the ones
+    where bit ``low`` is a block of its own, then the ones where it joins
+    each block of a partition of the rest in turn."""
+    size = n - low
     if k == 1:
-        yield (frozenset(ground),)
+        yield ((1 << n) - (1 << low),)
         return
-    if len(ground) == k:
-        yield tuple(frozenset({e}) for e in ground)
+    if size == k:
+        yield tuple(1 << i for i in range(low, n))
         return
-    if len(ground) < k:
+    if size < k:
         return
-    first, rest = ground[0], ground[1:]
-    for sub in _set_partitions(rest, k - 1):
-        yield (frozenset({first}),) + sub
-    for sub in _set_partitions(rest, k):
+    bit = 1 << low
+    for sub in _set_partitions(n, k - 1, low + 1):
+        yield (bit,) + sub
+    for sub in _set_partitions(n, k, low + 1):
         for i in range(len(sub)):
-            yield sub[:i] + (sub[i] | {first},) + sub[i + 1 :]
+            yield sub[:i] + (sub[i] | bit,) + sub[i + 1 :]
 
 
 def coxeter_complex(ground: Iterable[int]) -> RegularCellComplex:
@@ -293,19 +329,22 @@ def coxeter_complex(ground: Iterable[int]) -> RegularCellComplex:
         )
     if len(set(items)) != len(items):
         raise NotApplicableError("ground set has repeated elements")
+    n = len(items)
+    sets = _block_sets(items)
     complex_ = RegularCellComplex()
-    ids: dict[Blocks, int] = {}
-    for k in range(2, len(items) + 1):
-        for blocks in _ordered_partitions(items, k):
+    ids: dict[tuple[int, ...], int] = {}
+    for k in range(2, n + 1):
+        for masks in _ordered_partitions(n, k):
+            blocks = tuple(sets[m] for m in masks)
             facets = tuple(
-                ids[blocks[:i] + (blocks[i] | blocks[i + 1],) + blocks[i + 2 :]]
+                ids[masks[:i] + (masks[i] | masks[i + 1],) + masks[i + 2 :]]
                 for i in range(k - 1 if k > 2 else 0)
             )
-            ids[blocks] = complex_.add_cell(
+            ids[masks] = complex_.add_cell(
                 k - 2, ("osp", blocks), facets, pattern=blocks
             )
-    for blocks, ident in ids.items():
-        complex_.pair(ident, ids[reversal(blocks)])
+    for masks, ident in ids.items():
+        complex_.pair(ident, ids[masks[::-1]])
     return complex_.seal()
 
 

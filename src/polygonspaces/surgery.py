@@ -25,6 +25,7 @@ from typing import Hashable, Iterator, Optional
 from .coxeter import (
     Cell,
     RegularCellComplex,
+    _block_sets,
     _ordered_partitions,
     connected_components,
     coxeter_complex,
@@ -204,8 +205,10 @@ def surgery_step(
         or units == frozenset().union(*c.pattern[:-1])
     }
     new: dict[Hashable, int] = {}
+    sets = _block_sets(tuple(sorted(units)))
     for k in range(2, len(units) + 1):
-        for p in _ordered_partitions(tuple(sorted(units)), k):
+        for masks in _ordered_partitions(len(units), k):
+            p = tuple(sets[m] for m in masks)
             # a projective complex has one cell for p and its reversal
             if key(p) not in new:
                 i = new[key(p)] = complex_._next + len(new)

@@ -1,6 +1,7 @@
 """Cell complex layer: audits, Coxeter spheres, quotients."""
 
 import functools
+import itertools
 
 import pytest
 
@@ -108,6 +109,71 @@ def test_closure_sizes() -> None:
     assert disk.f_vector() == (3, 3, 1)
     assert set(disk.cells) <= set(k.cells)
     assert disk.involution == {}
+
+
+# -- the bitmask build against a frozenset-keyed reference ---------------
+
+
+def reference_set_partitions(ground: tuple, k: int):
+    """Partitions of ``ground`` into ``k`` frozenset blocks: ``ground[0]``
+    alone, then ``ground[0]`` joined to each block of the rest in turn."""
+    if k == 1:
+        yield (frozenset(ground),)
+        return
+    if len(ground) == k:
+        yield tuple(frozenset({e}) for e in ground)
+        return
+    if len(ground) < k:
+        return
+    first, rest = ground[0], ground[1:]
+    for sub in reference_set_partitions(rest, k - 1):
+        yield (frozenset({first}),) + sub
+    for sub in reference_set_partitions(rest, k):
+        for i in range(len(sub)):
+            yield sub[:i] + (sub[i] | {first},) + sub[i + 1 :]
+
+
+def reference_ordered_partitions(ground: tuple, k: int):
+    for blocks in reference_set_partitions(ground, k):
+        yield from itertools.permutations(blocks)
+
+
+def reference_coxeter(ground) -> RegularCellComplex:
+    """The Coxeter sphere keyed by tuples of frozensets, each partition's
+    blocks built for it alone."""
+    items = tuple(sorted(ground))
+    complex_ = RegularCellComplex()
+    ids: dict[tuple, int] = {}
+    for k in range(2, len(items) + 1):
+        for blocks in reference_ordered_partitions(items, k):
+            facets = tuple(
+                ids[blocks[:i] + (blocks[i] | blocks[i + 1],) + blocks[i + 2 :]]
+                for i in range(k - 1 if k > 2 else 0)
+            )
+            ids[blocks] = complex_.add_cell(
+                k - 2, ("osp", blocks), facets, pattern=blocks
+            )
+    for blocks, ident in ids.items():
+        complex_.pair(ident, ids[reversal(blocks)])
+    return complex_.seal()
+
+
+def assert_build_matches_reference(n: int) -> None:
+    """Equal cells in the same order and an equal involution, for the
+    sphere on ``1..n`` and for its projective quotient."""
+    ground = range(1, n + 1)
+    got, ref = coxeter_complex(ground), reference_coxeter(ground)
+    assert list(got) == list(ref)
+    assert got.involution == ref.involution
+    (q_got, map_got), (q_ref, map_ref) = map(projective_quotient, (got, ref))
+    assert list(q_got) == list(q_ref)
+    assert map_got == map_ref
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_bitmask_build_matches_the_frozenset_reference(n: int) -> None:
+    # n = 7 takes seconds; CI runs it as a step of its own
+    assert_build_matches_reference(n)
 
 
 # -- projective quotients ----------------------------------------------
@@ -257,8 +323,11 @@ def test_seal_refuses_the_theta_two_cell() -> None:
     b = k.add_cell(0, ("v", "b"))
     edges = [k.add_cell(1, ("e", i), (a, b)) for i in range(3)]
     k.add_cell(2, ("f", "theta"), edges)
-    with pytest.raises(AuditError, match="diamond property fails"):
+    with pytest.raises(AuditError) as raised:
         k.seal()
+    assert str(raised.value) == (
+        "diamond property fails at ('f', 'theta'): {0: 3, 1: 3}"
+    )
 
 
 def test_two_cell_boundary_must_close() -> None:
@@ -269,8 +338,71 @@ def test_two_cell_boundary_must_close() -> None:
     ab = k.add_cell(1, ("e", "ab"), (a, b))
     bc = k.add_cell(1, ("e", "bc"), (b, c))
     k.add_cell(2, ("f", 1), (ab, bc))
-    with pytest.raises(AuditError):
+    with pytest.raises(AuditError) as raised:
         k.seal()
+    assert str(raised.value) == (
+        "diamond property fails at ('f', 1): {0: 1, 2: 1}"
+    )
+
+
+# 2-cells on vertices 0, 1, 2 and the edges named by their ends: the
+# faces reached other than twice, in the order the facets first reach
+# them, not in sorted order; a vertex reached once, three times, both, or
+# in two pairs
+BROKEN_DIAMONDS = {
+    "open path from its far end": ([(1, 2), (0, 1)], "{2: 1, 0: 1}"),
+    "spur": ([(0, 2), (0, 1), (0, 1)], "{0: 3, 2: 1}"),
+    "four edges": ([(0, 1)] * 4, "{0: 4, 1: 4}"),
+}
+
+
+@pytest.mark.parametrize(
+    "ends, bad", list(BROKEN_DIAMONDS.values()), ids=list(BROKEN_DIAMONDS)
+)
+def test_diamond_failure_names_each_face_and_its_count(ends, bad) -> None:
+    k = RegularCellComplex()
+    vs = [k.add_cell(0, ("v", i)) for i in range(3)]
+    edges = [
+        k.add_cell(1, ("e", t), (vs[i], vs[j]))
+        for t, (i, j) in enumerate(ends)
+    ]
+    k.add_cell(2, ("f", 1), edges)
+    with pytest.raises(AuditError) as raised:
+        k.seal()
+    assert str(raised.value) == f"diamond property fails at ('f', 1): {bad}"
+    assert not k.sealed
+
+
+def test_diamond_property_of_a_three_cell() -> None:
+    # a square and a triangle on two of its edges bound no 3-cell: the
+    # square's other edges and the triangle's third lie on one facet each;
+    # two squares on the same four edges do
+    k = RegularCellComplex()
+    vs = [k.add_cell(0, ("v", i)) for i in range(4)]
+    edges = [
+        k.add_cell(1, ("e", i), (vs[i], vs[(i + 1) % 4])) for i in range(4)
+    ]
+    square = k.add_cell(2, ("f", "square"), edges)
+    pillow = k.add_cell(2, ("f", "pillow"), edges[::-1])
+    chord = k.add_cell(1, ("e", "chord"), (vs[2], vs[0]))
+    triangle = k.add_cell(2, ("f", "triangle"), edges[:2] + [chord])
+    k.add_cell(3, ("b", "ball"), (square, pillow))
+    k.add_cell(3, ("b", "broken"), (square, triangle))
+    with pytest.raises(AuditError) as raised:
+        k.seal()
+    assert str(raised.value) == (
+        "diamond property fails at ('b', 'broken'): "
+        + str({edges[2]: 1, edges[3]: 1, chord: 1})
+    )
+
+
+def test_bigon_two_cell_seals() -> None:
+    k = RegularCellComplex()
+    a = k.add_cell(0, ("v", "a"))
+    b = k.add_cell(0, ("v", "b"))
+    edges = [k.add_cell(1, ("e", i), (a, b)) for i in range(2)]
+    k.add_cell(2, ("f", "bigon"), edges)
+    assert k.seal().f_vector() == (2, 2, 1)
 
 
 def test_two_cell_boundary_must_be_one_cycle() -> None:
@@ -285,7 +417,7 @@ def test_two_cell_boundary_must_be_one_cycle() -> None:
         for i, j in [(3, 4), (4, 5), (5, 3)]
     ]
     k.add_cell(2, ("f", 1), tri1 + tri2)
-    with pytest.raises(AuditError):
+    with pytest.raises(AuditError, match="is not a single cycle"):
         k.seal()
 
 
@@ -299,7 +431,7 @@ def test_involution_audit_requires_totality() -> None:
         k.seal()
 
 
-def test_involution_audit_checks_facets() -> None:
+def assert_facet_fault_names_the_cell_met_first(lower_first: bool) -> None:
     k = RegularCellComplex()
     a = k.add_cell(0, ("v", "a"))
     b = k.add_cell(0, ("v", "b"))
@@ -309,9 +441,23 @@ def test_involution_audit_checks_facets() -> None:
     e2 = k.add_cell(1, ("e", 2), (b, c))
     k.pair(a, c)
     k.pair(b, d)
-    k.pair(e1, e2)
-    with pytest.raises(AuditError):
+    first, second = (e1, e2) if lower_first else (e2, e1)
+    k.pair(first, second)
+    with pytest.raises(AuditError) as raised:
         k.seal()
+    assert str(raised.value) == (
+        f"involution of {k.cells[first].label!r} does not respect facets"
+    )
+
+
+def test_involution_audit_checks_facets() -> None:
+    assert_facet_fault_names_the_cell_met_first(lower_first=True)
+
+
+def test_involution_audit_checks_facets_from_the_higher_cell() -> None:
+    # the facet test runs once per pair, at the member the involution
+    # meets first, even when that one has the higher identity
+    assert_facet_fault_names_the_cell_met_first(lower_first=False)
 
 
 def test_add_cell_validations() -> None:
@@ -339,3 +485,4 @@ def test_cell_is_frozen() -> None:
     cell = Cell(0, 0, ("v", "a"), ())
     with pytest.raises(AttributeError):
         cell.dim = 1  # type: ignore[misc]
+    assert not hasattr(cell, "__dict__")

@@ -12,6 +12,7 @@ from polygonspaces.coxeter import (
     RegularCellComplex,
     coxeter_complex,
     projective_quotient,
+    reversal,
 )
 from polygonspaces.errors import (
     AuditError,
@@ -55,6 +56,7 @@ from polygonspaces.surgery import (
     step_locus,
     surgery_2d,
 )
+from test_coxeter import reference_ordered_partitions
 from test_posets import face_poset, minimal_building_set
 
 
@@ -424,6 +426,35 @@ def test_six_edge_finals_are_panina_complexes(name: str) -> None:
     final = face_poset(folded.final)
     assert poset_isomorphic(final, face_poset(quotient)) is not None
     assert poset_isomorphic(final, panina_poset(name, True)) is not None
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in STEPPED if n != "<5>"] + REALIZABLE_6
+)
+@pytest.mark.parametrize("projective", [False, True])
+def test_collapse_adds_new_cells_in_reference_order(
+    name: str, projective: bool
+) -> None:
+    # each step numbers its new cells from the old complex's next identity,
+    # one per ordered partition of the units in the order of the frozenset
+    # reference, a projective complex one per partition and its reversal
+    tr = chain_run(name, "collapse", projective)
+    m = parse_code(name).edge_count
+    for before, (step, after) in zip(tr.complexes, tr[1:]):
+        units = sorted(set(range(1, m)) - set(step.added))
+        expected, seen = [], set()
+        for k in range(2, len(units) + 1):
+            for p in reference_ordered_partitions(tuple(units), k):
+                key = frozenset((p, reversal(p))) if projective else p
+                if key not in seen:
+                    seen.add(key)
+                    expected.append(p)
+        new = sorted(i for i in after.cells if i not in before.cells)
+        assert new == list(range(before._next, before._next + len(new)))
+        assert [after.cells[i].pattern for i in new] == expected
+        assert [after.cells[i].label for i in new] == [
+            ("osp", p) for p in expected
+        ]
 
 
 def projective_mod2_betti(code: GeneticCode) -> list[int]:
