@@ -15,11 +15,12 @@ new cells of a collapse step the same way, in the same order.
 
 :class:`RegularCellComplex` stores cells append-only with stable integer
 identities, so cells that survive a surgery step keep their identity in the
-result.  ``add_cell`` checks each cell's own facets (an edge has exactly
-two); ``seal()`` freezes a complex and audits how its cells meet: the
-diamond property (each face of codimension two is reached through exactly
-two facets), the boundary of each two-cell is a single cycle, and a
-declared involution is free, dimension preserving and facet compatible.
+result.  ``add_cell`` audits each cell against the cells below it, which
+never change: its facets exist, are distinct and one dimension lower, an
+edge has two ends, each face of codimension two lies on exactly two facets
+(the diamond property), and a two-cell's boundary is a single cycle.
+``seal()`` audits that a declared involution is free, dimension preserving
+and facet compatible, a property of pairs, and then freezes the complex.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ class RegularCellComplex:
         pattern: Blocks = (),
         ident: Optional[int] = None,
     ) -> int:
-        """Check a new cell's own facets, then add it."""
+        """Audit a new cell against the cells below it, then add it.  A
+        refused cell leaves the complex unchanged."""
         if self._sealed:
             raise AuditError("complex is sealed")
         facets = tuple(facets)
@@ -133,14 +135,34 @@ class RegularCellComplex:
             raise AuditError(f"cell {label!r} of dim {dim} needs >= 2 facets")
         if len(set(facets)) != len(facets):
             raise AuditError(f"cell {label!r} repeats a facet")
+        faces: list[int] = []  # the facets of each facet, in facet order
         for f in facets:
             facet = cells.get(f)
             if facet is None:
                 raise AuditError(f"facet {f} of {label!r} does not exist")
             if facet.dim != dim - 1:
                 raise AuditError(f"facet {f} of {label!r} has wrong dimension")
+            faces += facet.facets
         if dim == 1 and len(facets) != 2:
             raise AuditError(f"edge {label!r} lacks two distinct ends")
+        if dim > 1:
+            # the diamond property: in sorted order the faces of
+            # codimension two come in equal pairs, no two alike
+            paired = sorted(faces)
+            distinct = paired[0::2]
+            if distinct != paired[1::2] or len(set(distinct)) != len(distinct):
+                counts: dict[int, int] = {}
+                for g in faces:
+                    counts[g] = counts.get(g, 0) + 1
+                bad = {g: k for g, k in counts.items() if k != 2}
+                raise AuditError(f"diamond property fails at {label!r}: {bad}")
+            if dim == 2:
+                # the facets are edges, whose two ends sit side by side
+                ends = zip(faces[0::2], faces[1::2])
+                if len(connected_components(distinct, ends)[0]) != 1:
+                    raise AuditError(
+                        f"boundary of {label!r} is not a single cycle"
+                    )
         # every check has passed: only now does the complex change
         if ident >= self._next:
             self._next = ident + 1
@@ -158,10 +180,10 @@ class RegularCellComplex:
         self.involution[b] = a
 
     def seal(self) -> "RegularCellComplex":
-        """Audit diamonds, 2-cell cycles and any involution; then freeze."""
+        """Audit any involution, then freeze.  Each cell was audited when
+        ``add_cell`` took it."""
         if self._sealed:
             return self
-        self._audit_diamond()
         if self.involution:
             self._audit_involution()
         self._sealed = True
@@ -169,36 +191,10 @@ class RegularCellComplex:
 
     @property
     def sealed(self) -> bool:
-        """Whether ``seal()`` has audited and frozen the complex."""
+        """Whether ``seal()`` has frozen the complex."""
         return self._sealed
 
     # -- audits --------------------------------------------------------
-
-    def _audit_diamond(self) -> None:
-        cells = self.cells
-        for c in cells.values():
-            if c.dim < 2:
-                continue
-            # each face of codimension two lies on exactly two facets: in
-            # sorted order the faces come in equal pairs, no two alike
-            faces = [g for f in c.facets for g in cells[f].facets]
-            faces.sort()
-            distinct = faces[0::2]
-            if distinct != faces[1::2] or len(set(distinct)) != len(distinct):
-                counts: dict[int, int] = {}
-                for f in c.facets:
-                    for g in cells[f].facets:
-                        counts[g] = counts.get(g, 0) + 1
-                bad = {g: k for g, k in counts.items() if k != 2}
-                raise AuditError(
-                    f"diamond property fails at {c.label!r}: {bad}"
-                )
-            if c.dim == 2:
-                ends = (cells[e].facets for e in c.facets)
-                if len(connected_components(distinct, ends)[0]) != 1:
-                    raise AuditError(
-                        f"boundary of {c.label!r} is not a single cycle"
-                    )
 
     def _audit_involution(self) -> None:
         inv, cells = self.involution, self.cells

@@ -7,7 +7,7 @@ simplex gives the face that drops vertex ``i`` the sign ``(-1)^i``.  A
 regular cell complex is used as it is, with no subdivision, its columns
 built once, dimension by dimension: an edge has -1 and +1 on its two
 ends, and a higher cell spreads signs over its facets' columns across the
-faces of codimension two, which the diamond audit of ``seal()`` pairs.  A
+faces of codimension two, which ``add_cell``'s diamond audit pairs.  A
 cell whose facets cannot be signed that way has a boundary that is not a
 sphere, and homology fails the audit rather than answer for a complex
 that is not regular.
@@ -46,7 +46,7 @@ matrices.
 
 The pass is made once per complex, elimination and audits included: a
 simplicial complex cannot change, and a cell complex is taken only once
-``seal()`` has audited and frozen it, so :func:`homology` and
+``seal()`` has frozen it, so :func:`homology` and
 :func:`identify_small` share its survey (counts, ranks, factors and the
 audited report, never matrices) through a memo keyed weakly by the
 complex itself.  Whichever of the two is called first reduces.
@@ -463,11 +463,11 @@ def _facet_signs(
     keyed by the positions ``rows`` of its facets in ``columns[dim - 1]``.
 
     They are the signs that :func:`_spread_signs` gives the facets across
-    the faces of codimension two, each of which lies on exactly two facets
-    in a sealed complex (the diamond audit of ``seal()``).  A sign
-    conflict (a non-orientable boundary), facets in more than one piece
-    (a disconnected boundary) or, for a 3-cell, a boundary whose
-    V - E + F is not 2 (a torus, say) fail the audit.
+    the faces of codimension two, each on exactly two facets by
+    ``add_cell``'s diamond audit.  A sign conflict (a non-orientable
+    boundary), facets in more than one piece (a disconnected boundary) or,
+    for a 3-cell, a boundary whose V - E + F is not 2 (a torus, say) fail
+    the audit.
     """
     below = columns[cell.dim - 1]
     signs, _, conflicts, pieces = _spread_signs([below[r] for r in rows])
@@ -592,8 +592,7 @@ _SURVEYS: "weakref.WeakKeyDictionary[object, _Survey]" = (
 def _surveyed(source: "SimplicialComplex | RegularCellComplex") -> _Survey:
     """The survey of a nonempty complex, shared by every caller while the
     complex lives.  A cell complex must be sealed: an unsealed one may
-    still grow, and has not had the audits of ``seal()`` that the
-    incidence numbers rely on."""
+    still grow, and its survey could not be memoised."""
     if isinstance(source, RegularCellComplex) and not source.sealed:
         raise AuditError("homology takes a sealed cell complex")
     survey = _SURVEYS.get(source)

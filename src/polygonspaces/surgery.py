@@ -262,7 +262,8 @@ def surgery_2d(
     partner, a new vertex pairs with the node of its edge's image, and
     any other new cell with the new cell on the images of its facets.  A
     partner cut out, an image that is no new cell, or two new cells on one
-    facet set fail as ``AuditError``, before ``seal()`` audits the result.
+    facet set fail as ``AuditError``; ``add_cell`` audits each new cell as
+    it is added, and ``seal()`` the involution.
     """
     if complex_.dim != 2:
         raise Not2DError(
@@ -291,7 +292,7 @@ def surgery_2d(
                 f"edge {e} has {len(poles)} endpoints on the sphere"
             )
         node[e] = (e, poles[0])
-    # a face boundary is one cycle (seal() audits that), and each piece of
+    # a face boundary is one cycle (add_cell audits that), and each piece of
     # it on the sphere, short of the whole cycle, leaves by two adjacent
     # edges: so two flanks means one piece
     flanks: dict[int, tuple] = {}

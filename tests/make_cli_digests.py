@@ -14,7 +14,8 @@ so dump paths are the same relative paths on every run.  It covers:
 * ``run`` on the realizable codes with m = 5, attach and collapse, plain
   and ``--projective``, JSON and ``--figures``;
 * the ``--dump-cells`` files of a few runs;
-* ``homology`` on the fixture dumps ``theta.json`` and ``torus_ball.json``;
+* ``homology`` on the fixture dumps ``theta.json``, ``torus_ball.json``
+  and ``two_cycles.json``;
 * ``run --mode collapse`` on the realizable codes with m = 6, plain and
   ``--projective`` (the slow group, about 6 s, which tier-1 leaves to CI).
 
@@ -43,7 +44,11 @@ TESTS = pathlib.Path(__file__).parent
 FIXTURE = TESTS / "fixtures" / "cli_digests.json"
 
 # dumps the ``homology`` group reads, by their path from the repository root
-HOMOLOGY_DUMPS = ("tests/fixtures/theta.json", "tests/fixtures/torus_ball.json")
+HOMOLOGY_DUMPS = (
+    "tests/fixtures/theta.json",
+    "tests/fixtures/torus_ball.json",
+    "tests/fixtures/two_cycles.json",
+)
 
 
 def _codes(m: int) -> list:

@@ -464,8 +464,8 @@ def test_homology_refuses_a_cell_bounded_by_a_torus(capsys) -> None:
 
 
 def test_homology_refuses_the_theta_two_cell(capsys) -> None:
-    # one 2-cell on three edges between the same two vertices: seal()
-    # refuses it before homology runs
+    # one 2-cell on three edges between the same two vertices: add_cell
+    # refuses it as the loader adds it, before homology runs
     dump = pathlib.Path(__file__).parent / "fixtures" / "theta.json"
     code, out, err = run_cli(capsys, "homology", str(dump))
     assert code == 3
@@ -474,8 +474,19 @@ def test_homology_refuses_the_theta_two_cell(capsys) -> None:
     assert "diamond property fails" in err
 
 
+def test_homology_refuses_a_two_cell_on_two_cycles(capsys) -> None:
+    # one 2-cell on two disjoint triangles: every vertex lies on two of
+    # its edges, but its boundary is not one cycle, so add_cell refuses it
+    dump = pathlib.Path(__file__).parent / "fixtures" / "two_cycles.json"
+    code, out, err = run_cli(capsys, "homology", str(dump))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("audit failure [AUDIT]")
+    assert "is not a single cycle" in err
+
+
 def test_homology_refuses_an_edge_with_three_ends(capsys, tmp_path) -> None:
-    # add_cell refuses the edge as the loader adds it, before seal()
+    # add_cell refuses the edge as the loader adds it
     vertex = {"dim": 0, "facets": []}
     cells = [vertex, vertex, vertex, {"dim": 1, "facets": [0, 1, 2]}]
     bad = tmp_path / "three-ends.json"

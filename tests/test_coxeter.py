@@ -315,17 +315,28 @@ def test_edge_needs_two_distinct_ends() -> None:
         k.add_cell(1, ("e", 1), (a, a))
 
 
-def test_seal_refuses_the_theta_two_cell() -> None:
+def refused_cell_message(k, dim: int, label: tuple, facets) -> str:
+    """Require ``add_cell`` to refuse a cell and leave ``k`` unchanged: the
+    same cells, no cell under ``label``, and the next automatic identity
+    where it was.  Returns the message of the refusal."""
+    before = dict(k.cells)
+    with pytest.raises(AuditError) as raised:
+        k.add_cell(dim, label, facets)
+    assert k.cells == before
+    with pytest.raises(KeyError):
+        k.by_label(label)
+    assert k.add_cell(0, ("v", "next")) == max(before) + 1
+    return str(raised.value)
+
+
+def test_add_cell_refuses_the_theta_two_cell() -> None:
     # one 2-cell on three edges between the same two vertices: each
     # vertex lies on three of its facets, not two
     k = RegularCellComplex()
     a = k.add_cell(0, ("v", "a"))
     b = k.add_cell(0, ("v", "b"))
     edges = [k.add_cell(1, ("e", i), (a, b)) for i in range(3)]
-    k.add_cell(2, ("f", "theta"), edges)
-    with pytest.raises(AuditError) as raised:
-        k.seal()
-    assert str(raised.value) == (
+    assert refused_cell_message(k, 2, ("f", "theta"), edges) == (
         "diamond property fails at ('f', 'theta'): {0: 3, 1: 3}"
     )
 
@@ -337,10 +348,7 @@ def test_two_cell_boundary_must_close() -> None:
     c = k.add_cell(0, ("v", "c"))
     ab = k.add_cell(1, ("e", "ab"), (a, b))
     bc = k.add_cell(1, ("e", "bc"), (b, c))
-    k.add_cell(2, ("f", 1), (ab, bc))
-    with pytest.raises(AuditError) as raised:
-        k.seal()
-    assert str(raised.value) == (
+    assert refused_cell_message(k, 2, ("f", 1), (ab, bc)) == (
         "diamond property fails at ('f', 1): {0: 1, 2: 1}"
     )
 
@@ -366,11 +374,9 @@ def test_diamond_failure_names_each_face_and_its_count(ends, bad) -> None:
         k.add_cell(1, ("e", t), (vs[i], vs[j]))
         for t, (i, j) in enumerate(ends)
     ]
-    k.add_cell(2, ("f", 1), edges)
-    with pytest.raises(AuditError) as raised:
-        k.seal()
-    assert str(raised.value) == f"diamond property fails at ('f', 1): {bad}"
-    assert not k.sealed
+    assert refused_cell_message(k, 2, ("f", 1), edges) == (
+        f"diamond property fails at ('f', 1): {bad}"
+    )
 
 
 def test_diamond_property_of_a_three_cell() -> None:
@@ -387,10 +393,8 @@ def test_diamond_property_of_a_three_cell() -> None:
     chord = k.add_cell(1, ("e", "chord"), (vs[2], vs[0]))
     triangle = k.add_cell(2, ("f", "triangle"), edges[:2] + [chord])
     k.add_cell(3, ("b", "ball"), (square, pillow))
-    k.add_cell(3, ("b", "broken"), (square, triangle))
-    with pytest.raises(AuditError) as raised:
-        k.seal()
-    assert str(raised.value) == (
+    message = refused_cell_message(k, 3, ("b", "broken"), (square, triangle))
+    assert message == (
         "diamond property fails at ('b', 'broken'): "
         + str({edges[2]: 1, edges[3]: 1, chord: 1})
     )
@@ -416,9 +420,9 @@ def test_two_cell_boundary_must_be_one_cycle() -> None:
         k.add_cell(1, ("e", (i, j)), (vs[i], vs[j]))
         for i, j in [(3, 4), (4, 5), (5, 3)]
     ]
-    k.add_cell(2, ("f", 1), tri1 + tri2)
-    with pytest.raises(AuditError, match="is not a single cycle"):
-        k.seal()
+    assert refused_cell_message(k, 2, ("f", 1), tri1 + tri2) == (
+        "boundary of ('f', 1) is not a single cycle"
+    )
 
 
 def test_involution_audit_requires_totality() -> None:

@@ -621,7 +621,7 @@ def test_large_coxeter_spheres_and_projective_spaces(n) -> None:
 def cone_on_projective_plane() -> RegularCellComplex:
     """The 2-cells of the projective Coxeter(4) complex plus one 3-cell
     whose facets are all of them.  Every edge lies on exactly two of those
-    2-cells, so the diamond audit of ``seal()`` passes, but the boundary
+    2-cells, so the diamond audit of ``add_cell`` passes, but the boundary
     of the 3-cell is RP^2, not a sphere: the complex is not regular."""
     rp2, _ = projective_quotient(ca(4))
     out = RegularCellComplex()
@@ -642,7 +642,7 @@ def test_non_regular_cell_fails_the_audit() -> None:
 
 def test_cell_bounded_by_two_spheres_fails_the_audit() -> None:
     # two copies of the 2-sphere Coxeter(4) and one 3-cell bounded by all
-    # their 2-cells: every edge lies on two of them, so seal() passes
+    # their 2-cells: every edge lies on two of them, so add_cell takes it
     sphere = ca(4)
     out = RegularCellComplex()
     tops = []
@@ -668,7 +668,7 @@ TORUS_BALL = pathlib.Path(__file__).parent / "fixtures" / "torus_ball.json"
 def torus_ball() -> RegularCellComplex:
     """The collapse torus of ``<15>`` (f = 18, 42, 24) and one 3-cell on
     all 24 of its faces, read from a cell dump.  Every edge lies on two of
-    those faces, on one connected, oriented boundary, so ``seal()`` and
+    those faces, on one connected, oriented boundary, so ``add_cell`` and
     the sign spread pass; only the count V - E + F = 0 shows that the
     boundary of the 3-cell is a torus, not a sphere."""
     cells = json.loads(TORUS_BALL.read_text())["cells"]
