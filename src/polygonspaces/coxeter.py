@@ -21,6 +21,15 @@ edge has two ends, each face of codimension two lies on exactly two facets
 (the diamond property), and a two-cell's boundary is a single cycle.
 ``seal()`` audits that a declared involution is free, dimension preserving
 and facet compatible, a property of pairs, and then freezes the complex.
+
+A surgery step starts its result from the sealed complex before it with
+``derive``, which keeps every cell but a drop set closed upward as the
+same ``Cell`` object.  The step adds back through ``add_cell`` only the
+cells its audit could judge differently: the new cells, the cells whose
+facets changed and the cells with such a facet.  A kept cell has the same
+facets with the same facets, so its audit would read what it read before.
+The map from each cell to its cofacets is built on first use and moves
+from a complex to the one derived from it.
 """
 
 from __future__ import annotations
@@ -106,6 +115,8 @@ class RegularCellComplex:
         self._sealed = False
         self._faces: dict[int, frozenset] = {}
         self._labels: dict[tuple, int] = {}
+        # built on first use; ``derive`` hands it on less the dropped cells
+        self._cofacets: Optional[dict[int, tuple[int, ...]]] = None
 
     # -- construction ------------------------------------------------------
 
@@ -157,9 +168,22 @@ class RegularCellComplex:
                 bad = {g: k for g, k in counts.items() if k != 2}
                 raise AuditError(f"diamond property fails at {label!r}: {bad}")
             if dim == 2:
-                # the facets are edges, whose two ends sit side by side
-                ends = zip(faces[0::2], faces[1::2])
-                if len(connected_components(distinct, ends)[0]) != 1:
+                # the facets are edges, whose two ends sit side by side at
+                # positions j and j ^ 1; past the diamond test each end lies
+                # on two edges, so the boundary is a union of cycles, and it
+                # is one when a walk from the first edge crosses every edge
+                at: dict[int, list[int]] = {}
+                for j, v in enumerate(faces):
+                    at.setdefault(v, []).append(j)
+                j, walked = 1, 1
+                while True:
+                    a, b = at[faces[j]]
+                    j = b if a == j else a
+                    if j == 0:
+                        break
+                    j ^= 1
+                    walked += 1
+                if walked != len(facets):
                     raise AuditError(
                         f"boundary of {label!r} is not a single cycle"
                     )
@@ -169,6 +193,40 @@ class RegularCellComplex:
         cells[ident] = Cell(ident, dim, label, facets, pattern)
         self._labels[label] = ident
         return ident
+
+    def derive(self, drop: Iterable[int]) -> "RegularCellComplex":
+        """An unsealed complex holding this sealed complex's cells but the
+        ones in ``drop``, for a surgery to add its cells to.  A kept cell is
+        the same ``Cell`` object, audited when this complex took it, so a
+        drop set that leaves a cell whose facet was dropped (one that is not
+        closed upward) is refused.  Identities go on from this complex's.
+        The involution is not carried over.  The cofacet map moves over,
+        less the dropped cells; this complex builds it again if asked."""
+        if not self._sealed:
+            raise AuditError("derive takes a sealed cell complex")
+        drop = frozenset(drop)
+        cells, cofacets = self.cells, self.cofacets()
+        for i in drop:
+            if i not in cells:
+                raise AuditError(f"cannot drop cell {i}, which does not exist")
+            for c in cofacets[i]:
+                if c not in drop:
+                    raise AuditError(
+                        f"dropping cell {i} leaves cell {c} without that "
+                        "facet: the drop set is not closed upward"
+                    )
+        out = RegularCellComplex(first_ident=self._next)
+        out.cells, out._labels = dict(cells), dict(self._labels)
+        below: set[int] = set()
+        for i in drop:
+            cell = out.cells.pop(i)
+            del out._labels[cell.label]
+            del cofacets[i]
+            below.update(cell.facets)
+        for f in below - drop:
+            cofacets[f] = tuple(c for c in cofacets[f] if c not in drop)
+        out._cofacets, self._cofacets = cofacets, None
+        return out
 
     def pair(self, a: int, b: int) -> None:
         """Declare that the involution swaps cells ``a`` and ``b``."""
@@ -206,7 +264,7 @@ class RegularCellComplex:
         for a, b in inv.items():
             if a == b:
                 raise FixedCellError(f"involution fixes cell {a}")
-            if inv[b] != a:
+            if inv.get(b) != a:
                 raise AuditError("involution is not an involution")
             if a in checked:
                 continue
@@ -243,6 +301,25 @@ class RegularCellComplex:
 
     def by_label(self, label: tuple) -> int:
         return self._labels[label]
+
+    def cofacets(self) -> dict[int, tuple[int, ...]]:
+        """The cells that each cell is a facet of.  The map is built on
+        first use and kept; cells are never removed, so a later call adds
+        only the cells added since, and a complex made by ``derive`` starts
+        from the map it was handed."""
+        if self._cofacets is None:
+            self._cofacets = {}
+        cof = self._cofacets
+        if len(cof) != len(self.cells):
+            fresh = sorted(self.cells.keys() - cof.keys())
+            above: dict[int, list[int]] = {}
+            for i in fresh:
+                cof[i] = ()
+                for f in self.cells[i].facets:
+                    above.setdefault(f, []).append(i)
+            for f, cs in above.items():
+                cof[f] += tuple(cs)
+        return cof
 
     def faces_of(self, ident: int) -> frozenset:
         """All cell identities in the closure of a cell, itself included."""

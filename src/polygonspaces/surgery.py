@@ -18,6 +18,8 @@ than degrade.
 
 from __future__ import annotations
 
+import itertools
+import weakref
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Hashable, Iterator, Optional
@@ -71,10 +73,60 @@ def _canonical_pattern_key(pattern: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+# The cell of each pattern, and the elements the patterns are over, of the
+# complex a collapse step is to take or has just made.  There every cell has
+# its own pattern of disjoint blocks.  A step moves the index on to the
+# complex it makes, patched by the cells it removes and adds.
+_PATTERNS: "weakref.WeakKeyDictionary[RegularCellComplex, tuple]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _pattern_index(
+    complex_: RegularCellComplex,
+) -> tuple[frozenset, dict[tuple, int]]:
+    """The ground and pattern index of a collapse complex, built in one
+    pass when no step has handed them on, and kept once it is sealed."""
+    found = _PATTERNS.get(complex_)
+    if found is None:
+        index = {c.pattern: c.ident for c in complex_}
+        if len(index) != len(complex_):
+            raise AuditError("two cells of a collapse complex share a pattern")
+        found = (frozenset().union(*(b for p in index for b in p)), index)
+        if complex_.sealed:
+            _PATTERNS[complex_] = found
+    return found
+
+
+def _patterns_holding(ground: frozenset, units: frozenset) -> Iterator[tuple]:
+    """Every ordered tuple of disjoint nonempty blocks over ``ground`` in
+    which one block holds ``units``: that block adds some of the other
+    elements to the units, and the other blocks split some of the rest,
+    in every order."""
+    rest = sorted(ground - units)
+    for size in range(len(rest) + 1):
+        for present in itertools.combinations(rest, size):
+            # the block of each bitmask: bit 0 stands for units, bit i for
+            # present[i - 1]
+            sets = [frozenset()]
+            for item in (units, *(frozenset((x,)) for x in present)):
+                sets += [b | item for b in sets]
+            for k in range(1, size + 2):
+                for masks in _ordered_partitions(size + 1, k):
+                    yield tuple(sets[m] for m in masks)
+
+
 def sphere_cells(
     complex_: RegularCellComplex, units: frozenset
 ) -> tuple[int, ...]:
-    """Cells whose pattern keeps all of ``units`` inside a single block."""
+    """Cells whose pattern keeps all of ``units`` inside a single block.  A
+    complex that holds a collapse step's pattern index is looked up by
+    pattern; any other is scanned."""
+    found = _PATTERNS.get(complex_)
+    if found is not None:
+        ground, index = found
+        hits = (index.get(p) for p in _patterns_holding(ground, units))
+        return tuple(sorted({i for i in hits if i is not None}))
     return tuple(
         sorted(
             c.ident
@@ -128,8 +180,8 @@ def locate_sphere(
             raise SphereRelocationFailedError(
                 f"candidate has homology {rep}, not a {shape}"
             )
-    outside = (c for c in complex_ if c.ident not in id_set)
-    if all(id_set.isdisjoint(c.facets) for c in outside):
+    cofacets = complex_.cofacets()
+    if all(c in id_set for i in ids for c in cofacets[i]):
         raise NotApplicableError("sphere has no complement to cut from")
     return ids
 
@@ -139,10 +191,7 @@ def adjacent_cells(
 ) -> frozenset:
     """The cells off ``sphere`` whose closure meets it, walked up from the
     sphere over the cofacets."""
-    up: dict[int, list[int]] = {i: [] for i in complex_.cells}
-    for c in complex_:
-        for f in c.facets:
-            up[f].append(c.ident)
+    up = complex_.cofacets()
     star, stack = set(sphere), list(sphere)
     while stack:
         for c in up[stack.pop()]:
@@ -184,9 +233,16 @@ def surgery_step(
     the set ``A`` of the other edges short: it removes the ``sphere``, the
     cells with block ``units``, adds a cell per ordered partition of
     ``units`` into at least two blocks, and re-derives the facets of the
-    new cells and of the kept cells that lost a facet or gain the merge
-    onto ``A``.  Cells are keyed by pattern, in a projective complex by
-    the pair of a pattern and its reversal.
+    new cells and of the touched cells, the kept cells that lost a facet
+    or gain the merge onto ``A``.  Cells are keyed by pattern, in a
+    projective complex by the pair of a pattern and its reversal.
+
+    The result starts from the complex before it by ``derive``.  Only the
+    new cells, the touched cells and the cells with a touched facet go
+    through ``add_cell`` again: every other cell keeps its facets and
+    their facets, so its audit would read what it read before.  The
+    touched cells are found by lookup, in the cofacet map and in the
+    pattern index, which the step hands on to its result.
     """
 
     def key(p: tuple) -> Hashable:
@@ -195,27 +251,35 @@ def surgery_step(
     ground = frozenset(range(1, code.edge_count + 1))
     short = code.short_sets()
     sphere = frozenset(sphere)
-    cells = {c.ident: c for c in complex_ if c.ident not in sphere}
-    # the kept cells that lose a facet, or gain one of anchor block A
-    touched = {
-        i
-        for i, c in cells.items()
-        if not sphere.isdisjoint(c.facets)
-        or units == frozenset().union(*c.pattern[1:])
-        or units == frozenset().union(*c.pattern[:-1])
-    }
+    cells, cofacets = complex_.cells, complex_.cofacets()
+    elements, index = _pattern_index(complex_)
+    region: dict[int, Cell] = {}
     new: dict[Hashable, int] = {}
+    partitions: list[tuple] = []
     sets = _block_sets(tuple(sorted(units)))
     for k in range(2, len(units) + 1):
         for masks in _ordered_partitions(len(units), k):
             p = tuple(sets[m] for m in masks)
+            partitions.append(p)
             # a projective complex has one cell for p and its reversal
             if key(p) not in new:
                 i = new[key(p)] = complex_._next + len(new)
-                cells[i] = Cell(i, k - 2, ("osp", p), (), p)
-                touched.add(i)
+                region[i] = Cell(i, k - 2, ("osp", p), (), p)
+    # the kept cells that lose a facet, and those that gain the merge onto
+    # A: a pattern (b, q) or (q, b), with q an ordered partition of units
+    # and b a block of the other elements; q runs over both orders, so a
+    # projective complex's pattern is met whichever of the pair it is
+    touched = {c for i in sphere for c in cofacets[i]} - sphere
+    for b in _block_sets(tuple(sorted(elements - units)))[1:]:
+        for q in partitions:
+            touched.update(
+                i for i in (index.get((b,) + q), index.get(q + (b,)))
+                if i is not None
+            )
     for i in touched:
-        p = cells[i].pattern
+        region[i] = cells[i]
+    for i in list(region):
+        p = region[i].pattern
         anchor = ground.difference(*p)
         merged = [
             p[:j] + (a | b,) + p[j + 2 :]
@@ -225,20 +289,32 @@ def surgery_step(
         merged += [q for b, q in ((p[0], p[1:]), (p[-1], p[:-1]))
                    if anchor | b in short]
         # each facet is new, or was a facet before the step
-        old = {key(complex_.cells[f].pattern): f for f in cells[i].facets}
+        old = {key(cells[f].pattern): f for f in region[i].facets}
         facets = tuple(new.get(k, old.get(k)) for k in map(key, merged))
-        cells[i] = replace(cells[i], facets=facets)
+        region[i] = replace(region[i], facets=facets)
+    # a cell with a touched facet keeps its facets, whose facets changed
+    for i in touched:
+        for c in cofacets[i]:
+            region.setdefault(c, cells[c])
 
-    out = RegularCellComplex()
-    for c in sorted(cells.values(), key=lambda c: (c.dim, c.ident)):
+    out = complex_.derive(sphere | (region.keys() - new.values()))
+    for c in sorted(region.values(), key=lambda c: (c.dim, c.ident)):
         out.add_cell(c.dim, c.label, c.facets, c.pattern, ident=c.ident)
     if not projective:
-        inv = complex_.involution
-        out.involution.update(
-            (i, inv[i] if i in inv else new[reversal(c.pattern)])
-            for i, c in cells.items()
+        involution = dict(complex_.involution)
+        for i in sphere:
+            del involution[i]
+        involution.update(
+            (i, new[reversal(region[i].pattern)]) for i in new.values()
         )
-    return out.seal()
+        out.involution = involution
+    out.seal()
+    del _PATTERNS[complex_]
+    for i in sphere:
+        del index[cells[i].pattern]
+    index.update((region[i].pattern, i) for i in new.values())
+    _PATTERNS[out] = (elements, index)
+    return out
 
 
 def surgery_2d(
@@ -262,8 +338,13 @@ def surgery_2d(
     partner, a new vertex pairs with the node of its edge's image, and
     any other new cell with the new cell on the images of its facets.  A
     partner cut out, an image that is no new cell, or two new cells on one
-    facet set fail as ``AuditError``; ``add_cell`` audits each new cell as
-    it is added, and ``seal()`` the involution.
+    facet set fail as ``AuditError``.
+
+    The result starts from the complex before it by ``derive``, less the
+    sphere and its adjacent cells, a set closed upward.  The kept cells
+    never meet that star, so their facets and their facets' facets are
+    unchanged, and only the new cells go through ``add_cell``'s audit;
+    ``seal()`` audits the whole involution.
     """
     if complex_.dim != 2:
         raise Not2DError(
@@ -338,10 +419,8 @@ def surgery_2d(
         rungs = pair_up(node.values(), lambda n: restricted(n[0]), side.get)
         quads = pair_up(flanks, restricted, lambda f: side[flanks[f][0]])
 
-    out = RegularCellComplex(first_ident=complex_._next)
-    kept = [c for c in complex_ if c.ident not in removed]
-    for c in sorted(kept, key=lambda c: (c.dim, c.ident)):
-        out.add_cell(c.dim, c.label, c.facets, c.pattern, ident=c.ident)
+    out = complex_.derive(removed)
+    kept = list(out)
     vertex = {
         n: out.add_cell(0, ("iface", n), pattern=restricted(n[0]))
         for n in node.values()

@@ -435,6 +435,15 @@ def test_involution_audit_requires_totality() -> None:
         k.seal()
 
 
+def test_involution_audit_refuses_a_partner_that_is_no_cell() -> None:
+    k = RegularCellComplex()
+    a = k.add_cell(0, ("v", "a"))
+    b = k.add_cell(0, ("v", "b"))
+    k.involution.update({a: b + 1, b: a})
+    with pytest.raises(AuditError, match="not an involution"):
+        k.seal()
+
+
 def assert_facet_fault_names_the_cell_met_first(lower_first: bool) -> None:
     k = RegularCellComplex()
     a = k.add_cell(0, ("v", "a"))
@@ -480,6 +489,45 @@ def test_add_cell_validations() -> None:
     k.seal()
     with pytest.raises(AuditError):
         k.add_cell(0, ("v", "late"))
+
+
+# -- deriving a complex for a surgery ------------------------------------
+
+
+def test_derive_refuses_a_drop_set_not_closed_upward() -> None:
+    k = coxeter_complex(range(1, 4))  # a hexagon
+    v = next(c.ident for c in k if c.dim == 0)
+    edge = k.cofacets()[v][0]
+    with pytest.raises(AuditError, match=(
+        f"dropping cell {v} leaves cell {edge} without that facet"
+    )):
+        k.derive({v})
+    with pytest.raises(AuditError, match="does not exist"):
+        k.derive({k._next})
+    with pytest.raises(AuditError, match="takes a sealed"):
+        RegularCellComplex().derive(())
+
+
+def test_derive_keeps_the_cells_and_hands_on_the_cofacets() -> None:
+    k = coxeter_complex(range(1, 5))
+    cofacets = {i: set(up) for i, up in k.cofacets().items()}
+    assert cofacets == {
+        i: {c.ident for c in k if i in c.facets} for i in k.cells
+    }
+    v = next(c.ident for c in k if c.dim == 0)
+    star = {c.ident for c in k if v in k.faces_of(c.ident)}
+    out = k.derive(star)
+    assert not out.sealed
+    assert out.involution == {}
+    assert out.cells == {i: c for i, c in k.cells.items() if i not in star}
+    assert all(out.cells[i] is k.cells[i] for i in out.cells)
+    # the dropped cells come back through add_cell, and the map takes them
+    for c in sorted((k.cells[i] for i in star), key=lambda c: (c.dim, c.ident)):
+        out.add_cell(c.dim, c.label, c.facets, c.pattern, ident=c.ident)
+    assert out._next == k._next
+    assert {i: set(up) for i, up in out.seal().cofacets().items()} == cofacets
+    # the complex derived from builds its map again
+    assert {i: set(up) for i, up in k.cofacets().items()} == cofacets
 
 
 # -- cells ----------------------------------------------------------------

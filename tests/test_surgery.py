@@ -3,6 +3,8 @@
 import functools
 import importlib
 import itertools
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -47,6 +49,7 @@ from polygonspaces.posets import (
 )
 from polygonspaces.surgery import (
     ChainStep,
+    _pattern_index,
     adjacent_cells,
     locate_sphere,
     restrict_pattern,
@@ -55,6 +58,7 @@ from polygonspaces.surgery import (
     sphere_cells,
     step_locus,
     surgery_2d,
+    surgery_step,
 )
 from test_coxeter import reference_ordered_partitions
 from test_posets import face_poset, minimal_building_set
@@ -341,16 +345,18 @@ def set_partitions(items: list):
             yield part[:i] + [part[i] | {first}] + part[i + 1 :]
 
 
-def panina_complex(code: GeneticCode):
-    """Panina's complex of a code, with shortness read off lengths that
-    realize it: a cell per cyclically ordered partition of the edges into
-    at least 3 short blocks, the anchor's block first; its facets merge
-    two cyclically adjacent blocks into a short one; reversal of the
-    other blocks is the involution."""
-    lengths = realize(code).values
+@functools.cache
+def panina_cells(name: str) -> dict[tuple, tuple[tuple, ...]]:
+    """Panina's cells of a code, with shortness read off lengths that
+    realize it: one per cyclically ordered partition of the edges into at
+    least 3 short blocks, labelled by its blocks from the anchor's, the
+    block of edge m.  Each maps to the labels of its facets, which merge
+    two cyclically adjacent blocks into a short one."""
+    lengths = realize(parse_code(name)).values
     m = len(lengths)
     half = sum(lengths) / 2
 
+    @functools.cache
     def short(block) -> bool:
         return sum(lengths[e - 1] for e in block) < half
 
@@ -358,27 +364,69 @@ def panina_complex(code: GeneticCode):
         first = next(i for i, b in enumerate(blocks) if m in b)
         return tuple(blocks[first:] + blocks[:first])
 
-    cells = []
+    cells = {}
     for part in set_partitions(list(range(1, m + 1))):
         if len(part) >= 3 and all(map(short, part)):
             anchor = next(b for b in part if m in b)
             rest = [b for b in part if b is not anchor]
-            cells += [(anchor,) + p for p in itertools.permutations(rest)]
+            for p in itertools.permutations(rest):
+                cell = (anchor,) + p
+                n = len(cell)
+                cells[cell] = tuple(
+                    anchored([cell[i] | cell[j] if t == i else b
+                              for t, b in enumerate(cell) if t != j])
+                    for i, j in ((i, (i + 1) % n) for i in range(n))
+                    if short(cell[i] | cell[j])
+                )
+    return cells
+
+
+def panina_complex(code: GeneticCode):
+    """Panina's complex of a code: a cell of dimension k - 3 per cell of
+    ``panina_cells`` with k blocks; reversal of the blocks after the
+    anchor's is the involution."""
     k = RegularCellComplex()
     ids = {}
-    for cell in sorted(cells, key=len):
-        n = len(cell)
-        facets = []
-        for i in range(n):
-            j = (i + 1) % n
-            if short(cell[i] | cell[j]):
-                merged = [cell[i] | cell[j] if t == i else b
-                          for t, b in enumerate(cell) if t != j]
-                facets.append(ids[anchored(merged)])
-        ids[cell] = k.add_cell(n - 3, ("panina", cell), facets)
+    for cell, facets in sorted(panina_cells(str(code)).items(),
+                               key=lambda item: len(item[0])):
+        ids[cell] = k.add_cell(
+            len(cell) - 3, ("panina", cell), [ids[f] for f in facets]
+        )
     for cell, ident in ids.items():
         k.pair(ident, ids[cell[:1] + cell[:0:-1]])
     return k.seal()
+
+
+def assert_panina(complex_, code: GeneticCode, projective: bool) -> None:
+    """Require a collapse complex to be Panina's complex of ``code``, label
+    by label.  A cell's pattern (B1..Bk) is read as the cyclic partition
+    (A0, B1..Bk), A0 the other edges, and each label maps to the set of
+    its facets' labels.  In a projective complex a label is keyed by the
+    pair of it and its reversal, anchor kept first."""
+    edges = frozenset(range(1, code.edge_count + 1))
+
+    def key(label: tuple):
+        if projective:
+            return frozenset((label, label[:1] + label[:0:-1]))
+        return label
+
+    cells = complex_.cells
+    label = {
+        i: key((edges.difference(*c.pattern),) + c.pattern)
+        for i, c in cells.items()
+    }
+    built = {
+        label[i]: frozenset(label[f] for f in c.facets)
+        for i, c in cells.items()
+    }
+    assert len(built) == len(cells), f"two cells share a label in {code}"
+    expected = {
+        key(cell): frozenset(map(key, facets))
+        for cell, facets in panina_cells(str(code)).items()
+    }
+    wrong = {k for k in built.keys() | expected.keys()
+             if built.get(k) != expected.get(k)}
+    assert not wrong, (str(code), len(wrong), sorted(map(repr, wrong))[:3])
 
 
 @functools.cache
@@ -455,6 +503,183 @@ def test_collapse_adds_new_cells_in_reference_order(
         assert [after.cells[i].label for i in new] == [
             ("osp", p) for p in expected
         ]
+
+
+# -- Panina's complex, label by label --------------------------------------
+
+UP_TO_SIX = [
+    str(code)
+    for m in (3, 4)
+    for code in enumerate_codes(m)
+    if not code.is_empty_space() and realize(code) is not None
+] + STEPPED + REALIZABLE_6
+
+
+@pytest.mark.parametrize("name", UP_TO_SIX)
+@pytest.mark.parametrize("projective", [False, True])
+def test_collapse_steps_are_panina_complexes_by_label(
+    name: str, projective: bool
+) -> None:
+    tr = chain_run(name, "collapse", projective)
+    codes = saturated_chain(parse_code(name)).codes
+    assert len(codes) == len(tr)
+    for code, k in zip(codes, tr.complexes):
+        assert_panina(k, code, projective)
+
+
+def planted(complex_, ident: int, **changes) -> SimpleNamespace:
+    """The cells of a complex with one cell's fields changed."""
+    cells = dict(complex_.cells)
+    cells[ident] = replace(cells[ident], **changes)
+    return SimpleNamespace(cells=cells)
+
+
+def test_panina_labels_catch_planted_faults() -> None:
+    code = parse_code("<26>")
+    k = chain_run("<26>", "collapse").final
+    assert_panina(k, code, False)
+    cell = next(c for c in k if c.dim == 2)
+    faults = {
+        "dropped facet": planted(k, cell.ident, facets=cell.facets[1:]),
+        "swapped facet": planted(k, cell.ident, facets=(next(
+            c.ident for c in k if c.dim == 1 and c.ident not in cell.facets
+        ),) + cell.facets[1:]),
+        # the cell takes its partner's pattern: one orbit of the
+        # involution, both of its cells with one label
+        "reversed pattern": planted(
+            k, cell.ident, pattern=reversal(cell.pattern)
+        ),
+    }
+    for fault, cells in faults.items():
+        with pytest.raises(AssertionError):
+            assert_panina(cells, code, False)
+            pytest.fail(fault)
+    # in the projective complex a pattern and its reversal are one label,
+    # but a dropped facet still shows
+    folded = chain_run("<26>", "collapse", True).final
+    assert_panina(folded, code, True)
+    cell = next(c for c in folded if c.dim == 2)
+    with pytest.raises(AssertionError):
+        assert_panina(planted(folded, cell.ident, facets=cell.facets[1:]),
+                      code, True)
+
+
+# -- the region a collapse step re-audits -----------------------------------
+
+
+def readded(complex_) -> RegularCellComplex:
+    """Every cell of a complex added afresh, in dimension order, so that
+    ``add_cell`` audits each one, with the involution sealed again."""
+    out = RegularCellComplex()
+    for c in sorted(complex_, key=lambda c: (c.dim, c.ident)):
+        out.add_cell(c.dim, c.label, c.facets, c.pattern, ident=c.ident)
+    for a, b in complex_.involution.items():
+        out.pair(a, b)
+    return out.seal()
+
+
+@pytest.mark.parametrize("name", REALIZABLE_6 + ["<1237>"])
+@pytest.mark.parametrize("projective", [False, True])
+def test_collapse_steps_pass_a_whole_re_audit(
+    name: str, projective: bool
+) -> None:
+    # a step re-audits only the cells whose facets, or whose facets'
+    # facets, changed; adding every cell again must find nothing more
+    for k in chain_run(name, "collapse", projective).complexes[1:]:
+        fresh = readded(k)
+        assert fresh.cells == k.cells
+        assert fresh.involution == k.involution
+
+
+def step_inputs(name: str, number: int):
+    """The complex before a collapse step, the arguments of that step,
+    and the complex after it."""
+    tr = chain_run(name, "collapse")
+    step = tr.steps[number]
+    m = parse_code(name).edge_count
+    units = frozenset(range(1, m)) - set(step.added)
+    args = (step.sphere, units, parse_code(step.code))
+    return tr.complexes[number], args, tr.complexes[number + 1]
+
+
+def plant_on_add(monkeypatch, target: int, alter) -> None:
+    """Make ``add_cell`` alter the facets of one cell as it takes it."""
+    real = RegularCellComplex.add_cell
+
+    def add_cell(self, dim, label, facets=(), pattern=(), ident=None):
+        facets = tuple(facets)
+        if ident == target:
+            facets = alter(facets)
+        return real(self, dim, label, facets, pattern, ident)
+
+    monkeypatch.setattr(RegularCellComplex, "add_cell", add_cell)
+
+
+def test_step_refuses_a_touched_cell_that_drops_a_facet(monkeypatch) -> None:
+    before, args, after = step_inputs("<16>", 0)
+    touched = [
+        c for c in after
+        if c.ident in before.cells and c.facets != before.cells[c.ident].facets
+    ]
+    target = max(touched, key=lambda c: (c.dim, c.ident))
+    assert target.dim == 3
+    plant_on_add(monkeypatch, target.ident, lambda facets: facets[1:])
+    with pytest.raises(AuditError, match="diamond property fails"):
+        surgery_step(before, *args)
+
+
+def test_step_refuses_a_new_cell_that_breaks_the_diamond(monkeypatch) -> None:
+    before, args, after = step_inputs("<16>", 0)
+    target = max(
+        (c for c in after if c.ident >= before._next),
+        key=lambda c: (c.dim, c.ident),
+    )
+    assert target.dim == 2
+    sibling = next(
+        c.ident for c in after
+        if c.dim == 1 and c.ident >= before._next
+        and c.ident not in target.facets
+    )
+    plant_on_add(
+        monkeypatch, target.ident, lambda facets: (sibling,) + facets[1:]
+    )
+    with pytest.raises(AuditError, match="diamond property fails"):
+        surgery_step(before, *args)
+
+
+def test_step_without_a_fault_gives_the_chain_complex() -> None:
+    before, args, after = step_inputs("<16>", 0)
+    again = surgery_step(before, *args)
+    assert again.cells == after.cells
+    assert again.involution == after.involution
+
+
+@pytest.mark.parametrize("name", ["<45>", "<125>", "<26>", "<1236>"])
+def test_sphere_lookup_matches_the_predicate(name: str) -> None:
+    # a collapse complex carries a pattern index, and sphere_cells looks
+    # the sphere up in it instead of testing every cell
+    m = parse_code(name).edge_count
+    ground = range(1, m)
+    for k in chain_run(name, "collapse").complexes:
+        _pattern_index(k)
+        for size in range(1, m):
+            for units in map(frozenset, itertools.combinations(ground, size)):
+                assert sphere_cells(k, units) == tuple(sorted(
+                    c.ident for c in k if any(units <= b for b in c.pattern)
+                ))
+
+
+def test_sphere_lookup_reads_every_pattern_shape() -> None:
+    # one block, a block over part of the ground, and blocks that miss
+    # some elements: the lookup finds what the scan finds
+    k = RegularCellComplex()
+    patterns = [(fs(1, 2, 3),), (fs(1, 2), fs(3)), (fs(3), fs(1)), (fs(2),),
+                (fs(4), fs(2, 1))]
+    for i, pattern in enumerate(patterns):
+        k.add_cell(0, ("v", i), pattern=pattern)
+    scanned = sphere_cells(k.seal(), fs(1, 2))
+    _pattern_index(k)
+    assert sphere_cells(k, fs(1, 2)) == scanned == (0, 1, 4)
 
 
 def projective_mod2_betti(code: GeneticCode) -> list[int]:
