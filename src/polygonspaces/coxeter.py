@@ -28,15 +28,16 @@ same ``Cell`` object.  The step adds back through ``add_cell`` only the
 cells its audit could judge differently: the new cells, the cells whose
 facets changed and the cells with such a facet.  A kept cell has the same
 facets with the same facets, so its audit would read what it read before.
-The map from each cell to its cofacets is built on first use and moves
-from a complex to the one derived from it.
+The map from each cell to its cofacets is built on first use, and a
+derived complex starts from a copy of it less the dropped cells.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Optional, Sequence
+from types import MappingProxyType
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     AuditError,
@@ -200,8 +201,8 @@ class RegularCellComplex:
         the same ``Cell`` object, audited when this complex took it, so a
         drop set that leaves a cell whose facet was dropped (one that is not
         closed upward) is refused.  Identities go on from this complex's.
-        The involution is not carried over.  The cofacet map moves over,
-        less the dropped cells; this complex builds it again if asked."""
+        The involution is not carried over.  The cofacet map is copied
+        over less the dropped cells, so this complex's own is unchanged."""
         if not self._sealed:
             raise AuditError("derive takes a sealed cell complex")
         drop = frozenset(drop)
@@ -217,15 +218,15 @@ class RegularCellComplex:
                     )
         out = RegularCellComplex(first_ident=self._next)
         out.cells, out._labels = dict(cells), dict(self._labels)
+        out._cofacets = up = dict(cofacets)
         below: set[int] = set()
         for i in drop:
             cell = out.cells.pop(i)
             del out._labels[cell.label]
-            del cofacets[i]
+            del up[i]
             below.update(cell.facets)
         for f in below - drop:
-            cofacets[f] = tuple(c for c in cofacets[f] if c not in drop)
-        out._cofacets, self._cofacets = cofacets, None
+            up[f] = tuple(c for c in up[f] if c not in drop)
         return out
 
     def pair(self, a: int, b: int) -> None:
@@ -302,11 +303,12 @@ class RegularCellComplex:
     def by_label(self, label: tuple) -> int:
         return self._labels[label]
 
-    def cofacets(self) -> dict[int, tuple[int, ...]]:
-        """The cells that each cell is a facet of.  The map is built on
-        first use and kept; cells are never removed, so a later call adds
-        only the cells added since, and a complex made by ``derive`` starts
-        from the map it was handed."""
+    def cofacets(self) -> Mapping[int, tuple[int, ...]]:
+        """The cells that each cell is a facet of, as a read-only view.  The
+        map is built on first use and kept; cells are never removed, so a
+        later call adds only the cells added since, and a complex made by
+        ``derive`` starts from a copy of its source's map.  A sealed
+        complex's map never changes."""
         if self._cofacets is None:
             self._cofacets = {}
         cof = self._cofacets
@@ -319,7 +321,7 @@ class RegularCellComplex:
                     above.setdefault(f, []).append(i)
             for f, cs in above.items():
                 cof[f] += tuple(cs)
-        return cof
+        return MappingProxyType(cof)
 
     def faces_of(self, ident: int) -> frozenset:
         """All cell identities in the closure of a cell, itself included."""

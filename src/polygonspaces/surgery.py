@@ -18,8 +18,6 @@ than degrade.
 
 from __future__ import annotations
 
-import itertools
-import weakref
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Hashable, Iterator, Optional
@@ -73,66 +71,13 @@ def _canonical_pattern_key(pattern: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-# The cell of each pattern, and the elements the patterns are over, of the
-# complex a collapse step is to take or has just made.  There every cell has
-# its own pattern of disjoint blocks.  A step moves the index on to the
-# complex it makes, patched by the cells it removes and adds.
-_PATTERNS: "weakref.WeakKeyDictionary[RegularCellComplex, tuple]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _pattern_index(
-    complex_: RegularCellComplex,
-) -> tuple[frozenset, dict[tuple, int]]:
-    """The ground and pattern index of a collapse complex, built in one
-    pass when no step has handed them on, and kept once it is sealed."""
-    found = _PATTERNS.get(complex_)
-    if found is None:
-        index = {c.pattern: c.ident for c in complex_}
-        if len(index) != len(complex_):
-            raise AuditError("two cells of a collapse complex share a pattern")
-        found = (frozenset().union(*(b for p in index for b in p)), index)
-        if complex_.sealed:
-            _PATTERNS[complex_] = found
-    return found
-
-
-def _patterns_holding(ground: frozenset, units: frozenset) -> Iterator[tuple]:
-    """Every ordered tuple of disjoint nonempty blocks over ``ground`` in
-    which one block holds ``units``: that block adds some of the other
-    elements to the units, and the other blocks split some of the rest,
-    in every order."""
-    rest = sorted(ground - units)
-    for size in range(len(rest) + 1):
-        for present in itertools.combinations(rest, size):
-            # the block of each bitmask: bit 0 stands for units, bit i for
-            # present[i - 1]
-            sets = [frozenset()]
-            for item in (units, *(frozenset((x,)) for x in present)):
-                sets += [b | item for b in sets]
-            for k in range(1, size + 2):
-                for masks in _ordered_partitions(size + 1, k):
-                    yield tuple(sets[m] for m in masks)
-
-
 def sphere_cells(
     complex_: RegularCellComplex, units: frozenset
 ) -> tuple[int, ...]:
-    """Cells whose pattern keeps all of ``units`` inside a single block.  A
-    complex that holds a collapse step's pattern index is looked up by
-    pattern; any other is scanned."""
-    found = _PATTERNS.get(complex_)
-    if found is not None:
-        ground, index = found
-        hits = (index.get(p) for p in _patterns_holding(ground, units))
-        return tuple(sorted({i for i in hits if i is not None}))
+    """Cells whose pattern keeps all of ``units`` inside a single block."""
+    inside = units.issubset
     return tuple(
-        sorted(
-            c.ident
-            for c in complex_
-            if c.pattern and any(units <= b for b in c.pattern)
-        )
+        sorted(c.ident for c in complex_ if any(map(inside, c.pattern)))
     )
 
 
@@ -237,12 +182,12 @@ def surgery_step(
     or gain the merge onto ``A``.  Cells are keyed by pattern, in a
     projective complex by the pair of a pattern and its reversal.
 
-    The result starts from the complex before it by ``derive``.  Only the
-    new cells, the touched cells and the cells with a touched facet go
-    through ``add_cell`` again: every other cell keeps its facets and
-    their facets, so its audit would read what it read before.  The
-    touched cells are found by lookup, in the cofacet map and in the
-    pattern index, which the step hands on to its result.
+    The result starts from the complex before it by ``derive``, less the
+    sphere and its open star, the cells above it.  Only the new cells and
+    the star go back through ``add_cell``: every touched cell lies in the
+    star, so every other cell keeps its facets and their facets, and its
+    audit would read what it read before.  The star cells that are not
+    touched come back unchanged.
     """
 
     def key(p: tuple) -> Hashable:
@@ -251,34 +196,31 @@ def surgery_step(
     ground = frozenset(range(1, code.edge_count + 1))
     short = code.short_sets()
     sphere = frozenset(sphere)
-    cells, cofacets = complex_.cells, complex_.cofacets()
-    elements, index = _pattern_index(complex_)
-    region: dict[int, Cell] = {}
+    cells = complex_.cells
+    # the cells above the sphere; a kept cell that gains the merge onto A
+    # has a pattern (b, q) or (q, b), q an ordered partition of the units,
+    # whose blocks merge inside the short units down to the sphere cell
+    # (b, units) or (units, b), so it is one of them too
+    star = adjacent_cells(complex_, sphere)
+    region: dict[int, Cell] = {i: cells[i] for i in star}
+    touched = [
+        i
+        for i in star
+        if not sphere.isdisjoint(cells[i].facets)
+        or units == frozenset().union(*cells[i].pattern[1:])
+        or units == frozenset().union(*cells[i].pattern[:-1])
+    ]
     new: dict[Hashable, int] = {}
-    partitions: list[tuple] = []
     sets = _block_sets(tuple(sorted(units)))
     for k in range(2, len(units) + 1):
         for masks in _ordered_partitions(len(units), k):
             p = tuple(sets[m] for m in masks)
-            partitions.append(p)
             # a projective complex has one cell for p and its reversal
             if key(p) not in new:
                 i = new[key(p)] = complex_._next + len(new)
                 region[i] = Cell(i, k - 2, ("osp", p), (), p)
-    # the kept cells that lose a facet, and those that gain the merge onto
-    # A: a pattern (b, q) or (q, b), with q an ordered partition of units
-    # and b a block of the other elements; q runs over both orders, so a
-    # projective complex's pattern is met whichever of the pair it is
-    touched = {c for i in sphere for c in cofacets[i]} - sphere
-    for b in _block_sets(tuple(sorted(elements - units)))[1:]:
-        for q in partitions:
-            touched.update(
-                i for i in (index.get((b,) + q), index.get(q + (b,)))
-                if i is not None
-            )
+                touched.append(i)
     for i in touched:
-        region[i] = cells[i]
-    for i in list(region):
         p = region[i].pattern
         anchor = ground.difference(*p)
         merged = [
@@ -292,12 +234,8 @@ def surgery_step(
         old = {key(cells[f].pattern): f for f in region[i].facets}
         facets = tuple(new.get(k, old.get(k)) for k in map(key, merged))
         region[i] = replace(region[i], facets=facets)
-    # a cell with a touched facet keeps its facets, whose facets changed
-    for i in touched:
-        for c in cofacets[i]:
-            region.setdefault(c, cells[c])
 
-    out = complex_.derive(sphere | (region.keys() - new.values()))
+    out = complex_.derive(sphere | star)
     for c in sorted(region.values(), key=lambda c: (c.dim, c.ident)):
         out.add_cell(c.dim, c.label, c.facets, c.pattern, ident=c.ident)
     if not projective:
@@ -308,13 +246,7 @@ def surgery_step(
             (i, new[reversal(region[i].pattern)]) for i in new.values()
         )
         out.involution = involution
-    out.seal()
-    del _PATTERNS[complex_]
-    for i in sphere:
-        del index[cells[i].pattern]
-    index.update((region[i].pattern, i) for i in new.values())
-    _PATTERNS[out] = (elements, index)
-    return out
+    return out.seal()
 
 
 def surgery_2d(

@@ -49,7 +49,6 @@ from polygonspaces.posets import (
 )
 from polygonspaces.surgery import (
     ChainStep,
-    _pattern_index,
     adjacent_cells,
     locate_sphere,
     restrict_pattern,
@@ -652,34 +651,6 @@ def test_step_without_a_fault_gives_the_chain_complex() -> None:
     again = surgery_step(before, *args)
     assert again.cells == after.cells
     assert again.involution == after.involution
-
-
-@pytest.mark.parametrize("name", ["<45>", "<125>", "<26>", "<1236>"])
-def test_sphere_lookup_matches_the_predicate(name: str) -> None:
-    # a collapse complex carries a pattern index, and sphere_cells looks
-    # the sphere up in it instead of testing every cell
-    m = parse_code(name).edge_count
-    ground = range(1, m)
-    for k in chain_run(name, "collapse").complexes:
-        _pattern_index(k)
-        for size in range(1, m):
-            for units in map(frozenset, itertools.combinations(ground, size)):
-                assert sphere_cells(k, units) == tuple(sorted(
-                    c.ident for c in k if any(units <= b for b in c.pattern)
-                ))
-
-
-def test_sphere_lookup_reads_every_pattern_shape() -> None:
-    # one block, a block over part of the ground, and blocks that miss
-    # some elements: the lookup finds what the scan finds
-    k = RegularCellComplex()
-    patterns = [(fs(1, 2, 3),), (fs(1, 2), fs(3)), (fs(3), fs(1)), (fs(2),),
-                (fs(4), fs(2, 1))]
-    for i, pattern in enumerate(patterns):
-        k.add_cell(0, ("v", i), pattern=pattern)
-    scanned = sphere_cells(k.seal(), fs(1, 2))
-    _pattern_index(k)
-    assert sphere_cells(k, fs(1, 2)) == scanned == (0, 1, 4)
 
 
 def projective_mod2_betti(code: GeneticCode) -> list[int]:
