@@ -19,17 +19,16 @@ result.  ``add_cell`` audits each cell against the cells below it, which
 never change: its facets exist, are distinct and one dimension lower, an
 edge has two ends, each face of codimension two lies on exactly two facets
 (the diamond property), and a two-cell's boundary is a single cycle.
-``seal()`` audits that a declared involution is free, dimension preserving
-and facet compatible, a property of pairs, and then freezes the complex.
+``seal()`` audits that the involution, which only ``pair()`` writes, is
+free, dimension preserving and facet compatible, and freezes the complex.
 
 A surgery step starts its result from the sealed complex before it with
 ``derive``, which keeps every cell but a drop set closed upward as the
-same ``Cell`` object.  The step adds back through ``add_cell`` only the
-cells its audit could judge differently: the new cells, the cells whose
-facets changed and the cells with such a facet.  A kept cell has the same
-facets with the same facets, so its audit would read what it read before.
-The map from each cell to its cofacets is built on first use, and a
-derived complex starts from a copy of it less the dropped cells.
+same ``Cell`` object, with its partner.  The step re-adds and re-pairs
+only the cells its audits could judge differently: the new cells, the
+cells whose facets changed and those with such a facet; ``seal()`` audits
+only those pairs.  A kept cell keeps its facets, their facets and its
+partner, so its audits would read what they read before.
 """
 
 from __future__ import annotations
@@ -114,6 +113,7 @@ class RegularCellComplex:
         self.involution: dict[int, int] = {}
         self._next = first_ident
         self._sealed = False
+        self._carried = 0  # the pairs ``derive`` kept: a prefix of involution
         self._faces: dict[int, frozenset] = {}
         self._labels: dict[tuple, int] = {}
         # built on first use; ``derive`` hands it on less the dropped cells
@@ -198,11 +198,11 @@ class RegularCellComplex:
     def derive(self, drop: Iterable[int]) -> "RegularCellComplex":
         """An unsealed complex holding this sealed complex's cells but the
         ones in ``drop``, for a surgery to add its cells to.  A kept cell is
-        the same ``Cell`` object, audited when this complex took it, so a
-        drop set that leaves a cell whose facet was dropped (one that is not
-        closed upward) is refused.  Identities go on from this complex's.
-        The involution is not carried over.  The cofacet map is copied
-        over less the dropped cells, so this complex's own is unchanged."""
+        the same ``Cell`` object with the same partner, audited when this
+        complex took it, so a drop set that is not closed upward, or that
+        separates a pair, is refused.  Identities go on from this complex's.
+        The cofacet map is copied over less the dropped cells, so this
+        complex's own is unchanged."""
         if not self._sealed:
             raise AuditError("derive takes a sealed cell complex")
         drop = frozenset(drop)
@@ -218,28 +218,40 @@ class RegularCellComplex:
                     )
         out = RegularCellComplex(first_ident=self._next)
         out.cells, out._labels = dict(cells), dict(self._labels)
+        out.involution = inv = dict(self.involution)
         out._cofacets = up = dict(cofacets)
         below: set[int] = set()
         for i in drop:
             cell = out.cells.pop(i)
             del out._labels[cell.label]
+            # a cell without a partner stands for itself, which is dropped
+            partner = inv.pop(i, i)
+            if partner not in drop:
+                raise AuditError(
+                    f"involution moves kept cell {partner} off the kept set"
+                )
             del up[i]
             below.update(cell.facets)
         for f in below - drop:
             up[f] = tuple(c for c in up[f] if c not in drop)
+        out._carried = len(inv)
         return out
 
     def pair(self, a: int, b: int) -> None:
-        """Declare that the involution swaps cells ``a`` and ``b``."""
+        """Declare that the involution swaps cells ``a`` and ``b``.  A cell
+        keeps its partner: pairing it with another is refused."""
         if self._sealed:
             raise AuditError("complex is sealed")
         if a == b:
             raise FixedCellError(f"cell {a} would be fixed by the involution")
+        if self.involution.get(a, b) != b or self.involution.get(b, a) != a:
+            raise AuditError(f"cell {a} or {b} already has another partner")
         self.involution[a] = b
         self.involution[b] = a
 
     def seal(self) -> "RegularCellComplex":
-        """Audit any involution, then freeze.  Each cell was audited when
+        """Audit the involution's pairs but those ``derive`` carried, which
+        the source's seal audited, then freeze.  Each cell was audited when
         ``add_cell`` took it."""
         if self._sealed:
             return self
@@ -262,7 +274,7 @@ class RegularCellComplex:
         # the facet test is symmetric in a pair, so it runs at the member
         # met first, and the message names the same cell as a full pass
         checked: set[int] = set()
-        for a, b in inv.items():
+        for a, b in itertools.islice(inv.items(), self._carried, None):
             if a == b:
                 raise FixedCellError(f"involution fixes cell {a}")
             if inv.get(b) != a:

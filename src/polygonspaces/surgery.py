@@ -183,11 +183,11 @@ def surgery_step(
     projective complex by the pair of a pattern and its reversal.
 
     The result starts from the complex before it by ``derive``, less the
-    sphere and its open star, the cells above it.  Only the new cells and
-    the star go back through ``add_cell``: every touched cell lies in the
-    star, so every other cell keeps its facets and their facets, and its
-    audit would read what it read before.  The star cells that are not
-    touched come back unchanged.
+    sphere and its open star, which the reversal preserves.  Only they
+    and the new cells are added, and in a plain complex paired, again:
+    every touched cell lies in the star, so every other cell keeps its
+    facets, their facets and its partner, and its audits would read what
+    they read before.  Untouched star cells come back unchanged.
     """
 
     def key(p: tuple) -> Hashable:
@@ -239,13 +239,9 @@ def surgery_step(
     for c in sorted(region.values(), key=lambda c: (c.dim, c.ident)):
         out.add_cell(c.dim, c.label, c.facets, c.pattern, ident=c.ident)
     if not projective:
-        involution = dict(complex_.involution)
-        for i in sphere:
-            del involution[i]
-        involution.update(
-            (i, new[reversal(region[i].pattern)]) for i in new.values()
-        )
-        out.involution = involution
+        by_pattern = {c.pattern: i for i, c in region.items()}
+        for i, c in region.items():
+            out.pair(i, by_pattern[reversal(c.pattern)])
     return out.seal()
 
 
@@ -274,9 +270,8 @@ def surgery_2d(
 
     The result starts from the complex before it by ``derive``, less the
     sphere and its adjacent cells, a set closed upward.  The kept cells
-    never meet that star, so their facets and their facets' facets are
-    unchanged, and only the new cells go through ``add_cell``'s audit;
-    ``seal()`` audits the whole involution.
+    never meet that star, so their faces and partners are unchanged and
+    only the new cells are audited, by ``add_cell`` and ``seal()``.
     """
     if complex_.dim != 2:
         raise Not2DError(
@@ -352,7 +347,6 @@ def surgery_2d(
         quads = pair_up(flanks, restricted, lambda f: side[flanks[f][0]])
 
     out = complex_.derive(removed)
-    kept = list(out)
     vertex = {
         n: out.add_cell(0, ("iface", n), pattern=restricted(n[0]))
         for n in node.values()
@@ -399,14 +393,7 @@ def surgery_2d(
             out.add_cell(2, ("cap", ("disk", root)), sorted(disk))
 
     if complex_.involution and not projective:
-        inv = complex_.involution
-        for c in kept:
-            if inv[c.ident] in removed:
-                raise AuditError(
-                    f"involution moves kept cell {c.ident} off the kept set"
-                )
-            out.pair(c.ident, inv[c.ident])
-        new = [c for c in out if c.ident >= complex_._next]
+        new = [out.cells[i] for i in range(complex_._next, out._next)]
         on_facets = {frozenset(c.facets): c.ident for c in new if c.dim}
         if len(on_facets) != sum(1 for c in new if c.dim):
             raise AuditError("two new cells have the same facets")
@@ -417,7 +404,7 @@ def surgery_2d(
                 partner = on_facets.get(image)
             else:
                 e, _ = c.label[1]
-                partner = vertex.get(node.get(inv[e]))
+                partner = vertex.get(node.get(complex_.involution.get(e)))
             if partner is None:
                 raise AuditError(
                     f"involution takes new cell {c.label!r} to no new cell"

@@ -498,6 +498,8 @@ def test_derive_refuses_a_drop_set_not_closed_upward() -> None:
     k = coxeter_complex(range(1, 4))  # a hexagon
     v = next(c.ident for c in k if c.dim == 0)
     edge = k.cofacets()[v][0]
+    # {v} also separates v from its partner; the closure refusal comes first
+    assert k.involution[v] != v
     with pytest.raises(AuditError, match=(
         f"dropping cell {v} leaves cell {edge} without that facet"
     )):
@@ -508,30 +510,118 @@ def test_derive_refuses_a_drop_set_not_closed_upward() -> None:
         RegularCellComplex().derive(())
 
 
+def vertex_stars(k: RegularCellComplex, *vertices: int) -> set[int]:
+    """The cells whose closure holds one of the given vertices."""
+    return {
+        c.ident for c in k if any(v in k.faces_of(c.ident) for v in vertices)
+    }
+
+
+def derived_without_a_vertex_pair(k: RegularCellComplex):
+    """A first vertex of ``k``, the stars of it and of its partner (a drop
+    set closed upward and under the involution), and ``k`` derived less
+    them."""
+    v = next(c.ident for c in k if c.dim == 0)
+    drop = vertex_stars(k, v, k.involution[v])
+    return v, drop, k.derive(drop)
+
+
+def readd(out: RegularCellComplex, k: RegularCellComplex, idents) -> None:
+    """Add the cells of ``k`` with the given identities to ``out`` again,
+    in dimension order, through ``add_cell``."""
+    for i in sorted(idents, key=lambda i: (k.cells[i].dim, i)):
+        c = k.cells[i]
+        out.add_cell(c.dim, c.label, c.facets, c.pattern, ident=c.ident)
+
+
 def test_derive_keeps_the_cells_and_hands_on_the_cofacets() -> None:
     k = coxeter_complex(range(1, 5))
     cofacets = {i: set(up) for i, up in k.cofacets().items()}
     assert cofacets == {
         i: {c.ident for c in k if i in c.facets} for i in k.cells
     }
-    v = next(c.ident for c in k if c.dim == 0)
-    star = {c.ident for c in k if v in k.faces_of(c.ident)}
     held = k.cofacets()
     with pytest.raises(TypeError):
-        held[v] = ()  # type: ignore[index]
-    out = k.derive(star)
+        held[0] = ()  # type: ignore[index]
+    v, star, out = derived_without_a_vertex_pair(k)
     # the complex derived from keeps its map, and so does a view held before
     assert {i: set(up) for i, up in held.items()} == cofacets
     assert not out.sealed
-    assert out.involution == {}
+    assert out.involution == {
+        i: j for i, j in k.involution.items() if i not in star
+    }
     assert out.cells == {i: c for i, c in k.cells.items() if i not in star}
     assert all(out.cells[i] is k.cells[i] for i in out.cells)
-    # the dropped cells come back through add_cell, and the map takes them
-    for c in sorted((k.cells[i] for i in star), key=lambda c: (c.dim, c.ident)):
-        out.add_cell(c.dim, c.label, c.facets, c.pattern, ident=c.ident)
+    # the dropped cells come back through add_cell and pair(), and the map
+    # takes them
+    readd(out, k, star)
+    for i in star:
+        out.pair(i, k.involution[i])
     assert out._next == k._next
     assert {i: set(up) for i, up in out.seal().cofacets().items()} == cofacets
     assert {i: set(up) for i, up in k.cofacets().items()} == cofacets
+    assert out.involution == k.involution
+
+
+def test_derive_refuses_a_drop_set_that_separates_a_pair() -> None:
+    k = coxeter_complex(range(1, 5))
+    v = next(c.ident for c in k if c.dim == 0)
+    star = vertex_stars(k, v)
+    with pytest.raises(AuditError) as raised:
+        k.derive(star)
+    partners = {k.involution[i] for i in star}
+    assert str(raised.value) in {
+        f"involution moves kept cell {c} off the kept set" for c in partners
+    }
+    # a partner that is no cell is an audit failure too, not a KeyError
+    bad = coxeter_complex(range(1, 5))
+    bad.involution[v] = bad._next
+    with pytest.raises(AuditError, match="off the kept set"):
+        bad.derive(vertex_stars(bad, v))
+
+
+def test_pair_refuses_to_re_pair_a_carried_cell() -> None:
+    k = coxeter_complex(range(1, 5))
+    v, drop, out = derived_without_a_vertex_pair(k)
+    kept = [c.ident for c in k if c.dim == 0 and c.ident not in drop]
+    a = kept[0]
+    b = next(i for i in kept if i not in (a, k.involution[a]))
+    before = dict(out.involution)
+    with pytest.raises(AuditError, match=f"cell {a} or {b} already has"):
+        out.pair(a, b)
+    with pytest.raises(AuditError, match="already has another partner"):
+        out.pair(b, a)
+    # nor may a carried cell take a dropped cell added back, nor the reverse
+    readd(out, k, drop)
+    with pytest.raises(AuditError, match="already has another partner"):
+        out.pair(v, a)
+    with pytest.raises(AuditError, match="already has another partner"):
+        out.pair(a, v)
+    # pairing a cell again with its own partner changes nothing
+    out.pair(a, k.involution[a])
+    assert out.involution == before
+    assert list(out.involution) == list(before)
+
+
+def test_seal_audits_a_pair_made_after_derive() -> None:
+    k = coxeter_complex(range(1, 5))
+    v, drop, out = derived_without_a_vertex_pair(k)
+    readd(out, k, drop)
+    # two edges at v swap their partners, so neither maps its ends onto
+    # its new partner's
+    e1, e2 = sorted(k.cofacets()[v])[:2]
+    partner = {i: k.involution[i] for i in drop}
+    p1, p2 = partner[e1], partner[e2]
+    partner.update({e1: p2, p2: e1, e2: p1, p1: e2})
+    for i in sorted(drop, key=lambda i: (k.cells[i].dim, i)):
+        out.pair(i, partner[i])
+    first = min((e1, e2, p1, p2), key=lambda i: (k.cells[i].dim, i))
+    with pytest.raises(AuditError) as raised:
+        out.seal()
+    assert str(raised.value) == (
+        f"involution of {k.cells[first].label!r} does not respect facets"
+    )
+    assert not out.sealed
 
 
 # -- cells ----------------------------------------------------------------

@@ -577,14 +577,27 @@ def readded(complex_) -> RegularCellComplex:
     return out.seal()
 
 
-@pytest.mark.parametrize("name", REALIZABLE_6 + ["<1237>"])
+# the m = 5 codes with an attach step; their ids name the mode
+ATTACH_CHAINS = [
+    pytest.param(str(code), "attach", id=f"{code}-attach")
+    for code in enumerate_codes(5)
+    if realize(code) is not None and saturated_chain(code).added_sets
+]
+
+
+@pytest.mark.parametrize(
+    "name, mode",
+    [pytest.param(name, "collapse", id=name)
+     for name in REALIZABLE_6 + ["<1237>"]] + ATTACH_CHAINS,
+)
 @pytest.mark.parametrize("projective", [False, True])
 def test_collapse_steps_pass_a_whole_re_audit(
-    name: str, projective: bool
+    name: str, mode: str, projective: bool
 ) -> None:
     # a step re-audits only the cells whose facets, or whose facets'
-    # facets, changed; adding every cell again must find nothing more
-    for k in chain_run(name, "collapse", projective).complexes[1:]:
+    # facets, changed, and only the pairs it makes; adding and pairing
+    # every cell again, collapse or attach, must find nothing more
+    for k in chain_run(name, mode, projective).complexes[1:]:
         fresh = readded(k)
         assert fresh.cells == k.cells
         assert fresh.involution == k.involution
