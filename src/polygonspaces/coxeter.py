@@ -21,6 +21,7 @@ edge has two ends, each face of codimension two lies on exactly two facets
 (the diamond property), and a two-cell's boundary is a single cycle.
 ``seal()`` audits that the involution, which only ``pair()`` writes, is
 free, dimension preserving and facet compatible, and freezes the complex.
+``add_cell`` keeps the cofacet map once built; ``derive`` hands it on.
 
 A surgery step starts its result from the sealed complex before it with
 ``derive``, which keeps every cell but a drop set closed upward as the
@@ -108,15 +109,15 @@ def reversal(blocks: Blocks) -> Blocks:
 class RegularCellComplex:
     """An append-only regular cell complex with stable cell identities."""
 
-    def __init__(self, first_ident: int = 0) -> None:
+    def __init__(self) -> None:
         self.cells: dict[int, Cell] = {}
         self.involution: dict[int, int] = {}
-        self._next = first_ident
+        self._next = 0
         self._sealed = False
         self._carried = 0  # the pairs ``derive`` kept: a prefix of involution
         self._faces: dict[int, frozenset] = {}
         self._labels: dict[tuple, int] = {}
-        # built on first use; ``derive`` hands it on less the dropped cells
+        # built on first use, then kept by ``add_cell`` and ``derive``
         self._cofacets: Optional[dict[int, tuple[int, ...]]] = None
 
     # -- construction ------------------------------------------------------
@@ -193,6 +194,11 @@ class RegularCellComplex:
             self._next = ident + 1
         cells[ident] = Cell(ident, dim, label, facets, pattern)
         self._labels[label] = ident
+        cof = self._cofacets
+        if cof is not None:
+            cof[ident] = ()
+            for f in facets:
+                cof[f] += (ident,)
         return ident
 
     def derive(self, drop: Iterable[int]) -> "RegularCellComplex":
@@ -216,8 +222,9 @@ class RegularCellComplex:
                         f"dropping cell {i} leaves cell {c} without that "
                         "facet: the drop set is not closed upward"
                     )
-        out = RegularCellComplex(first_ident=self._next)
+        out = RegularCellComplex()
         out.cells, out._labels = dict(cells), dict(self._labels)
+        out._next = self._next
         out.involution = inv = dict(self.involution)
         out._cofacets = up = dict(cofacets)
         below: set[int] = set()
@@ -317,23 +324,16 @@ class RegularCellComplex:
 
     def cofacets(self) -> Mapping[int, tuple[int, ...]]:
         """The cells that each cell is a facet of, as a read-only view.  The
-        map is built on first use and kept; cells are never removed, so a
-        later call adds only the cells added since, and a complex made by
-        ``derive`` starts from a copy of its source's map.  A sealed
-        complex's map never changes."""
+        map is built on first use; then ``add_cell`` extends it and a
+        complex made by ``derive`` starts from a copy of its source's."""
         if self._cofacets is None:
-            self._cofacets = {}
-        cof = self._cofacets
-        if len(cof) != len(self.cells):
-            fresh = sorted(self.cells.keys() - cof.keys())
-            above: dict[int, list[int]] = {}
-            for i in fresh:
-                cof[i] = ()
+            # every entry first: a facet may come after its cofacet
+            above: dict[int, list[int]] = {i: [] for i in sorted(self.cells)}
+            for i in above:
                 for f in self.cells[i].facets:
-                    above.setdefault(f, []).append(i)
-            for f, cs in above.items():
-                cof[f] += tuple(cs)
-        return MappingProxyType(cof)
+                    above[f].append(i)
+            self._cofacets = {i: tuple(cs) for i, cs in above.items()}
+        return MappingProxyType(self._cofacets)
 
     def faces_of(self, ident: int) -> frozenset:
         """All cell identities in the closure of a cell, itself included."""

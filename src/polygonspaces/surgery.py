@@ -18,7 +18,6 @@ than degrade.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Hashable, Iterator, Optional
 
@@ -147,11 +146,11 @@ def adjacent_cells(
 
 
 def _audit_closed_surface(complex_: RegularCellComplex) -> None:
-    counts = Counter(e for c in complex_ if c.dim == 2 for e in c.facets)
+    up = complex_.cofacets()
     for c in complex_:
-        if c.dim == 1 and counts[c.ident] != 2:
+        if c.dim == 1 and len(up[c.ident]) != 2:
             raise AuditError(
-                f"edge {c.ident} lies in {counts[c.ident]} faces; "
+                f"edge {c.ident} lies in {len(up[c.ident])} faces; "
                 "the complex is not a closed surface"
             )
 

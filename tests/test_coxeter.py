@@ -491,6 +491,43 @@ def test_add_cell_validations() -> None:
         k.add_cell(0, ("v", "late"))
 
 
+# -- the cofacet map --------------------------------------------------------
+
+
+def cofacet_sets(k: RegularCellComplex) -> dict[int, set[int]]:
+    """The cofacet map that ``k`` holds, each entry as a set."""
+    return {i: set(up) for i, up in k.cofacets().items()}
+
+
+def cofacet_relation(k: RegularCellComplex) -> dict[int, set[int]]:
+    """The cells that each cell of ``k`` is a facet of, read off the
+    facets of every cell."""
+    return {i: {c.ident for c in k if i in c.facets} for i in k.cells}
+
+
+def test_add_cell_keeps_a_built_cofacet_map() -> None:
+    k = RegularCellComplex()
+    a = k.add_cell(0, ("v", "a"))
+    b = k.add_cell(0, ("v", "b"))
+    held = k.cofacets()
+    assert dict(held) == {a: (), b: ()}
+    e = k.add_cell(1, ("e", "ab"), (a, b))
+    # a view read before the edge sees it too: there is one map
+    assert dict(held) == dict(k.cofacets()) == {a: (e,), b: (e,), e: ()}
+
+
+def test_refused_cell_leaves_a_built_cofacet_map_unchanged() -> None:
+    k = RegularCellComplex()
+    a = k.add_cell(0, ("v", "a"))
+    b = k.add_cell(0, ("v", "b"))
+    e = k.add_cell(1, ("e", "ab"), (a, b))
+    before = dict(k.cofacets())
+    # the first facet is a good one, the second has the wrong dimension
+    with pytest.raises(AuditError, match="wrong dimension"):
+        k.add_cell(1, ("e", "bad"), (a, e))
+    assert dict(k.cofacets()) == before
+
+
 # -- deriving a complex for a surgery ------------------------------------
 
 
@@ -536,10 +573,8 @@ def readd(out: RegularCellComplex, k: RegularCellComplex, idents) -> None:
 
 def test_derive_keeps_the_cells_and_hands_on_the_cofacets() -> None:
     k = coxeter_complex(range(1, 5))
-    cofacets = {i: set(up) for i, up in k.cofacets().items()}
-    assert cofacets == {
-        i: {c.ident for c in k if i in c.facets} for i in k.cells
-    }
+    cofacets = cofacet_sets(k)
+    assert cofacets == cofacet_relation(k)
     held = k.cofacets()
     with pytest.raises(TypeError):
         held[0] = ()  # type: ignore[index]
@@ -547,6 +582,7 @@ def test_derive_keeps_the_cells_and_hands_on_the_cofacets() -> None:
     # the complex derived from keeps its map, and so does a view held before
     assert {i: set(up) for i, up in held.items()} == cofacets
     assert not out.sealed
+    assert cofacet_sets(out) == cofacet_relation(out)
     assert out.involution == {
         i: j for i, j in k.involution.items() if i not in star
     }
@@ -557,6 +593,7 @@ def test_derive_keeps_the_cells_and_hands_on_the_cofacets() -> None:
     readd(out, k, star)
     for i in star:
         out.pair(i, k.involution[i])
+    assert cofacet_sets(out) == cofacet_relation(out)
     assert out._next == k._next
     assert {i: set(up) for i, up in out.seal().cofacets().items()} == cofacets
     assert {i: set(up) for i, up in k.cofacets().items()} == cofacets

@@ -59,7 +59,7 @@ from polygonspaces.surgery import (
     surgery_2d,
     surgery_step,
 )
-from test_coxeter import reference_ordered_partitions
+from test_coxeter import cofacet_sets, reference_ordered_partitions
 from test_posets import face_poset, minimal_building_set
 
 
@@ -601,6 +601,8 @@ def test_collapse_steps_pass_a_whole_re_audit(
         fresh = readded(k)
         assert fresh.cells == k.cells
         assert fresh.involution == k.involution
+        # the map the steps carried is the one built afresh from the cells
+        assert cofacet_sets(k) == cofacet_sets(fresh)
 
 
 def step_inputs(name: str, number: int):
@@ -908,8 +910,29 @@ def test_open_complex_fails_the_closed_audit() -> None:
     k = coxeter_complex(range(1, 5))
     top = next(c.ident for c in k if c.dim == 2)
     disk = k.materialize(k.faces_of(top) | {top})
-    with pytest.raises(AuditError):
+    with pytest.raises(AuditError, match=(
+        "lies in 1 faces; the complex is not a closed surface"
+    )):
         surgery_2d(disk, tuple(sphere_cells(disk, fs(3, 4))), fs(3, 4))
+
+
+def test_edge_on_three_faces_fails_the_closed_audit() -> None:
+    # three 2-cells on one triangle of edges: add_cell and seal() take
+    # each one, but every edge lies in three faces
+    k = RegularCellComplex()
+    a, b, c = (k.add_cell(0, ("v", v)) for v in "abc")
+    edges = [
+        k.add_cell(1, ("e", i), ends)
+        for i, ends in enumerate([(a, b), (b, c), (c, a)])
+    ]
+    for i in range(3):
+        k.add_cell(2, ("f", i), edges)
+    k.seal()
+    with pytest.raises(AuditError, match=(
+        f"edge {edges[0]} lies in 3 faces; the complex is not a closed "
+        "surface"
+    )):
+        surgery_2d(k, (a,), fs(1, 2, 3))
 
 
 def polyhedron(faces: list, pattern=lambda corners: ()):
