@@ -320,9 +320,6 @@ def _cmd_poset(args: argparse.Namespace) -> int:
         poset = comb_surgery(poset, locus)
     names = {e: _element_str(e) for e in poset}
     order = sorted(poset, key=lambda e: names[e])
-    covers = sorted(
-        (names[a], names[b]) for a, b in poset.covers()
-    )
     if args.format == "json":
         index = {e: k for k, e in enumerate(order)}
         _emit_json(
@@ -336,6 +333,7 @@ def _cmd_poset(args: argparse.Namespace) -> int:
         return 0
     lines = ["digraph poset {", "  rankdir=BT;"]
     lines += [f'  "{names[e]}";' for e in order]
+    covers = sorted((names[a], names[b]) for a, b in poset.covers())
     lines += [f'  "{a}" -> "{b}";' for a, b in covers]
     lines.append("}")
     _print("\n".join(lines))

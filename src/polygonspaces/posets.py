@@ -3,8 +3,11 @@
 The central objects are:
 
 * :class:`FinitePoset`: an immutable finite poset built from generating
-  relations, with bitmask down-sets; its covers are the relations with
-  nothing between their ends.
+  relations, with bitmask down-sets and one list of lower covers per
+  element, the relations with nothing between their ends.  The meet test
+  reads that list: it checks only two lower covers of one element and two
+  maximal elements, which is exact (see
+  :meth:`FinitePoset.is_meet_semilattice`).
 * set-partition utilities and the full partition lattice ordered by
   reverse refinement (coarser partitions sit higher),
 * the intersection poset of a realizable genetic code: partitions of the
@@ -41,20 +44,15 @@ MAX_ISO_SIZE = 5000
 MAX_INTERSECTION_GROUND = 8
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class FinitePoset:
     """An immutable finite partial order, generated by relations ``a < b``.
 
     Elements keep their construction order; all queries go through integer
     bitmasks of down-sets, so comparisons are O(1).  The relations are
     deduplicated and closed transitively; a self-relation or a cycle
-    violates antisymmetry and fails construction.
+    violates antisymmetry and fails construction.  Each element keeps the
+    ascending indices of its lower covers, the one list that covers, the
+    meet test, colour refinement and surgery read.
     """
 
     def __init__(
@@ -96,23 +94,37 @@ class FinitePoset:
         for i in order:
             for j in above[i]:
                 down[j] |= down[i]
+        # Every cover is a generating relation, since a path of two or more
+        # relations puts an element between its ends.  A relation a < b is
+        # a cover unless a lies strictly below another lower end d of a
+        # relation into b: an element strictly between a and b lies below
+        # the last lower end on a path from it to b.
+        for lows in lower:
+            between = 0
+            for d in lows:
+                between |= down[d] ^ (1 << d)
+            lows[:] = sorted(d for d in lows if not between >> d & 1)
         self._down = tuple(down)
-        self._lower = lower
-        self._covers: Optional[tuple] = None
+        self._lower = lower  # lower[b]: the lower covers of b, ascending
+        self._order = order  # a linear extension, for the up-sets
         self._up_masks: Optional[tuple[int, ...]] = None
 
     def _up(self) -> tuple[int, ...]:
-        """Bitmask up-sets, built on the first call.
+        """Bitmask up-sets, built on the first call in one pass down the
+        linear extension: an element's up-set is complete once every
+        element covering it has passed it on.
 
         A plain attribute set in ``__init__`` rather than a
         ``cached_property``: writing through ``__dict__`` after
         construction slows every later attribute read on the instance.
         """
         if self._up_masks is None:
-            up = [0] * len(self.elements)
-            for i, mask in enumerate(self._down):
-                for j in _bits(mask):
-                    up[j] |= 1 << i
+            up = [1 << i for i in range(len(self.elements))]
+            lower = self._lower
+            for i in reversed(self._order):
+                mask = up[i]
+                for d in lower[i]:
+                    up[d] |= mask
             self._up_masks = tuple(up)
         return self._up_masks
 
@@ -132,44 +144,50 @@ class FinitePoset:
 
     def covers(self) -> tuple[tuple[Hashable, Hashable], ...]:
         """All covering pairs ``(a, b)`` with ``a`` directly below ``b``,
-        ordered by the index of ``b`` and then of ``a``.
-
-        Every cover is a generating relation, since a path of two or more
-        relations puts an element between its ends.  A relation ``a < b``
-        is a cover unless ``a`` lies strictly below another lower end ``d``
-        of a relation into ``b``: an element strictly between ``a`` and
-        ``b`` lies below the last lower end on a path from it to ``b``.
-        """
-        if self._covers is None:
-            down, out = self._down, []
-            for ib, lows in enumerate(self._lower):
-                between = 0
-                for d in lows:
-                    between |= down[d] ^ (1 << d)
-                out.extend(
-                    (self.elements[ia], self.elements[ib])
-                    for ia in sorted(lows)
-                    if not between >> ia & 1
-                )
-            self._covers = tuple(out)
-        return self._covers
+        ordered by the index of ``b`` and then of ``a``."""
+        elements = self.elements
+        return tuple(
+            (elements[ia], b)
+            for b, lows in zip(elements, self._lower)
+            for ia in lows
+        )
 
     def bottom(self) -> Optional[Hashable]:
         """The minimal element, or None unless there is exactly one."""
-        mins = [
-            e
-            for i, e in enumerate(self.elements)
-            if self._down[i] == (1 << i)
-        ]
+        mins = [e for e, lows in zip(self.elements, self._lower) if not lows]
         return mins[0] if len(mins) == 1 else None
 
     def is_meet_semilattice(self) -> bool:
-        """Whether every two elements have a greatest common lower bound:
-        their common down-set is then that element's own down-set."""
-        principal = set(self._down)
+        """Whether every two elements have a greatest common lower bound.
+
+        Two elements have a meet when their common down-set is the
+        down-set of one element.  Only two kinds of pairs are tested: two
+        lower covers of one element, and two maximal elements, the lower
+        covers of a formal top added above everything.  Pairs of either
+        kind are incomparable, and the test is exact.
+
+        Suppose every such pair has a meet.  By induction on ``|down z|``,
+        any two ``x, y <= z`` have a meet, for every element ``z`` and for
+        the formal top.  If ``x`` and ``y`` are comparable this is clear,
+        and if they have a common upper bound below ``z`` it holds by
+        induction.  Otherwise ``z`` is a minimal common upper bound; take
+        lower covers ``x'``, ``y'`` of ``z`` with ``x <= x'``, ``y <= y'``.
+        Minimality of ``z`` gives ``x' != y'``, so ``m = x' ∧ y'`` exists.
+        Under ``x'`` induction gives ``a = x ∧ m``, and under ``y'``, which
+        lies above ``a <= m``, it gives ``b = a ∧ y``.  A common lower
+        bound of ``x`` and ``y`` lies below ``m``, then below ``a``, then
+        below ``b``, and ``b`` lies below ``x`` and ``y``: ``b = x ∧ y``.
+        """
+        down = self._down
+        principal = set(down)
+        covered = set()
+        for lows in self._lower:
+            covered.update(lows)
+        maximal = [i for i in range(len(down)) if i not in covered]
         return all(
-            (a & b) in principal
-            for a, b in itertools.combinations(self._down, 2)
+            down[a] & down[b] in principal
+            for lows in itertools.chain(self._lower, [maximal])
+            for a, b in itertools.combinations(lows, 2)
         )
 
 
@@ -374,30 +392,33 @@ def comb_surgery(poset: FinitePoset, locus: Hashable) -> FinitePoset:
         raise NotApplicableError("cannot perform surgery at the bottom")
     had_meets = poset.is_meet_semilattice()
 
-    kept = [e for e in poset if not poset.leq(locus, e)]
-    below = [e for e in poset if poset.leq(e, locus) and e != locus]
-    grafted = {y: Interval(locus, y) for y in below}
-    elements = kept + [grafted[y] for y in below]
+    elements, down, up = poset.elements, poset._down, poset._up()
+    il = poset.index[locus]
+    locus_up, locus_down = up[il], down[il]
+    n = len(elements)
+    kept = [i for i in range(n) if not locus_up >> i & 1]
+    below = [i for i in range(n) if locus_down >> i & 1 and i != il]
+    grafted = {i: Interval(locus, elements[i]) for i in below}
 
-    up = poset._up()
-    locus_up = up[poset.index[locus]]
-    locus_down = poset._down[poset.index[locus]]
     pairs: list[tuple[Hashable, Hashable]] = []
-    for a, b in poset.covers():
-        if not poset.leq(locus, b):
-            pairs.append((a, b))
-        if b in grafted:
-            pairs.append((grafted[a], grafted[b]))
-    for z in kept:
-        iz = poset.index[z]
+    for ib, lows in enumerate(poset._lower):
+        b = elements[ib]
+        if not locus_up >> ib & 1:
+            pairs.extend((elements[ia], b) for ia in lows)
+        if ib in grafted:
+            pairs.extend((grafted[ia], grafted[ib]) for ia in lows)
+    for iz in kept:
         if not up[iz] & locus_up:
             continue  # no common upper bound with the locus
-        shared_below = poset._down[iz] & locus_down
-        for y in below:
-            if shared_below & ~poset._down[poset.index[y]] == 0:
-                pairs.append((z, grafted[y]))
+        shared_below = down[iz] & locus_down
+        z = elements[iz]
+        pairs.extend(
+            (z, grafted[iy]) for iy in below if shared_below & ~down[iy] == 0
+        )
 
-    out = FinitePoset(elements, pairs)
+    out = FinitePoset(
+        [elements[i] for i in kept] + list(grafted.values()), pairs
+    )
     if had_meets and not out.is_meet_semilattice():
         raise NotMeetSemilatticeError(
             "surgery destroyed meets although the input had them"
@@ -416,12 +437,11 @@ def _stable_colors(*posets: FinitePoset) -> list[list[int]]:
     sides = []
     for poset in posets:
         n = len(poset.elements)
+        cover_down = poset._lower
         cover_up: list[list[int]] = [[] for _ in range(n)]
-        cover_down: list[list[int]] = [[] for _ in range(n)]
-        for a, b in poset.covers():
-            ia, ib = poset.index[a], poset.index[b]
-            cover_up[ia].append(ib)
-            cover_down[ib].append(ia)
+        for ib, lows in enumerate(cover_down):
+            for ia in lows:
+                cover_up[ia].append(ib)
         sides.append((cover_up, cover_down))
     ids: dict = {}
     colors = [

@@ -533,6 +533,15 @@ def test_poset_refuses_an_unrealizable_code(capsys) -> None:
     assert "INVALID_CODE" in err
 
 
+def test_poset_surgery_that_destroys_meets_is_an_audit_failure(
+    capsys,
+) -> None:
+    code, out, err = run_cli(capsys, "poset", "<5>", "--surgery", "34")
+    assert code == 3
+    assert out == ""
+    assert "NOT_MEET_SEMILATTICE" in err
+
+
 @pytest.mark.parametrize("fmt", ["dot", "json"])
 def test_poset_json_locus_reads_as_digit_groups(capsys, fmt) -> None:
     digits = run_cli(

@@ -18,6 +18,7 @@ from polygonspaces.errors import (
     AuditError,
     InvalidCodeError,
     NotApplicableError,
+    NotMeetSemilatticeError,
     TooLargeError,
 )
 from polygonspaces.genetics import (
@@ -219,17 +220,72 @@ def relation_lists(draw) -> tuple[int, list]:
     return n, draw(st.permutations(relations))
 
 
+def all_pairs_meet_semilattice(p: FinitePoset) -> bool:
+    """Reference meet test: the common down-set of every two elements is
+    the down-set of one element."""
+    principal = set(p._down)
+    return all(
+        (a & b) in principal for a, b in itertools.combinations(p._down, 2)
+    )
+
+
+def up_sets_by_bit(p: FinitePoset) -> tuple:
+    """Reference up-sets: ``j`` lies in the up-set of every bit of its
+    down-set."""
+    up = [0] * len(p)
+    for j, mask in enumerate(p._down):
+        for i in range(len(p)):
+            if mask >> i & 1:
+                up[i] |= 1 << j
+    return tuple(up)
+
+
+# 0 < 1, 2 < 3, 4: a bowtie over a bottom, where only the maximal pair
+# 3, 4 lacks a meet, and the same bowtie under a top 5, where that pair
+# is two lower covers of the top
+BOWTIE_OVER_BOTTOM = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
+BOWTIE_UNDER_TOP = BOWTIE_OVER_BOTTOM + [(3, 5), (4, 5)]
+# the bowtie lifted: 3 < 5 < 7 and 4 < 6 < 8 under a top 9, so 3 and 4
+# still lack a meet while 7 and 8, the lower covers of their least upper
+# bound 9, cover neither of them
+LIFTED_BOWTIE = BOWTIE_OVER_BOTTOM + [
+    (3, 5), (5, 7), (4, 6), (6, 8), (7, 9), (8, 9),
+]
+
+
 @given(relation_lists())
 @example((4, [(0, 2), (0, 3), (1, 2), (1, 3)]))
 @example((4, [(0, 3), (1, 2), (0, 1), (2, 3), (0, 1)]))
+@example((5, BOWTIE_OVER_BOTTOM))
+@example((6, BOWTIE_UNDER_TOP))
+@example((10, LIFTED_BOWTIE))
 def test_meets_and_covers_match_brute_force(case):
     n, relations = case
     p = FinitePoset(range(n), relations)
-    assert p.is_meet_semilattice() == all(
+    meets = all(
         greatest_lower_bound(p, a, b) is not None
         for a, b in itertools.combinations(p, 2)
     )
+    assert p.is_meet_semilattice() == meets == all_pairs_meet_semilattice(p)
     assert p.covers() == brute_force_covers(p)
+    assert p._up() == up_sets_by_bit(p)
+
+
+def test_bowtie_examples_lack_the_meet_of_3_and_4():
+    for n, relations in [(5, BOWTIE_OVER_BOTTOM), (6, BOWTIE_UNDER_TOP)]:
+        p = FinitePoset(range(n), relations)
+        meetless = [
+            (a, b)
+            for a, b in itertools.combinations(p, 2)
+            if greatest_lower_bound(p, a, b) is None
+        ]
+        assert meetless == [(3, 4)]
+        assert not p.is_meet_semilattice()
+    lifted = FinitePoset(range(10), LIFTED_BOWTIE)
+    assert greatest_lower_bound(lifted, 3, 4) is None
+    assert not lifted.is_meet_semilattice()
+    assert [a for a, b in lifted.covers() if b == 9] == [7, 8]
+    assert (3, 7) not in lifted.covers() and (4, 8) not in lifted.covers()
 
 
 def test_bowtie_has_no_meets():
@@ -665,6 +721,38 @@ def test_comb_surgery_matches_all_pairs_reference():
         want = comb_surgery_reference(poset, locus)
         assert got.elements == want.elements, (str(lo), added)
         assert got._down == want._down, (str(lo), added)
+
+
+def test_meet_test_matches_all_pairs_on_the_m6_shadow():
+    """The poset before each of the 103 steps of the m = 6 chains, the
+    surgered one and the next: 309 posets, all meet semilattices."""
+    checked = 0
+    for code in enumerate_codes(6):
+        if code.is_empty_space() or realize(code) is None:
+            continue
+        chain = saturated_chain(code)
+        for lo, hi, added in zip(
+            chain.codes, chain.codes[1:], chain.added_sets
+        ):
+            before = intersection_poset(lo)
+            surgered = comb_surgery(before, step_locus(lo, frozenset(added)))
+            for p in (before, surgered, intersection_poset(hi)):
+                assert p.is_meet_semilattice() == all_pairs_meet_semilattice(
+                    p
+                ), (str(lo), added)
+                assert p._up() == up_sets_by_bit(p), (str(lo), added)
+                checked += 1
+    assert checked == 309
+
+
+def test_comb_surgery_refuses_to_destroy_meets():
+    # <5> is a meet semilattice; cutting it at 1|2|34|5 leaves elements
+    # with two maximal common lower bounds
+    poset = intersection_poset(parse_code("<5>"))
+    assert poset.is_meet_semilattice()
+    locus = canonical_partition([(1,), (2,), (3, 4), (5,)])
+    with pytest.raises(NotMeetSemilatticeError):
+        comb_surgery(poset, locus)
 
 
 def test_comb_surgery_interval_ranks():
