@@ -154,7 +154,11 @@ class FinitePoset:
 
     def bottom(self) -> Optional[Hashable]:
         """The minimal element, or None unless there is exactly one."""
-        mins = [e for e, lows in zip(self.elements, self._lower) if not lows]
+        mins = [
+            e
+            for i, e in enumerate(self.elements)
+            if self._down[i] == (1 << i)
+        ]
         return mins[0] if len(mins) == 1 else None
 
     def is_meet_semilattice(self) -> bool:
