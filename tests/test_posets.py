@@ -732,11 +732,11 @@ def test_meet_test_matches_all_pairs_on_the_m6_shadow():
         ):
             before = intersection_poset(lo)
             surgered = comb_surgery(before, step_locus(lo, frozenset(added)))
+            where = (str(lo), added)
             for p in (before, surgered, intersection_poset(hi)):
-                assert p.is_meet_semilattice() == all_pairs_meet_semilattice(
-                    p
-                ), (str(lo), added)
-                assert p._up() == up_sets_by_bit(p), (str(lo), added)
+                meets = all_pairs_meet_semilattice(p)
+                assert meets and p.is_meet_semilattice() == meets, where
+                assert p._up() == up_sets_by_bit(p), where
                 checked += 1
     assert checked == 309
 
