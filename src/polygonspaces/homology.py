@@ -41,7 +41,7 @@ row operations on ``∂_{k+1}`` are unimodular and touch only the rows of
 the pivot columns, and ``∂_k ∂_{k+1} = 0`` then forces those rows to
 zero.  So rank and invariant factors stay exact over the integers, since
 every pivot of the sparse phase is ±1; pivots of the dense phase are not
-used.  The union-find and orientation audits still read the full
+used.  The union-find and the orientation audit still read the full
 matrices.
 
 The pass is made once per complex, elimination and audits included: a
@@ -570,7 +570,7 @@ class _Survey:
     of the ``d``-cells across those ridges orients the component.
     ``ranks`` and ``factors`` hold the rank and invariant factors of each
     boundary matrix, and ``report`` the homology they give, audited
-    against the components and the orientations.
+    against the orientations.
     """
 
     sizes: list[int]
@@ -604,7 +604,7 @@ def _surveyed(source: "SimplicialComplex | RegularCellComplex") -> _Survey:
 def _survey(source: "SimplicialComplex | RegularCellComplex") -> _Survey:
     """Components, face counts and orientations of a nonempty complex,
     the rank and invariant factors of every boundary matrix, and the
-    homology they give once it passes the audits that :func:`homology`
+    homology they give once it passes the audit that :func:`homology`
     names.
 
     ``∂_1`` is read off the spanning forest of the union-find.  The rows
@@ -676,11 +676,6 @@ def _survey(source: "SimplicialComplex | RegularCellComplex") -> _Survey:
              for k, n in enumerate(sizes)]
     torsion = [tuple(t for t in factors.get(k + 1, ()) if t > 1)
                for k in range(top + 1)]
-    if betti[0] != n_components:
-        raise AuditError(
-            f"union-find sees {n_components} components, homology "
-            f"{betti[0]}"
-        )
     # a closed pseudo-manifold: every component is one, of the top dimension
     orientable = None
     if None not in manifold and all(len(f) == top + 1 for f in f_vectors):
@@ -703,18 +698,19 @@ def homology(
     A simplicial complex uses its simplices; a sealed regular cell complex
     uses its cells, with incidence numbers from the diamond property, so no
     subdivision is built.  An unsealed cell complex with cells fails with
-    ``AuditError``.  Two audits cross-check the elimination: the
-    number of components from union-find must equal ``betti[0]``, and on a
-    closed pseudo-manifold sign propagation of the top cells must agree
-    with the top Betti number.  A cell whose facets admit no consistent
-    incidence numbers, or a 3-cell whose boundary has an Euler
+    ``AuditError``.  One audit cross-checks the elimination: on a closed
+    pseudo-manifold sign propagation of the top cells must agree with the
+    top Betti number.  ``betti[0]`` needs none, since ``∂_1``'s rank is
+    the size of the union-find's spanning forest, vertices minus
+    components.  A cell whose facets admit no consistent incidence
+    numbers, or a 3-cell whose boundary has an Euler
     characteristic other than 2, so that the complex cannot be regular,
     fails with ``AuditError`` instead of giving a wrong answer.  Cells of
     dimension 4 and up are not counted: the boundary of a 4-cell is a
     closed 3-manifold, whose Euler characteristic is 0 whatever it is, and
     a count in higher dimensions would need the cell's whole closure.
     The first call of this function or of :func:`identify_small` on a
-    complex makes both audits; later calls read the memoised report.
+    complex makes the audit; later calls read the memoised report.
     """
     if not len(source):
         raise NotApplicableError("the empty complex has no homology")
@@ -756,8 +752,9 @@ def identify_small(
     Works on the cells of the source as given, with Euler characteristics
     from the face counts of each component and orientability from sign
     propagation across ridges, from the survey that :func:`homology`
-    reports: a name is given only once its elimination has passed both
-    audits.  A cell complex must be sealed, as for :func:`homology`.
+    reports: a name is given only once its elimination has passed the
+    orientation audit.  A cell complex must be sealed, as for
+    :func:`homology`.
     """
     if not len(source):
         return "empty"

@@ -812,6 +812,51 @@ def brute_force_isomorphic(p: FinitePoset, q: FinitePoset) -> bool:
     )
 
 
+def stable_colors(*orders: FinitePoset) -> list[list[int]]:
+    """Colour refinement on the covers of all ``orders`` at once (McKay &
+    Piperno 2014), so that a class id means the same class in each of
+    them.  Round 0 is the pair (|down-set|, |up-set|); each round adds
+    the sorted colours of the upper and of the lower covers, until the
+    number of classes stops growing.  Posets whose stable colour
+    multisets differ are not isomorphic."""
+    sides = []
+    for poset in orders:
+        cover_down = poset._lower
+        cover_up: list[list[int]] = [[] for _ in poset.elements]
+        for ib, lows in enumerate(cover_down):
+            for ia in lows:
+                cover_up[ia].append(ib)
+        sides.append((cover_up, cover_down))
+    ids: dict = {}
+    colors = [
+        [
+            ids.setdefault((d.bit_count(), u.bit_count()), len(ids))
+            for d, u in zip(poset._down, poset._up())
+        ]
+        for poset in orders
+    ]
+    classes = len(ids)
+    while True:
+        ids = {}
+        colors = [
+            [
+                ids.setdefault(
+                    (
+                        c,
+                        tuple(sorted([old[j] for j in up])),
+                        tuple(sorted([old[j] for j in down])),
+                    ),
+                    len(ids),
+                )
+                for c, up, down in zip(old, cover_up, cover_down)
+            ]
+            for old, (cover_up, cover_down) in zip(colors, sides)
+        ]
+        if len(ids) == classes:
+            return colors
+        classes = len(ids)
+
+
 def test_poset_isomorphic_positive():
     iso = poset_isomorphic(chain(4), chain(4))
     assert iso == {0: 0, 1: 1, 2: 2, 3: 3}
@@ -844,7 +889,7 @@ def test_poset_isomorphic_when_colours_cannot_tell():
     two_squares += [(a, b) for a in lows[2:] for b in highs[2:]]
     crown = FinitePoset(lows + highs, cycle)
     squares = FinitePoset(lows + highs, two_squares)
-    pc, qc = posets._stable_colors(crown, squares)
+    pc, qc = stable_colors(crown, squares)
     assert sorted(pc) == sorted(qc) and len(set(pc)) == 2
     assert poset_isomorphic(crown, squares) is None
     again = relabelled(crown.elements, cycle, seed=8)
@@ -872,7 +917,7 @@ def regular_bipartite_poset(degree: int, seed: int) -> FinitePoset:
 def brute_force_by_colour(p: FinitePoset, q: FinitePoset) -> bool:
     """Whether some bijection ``p -> q`` that keeps the stable colour
     classes is an order isomorphism, trying every one of them."""
-    pc, qc = posets._stable_colors(p, q)
+    pc, qc = stable_colors(p, q)
     if sorted(pc) != sorted(qc):
         return False
     n = len(p)
@@ -904,7 +949,7 @@ def test_poset_isomorphic_on_regular_bipartite_draws():
     ]
     outcomes = set()
     for p, q in itertools.combinations(draws, 2):
-        pc, qc = posets._stable_colors(p, q)
+        pc, qc = stable_colors(p, q)
         if sorted(pc) == sorted(qc):
             assert len(set(pc)) == 2
         iso = poset_isomorphic(p, q)
@@ -913,6 +958,27 @@ def test_poset_isomorphic_on_regular_bipartite_draws():
             assert_order_isomorphism(p, q, iso)
         outcomes.add((sorted(pc) == sorted(qc), iso is not None))
     assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def test_poset_isomorphic_refutes_distinct_m6_codes():
+    """Same-size intersection posets of distinct realizable m = 6 codes
+    are never isomorphic, and stable colours certify each refusal."""
+    codes = [
+        code for code in enumerate_codes(6)
+        if not code.is_empty_space() and realize(code) is not None
+    ]
+    refuted = {}
+    for barred in (False, True):
+        found = [intersection_poset(code, barred=barred) for code in codes]
+        refuted[barred] = 0
+        for p, q in itertools.combinations(found, 2):
+            if len(p) != len(q):
+                continue
+            assert poset_isomorphic(p, q) is None
+            pc, qc = stable_colors(p, q)
+            assert sorted(pc) != sorted(qc)
+            refuted[barred] += 1
+    assert refuted == {False: 34, True: 6}
 
 
 @st.composite
