@@ -277,7 +277,8 @@ def _run_model(code: GeneticCode, args: argparse.Namespace) -> int:
 
 def _parse_locus(text: str, edge_count: int):
     """A surgery locus: digit groups separated by commas, or a JSON list
-    of blocks; elements not mentioned become singletons."""
+    of blocks; elements not mentioned become singletons.  An empty locus
+    or an empty block is refused."""
     text = text.strip()
     if text.startswith("["):
         try:
@@ -298,6 +299,10 @@ def _parse_locus(text: str, edge_count: int):
             raise InvalidCodeError(
                 f"locus {text!r} is not comma-separated digit groups"
             )
+    if not blocks or not all(blocks):
+        raise InvalidCodeError(
+            f"locus {text!r} is empty or has an empty block"
+        )
     named = {e for b in blocks for e in b}
     blocks += [(e,) for e in range(1, edge_count + 1) if e not in named]
     return canonical_partition(blocks)
@@ -314,9 +319,11 @@ def _element_str(element) -> str:
 
 def _cmd_poset(args: argparse.Namespace) -> int:
     code = parse_code(args.code, args.m)
-    poset = intersection_poset(code, barred=args.bar)
-    if args.surgery:
+    locus = None
+    if args.surgery is not None:
         locus = _parse_locus(args.surgery, code.edge_count)
+    poset = intersection_poset(code, barred=args.bar)
+    if locus is not None:
         poset = comb_surgery(poset, locus)
     names = {e: _element_str(e) for e in poset}
     order = sorted(poset, key=lambda e: names[e])

@@ -3,8 +3,9 @@
 The central objects are:
 
 * :class:`FinitePoset`: an immutable finite poset built from generating
-  relations, with bitmask down-sets and one list of lower covers per
-  element, the relations with nothing between their ends.  The meet test
+  relations, given as pairs of elements or of element indices, with
+  bitmask down-sets and one list of lower covers per element, the
+  relations with nothing between their ends.  The meet test
   reads that list: it checks only two lower covers of one element and two
   maximal elements, which is exact (see
   :meth:`FinitePoset.is_meet_semilattice`).
@@ -13,7 +14,9 @@ The central objects are:
 * the intersection poset of a realizable genetic code: partitions of the
   edge set into short blocks, optionally doubled by *barred* copies of the
   partitions whose quotient polygon space is disconnected; both are read
-  off the code's short sets, with no edge lengths,
+  off the code's short sets, with no edge lengths.  The partitions are
+  enumerated as tuples of block bitmasks and their merges found as index
+  pairs,
 * :func:`comb_surgery`: the order-level shadow of cellular surgery, which
   removes the up-set of a chosen element and grafts in one interval element
   per element strictly below it,
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     AuditError,
@@ -55,6 +58,12 @@ class FinitePoset:
     violates antisymmetry and fails construction.  Each element keeps the
     ascending indices of its lower covers, the one list that covers, the
     meet test and surgery read.
+
+    The constructor maps each relation to a pair of element indices and
+    hands the pairs to :meth:`_build`, the one builder;
+    :func:`intersection_poset` and :func:`comb_surgery` call it through
+    :meth:`_from_index_pairs` with pairs they computed as indices, so no
+    relation hashes an element.
     """
 
     def __init__(
@@ -62,22 +71,36 @@ class FinitePoset:
         elements: Sequence[Hashable],
         relations: Iterable[tuple[Hashable, Hashable]],
     ):
-        self.elements: tuple = tuple(elements)
-        self.index: dict = {e: i for i, e in enumerate(self.elements)}
-        n = len(self.elements)
+        # the pairs are read after _build has set self.index
+        self._build(
+            tuple(elements),
+            ((self.index[a], self.index[b]) for a, b in relations),
+        )
+
+    @classmethod
+    def _from_index_pairs(
+        cls, elements: tuple, pairs: Iterable[tuple[int, int]]
+    ) -> FinitePoset:
+        """The poset on ``elements`` generated by ``elements[i] <
+        elements[j]`` for each pair ``(i, j)``."""
+        poset = cls.__new__(cls)
+        poset._build(elements, pairs)
+        return poset
+
+    def _build(
+        self, elements: tuple, pairs: Iterable[tuple[int, int]]
+    ) -> None:
+        self.elements = elements
+        self.index: dict = {e: i for i, e in enumerate(elements)}
+        n = len(elements)
         if len(self.index) != n:
             raise AuditError("duplicate poset elements")
         above: list[list[int]] = [[] for _ in range(n)]
         # lower[b]: the lower ends of the distinct relations into b
         lower: list[list[int]] = [[] for _ in range(n)]
-        seen = set()
-        for a, b in relations:
-            ia, ib = self.index[a], self.index[b]
+        for ia, ib in dict.fromkeys(pairs):
             if ia == ib:
-                raise AuditError(f"self-relation at {a!r}")
-            if (ia, ib) in seen:
-                continue
-            seen.add((ia, ib))
+                raise AuditError(f"self-relation at {elements[ia]!r}")
             above[ia].append(ib)
             lower[ib].append(ia)
         indegree = [len(lows) for lows in lower]
@@ -100,12 +123,15 @@ class FinitePoset:
         # relations puts an element between its ends.  A relation a < b is
         # a cover unless a lies strictly below another lower end d of a
         # relation into b: an element strictly between a and b lies below
-        # the last lower end on a path from it to b.
+        # the last lower end on a path from it to b.  A single relation
+        # into b is a cover.
         for lows in lower:
+            if len(lows) < 2:
+                continue
             between = 0
             for d in lows:
                 between |= down[d] ^ (1 << d)
-            lows[:] = sorted(d for d in lows if not between >> d & 1)
+            lows[:] = sorted([d for d in lows if not between >> d & 1])
         self._down = tuple(down)
         self._lower = lower  # lower[b]: the lower covers of b, ascending
         self._order = order  # a linear extension, for the up-sets
@@ -208,35 +234,27 @@ def canonical_partition(blocks: Iterable[Iterable[int]]) -> Partition:
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
-def _partitions(
-    pool: Sequence[int], keep: Callable[[tuple[int, ...]], bool]
-) -> Iterator[Partition]:
-    """The partitions of the ascending ``pool`` whose blocks all pass
-    ``keep``, a test that holds for every subset of a block it passes.
+def _partitions(pool: Sequence[int]) -> Iterator[Partition]:
+    """The partitions of the ascending ``pool``.
 
     The smallest element joins each block of a partition of the rest in
-    turn, then starts a singleton; a block that fails ``keep`` ends its
-    branch, since every extension of it has a superset of that block.
-    The grown block starts with the smallest element, so it moves to the
-    front and the others keep their order: each partition comes out
-    canonical.
+    turn, then starts a singleton.  The grown block starts with the
+    smallest element, so it moves to the front and the others keep their
+    order: each partition comes out canonical.
     """
     if not pool:
         yield ()
         return
     first = pool[0]
-    for sub in _partitions(pool[1:], keep):
+    for sub in _partitions(pool[1:]):
         for i, block in enumerate(sub):
-            grown = (first,) + block
-            if keep(grown):
-                yield (grown,) + sub[:i] + sub[i + 1:]
-        if keep((first,)):
-            yield ((first,),) + sub
+            yield ((first,) + block,) + sub[:i] + sub[i + 1:]
+        yield ((first,),) + sub
 
 
 def partitions_of(items: Iterable[int]) -> Iterator[Partition]:
     """All set partitions of ``items`` in a deterministic order."""
-    return _partitions(sorted(items), lambda block: True)
+    return _partitions(sorted(items))
 
 
 def partition_str(p: Partition) -> str:
@@ -244,16 +262,13 @@ def partition_str(p: Partition) -> str:
     return "|".join(sep.join(str(e) for e in b) for b in p)
 
 
-def _merges(
-    p: Partition, keep: Callable[[tuple[int, ...]], bool]
-) -> Iterator[Partition]:
-    """The partitions that merge two blocks of ``p`` into a block that
-    passes ``keep``: covers of ``p`` in the partition lattice."""
+def _merges(p: Partition) -> Iterator[Partition]:
+    """The partitions that merge two blocks of ``p``: its covers in the
+    partition lattice."""
     for i, j in itertools.combinations(range(len(p)), 2):
         # the merged block keeps p[i]'s first entry, so it keeps its place
         merged = tuple(sorted(p[i] + p[j]))
-        if keep(merged):
-            yield p[:i] + (merged,) + p[i + 1:j] + p[j + 1:]
+        yield p[:i] + (merged,) + p[i + 1:j] + p[j + 1:]
 
 
 def partition_lattice(ground_size: int) -> FinitePoset:
@@ -268,11 +283,7 @@ def partition_lattice(ground_size: int) -> FinitePoset:
             f"partition lattice supports 1..{MAX_PARTITION_GROUND} elements"
         )
     elems = list(partitions_of(range(1, ground_size + 1)))
-    pairs = [
-        (p, merged)
-        for p in elems
-        for merged in _merges(p, lambda block: True)
-    ]
+    pairs = [(p, merged) for p in elems for merged in _merges(p)]
     return FinitePoset(elems, pairs)
 
 
@@ -293,11 +304,16 @@ def intersection_poset(
 ) -> FinitePoset:
     """Partitions of the edge set into short blocks, coarser ones higher.
 
-    Shortness is read off :meth:`GeneticCode.short_sets`.  Only short
-    partitions are built: the enumeration drops a partial partition as
-    soon as one of its blocks is long, since every superset of a long set
-    is long.  The partitions come out in the order, and in the canonical
-    form, of :func:`partitions_of`.
+    Shortness is read off :meth:`GeneticCode.short_sets`, once, into a
+    list of ``2^m`` booleans indexed by bitmask, bit ``i`` standing for
+    edge ``i + 1``.  The partitions are enumerated as tuples of block
+    masks by the recursion of :func:`partitions_of`, one edge at a time
+    from the last: the new lowest edge joins each block of a partition of
+    the edges above it in turn, then starts a singleton.  Only short
+    partitions are built: a grown block that is long ends its branch,
+    since every superset of a long set is long.  The partitions come out
+    in the order of :func:`partitions_of`, and each is turned once into
+    its canonical tuple form.
 
     A partition's quotient space is disconnected when three of its blocks
     are pairwise long in union.  For the three largest block sums
@@ -308,9 +324,10 @@ def intersection_poset(
     an incomparable barred twin; a barred element sits above exactly the
     refinements that are themselves barred or connected, and below only
     barred coarsenings.  The order is generated by the two-block merges
-    between short partitions, and the audit that disconnection is
-    inherited upward runs along those merges.  An unrealizable code is
-    refused: its short sets need not obey that inheritance.
+    between short partitions, found as index pairs through a dict keyed
+    by mask tuples, and the audit that disconnection is inherited upward
+    runs along those merges.  An unrealizable code is refused: its short
+    sets need not obey that inheritance.
     """
     if code.is_empty_space():
         raise NotApplicableError("the empty code has no intersection poset")
@@ -322,41 +339,69 @@ def intersection_poset(
         raise InvalidCodeError(
             f"code {code} is not realizable, no intersection poset exists"
         )
-    short = code.short_sets()
-    short_blocks = {tuple(sorted(s)) for s in short}
-    keep = short_blocks.__contains__
-    plain = list(_partitions(range(1, code.edge_count + 1), keep))
-    disconnected = {}
-    for p in plain:
-        blocks = [frozenset(b) for b in p]
-        disconnected[p] = any(
-            a | b not in short and a | c not in short and b | c not in short
-            for a, b, c in itertools.combinations(blocks, 3)
-        )
+    m = code.edge_count
+    short = [False] * (1 << m)
+    for s in code.short_sets():
+        short[sum(1 << (e - 1) for e in s)] = True
+    masks: list[tuple[int, ...]] = [()]
+    for bit in reversed(range(m)):
+        low, grown = 1 << bit, []
+        for sub in masks:
+            for i, block in enumerate(sub):
+                if short[low | block]:
+                    grown.append((low | block,) + sub[:i] + sub[i + 1:])
+            if short[low]:
+                grown.append((low,) + sub)
+        masks = grown
+    # edges[mask]: the edges of a block, ascending: its lowest, then the rest
+    edges = [()]
+    for mask in range(1, 1 << m):
+        edges.append(((mask & -mask).bit_length(),) + edges[mask & mask - 1])
+    plain = [tuple([edges[block] for block in p]) for p in masks]
+    # bars[i]: the index of the barred twin of plain[i], if it has one
+    disconnected, bars, n = [], [], len(plain)
+    for p in masks:
+        for a, b, c in itertools.combinations(p, 3):
+            if not (short[a | b] or short[a | c] or short[b | c]):
+                disconnected.append(True)
+                break
+        else:
+            disconnected.append(False)
+        bars.append(n)
+        n += disconnected[-1]
 
     # Short partitions are a lower ideal of the partition lattice, so the
     # merges between them generate the refinement order, and inheritance of
     # disconnection along merges implies it along every comparable pair.
     # A connected p lies below Barred(q) through the first disconnected
     # partition on a merge path from p to q.
-    pairs: list[tuple[Hashable, Hashable]] = []
-    for fine in plain:
-        for merged in _merges(fine, keep):
+    at = {p: i for i, p in enumerate(masks)}
+    pairs: list[tuple[int, int]] = []
+    for fine, p in enumerate(masks):
+        for i, j in itertools.combinations(range(len(p)), 2):
+            block = p[i] | p[j]
+            if not short[block]:
+                continue
+            # the merged block keeps p[i]'s lowest edge, so it keeps its place
+            merged = at[p[:i] + (block,) + p[i + 1:j] + p[j + 1:]]
             if disconnected[fine] and not disconnected[merged]:
                 raise AuditError(
                     "disconnected quotient coarsened to a connected one: "
-                    f"{partition_str(fine)} <= {partition_str(merged)}"
+                    f"{partition_str(plain[fine])} <= "
+                    f"{partition_str(plain[merged])}"
                 )
             pairs.append((fine, merged))
             if barred and disconnected[fine]:
-                pairs.append((Barred(fine), Barred(merged)))
+                pairs.append((bars[fine], bars[merged]))
             elif barred and disconnected[merged]:
-                pairs.append((fine, Barred(merged)))
+                pairs.append((fine, bars[merged]))
 
-    elements: list = list(plain)
+    elements = plain
     if barred:
-        elements.extend(Barred(p) for p in plain if disconnected[p])
-    return FinitePoset(elements, pairs)
+        elements = plain + [
+            Barred(p) for p, dis in zip(plain, disconnected) if dis
+        ]
+    return FinitePoset._from_index_pairs(tuple(elements), pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -404,26 +449,33 @@ def comb_surgery(poset: FinitePoset, locus: Hashable) -> FinitePoset:
     n = len(elements)
     kept = [i for i in range(n) if not locus_up >> i & 1]
     below = [i for i in range(n) if locus_down >> i & 1 and i != il]
-    grafted = {i: Interval(locus, elements[i]) for i in below}
+    # the output indices of the kept elements, then of the intervals
+    at = dict(zip(kept, range(len(kept))))
+    graft_at = dict(zip(below, range(len(kept), len(kept) + len(below))))
 
-    pairs: list[tuple[Hashable, Hashable]] = []
+    pairs: list[tuple[int, int]] = []
     for ib, lows in enumerate(poset._lower):
-        b = elements[ib]
-        if not locus_up >> ib & 1:
-            pairs.extend((elements[ia], b) for ia in lows)
-        if ib in grafted:
-            pairs.extend((grafted[ia], grafted[ib]) for ia in lows)
+        if ib in at:
+            pairs.extend((at[ia], at[ib]) for ia in lows)
+        if ib in graft_at:
+            pairs.extend((graft_at[ia], graft_at[ib]) for ia in lows)
     for iz in kept:
         if not up[iz] & locus_up:
             continue  # no common upper bound with the locus
         shared_below = down[iz] & locus_down
-        z = elements[iz]
+        z = at[iz]
         pairs.extend(
-            (z, grafted[iy]) for iy in below if shared_below & ~down[iy] == 0
+            (z, graft_at[iy])
+            for iy in below
+            if shared_below & ~down[iy] == 0
         )
 
-    out = FinitePoset(
-        [elements[i] for i in kept] + list(grafted.values()), pairs
+    out = FinitePoset._from_index_pairs(
+        tuple(
+            [elements[i] for i in kept]
+            + [Interval(locus, elements[i]) for i in below]
+        ),
+        pairs,
     )
     if had_meets and not out.is_meet_semilattice():
         raise NotMeetSemilatticeError(

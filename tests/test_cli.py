@@ -561,9 +561,18 @@ def test_poset_json_locus_reads_as_digit_groups(capsys, fmt) -> None:
         pytest.param("[1,2", "INVALID_CODE", id="unclosed-json"),
         pytest.param("1x,2", "INVALID_CODE", id="non-digit"),
         pytest.param('[["a"]]', "INVALID_CODE", id="string-element"),
+        pytest.param("", "INVALID_CODE", id="empty"),
+        pytest.param("12,,3", "INVALID_CODE", id="empty-group"),
+        pytest.param("[[]]", "INVALID_CODE", id="empty-json-block"),
     ],
 )
-def test_poset_bad_locus(capsys, locus, error) -> None:
+def test_poset_bad_locus(capsys, monkeypatch, locus, error) -> None:
+    if error == "INVALID_CODE":
+        # a malformed locus is refused before any poset is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("intersection poset built")
+
+        monkeypatch.setattr("polygonspaces.cli.intersection_poset", refuse)
     code, _, err = run_cli(capsys, "poset", "<26>", "--surgery", locus)
     assert code == 2
     assert error in err

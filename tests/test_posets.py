@@ -185,6 +185,34 @@ def test_from_relations_closes_transitively():
         FinitePoset("ab", [("a", "a")])
 
 
+@pytest.mark.parametrize(
+    "elements, relations",
+    [
+        pytest.param("ab", [("a", "a")], id="self-relation"),
+        pytest.param("abc", [("a", "b"), ("b", "c"), ("c", "a")], id="cycle"),
+        pytest.param("aba", [("a", "b")], id="duplicate-element"),
+    ],
+)
+def test_index_pairs_refuse_what_relations_refuse(elements, relations):
+    with pytest.raises(AuditError) as by_element:
+        FinitePoset(elements, relations)
+    pairs = [(elements.index(a), elements.index(b)) for a, b in relations]
+    with pytest.raises(AuditError) as by_index:
+        FinitePoset._from_index_pairs(tuple(elements), pairs)
+    assert str(by_index.value) == str(by_element.value)
+
+
+def test_index_pairs_are_deduplicated():
+    # the repeated relations add no lower cover, and the redundant one
+    # a < c is none
+    p = FinitePoset._from_index_pairs(
+        tuple("abc"), [(0, 1), (1, 2), (0, 1), (0, 2), (1, 2), (0, 2)]
+    )
+    q = FinitePoset("abc", [("a", "b"), ("b", "c")])
+    assert p._lower == q._lower == [[], [0], [1]]
+    assert_same_poset(p, q, "abc")
+
+
 def test_product_and_subposet():
     grid = product(chain(2), chain(3))
     assert len(grid) == 6
@@ -352,9 +380,56 @@ def test_partitions_and_merges_come_out_canonical():
     }
 
 
+def intersection_poset_reference(code, *, barred: bool = False):
+    """The intersection poset built on partition tuples, as it was before
+    the bitmask enumeration: every partition of the edges filtered by
+    shortness, disconnection tested with frozenset unions, and every
+    two-block merge into a short block handed to the constructor as a
+    pair of elements."""
+    short = code.short_sets()
+    plain = [
+        p
+        for p in partitions_of(range(1, code.edge_count + 1))
+        if all(frozenset(b) in short for b in p)
+    ]
+    disconnected = {}
+    for p in plain:
+        blocks = [frozenset(b) for b in p]
+        disconnected[p] = any(
+            a | b not in short and a | c not in short and b | c not in short
+            for a, b, c in itertools.combinations(blocks, 3)
+        )
+    pairs = []
+    for fine in plain:
+        for i, j in itertools.combinations(range(len(fine)), 2):
+            block = tuple(sorted(fine[i] + fine[j]))
+            if frozenset(block) not in short:
+                continue
+            merged = fine[:i] + (block,) + fine[i + 1:j] + fine[j + 1:]
+            assert not disconnected[fine] or disconnected[merged]
+            pairs.append((fine, merged))
+            if barred and disconnected[fine]:
+                pairs.append((Barred(fine), Barred(merged)))
+            elif barred and disconnected[merged]:
+                pairs.append((fine, Barred(merged)))
+    elements = list(plain)
+    if barred:
+        elements.extend(Barred(p) for p in plain if disconnected[p])
+    return FinitePoset(elements, pairs)
+
+
+def assert_same_poset(got: FinitePoset, want: FinitePoset, where) -> None:
+    """The same elements in the same order, down-sets and covers."""
+    assert got.elements == want.elements, where
+    assert got._down == want._down, where
+    assert got.covers() == want.covers(), where
+
+
 def test_intersection_poset_builds_only_the_short_partitions():
-    """Oracle: every partition of the edges, filtered by shortness.  The
-    pruned enumeration must give the same elements in the same order."""
+    """Oracle: the tuple-built reference, which filters every partition of
+    the edges by shortness.  The pruned bitmask enumeration must give the
+    same elements in the same order, and the index relations the same
+    down-sets and covers, plain and barred."""
     codes = [
         code
         for m in (3, 4, 5, 6)
@@ -363,17 +438,12 @@ def test_intersection_poset_builds_only_the_short_partitions():
     ]
     assert len(codes) == 29
     for code in codes + [parse_code("<1678>")]:
-        short = code.short_sets()
-        expected = [
-            p
-            for p in partitions_of(range(1, code.edge_count + 1))
-            if all(frozenset(b) in short for b in p)
-        ]
-        assert list(intersection_poset(code).elements) == expected
-        both = intersection_poset(code, barred=True)
-        assert [e for e in both if not isinstance(e, Barred)] == expected
-        bars = [e.partition for e in both if isinstance(e, Barred)]
-        assert bars == [p for p in expected if Barred(p) in both]
+        for barred in (False, True):
+            assert_same_poset(
+                intersection_poset(code, barred=barred),
+                intersection_poset_reference(code, barred=barred),
+                (str(code), barred),
+            )
 
 
 def test_partition_helpers():
@@ -701,22 +771,35 @@ def comb_surgery_reference(poset: FinitePoset, locus) -> FinitePoset:
     return FinitePoset(kept + list(grafted.values()), pairs)
 
 
-def test_comb_surgery_matches_all_pairs_reference():
-    steps = []
-    for code in enumerate_codes(5):
+def tree_steps(m: int) -> dict:
+    """The distinct steps of the saturated chains of the realizable codes
+    with ``m`` edges, the edges of their code tree: ``(lo, hi)`` names
+    to ``(lo, added set)``."""
+    steps = {}
+    for code in enumerate_codes(m):
         if code.is_empty_space() or realize(code) is None:
             continue
         chain = saturated_chain(code)
-        steps.extend(zip(chain.codes, chain.added_sets))
-    chain = saturated_chain(parse_code("<126>"))  # its last step leaves <26>
-    steps.append((chain.codes[-2], chain.added_sets[-1]))
-    for lo, added in steps:
+        for lo, hi, added in zip(
+            chain.codes, chain.codes[1:], chain.added_sets
+        ):
+            steps[str(lo), str(hi)] = (lo, frozenset(added))
+    return steps
+
+
+def test_comb_surgery_matches_all_pairs_reference():
+    steps = list(tree_steps(5).values())
+    six = tree_steps(6)
+    assert len(six) == 19
+    assert six["<26>", "<126>"] == (parse_code("<26>"), frozenset({1, 2, 6}))
+    for lo, added in steps + list(six.values()):
         poset = intersection_poset(lo)
-        locus = step_locus(lo, frozenset(added))
-        got = comb_surgery(poset, locus)
-        want = comb_surgery_reference(poset, locus)
-        assert got.elements == want.elements, (str(lo), added)
-        assert got._down == want._down, (str(lo), added)
+        locus = step_locus(lo, added)
+        assert_same_poset(
+            comb_surgery(poset, locus),
+            comb_surgery_reference(poset, locus),
+            (str(lo), added),
+        )
 
 
 def test_meet_test_matches_all_pairs_on_the_m6_shadow():
