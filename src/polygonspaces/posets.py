@@ -10,13 +10,14 @@ The central objects are:
   maximal elements, which is exact (see
   :meth:`FinitePoset.is_meet_semilattice`).
 * set-partition utilities and the full partition lattice ordered by
-  reverse refinement (coarser partitions sit higher),
+  reverse refinement (coarser partitions sit higher).  One enumeration
+  builds the partitions as tuples of block bitmasks, keeping only blocks
+  that pass a table indexed by mask, and finds their two-block merges as
+  index pairs,
 * the intersection poset of a realizable genetic code: partitions of the
   edge set into short blocks, optionally doubled by *barred* copies of the
   partitions whose quotient polygon space is disconnected; both are read
-  off the code's short sets, with no edge lengths.  The partitions are
-  enumerated as tuples of block bitmasks and their merges found as index
-  pairs,
+  off the code's short sets, with no edge lengths,
 * :func:`comb_surgery`: the order-level shadow of cellular surgery, which
   removes the up-set of a chosen element and grafts in one interval element
   per element strictly below it,
@@ -61,7 +62,8 @@ class FinitePoset:
 
     The constructor maps each relation to a pair of element indices and
     hands the pairs to :meth:`_build`, the one builder;
-    :func:`intersection_poset` and :func:`comb_surgery` call it through
+    :func:`partition_lattice`, :func:`intersection_poset` and
+    :func:`comb_surgery` call it through
     :meth:`_from_index_pairs` with pairs they computed as indices, so no
     relation hashes an element.
     """
@@ -71,11 +73,9 @@ class FinitePoset:
         elements: Sequence[Hashable],
         relations: Iterable[tuple[Hashable, Hashable]],
     ):
-        # the pairs are read after _build has set self.index
-        self._build(
-            tuple(elements),
-            ((self.index[a], self.index[b]) for a, b in relations),
-        )
+        elements = tuple(elements)
+        index = {e: i for i, e in enumerate(elements)}
+        self._build(elements, ((index[a], index[b]) for a, b in relations))
 
     @classmethod
     def _from_index_pairs(
@@ -98,9 +98,14 @@ class FinitePoset:
         above: list[list[int]] = [[] for _ in range(n)]
         # lower[b]: the lower ends of the distinct relations into b
         lower: list[list[int]] = [[] for _ in range(n)]
-        for ia, ib in dict.fromkeys(pairs):
+        seen: set[tuple[int, int]] = set()
+        for pair in pairs:
+            ia, ib = pair
             if ia == ib:
                 raise AuditError(f"self-relation at {elements[ia]!r}")
+            if pair in seen:
+                continue
+            seen.add(pair)
             above[ia].append(ib)
             lower[ib].append(ia)
         indegree = [len(lows) for lows in lower]
@@ -142,7 +147,7 @@ class FinitePoset:
         linear extension: an element's up-set is complete once every
         element covering it has passed it on.
 
-        A plain attribute set in ``__init__`` rather than a
+        A plain attribute set in :meth:`_build` rather than a
         ``cached_property``: writing through ``__dict__`` after
         construction slows every later attribute read on the instance.
         """
@@ -234,41 +239,64 @@ def canonical_partition(blocks: Iterable[Iterable[int]]) -> Partition:
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
-def _partitions(pool: Sequence[int]) -> Iterator[Partition]:
-    """The partitions of the ascending ``pool``.
+def _partitions(
+    labels: Sequence[int], short: Sequence[bool]
+) -> tuple[list[tuple[int, ...]], list[Partition], list[tuple[int, int]]]:
+    """The partitions of the ascending ``labels`` into short blocks, and
+    the merges of two of their blocks into a short block.
 
-    The smallest element joins each block of a partition of the rest in
-    turn, then starts a singleton.  The grown block starts with the
-    smallest element, so it moves to the front and the others keep their
-    order: each partition comes out canonical.
+    A block is a bitmask, bit ``i`` standing for ``labels[i]``, and
+    ``short`` is indexed by mask; every subset of a short block must be
+    short.  The labels join one at a time from the last: the new lowest
+    label joins each block of a partition of the labels above it in turn,
+    then starts a singleton, and a grown block that is not short ends its
+    branch.  The grown block holds the lowest label, so it moves to the
+    front and the others keep their order: each partition comes out
+    canonical.
+
+    Returns the partitions as tuples of masks and as tuples of blocks of
+    labels, and the merges as index pairs ``(fine, merged)``, by ``fine``
+    and then by the two merged blocks.
     """
-    if not pool:
-        yield ()
-        return
-    first = pool[0]
-    for sub in _partitions(pool[1:]):
-        for i, block in enumerate(sub):
-            yield ((first,) + block,) + sub[:i] + sub[i + 1:]
-        yield ((first,),) + sub
+    masks: list[tuple[int, ...]] = [()]
+    for bit in reversed(range(len(labels))):
+        low, grown = 1 << bit, []
+        for sub in masks:
+            for i, block in enumerate(sub):
+                if short[low | block]:
+                    grown.append((low | block,) + sub[:i] + sub[i + 1:])
+            if short[low]:
+                grown.append((low,) + sub)
+        masks = grown
+    # members[mask]: the labels of a block, ascending: its lowest, then the
+    # rest
+    members: list[tuple[int, ...]] = [()]
+    for mask in range(1, len(short)):
+        lowest = labels[(mask & -mask).bit_length() - 1]
+        members.append((lowest,) + members[mask & mask - 1])
+    blocks = [tuple([members[block] for block in p]) for p in masks]
+    at = {p: i for i, p in enumerate(masks)}
+    merges: list[tuple[int, int]] = []
+    for fine, p in enumerate(masks):
+        for i, j in itertools.combinations(range(len(p)), 2):
+            block = p[i] | p[j]
+            if short[block]:
+                # the merged block keeps p[i]'s lowest label, so it keeps its
+                # place
+                merged = p[:i] + (block,) + p[i + 1:j] + p[j + 1:]
+                merges.append((fine, at[merged]))
+    return masks, blocks, merges
 
 
 def partitions_of(items: Iterable[int]) -> Iterator[Partition]:
     """All set partitions of ``items`` in a deterministic order."""
-    return _partitions(sorted(items))
+    labels = sorted(items)
+    return iter(_partitions(labels, [True] * (1 << len(labels)))[1])
 
 
 def partition_str(p: Partition) -> str:
     sep = "," if any(e > 9 for b in p for e in b) else ""
     return "|".join(sep.join(str(e) for e in b) for b in p)
-
-
-def _merges(p: Partition) -> Iterator[Partition]:
-    """The partitions that merge two blocks of ``p``: its covers in the
-    partition lattice."""
-    for i, j in itertools.combinations(range(len(p)), 2):
-        # the merged block keeps p[i]'s first entry, so it keeps its place
-        merged = tuple(sorted(p[i] + p[j]))
-        yield p[:i] + (merged,) + p[i + 1:j] + p[j + 1:]
 
 
 def partition_lattice(ground_size: int) -> FinitePoset:
@@ -282,9 +310,10 @@ def partition_lattice(ground_size: int) -> FinitePoset:
         raise TooLargeError(
             f"partition lattice supports 1..{MAX_PARTITION_GROUND} elements"
         )
-    elems = list(partitions_of(range(1, ground_size + 1)))
-    pairs = [(p, merged) for p in elems for merged in _merges(p)]
-    return FinitePoset(elems, pairs)
+    _, elems, merges = _partitions(
+        range(1, ground_size + 1), [True] * (1 << ground_size)
+    )
+    return FinitePoset._from_index_pairs(tuple(elems), merges)
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +335,11 @@ def intersection_poset(
 
     Shortness is read off :meth:`GeneticCode.short_sets`, once, into a
     list of ``2^m`` booleans indexed by bitmask, bit ``i`` standing for
-    edge ``i + 1``.  The partitions are enumerated as tuples of block
-    masks by the recursion of :func:`partitions_of`, one edge at a time
-    from the last: the new lowest edge joins each block of a partition of
-    the edges above it in turn, then starts a singleton.  Only short
-    partitions are built: a grown block that is long ends its branch,
-    since every superset of a long set is long.  The partitions come out
-    in the order of :func:`partitions_of`, and each is turned once into
-    its canonical tuple form.
+    edge ``i + 1``.  The partitions and their merges come from the
+    enumeration behind :func:`partitions_of` and
+    :func:`partition_lattice`, with that list as the test of a block:
+    only short partitions are built, since every superset of a long set
+    is long, and they come out in the order of :func:`partitions_of`.
 
     A partition's quotient space is disconnected when three of its blocks
     are pairwise long in union.  For the three largest block sums
@@ -324,10 +350,10 @@ def intersection_poset(
     an incomparable barred twin; a barred element sits above exactly the
     refinements that are themselves barred or connected, and below only
     barred coarsenings.  The order is generated by the two-block merges
-    between short partitions, found as index pairs through a dict keyed
-    by mask tuples, and the audit that disconnection is inherited upward
-    runs along those merges.  An unrealizable code is refused: its short
-    sets need not obey that inheritance.
+    between short partitions, as index pairs, and the audit that
+    disconnection is inherited upward runs along those merges.  An
+    unrealizable code is refused: its short sets need not obey that
+    inheritance.
     """
     if code.is_empty_space():
         raise NotApplicableError("the empty code has no intersection poset")
@@ -343,21 +369,7 @@ def intersection_poset(
     short = [False] * (1 << m)
     for s in code.short_sets():
         short[sum(1 << (e - 1) for e in s)] = True
-    masks: list[tuple[int, ...]] = [()]
-    for bit in reversed(range(m)):
-        low, grown = 1 << bit, []
-        for sub in masks:
-            for i, block in enumerate(sub):
-                if short[low | block]:
-                    grown.append((low | block,) + sub[:i] + sub[i + 1:])
-            if short[low]:
-                grown.append((low,) + sub)
-        masks = grown
-    # edges[mask]: the edges of a block, ascending: its lowest, then the rest
-    edges = [()]
-    for mask in range(1, 1 << m):
-        edges.append(((mask & -mask).bit_length(),) + edges[mask & mask - 1])
-    plain = [tuple([edges[block] for block in p]) for p in masks]
+    masks, plain, merges = _partitions(range(1, m + 1), short)
     # bars[i]: the index of the barred twin of plain[i], if it has one
     disconnected, bars, n = [], [], len(plain)
     for p in masks:
@@ -375,33 +387,25 @@ def intersection_poset(
     # disconnection along merges implies it along every comparable pair.
     # A connected p lies below Barred(q) through the first disconnected
     # partition on a merge path from p to q.
-    at = {p: i for i, p in enumerate(masks)}
-    pairs: list[tuple[int, int]] = []
-    for fine, p in enumerate(masks):
-        for i, j in itertools.combinations(range(len(p)), 2):
-            block = p[i] | p[j]
-            if not short[block]:
-                continue
-            # the merged block keeps p[i]'s lowest edge, so it keeps its place
-            merged = at[p[:i] + (block,) + p[i + 1:j] + p[j + 1:]]
-            if disconnected[fine] and not disconnected[merged]:
-                raise AuditError(
-                    "disconnected quotient coarsened to a connected one: "
-                    f"{partition_str(plain[fine])} <= "
-                    f"{partition_str(plain[merged])}"
-                )
-            pairs.append((fine, merged))
-            if barred and disconnected[fine]:
-                pairs.append((bars[fine], bars[merged]))
-            elif barred and disconnected[merged]:
-                pairs.append((fine, bars[merged]))
+    twins: list[tuple[int, int]] = []
+    for fine, merged in merges:
+        if disconnected[fine] and not disconnected[merged]:
+            raise AuditError(
+                "disconnected quotient coarsened to a connected one: "
+                f"{partition_str(plain[fine])} <= "
+                f"{partition_str(plain[merged])}"
+            )
+        if barred and disconnected[fine]:
+            twins.append((bars[fine], bars[merged]))
+        elif barred and disconnected[merged]:
+            twins.append((fine, bars[merged]))
 
     elements = plain
     if barred:
         elements = plain + [
             Barred(p) for p, dis in zip(plain, disconnected) if dis
         ]
-    return FinitePoset._from_index_pairs(tuple(elements), pairs)
+    return FinitePoset._from_index_pairs(tuple(elements), merges + twins)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ TEST_ONLY = {
     "tree reaches each code's children",
     "partition_lattice": "the reference that the intersection-poset tests "
     "compare against",
+    "partitions_of": "every set partition, from the enumeration that "
+    "intersection_poset shares: the tests check its order against a "
+    "sorting oracle",
 }
 
 

@@ -202,6 +202,19 @@ def test_index_pairs_refuse_what_relations_refuse(elements, relations):
     assert str(by_index.value) == str(by_element.value)
 
 
+def test_relations_are_refused_in_order():
+    # each relation is checked as it is read: a self-relation before an
+    # unknown element is refused as a self-relation, and an unknown
+    # element before a self-relation as a missing key
+    with pytest.raises(AuditError, match="self-relation at 'a'"):
+        FinitePoset("ab", [("a", "a"), ("a", "zz")])
+    with pytest.raises(KeyError):
+        FinitePoset("ab", [("a", "zz"), ("a", "a")])
+    # duplicate elements are refused before any relation is read
+    with pytest.raises(AuditError, match="duplicate poset elements"):
+        FinitePoset("aa", [("a", "zz")])
+
+
 def test_index_pairs_are_deduplicated():
     # the repeated relations add no lower cover, and the redundant one
     # a < c is none
