@@ -17,9 +17,10 @@ of the vector.  This module provides:
 * the partial order on codes at fixed edge count, its up-covers, and the
   canonical saturated chain from the minimal code up to a target,
 * exact realization of an abstract code by an integer length vector, or a
-  certificate of unrealizability, via a linear program posed so that the
-  origin is feasible and solved by a one-phase simplex with fraction-free
-  integer pivoting.
+  certificate of unrealizability, via a linear program in the increments
+  between consecutive lengths, so that ascending order costs no constraint
+  rows, posed so that the origin is feasible and solved by a one-phase
+  simplex with fraction-free integer pivoting.
 
 All arithmetic is exact.  Lengths are ``fractions.Fraction`` values; their
 sums are compared as plain ints after every length is scaled by the common
@@ -511,8 +512,15 @@ def realize(code: GeneticCode) -> Optional[LengthVector]:
     finitely many constraints imply all the rest.  Every constraint but
     ``P <= 1`` is homogeneous, so the origin is feasible, and scaling a
     point with ``t > 0`` up to ``P = 1`` raises ``t``: a positive optimum
-    has ``P = 1``.  It is scaled to a canonical integer vector and
-    round-tripped through :func:`genetic_code` as a self-check.
+    has ``P = 1``.
+
+    The LP is posed in the increments ``y_j = x_j - x_(j-1) >= 0``
+    (``x_0 = 0``), so ``x_i = y_1 + ... + y_i`` and ascending order needs
+    no constraint rows.  The change of variables is unimodular: a row with
+    edge coefficients ``a_i`` takes ``a_j + ... + a_m`` on ``y_j``, and
+    ``t <= x_1`` becomes ``t <= y_1``.  The optimum is scaled to a
+    canonical integer vector and round-tripped through
+    :func:`genetic_code` as a self-check.
     """
     m = code.edge_count
     if m > MAX_EDGES_REALIZE:
@@ -521,12 +529,13 @@ def realize(code: GeneticCode) -> Optional[LengthVector]:
         )
 
     def row(coef, t: int = 1) -> list[int]:
-        """Coefficients ``coef(i)`` of the edges ``i = 1..m``, then ``t``."""
-        return [coef(i) for i in range(1, m + 1)] + [t]
+        """Coefficients of ``y_1..y_m``, the suffix sums of the edge
+        coefficients ``coef(i)`` for ``i = 1..m``, then ``t``."""
+        suffix = itertools.accumulate(coef(i) for i in range(m, 0, -1))
+        return [*suffix][::-1] + [t]
 
     rows = [row(lambda i: 1, t=0)]
-    rows += [row(lambda i: (i == j) - (i == j + 1), t=0) for j in range(1, m)]
-    # t <= x_1 keeps every length positive
+    # t <= y_1 = x_1 keeps every length positive
     rows.append(row(lambda i: -(i == 1)))
     rows += [row(lambda i: 2 * (i in gene) - 1) for gene in code.genes]
     rows += [
@@ -534,10 +543,10 @@ def realize(code: GeneticCode) -> Optional[LengthVector]:
         for long_set in minimal_long_sets(code)
     ]
     maximize_t = row(lambda i: 0)
-    value, x = _simplex_max(maximize_t, rows, [1] + [0] * (len(rows) - 1))
+    value, y = _simplex_max(maximize_t, rows, [1] + [0] * (len(rows) - 1))
     if value <= 0:
         return None
-    lengths = x[:m]
+    lengths = list(itertools.accumulate(y[:m]))
     scale = math.lcm(*(v.denominator for v in lengths))
     ints = [int(v * scale) for v in lengths]
     shrink = math.gcd(*ints)

@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import math
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -646,6 +648,94 @@ def test_chamber_census():
         assert realized == chambers, m
     assert len(answers) == 1329
     assert answers == pinned
+
+
+def reference_realize(g: GeneticCode):
+    """The LP that ``realize`` posed in the lengths ``x`` themselves, with
+    one row ``x_j - x_(j+1) <= 0`` per ascending pair: the same polytope
+    and the same answer, on a larger tableau."""
+    m = g.edge_count
+
+    def row(coef, t=1):
+        return [coef(i) for i in range(1, m + 1)] + [t]
+
+    rows = [row(lambda i: 1, t=0)]
+    rows += [row(lambda i: (i == j) - (i == j + 1), t=0) for j in range(1, m)]
+    rows.append(row(lambda i: -(i == 1)))
+    rows += [row(lambda i: 2 * (i in gene) - 1) for gene in g.genes]
+    rows += [
+        row(lambda i: 1 - 2 * (i in long_set))
+        for long_set in minimal_long_sets(g)
+    ]
+    value, x = _simplex_max(
+        row(lambda i: 0), rows, [1] + [0] * (len(rows) - 1)
+    )
+    if value <= 0:
+        return None
+    scale = math.lcm(*(v.denominator for v in x[:m]))
+    ints = [int(v * scale) for v in x[:m]]
+    shrink = math.gcd(*ints)
+    vector = LengthVector(v // shrink for v in ints)
+    assert genetic_code(vector) == g
+    return vector
+
+
+def seeded_draws() -> list[tuple[int, ...]]:
+    """About 120 integer length vectors of 8 to 10 edges with odd
+    perimeters, so each is generic."""
+    rng = random.Random(5)
+    draws = []
+    for _ in range(120):
+        m = rng.choice((8, 9, 10))
+        while True:
+            lengths = tuple(rng.randint(1, 3 * m) for _ in range(m))
+            if sum(lengths) % 2:
+                draws.append(lengths)
+                break
+    return draws
+
+
+def test_realize_matches_the_ordered_lp():
+    """The fixture pins realize only up to m = 7; above it the increments
+    LP must still give the vector of the LP with ordering rows."""
+    codes = sorted({genetic_code(v) for v in seeded_draws()}, key=str)
+    assert len(codes) == 119
+    assert {g.edge_count for g in codes} == {8, 9, 10}
+    for g in codes:
+        v = realize(g)
+        assert v is not None
+        assert v == reference_realize(g), format_code(g)
+    for g in (code("<[2,4,6,9]>"), code("<135>"), code("<35,125>")):
+        assert realize(g) is None and reference_realize(g) is None
+
+
+def code_tree(m: int) -> list[GeneticCode]:
+    """The realizable nonempty codes of ``m`` edges, walked depth-first from
+    the minimal code: a code's children are the up-covers that realize
+    and whose saturated chain passes through it last."""
+    found = []
+    stack = [minimal_code(m)]
+    while stack:
+        node = stack.pop()
+        found.append(node)
+        for child in up_covers(node):
+            if (
+                realize(child) is not None
+                and saturated_chain(child).codes[-2] == node
+            ):
+                stack.append(child)
+    return found
+
+
+@pytest.mark.parametrize("m, count", [(5, 6), (6, 20), (7, 134)])
+def test_code_tree_walk_finds_the_realizable_codes(m, count):
+    walked = code_tree(m)
+    assert len(walked) == len(set(walked)) == count
+    assert set(walked) == {
+        g
+        for g in enumerate_codes(m)
+        if not g.is_empty_space() and realize(g) is not None
+    }
 
 
 def test_realize_round_trips_and_is_integral():
