@@ -176,16 +176,46 @@ def _dominance_down_covers(s: Gene, anchor: int) -> Iterator[Gene]:
             yield (s - {g}) | {g - 1}
 
 
-def _maximal_in_downset(sets: frozenset) -> frozenset:
-    """Maximal elements of a downward-closed family of anchor sets."""
-    if not sets:
-        return frozenset()
-    anchor = max(max(s) for s in sets)
-    return frozenset(
-        s
-        for s in sets
-        if not any(c in sets for c in _dominance_up_covers(s, anchor))
-    )
+# The same covers on bitmasks, for the scans over every anchor set: bit
+# i - 1 stands for edge i, so with ``anchor_bit = 2**(m - 1)`` the anchor sets
+# are the masks from ``anchor_bit`` to ``2 * anchor_bit - 1``.  The scans
+# table shortness by ``s``, the mask less the anchor bit.  Moving edge i up
+# to i + 1 adds ``2**(i - 1)``, and adding edge 1 adds 1, so every up-cover
+# has the larger mask.
+
+
+def _short_up_cover(short: Sequence[int], s: int, anchor_bit: int) -> bool:
+    """Whether a dominance up-cover of the anchor set ``anchor_bit | s`` is
+    short: one that moves an edge i below the anchor up to a free i + 1
+    (adding bit i - 1) or adds a missing edge 1 (adding bit 0)."""
+    mask = anchor_bit | s
+    steps = (mask & ~(mask >> 1) & (anchor_bit - 1)) | (~mask & 1)
+    while steps:
+        low = steps & -steps
+        if short[s + low]:
+            return True
+        steps ^= low
+    return False
+
+
+def _short_down_covers(short: Sequence[int], s: int, anchor_bit: int) -> bool:
+    """Whether every dominance down-cover of the anchor set
+    ``anchor_bit | s`` is short: those that move an edge i other than 1 and
+    the anchor down to a free i - 1 (taking bit i - 2) and the one that
+    drops edge 1 (taking bit 0).  At one edge that drop leaves no anchor
+    set, which is not short."""
+    mask = anchor_bit | s
+    steps = ((mask & ~(mask << 1) & (anchor_bit - 1)) >> 1) | (mask & 1)
+    while steps:
+        low = steps & -steps
+        if low > s or not short[s - low]:
+            return False
+        steps ^= low
+    return True
+
+
+def _mask_set(mask: int) -> Gene:
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +318,27 @@ def minimal_code(edge_count: int) -> GeneticCode:
 def genetic_code(lengths: Union[LengthVector, Iterable[RationalLike]]) -> GeneticCode:
     """The genetic code of a (generic) length vector.
 
-    Enumerates the short subsets containing the anchor edge and keeps the
-    maximal ones under domination.  Maximality is checked through upward
-    covers, which is sound because shortness is downward closed.
+    Tests every anchor set for shortness and keeps the short sets that are
+    maximal under domination.  The lengths of the edges below the anchor are
+    summed over all their subsets by doubling one list, so entry ``s`` sums
+    the edges of mask ``s``.  Maximality is checked through upward covers,
+    which is sound because shortness is downward closed.
     """
     vec = lengths if isinstance(lengths, LengthVector) else LengthVector(lengths)
     m = vec.edge_count
     ints = _scaled(vec.values)
-    perimeter = sum(ints)
-    shorts = {
-        s
-        for s in _anchor_sets(m)
-        if 2 * sum(ints[i - 1] for i in s) < perimeter
-    }
-    genes = _maximal_in_downset(frozenset(shorts))
+    sums = [0]
+    for v in ints[:-1]:
+        sums += [s + v for s in sums]
+    # 2 * (sums[s] + anchor length) < perimeter
+    room = sum(ints) - 2 * ints[-1]
+    short = [2 * s < room for s in sums]
+    anchor = 1 << (m - 1)
+    genes = [
+        _mask_set(anchor | s)
+        for s, is_short in enumerate(short)
+        if is_short and not _short_up_cover(short, s, anchor)
+    ]
     return GeneticCode(m, genes)
 
 
@@ -316,14 +353,21 @@ def minimal_long_sets(code: GeneticCode) -> tuple[Gene, ...]:
     A long set is minimal when every downward cover is short.  These are
     exactly the sets whose addition to the short system yields an upward
     cover of the code, and the only long constraints a realization needs.
+    Shortness is tabled on the anchor-set masks: a set is short when it is
+    a gene or has a short up-cover, and up-covers have larger masks, so one
+    pass from the top fills the table.
     """
-    m = code.edge_count
-    shorts = code.anchor_short_sets()
+    anchor = 1 << (code.edge_count - 1)
+    short = bytearray(anchor)
+    for gene in code.genes:
+        short[sum(1 << (i - 1) for i in gene) - anchor] = 1
+    for s in range(anchor - 1, -1, -1):
+        if not short[s] and _short_up_cover(short, s, anchor):
+            short[s] = 1
     out = [
-        s
-        for s in _anchor_sets(m)
-        if s not in shorts
-        and all(c in shorts for c in _dominance_down_covers(s, m))
+        _mask_set(anchor | s)
+        for s in range(anchor)
+        if not short[s] and _short_down_covers(short, s, anchor)
     ]
     return tuple(sorted(out, key=_gene_sort_key))
 

@@ -275,6 +275,85 @@ def test_rational_lengths_match_fraction_arithmetic(lengths):
     assert genetic_code(lengths).short_sets() == shorts | {frozenset()}
 
 
+# --- the frozenset scans that the bitmask scans replaced --------------------
+
+
+def maximal_in_downset(sets: frozenset) -> frozenset:
+    """Maximal elements of a downward-closed family of anchor sets."""
+    if not sets:
+        return frozenset()
+    anchor = max(max(s) for s in sets)
+    return frozenset(
+        s
+        for s in sets
+        if not any(
+            c in sets for c in genetics._dominance_up_covers(s, anchor)
+        )
+    )
+
+
+def reference_genetic_code(lengths) -> GeneticCode:
+    """Every anchor set as a frozenset, summed on its own."""
+    vec = LengthVector(lengths)
+    ints = genetics._scaled(vec.values)
+    shorts = {
+        s
+        for s in genetics._anchor_sets(vec.edge_count)
+        if 2 * sum(ints[i - 1] for i in s) < sum(ints)
+    }
+    return GeneticCode(vec.edge_count, maximal_in_downset(frozenset(shorts)))
+
+
+def reference_minimal_long_sets(g: GeneticCode) -> tuple[frozenset, ...]:
+    """The long anchor sets whose down-covers all lie in the walked
+    ``anchor_short_sets``, as frozensets."""
+    m = g.edge_count
+    shorts = g.anchor_short_sets()
+    out = [
+        s
+        for s in genetics._anchor_sets(m)
+        if s not in shorts
+        and all(c in shorts for c in genetics._dominance_down_covers(s, m))
+    ]
+    return tuple(sorted(out, key=lambda s: sorted(s)))
+
+
+def seeded_draws() -> list[tuple[int, ...]]:
+    """About 120 integer length vectors of 8 to 10 edges with odd
+    perimeters, so each is generic."""
+    rng = random.Random(5)
+    draws = []
+    for _ in range(120):
+        m = rng.choice((8, 9, 10))
+        while True:
+            lengths = tuple(rng.randint(1, 3 * m) for _ in range(m))
+            if sum(lengths) % 2:
+                draws.append(lengths)
+                break
+    return draws
+
+
+def test_mask_scans_match_the_frozenset_scans():
+    """Every code with m <= 7 and the codes of the seeded m = 8..10 draws:
+    the same minimal long sets in the same order, and the same code from
+    each realized vector and each draw."""
+    pinned = json.loads(
+        (pathlib.Path(__file__).parent / "fixtures" / "realize_m7.json")
+        .read_text()
+    )
+    vectors = [v for v in pinned.values() if v is not None]
+    vectors += seeded_draws() + [(1,), (1, 3), (2, 3, 4)]
+    codes = [
+        g for m in range(1, genetics.MAX_EDGES_ENUMERATE + 1)
+        for g in enumerate_codes(m)
+    ]
+    codes += [genetic_code(v) for v in seeded_draws()]
+    for g in codes:
+        assert minimal_long_sets(g) == reference_minimal_long_sets(g), g
+    for v in vectors:
+        assert genetic_code(v) == reference_genetic_code(v), v
+
+
 # --- the order on codes, covers, chains -------------------------------------
 
 
@@ -367,7 +446,7 @@ def test_saturated_chain_matches_a_rebuilding_descent():
             gene = max(g.genes, key=lambda h: sorted(h, reverse=True))
             removed.append(gene)
             shorts = g.anchor_short_sets() - {gene}
-            g = GeneticCode(g.edge_count, genetics._maximal_in_downset(shorts))
+            g = GeneticCode(g.edge_count, maximal_in_downset(shorts))
             codes.append(g)
         return SaturatedChain(tuple(reversed(codes)), tuple(reversed(removed)))
 
@@ -665,7 +744,7 @@ def reference_realize(g: GeneticCode):
     rows += [row(lambda i: 2 * (i in gene) - 1) for gene in g.genes]
     rows += [
         row(lambda i: 1 - 2 * (i in long_set))
-        for long_set in minimal_long_sets(g)
+        for long_set in reference_minimal_long_sets(g)
     ]
     value, x = _simplex_max(
         row(lambda i: 0), rows, [1] + [0] * (len(rows) - 1)
@@ -676,23 +755,8 @@ def reference_realize(g: GeneticCode):
     ints = [int(v * scale) for v in x[:m]]
     shrink = math.gcd(*ints)
     vector = LengthVector(v // shrink for v in ints)
-    assert genetic_code(vector) == g
+    assert reference_genetic_code(vector.values) == g
     return vector
-
-
-def seeded_draws() -> list[tuple[int, ...]]:
-    """About 120 integer length vectors of 8 to 10 edges with odd
-    perimeters, so each is generic."""
-    rng = random.Random(5)
-    draws = []
-    for _ in range(120):
-        m = rng.choice((8, 9, 10))
-        while True:
-            lengths = tuple(rng.randint(1, 3 * m) for _ in range(m))
-            if sum(lengths) % 2:
-                draws.append(lengths)
-                break
-    return draws
 
 
 def test_realize_matches_the_ordered_lp():
