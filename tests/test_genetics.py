@@ -319,7 +319,7 @@ def reference_minimal_long_sets(g: GeneticCode) -> tuple[frozenset, ...]:
 
 
 def seeded_draws() -> list[tuple[int, ...]]:
-    """About 120 integer length vectors of 8 to 10 edges with odd
+    """120 seeded integer length vectors of 8 to 10 edges with odd
     perimeters, so each is generic."""
     rng = random.Random(5)
     draws = []
