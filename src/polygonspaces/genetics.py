@@ -13,14 +13,14 @@ of the vector.  This module provides:
 * exact genericity testing for rational length vectors, with a witness
   subset on failure,
 * the domination order, the genetic code of a vector, and the reconstruction
-  of the full short-set system from a code,
+  of the full short-set system from a code, one bitset over its anchor sets,
 * the partial order on codes at fixed edge count, its up-covers, and the
   canonical saturated chain from the minimal code up to a target,
 * exact realization of an abstract code by an integer length vector, or a
   certificate of unrealizability, via a linear program in the increments
   between consecutive lengths, so that ascending order costs no constraint
   rows, posed so that the origin is feasible and solved by a one-phase
-  simplex with fraction-free integer pivoting.
+  simplex with fraction-free integer pivoting on a condensed tableau.
 
 All arithmetic is exact.  Lengths are ``fractions.Fraction`` values; their
 sums are compared as plain ints after every length is scaled by the common
@@ -30,8 +30,10 @@ appear.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -143,6 +145,11 @@ class LengthVector:
 # ---------------------------------------------------------------------------
 
 
+def _dominated(small: Sequence[int], large: Sequence[int]) -> bool:
+    """The domination order on descending tuples."""
+    return len(small) <= len(large) and all(map(operator.le, small, large))
+
+
 def dominance_leq(lower: Iterable[int], upper: Iterable[int]) -> bool:
     """The domination order: ``lower <= upper``.
 
@@ -151,71 +158,53 @@ def dominance_leq(lower: Iterable[int], upper: Iterable[int]) -> bool:
     ``upper``.  For ascending length vectors this forces the corresponding
     sums to compare the same way, which is why short sets form a down-set.
     """
-    small = sorted(lower, reverse=True)
-    large = sorted(upper, reverse=True)
-    if len(small) > len(large):
-        return False
-    return all(a <= b for a, b in zip(small, large))
+    return _dominated(sorted(lower, reverse=True), sorted(upper, reverse=True))
 
 
-def _dominance_up_covers(s: Gene, anchor: int) -> Iterator[Gene]:
-    """Immediate successors of ``s`` among anchor-containing subsets."""
-    if 1 not in s:
-        yield s | {1}
-    for g in s:
-        if g < anchor and g + 1 not in s:
-            yield (s - {g}) | {g + 1}
+# A code's shortness is one bitset over its anchor sets: bit i - 1 of a mask
+# stands for edge i, the anchor sets are the masks ``anchor | s`` with
+# ``anchor = 2**(m - 1)`` and ``s < anchor``, and bit ``s`` says whether
+# ``anchor | s`` is short.  The dominance down-covers are m - 1 moves: move
+# 0 drops edge 1 (``s - 1``, where bit 0 is set), and move k = 1..m - 2
+# takes edge k + 1 down to a free edge k (``s - 2**(k - 1)``, where bit k is
+# set and bit k - 1 clear).  A move's targets from a bitset ``S`` are thus
+# ``(S & pattern) >> shift``, and the sets it takes into ``S`` are
+# ``pattern & (S << shift)``.  Every move lowers the mask.  At one edge
+# there is no move: dropping edge 1 leaves the empty set, no anchor set.
 
 
-def _dominance_down_covers(s: Gene, anchor: int) -> Iterator[Gene]:
-    """Immediate predecessors of ``s`` among anchor-containing subsets."""
-    if 1 in s:
-        yield s - {1}
-    for g in s:
-        if g != anchor and g > 1 and g - 1 not in s:
-            yield (s - {g}) | {g - 1}
+@functools.cache
+def _down_moves(edge_count: int) -> tuple[tuple[int, int], ...]:
+    """``(pattern, shift)`` of each down-move over the ``2**(m - 1)`` anchor
+    sets, from the highest edge moved down to the drop of edge 1.  A
+    pattern repeats a block of ``2**(k + 1)`` bits, and is built from it by
+    doubling."""
+    size = 1 << (edge_count - 1)
+    moves = []
+    for k in reversed(range(edge_count - 1)):
+        shift = (1 << k >> 1) or 1
+        pattern, width = ((1 << shift) - 1) << (1 << k), 2 << k
+        while width < size:
+            pattern |= pattern << width
+            width *= 2
+        moves.append((pattern, shift))
+    return tuple(moves)
 
 
-# The same covers on bitmasks, for the scans over every anchor set: bit
-# i - 1 stands for edge i, so with ``anchor_bit = 2**(m - 1)`` the anchor sets
-# are the masks from ``anchor_bit`` to ``2 * anchor_bit - 1``.  The scans
-# table shortness by ``s``, the mask less the anchor bit.  Moving edge i up
-# to i + 1 adds ``2**(i - 1)``, and adding edge 1 adds 1, so every up-cover
-# has the larger mask.
-
-
-def _short_up_cover(short: Sequence[int], s: int, anchor_bit: int) -> bool:
-    """Whether a dominance up-cover of the anchor set ``anchor_bit | s`` is
-    short: one that moves an edge i below the anchor up to a free i + 1
-    (adding bit i - 1) or adds a missing edge 1 (adding bit 0)."""
-    mask = anchor_bit | s
-    steps = (mask & ~(mask >> 1) & (anchor_bit - 1)) | (~mask & 1)
-    while steps:
-        low = steps & -steps
-        if short[s + low]:
-            return True
-        steps ^= low
-    return False
-
-
-def _short_down_covers(short: Sequence[int], s: int, anchor_bit: int) -> bool:
-    """Whether every dominance down-cover of the anchor set
-    ``anchor_bit | s`` is short: those that move an edge i other than 1 and
-    the anchor down to a free i - 1 (taking bit i - 2) and the one that
-    drops edge 1 (taking bit 0).  At one edge that drop leaves no anchor
-    set, which is not short."""
-    mask = anchor_bit | s
-    steps = ((mask & ~(mask << 1) & (anchor_bit - 1)) >> 1) | (mask & 1)
-    while steps:
-        low = steps & -steps
-        if low > s or not short[s - low]:
-            return False
-        steps ^= low
-    return True
+def _bits(x: int) -> Iterator[int]:
+    """The positions of the set bits of ``x``, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 def _mask_set(mask: int) -> Gene:
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+    return frozenset([i + 1 for i in range(mask.bit_length()) if mask >> i & 1])
+
+
+def _set_mask(edges: Iterable[int]) -> int:
+    return sum(1 << (e - 1) for e in edges)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +245,7 @@ class GeneticCode:
             )
         canonical = []
         for raw in genes:
-            gene = frozenset(int(e) for e in raw)
+            gene = frozenset(map(int, raw))
             if not gene or min(gene) < 1 or max(gene) > edge_count:
                 raise InvalidCodeError(
                     f"gene {sorted(gene)} out of range for {edge_count} edges"
@@ -266,17 +255,33 @@ class GeneticCode:
                     f"gene {sorted(gene)} must contain the anchor {edge_count}"
                 )
             canonical.append(gene)
-        ordered = tuple(sorted(set(canonical), key=_gene_sort_key))
-        if len(ordered) != len(canonical):
+        keyed = sorted((_gene_sort_key(g), g) for g in set(canonical))
+        if len(keyed) != len(canonical):
             raise InvalidCodeError("duplicate gene")
-        for a, b in itertools.combinations(ordered, 2):
-            if dominance_leq(a, b) or dominance_leq(b, a):
+        descending = [(key[::-1], g) for key, g in keyed]
+        for (da, a), (db, b) in itertools.combinations(descending, 2):
+            if _dominated(da, db) or _dominated(db, da):
                 raise InvalidCodeError(
                     f"genes {sorted(a)} and {sorted(b)} are comparable; "
                     "a code must be an antichain"
                 )
         object.__setattr__(self, "edge_count", edge_count)
-        object.__setattr__(self, "genes", ordered)
+        object.__setattr__(self, "genes", tuple(g for _, g in keyed))
+
+    @functools.cached_property
+    def _short(self) -> int:
+        """The shortness bitset: the genes closed downward, by sweeps of
+        the down-moves until one adds nothing."""
+        anchor = 1 << (self.edge_count - 1)
+        moves = _down_moves(self.edge_count)
+        short = sum(1 << (_set_mask(g) - anchor) for g in self.genes)
+        while True:
+            closed = short
+            for pattern, shift in moves:
+                closed |= (closed & pattern) >> shift
+            if closed == short:
+                return short
+            short = closed
 
     def is_empty_space(self) -> bool:
         """True when the code describes an empty polygon space (no genes)."""
@@ -284,26 +289,18 @@ class GeneticCode:
 
     def anchor_short_sets(self) -> frozenset:
         """All short subsets containing the anchor (the down-set of the
-        genes), walked down the dominance covers from the genes."""
-        anchor = self.edge_count
-        seen = set(self.genes)
-        stack = list(self.genes)
-        while stack:
-            for s in _dominance_down_covers(stack.pop(), anchor):
-                # at one edge the only cover below the anchor is empty
-                if anchor in s and s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-        return frozenset(seen)
+        genes), read off the shortness bitset."""
+        anchor = 1 << (self.edge_count - 1)
+        return frozenset(_mask_set(anchor | s) for s in _bits(self._short))
 
     def short_sets(self) -> frozenset:
         """Every short subset of the edges: the anchor short sets and the
         complement of each long anchor set, since of two complementary
         sets exactly one is short."""
-        shorts = self.anchor_short_sets()
-        ground = frozenset(range(1, self.edge_count + 1))
-        return shorts.union(
-            ground - s for s in _anchor_sets(self.edge_count) if s not in shorts
+        anchor = 1 << (self.edge_count - 1)
+        long = self._short ^ ((1 << anchor) - 1)
+        return self.anchor_short_sets().union(
+            _mask_set((anchor - 1) ^ s) for s in _bits(long)
         )
 
     def __str__(self) -> str:
@@ -315,31 +312,35 @@ def minimal_code(edge_count: int) -> GeneticCode:
     return GeneticCode(edge_count, [{edge_count}])
 
 
+def _code_of(edge_count: int, short: int) -> GeneticCode:
+    """The code of a downward-closed shortness bitset, which it keeps: the
+    genes are the short sets that no down-move from a short set reaches."""
+    genes = short
+    for pattern, shift in _down_moves(edge_count):
+        genes &= ~((short & pattern) >> shift)
+    anchor = 1 << (edge_count - 1)
+    code = GeneticCode(edge_count, [_mask_set(anchor | s) for s in _bits(genes)])
+    code.__dict__["_short"] = short  # where the cached property keeps it
+    return code
+
+
 def genetic_code(lengths: Union[LengthVector, Iterable[RationalLike]]) -> GeneticCode:
     """The genetic code of a (generic) length vector.
 
     Tests every anchor set for shortness and keeps the short sets that are
     maximal under domination.  The lengths of the edges below the anchor are
     summed over all their subsets by doubling one list, so entry ``s`` sums
-    the edges of mask ``s``.  Maximality is checked through upward covers,
-    which is sound because shortness is downward closed.
+    the edges of mask ``s`` and gives bit ``s`` of the shortness bitset.
     """
     vec = lengths if isinstance(lengths, LengthVector) else LengthVector(lengths)
-    m = vec.edge_count
     ints = _scaled(vec.values)
     sums = [0]
     for v in ints[:-1]:
         sums += [s + v for s in sums]
     # 2 * (sums[s] + anchor length) < perimeter
     room = sum(ints) - 2 * ints[-1]
-    short = [2 * s < room for s in sums]
-    anchor = 1 << (m - 1)
-    genes = [
-        _mask_set(anchor | s)
-        for s, is_short in enumerate(short)
-        if is_short and not _short_up_cover(short, s, anchor)
-    ]
-    return GeneticCode(m, genes)
+    short = int("".join(["1" if 2 * s < room else "0" for s in reversed(sums)]), 2)
+    return _code_of(vec.edge_count, short)
 
 
 # ---------------------------------------------------------------------------
@@ -353,32 +354,30 @@ def minimal_long_sets(code: GeneticCode) -> tuple[Gene, ...]:
     A long set is minimal when every downward cover is short.  These are
     exactly the sets whose addition to the short system yields an upward
     cover of the code, and the only long constraints a realization needs.
-    Shortness is tabled on the anchor-set masks: a set is short when it is
-    a gene or has a short up-cover, and up-covers have larger masks, so one
-    pass from the top fills the table.
+    They are read off the code's shortness bitset: the long sets that no
+    down-move takes to a long set.
     """
-    anchor = 1 << (code.edge_count - 1)
-    short = bytearray(anchor)
-    for gene in code.genes:
-        short[sum(1 << (i - 1) for i in gene) - anchor] = 1
-    for s in range(anchor - 1, -1, -1):
-        if not short[s] and _short_up_cover(short, s, anchor):
-            short[s] = 1
-    out = [
-        _mask_set(anchor | s)
-        for s in range(anchor)
-        if not short[s] and _short_down_covers(short, s, anchor)
-    ]
+    m = code.edge_count
+    if m == 1:
+        # the one down-cover of {1}, the empty set, is no anchor set
+        return ()
+    anchor = 1 << (m - 1)
+    long = code._short ^ ((1 << anchor) - 1)
+    minimal = long
+    for pattern, shift in _down_moves(m):
+        minimal &= ~(pattern & (long << shift))
+    out = [_mask_set(anchor | s) for s in _bits(minimal)]
     return tuple(sorted(out, key=_gene_sort_key))
 
 
 def up_covers(code: GeneticCode) -> tuple[GeneticCode, ...]:
     """Codes directly above: one new short set (a minimal long) is adjoined."""
-    out = []
-    for t in minimal_long_sets(code):
-        genes = [t] + [g for g in code.genes if not dominance_leq(g, t)]
-        out.append(GeneticCode(code.edge_count, genes))
-    return tuple(out)
+    m, short = code.edge_count, code._short
+    anchor = 1 << (m - 1)
+    return tuple(
+        _code_of(m, short | 1 << (_set_mask(t) - anchor))
+        for t in minimal_long_sets(code)
+    )
 
 
 class SaturatedChain(NamedTuple):
@@ -400,36 +399,30 @@ def saturated_chain(code: GeneticCode) -> SaturatedChain:
     tuple is lexicographically largest, until only the anchor set remains.
     Each drop removes exactly one short set, so the chain is saturated and
     its added sets together with the anchor singleton exhaust the short
-    system of the target.  A set becomes maximal only when the dropped gene
-    was its one short up-cover, so the new genes are read off the dropped
-    gene's down-covers.  Codes with more than ``MAX_CHAIN_SHORT_SETS``
-    anchor short sets are refused before the descent.
+    system of the target.  Among anchor sets that tuple order is the order
+    of the masks, and every up-move raises the mask, so the gene dropped is
+    the highest set bit of the shortness bitset: the descent drops the
+    short sets by falling mask.  Codes with more than
+    ``MAX_CHAIN_SHORT_SETS`` anchor short sets are refused before the
+    descent.
     """
     if code.is_empty_space():
         return SaturatedChain((code,), ())
-    m = code.edge_count
-    shorts = set(code.anchor_short_sets())
-    if len(shorts) > MAX_CHAIN_SHORT_SETS:
+    m, short = code.edge_count, code._short
+    count = short.bit_count()
+    if count > MAX_CHAIN_SHORT_SETS:
         raise TooLargeError(
-            f"{format_code(code)} has {len(shorts)} anchor short sets; "
+            f"{format_code(code)} has {count} anchor short sets; "
             f"chains are built for at most {MAX_CHAIN_SHORT_SETS}"
         )
-    bottom = minimal_code(m)
+    anchor = 1 << (m - 1)
     codes = [code]
     removed = []
-    genes = set(code.genes)
-    while codes[-1] != bottom:
-        gene = max(genes, key=lambda g: tuple(sorted(g, reverse=True)))
-        removed.append(gene)
-        shorts.remove(gene)
-        genes.remove(gene)
-        genes.update(
-            c
-            for c in _dominance_down_covers(gene, m)
-            if m in c
-            and not any(u in shorts for u in _dominance_up_covers(c, m))
-        )
-        codes.append(GeneticCode(m, genes))
+    while short != 1:
+        top = short.bit_length() - 1
+        removed.append(_mask_set(anchor | top))
+        short ^= 1 << top
+        codes.append(_code_of(m, short))
     return SaturatedChain(tuple(reversed(codes)), tuple(reversed(removed)))
 
 
@@ -480,70 +473,78 @@ def _simplex_max(
     objective: Sequence[int],
     rows: Sequence[Sequence[int]],
     rhs: Sequence[int],
-) -> tuple[Fraction, list[Fraction]]:
+) -> tuple[int, list[int], int]:
     """Maximize ``objective . x`` over ``rows . x <= rhs``, ``x >= 0``, for
     integer input with every ``rhs >= 0``.
 
     The origin is then a feasible vertex, basic in the slacks, so one phase
-    of Bland's rule runs from it (ratio ties go to the smaller basis index):
-    it terminates on these degenerate LPs and is deterministic.  Returns
-    ``(value, x)``.  A negative right-hand side raises an audit error, as
-    does an unbounded objective: the callers' regions are bounded.
+    of Bland's rule runs from it over the labels ``0..n-1`` of ``x`` and
+    ``n + i`` of the slack of row ``i`` (ratio ties go to the smaller
+    label): it terminates on these degenerate LPs and is deterministic.
+    Returns ``(value, x, D)``: integer numerators over one denominator
+    ``D > 0``.  A negative right-hand side raises an audit error, as does an
+    unbounded objective: the callers' regions are bounded.
 
-    The integer tableau ``T`` stands for ``T / D`` with one common
-    denominator ``D > 0``, starting at 1.  A pivot on ``p = T[r][c] > 0``
-    leaves row ``r`` as it is and replaces every other row ``i``, the
-    objective row included, by ``(p * T[i][j] - T[i][c] * T[r][j]) // D``;
-    then ``D`` becomes ``p``.  The division is exact (Bareiss): ``D`` is the
-    determinant of the current basis matrix ``B``, so ``T`` is ``adj(B)``
-    applied to the integer input, and the quotient is that integer tableau
-    for the next basis.  Signs, zero tests and the ratio test do not see
-    ``D``, so the pivots are those of the rational tableau.
+    The tableau is condensed (Tucker): a row per basic variable, a column
+    per nonbasic one and the right-hand side, so the basic columns, ``D``
+    times unit vectors, are never stored.  Its integer entries ``T`` stand
+    for ``T / D``, with ``D = 1`` at the start.  A pivot on
+    ``p = T[r][c] > 0`` swaps the labels of row ``r`` and column ``c`` and
+    replaces every entry outside them, the objective row included, by
+    ``(p * T[i][j] - T[i][c] * T[r][j]) // D``; column ``c`` becomes the
+    leaving variable's: the old ``D`` in row ``r`` and ``-T[i][c]`` in every
+    other row.  Row ``r`` keeps the rest, and ``D`` becomes ``p``.  The
+    division is exact (Bareiss): ``D`` is the determinant of the current
+    basis matrix ``B``, so ``T`` is ``adj(B)`` applied to the integer
+    input.  Signs, zero tests and the ratio test do not see ``D``, so the
+    pivots are those of the rational tableau.
     """
     if any(b < 0 for b in rhs):
         raise AuditError("negative right-hand side: the origin is infeasible")
-    n, k = len(objective), len(rows)
-    tableau = [
-        [*rows[i], *(int(i == j) for j in range(k)), rhs[i]] for i in range(k)
-    ]
-    basis = [n + i for i in range(k)]
+    n = len(objective)
+    tableau = [[*row, b] for row, b in zip(rows, rhs)]
+    basic = [n + i for i in range(len(rows))]
+    nonbasic = list(range(n))
     # the objective row in canonical form: z + sum(row[j] * x_j) = row[-1]
-    z_row = [*(-c for c in objective), *[0] * (k + 1)]
+    z_row = [*(-c for c in objective), 0]
     every_row = tableau + [z_row]
     denom = 1
     while True:
-        enter = next((j for j in range(n + k) if z_row[j] < 0), None)
-        if enter is None:
+        entering = [j for j in range(n) if z_row[j] < 0]
+        if not entering:
             break
+        c = min(entering, key=nonbasic.__getitem__)
         best = None
-        for i in range(k):
-            coef = tableau[i][enter]
-            num = tableau[i][-1]
-            # the key (num / coef, basis[i]), ratios cross-multiplied
+        for i, row in enumerate(tableau):
+            coef = row[c]
+            num = row[-1]
+            # the key (num / coef, basic[i]), ratios cross-multiplied
             if coef > 0 and (
                 best is None
-                or (num * best[1], basis[i]) < (best[0] * coef, basis[best[2]])
+                or (num * best[1], basic[i]) < (best[0] * coef, basic[best[2]])
             ):
                 best = (num, coef, i)
         if best is None:
             raise AuditError("objective unbounded on a bounded polytope")
-        prow = tableau[best[2]]
-        p = best[1]
+        _, p, r = best
+        prow = tableau[r]
         for row in every_row:
             if row is prow:
                 continue
-            f = row[enter]
+            f = row[c]
             if f:
                 row[:] = [(p * v - f * w) // denom for v, w in zip(row, prow)]
+                row[c] = -f
             else:
                 row[:] = [p * v // denom for v in row]
+        prow[c] = denom
         denom = p
-        basis[best[2]] = enter
-    x = [Fraction(0)] * n
-    for i in range(k):
-        if basis[i] < n:
-            x[basis[i]] = Fraction(tableau[i][-1], denom)
-    return Fraction(z_row[-1], denom), x
+        basic[r], nonbasic[c] = nonbasic[c], basic[r]
+    x = [0] * n
+    for var, row in zip(basic, tableau):
+        if var < n:
+            x[var] = row[-1]
+    return z_row[-1], x, denom
 
 
 def realize(code: GeneticCode) -> Optional[LengthVector]:
@@ -561,10 +562,12 @@ def realize(code: GeneticCode) -> Optional[LengthVector]:
     The LP is posed in the increments ``y_j = x_j - x_(j-1) >= 0``
     (``x_0 = 0``), so ``x_i = y_1 + ... + y_i`` and ascending order needs
     no constraint rows.  The change of variables is unimodular: a row with
-    edge coefficients ``a_i`` takes ``a_j + ... + a_m`` on ``y_j``, and
-    ``t <= x_1`` becomes ``t <= y_1``.  The optimum is scaled to a
-    canonical integer vector and round-tripped through
-    :func:`genetic_code` as a self-check.
+    edge coefficients ``a_i`` takes ``a_j + ... + a_m`` on ``y_j``, which
+    for a set of edges with mask ``mask`` and ``a_i = 2 [i in set] - 1`` is
+    ``2 * (mask >> (j - 1)).bit_count() - (m - j + 1)``; ``t <= x_1``
+    becomes ``t <= y_1``.  The optimum's numerators are summed and divided
+    by their gcd into a canonical integer vector, which is round-tripped
+    through :func:`genetic_code` as a self-check.
     """
     m = code.edge_count
     if m > MAX_EDGES_REALIZE:
@@ -572,27 +575,19 @@ def realize(code: GeneticCode) -> Optional[LengthVector]:
             f"realization supports at most {MAX_EDGES_REALIZE} edges"
         )
 
-    def row(coef, t: int = 1) -> list[int]:
-        """Coefficients of ``y_1..y_m``, the suffix sums of the edge
-        coefficients ``coef(i)`` for ``i = 1..m``, then ``t``."""
-        suffix = itertools.accumulate(coef(i) for i in range(m, 0, -1))
-        return [*suffix][::-1] + [t]
+    def row(mask: int, sign: int) -> list[int]:
+        # sign * (2 x(set) - P) + t on y_1..y_m, then on t
+        counts = [2 * (mask >> j).bit_count() - (m - j) for j in range(m)]
+        return [sign * c for c in counts] + [1]
 
-    rows = [row(lambda i: 1, t=0)]
-    # t <= y_1 = x_1 keeps every length positive
-    rows.append(row(lambda i: -(i == 1)))
-    rows += [row(lambda i: 2 * (i in gene) - 1) for gene in code.genes]
-    rows += [
-        row(lambda i: 1 - 2 * (i in long_set))
-        for long_set in minimal_long_sets(code)
-    ]
-    maximize_t = row(lambda i: 0)
-    value, y = _simplex_max(maximize_t, rows, [1] + [0] * (len(rows) - 1))
+    # P <= 1, and t <= y_1 = x_1, which keeps every length positive
+    rows = [[m - j for j in range(m)] + [0], [-1] + [0] * (m - 1) + [1]]
+    rows += [row(_set_mask(gene), 1) for gene in code.genes]
+    rows += [row(_set_mask(t), -1) for t in minimal_long_sets(code)]
+    value, y, _ = _simplex_max([0] * m + [1], rows, [1] + [0] * (len(rows) - 1))
     if value <= 0:
         return None
-    lengths = list(itertools.accumulate(y[:m]))
-    scale = math.lcm(*(v.denominator for v in lengths))
-    ints = [int(v * scale) for v in lengths]
+    ints = list(itertools.accumulate(y[:m]))
     shrink = math.gcd(*ints)
     vector = LengthVector(v // shrink for v in ints)
     if genetic_code(vector) != code:

@@ -333,9 +333,10 @@ def intersection_poset(
 ) -> FinitePoset:
     """Partitions of the edge set into short blocks, coarser ones higher.
 
-    Shortness is read off :meth:`GeneticCode.short_sets`, once, into a
-    list of ``2^m`` booleans indexed by bitmask, bit ``i`` standing for
-    edge ``i + 1``.  The partitions and their merges come from the
+    Shortness is read off the code's bitset of anchor short sets, once,
+    into a list of ``2^m`` booleans indexed by bitmask, bit ``i`` standing
+    for edge ``i + 1``: a set without the anchor is short when its
+    complement is long.  The partitions and their merges come from the
     enumeration behind :func:`partitions_of` and
     :func:`partition_lattice`, with that list as the test of a block:
     only short partitions are built, since every superset of a long set
@@ -366,9 +367,9 @@ def intersection_poset(
             f"code {code} is not realizable, no intersection poset exists"
         )
     m = code.edge_count
-    short = [False] * (1 << m)
-    for s in code.short_sets():
-        short[sum(1 << (e - 1) for e in s)] = True
+    # bits[t]: whether the complement of the set t without the anchor is short
+    bits = format(code._short, f"0{1 << (m - 1)}b")
+    short = [c == "0" for c in bits] + [c == "1" for c in reversed(bits)]
     masks, plain, merges = _partitions(range(1, m + 1), short)
     # bars[i]: the index of the barred twin of plain[i], if it has one
     disconnected, bars, n = [], [], len(plain)

@@ -108,17 +108,18 @@ def test_chain_refuses_non_decimal_digits(capsys, name) -> None:
 def test_chain_refuses_a_large_short_system_before_descending(
     capsys, monkeypatch
 ) -> None:
-    # each descent step tests the up-covers of the dropped gene's covers
+    # each descent step builds the code of the short sets left
     def refuse(*args, **kwargs):
         raise AssertionError("the descent started")
 
-    monkeypatch.setattr("polygonspaces.genetics._dominance_up_covers", refuse)
+    monkeypatch.setattr("polygonspaces.genetics._code_of", refuse)
     code, out, err = run_cli(
         capsys, "chain", "<[1,2,3,4,5,6,7,8,9,10,11,12,16]>"
     )
     assert code == 2
     assert out == ""
     assert err.startswith("error [TOO_LARGE]")
+    assert "4096 anchor short sets" in err
 
 
 # -- run ------------------------------------------------------------------
@@ -591,6 +592,17 @@ def test_realize_equilateralish(capsys) -> None:
     code, out, _ = run_cli(capsys, "realize", "<45>")
     assert code == 0
     assert out == "1 1 1 1 1\n"
+
+
+def test_realize_refuses_eleven_edges_before_the_lp(capsys, monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("an LP was posed")
+
+    monkeypatch.setattr("polygonspaces.genetics._simplex_max", refuse)
+    code, out, err = run_cli(capsys, "realize", "<[11]>")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error [GROUND_SET_TOO_LARGE]")
 
 
 def test_realize_round_trip(capsys) -> None:

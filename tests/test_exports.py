@@ -11,6 +11,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 TEST_ONLY = {
     "up_covers": "a code's one-set extensions: how a census of the code "
     "tree reaches each code's children",
+    "minimal_code": "the bottom of the order on codes: where a census of "
+    "the code tree starts and where every saturated chain begins",
     "partition_lattice": "the reference that the intersection-poset tests "
     "compare against",
     "partitions_of": "every set partition, from the enumeration that "

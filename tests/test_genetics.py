@@ -275,7 +275,25 @@ def test_rational_lengths_match_fraction_arithmetic(lengths):
     assert genetic_code(lengths).short_sets() == shorts | {frozenset()}
 
 
-# --- the frozenset scans that the bitmask scans replaced --------------------
+# --- the frozenset walks that the shortness bitset replaced -----------------
+
+
+def dominance_up_covers(s: frozenset, anchor: int):
+    """Immediate successors of ``s`` among anchor-containing subsets."""
+    if 1 not in s:
+        yield s | {1}
+    for g in s:
+        if g < anchor and g + 1 not in s:
+            yield (s - {g}) | {g + 1}
+
+
+def dominance_down_covers(s: frozenset, anchor: int):
+    """Immediate predecessors of ``s`` among anchor-containing subsets."""
+    if 1 in s:
+        yield s - {1}
+    for g in s:
+        if g != anchor and g > 1 and g - 1 not in s:
+            yield (s - {g}) | {g - 1}
 
 
 def maximal_in_downset(sets: frozenset) -> frozenset:
@@ -286,10 +304,64 @@ def maximal_in_downset(sets: frozenset) -> frozenset:
     return frozenset(
         s
         for s in sets
-        if not any(
-            c in sets for c in genetics._dominance_up_covers(s, anchor)
-        )
+        if not any(c in sets for c in dominance_up_covers(s, anchor))
     )
+
+
+def reference_anchor_short_sets(g: GeneticCode) -> frozenset:
+    """The down-set of the genes, walked down the dominance covers."""
+    anchor = g.edge_count
+    seen = set(g.genes)
+    stack = list(g.genes)
+    while stack:
+        for s in dominance_down_covers(stack.pop(), anchor):
+            # at one edge the only cover below the anchor is empty
+            if anchor in s and s not in seen:
+                seen.add(s)
+                stack.append(s)
+    return frozenset(seen)
+
+
+def reference_short_sets(g: GeneticCode) -> frozenset:
+    """The walked anchor short sets and the complement of each long
+    anchor set."""
+    shorts = reference_anchor_short_sets(g)
+    ground = frozenset(range(1, g.edge_count + 1))
+    return shorts.union(
+        ground - s for s in genetics._anchor_sets(g.edge_count)
+        if s not in shorts
+    )
+
+
+def reference_saturated_chain(g: GeneticCode) -> SaturatedChain:
+    """The descent on frozensets: drop the gene with the largest
+    descending tuple and adjoin those of its down-covers that have no
+    short up-cover left, after the same size cap."""
+    if g.is_empty_space():
+        return SaturatedChain((g,), ())
+    m = g.edge_count
+    shorts = set(reference_anchor_short_sets(g))
+    if len(shorts) > genetics.MAX_CHAIN_SHORT_SETS:
+        raise TooLargeError(
+            f"{format_code(g)} has {len(shorts)} anchor short sets; "
+            f"chains are built for at most {genetics.MAX_CHAIN_SHORT_SETS}"
+        )
+    bottom = minimal_code(m)
+    codes, removed = [g], []
+    genes = set(g.genes)
+    while codes[-1] != bottom:
+        gene = max(genes, key=lambda h: tuple(sorted(h, reverse=True)))
+        removed.append(gene)
+        shorts.remove(gene)
+        genes.remove(gene)
+        genes.update(
+            c
+            for c in dominance_down_covers(gene, m)
+            if m in c
+            and not any(u in shorts for u in dominance_up_covers(c, m))
+        )
+        codes.append(GeneticCode(m, genes))
+    return SaturatedChain(tuple(reversed(codes)), tuple(reversed(removed)))
 
 
 def reference_genetic_code(lengths) -> GeneticCode:
@@ -306,25 +378,44 @@ def reference_genetic_code(lengths) -> GeneticCode:
 
 def reference_minimal_long_sets(g: GeneticCode) -> tuple[frozenset, ...]:
     """The long anchor sets whose down-covers all lie in the walked
-    ``anchor_short_sets``, as frozensets."""
+    anchor short sets, as frozensets."""
     m = g.edge_count
-    shorts = g.anchor_short_sets()
+    shorts = reference_anchor_short_sets(g)
     out = [
         s
         for s in genetics._anchor_sets(m)
         if s not in shorts
-        and all(c in shorts for c in genetics._dominance_down_covers(s, m))
+        and all(c in shorts for c in dominance_down_covers(s, m))
     ]
     return tuple(sorted(out, key=lambda s: sorted(s)))
 
 
-def seeded_draws() -> list[tuple[int, ...]]:
-    """120 seeded integer length vectors of 8 to 10 edges with odd
-    perimeters, so each is generic."""
-    rng = random.Random(5)
+def chain_outcome(chain, g):
+    """The chain, or the type and message of the refusal."""
+    try:
+        return chain(g)
+    except TooLargeError as err:
+        return type(err), str(err)
+
+
+def assert_matches_references(g: GeneticCode) -> None:
+    """The bitset answers of one code equal the frozenset walks: minimal
+    long sets and chains in order, refusals included."""
+    assert minimal_long_sets(g) == reference_minimal_long_sets(g), g
+    assert g.anchor_short_sets() == reference_anchor_short_sets(g), g
+    assert g.short_sets() == reference_short_sets(g), g
+    assert chain_outcome(saturated_chain, g) == chain_outcome(
+        reference_saturated_chain, g
+    ), g
+
+
+def seeded_draws(count=120, sizes=(8, 9, 10), seed=5) -> list[tuple[int, ...]]:
+    """Seeded integer length vectors, by default 120 of 8 to 10 edges, with
+    odd perimeters, so each is generic."""
+    rng = random.Random(seed)
     draws = []
-    for _ in range(120):
-        m = rng.choice((8, 9, 10))
+    for _ in range(count):
+        m = rng.choice(sizes)
         while True:
             lengths = tuple(rng.randint(1, 3 * m) for _ in range(m))
             if sum(lengths) % 2:
@@ -334,24 +425,59 @@ def seeded_draws() -> list[tuple[int, ...]]:
 
 
 def test_mask_scans_match_the_frozenset_scans():
-    """Every code with m <= 7 and the codes of the seeded m = 8..10 draws:
-    the same minimal long sets in the same order, and the same code from
-    each realized vector and each draw."""
+    """Every code with m <= 7, m = 1 and 2 among them, where dropping edge 1
+    at one edge leaves no anchor set, the codes of the seeded m = 8..10
+    draws and of two seeded draws at ``MAX_EDGES``: the bitset answers equal
+    the frozenset walks, and each realized vector and each draw gives the
+    same code as the frozenset scan."""
     pinned = json.loads(
         (pathlib.Path(__file__).parent / "fixtures" / "realize_m7.json")
         .read_text()
     )
+    widest = seeded_draws(2, (genetics.MAX_EDGES,), seed=16)
     vectors = [v for v in pinned.values() if v is not None]
-    vectors += seeded_draws() + [(1,), (1, 3), (2, 3, 4)]
+    vectors += seeded_draws() + widest + [(1,), (1, 3), (2, 3, 4)]
+    drawn = [genetic_code(v) for v in seeded_draws() + widest]
+    for g in drawn:
+        # a code read off lengths keeps that bitset: the genes closed
+        # downward give it back
+        assert GeneticCode(g.edge_count, g.genes)._short == g._short, g
     codes = [
         g for m in range(1, genetics.MAX_EDGES_ENUMERATE + 1)
         for g in enumerate_codes(m)
     ]
-    codes += [genetic_code(v) for v in seeded_draws()]
-    for g in codes:
-        assert minimal_long_sets(g) == reference_minimal_long_sets(g), g
+    assert {g.edge_count for g in codes + drawn} == {*range(1, 11), 16}
+    for g in codes + drawn:
+        assert_matches_references(g)
     for v in vectors:
         assert genetic_code(v) == reference_genetic_code(v), v
+
+
+def test_antichain_check_matches_dominance_leq():
+    """The constructor compares descending tuples sorted once per gene;
+    testing every pair with ``dominance_leq`` refuses the same gene lists,
+    naming the same first comparable pair."""
+    for m in range(1, 6):
+        for r in (2, 3):
+            for genes in itertools.combinations(genetics._anchor_sets(m), r):
+                ordered = sorted(genes, key=sorted)
+                pair = next(
+                    (
+                        (a, b)
+                        for a, b in itertools.combinations(ordered, 2)
+                        if dominance_leq(a, b) or dominance_leq(b, a)
+                    ),
+                    None,
+                )
+                if pair is None:
+                    assert GeneticCode(m, genes).genes == tuple(ordered)
+                    continue
+                with pytest.raises(InvalidCodeError) as err:
+                    GeneticCode(m, genes)
+                assert str(err.value) == (
+                    f"genes {sorted(pair[0])} and {sorted(pair[1])} are "
+                    "comparable; a code must be an antichain"
+                )
 
 
 # --- the order on codes, covers, chains -------------------------------------
@@ -445,7 +571,7 @@ def test_saturated_chain_matches_a_rebuilding_descent():
         while g != minimal_code(g.edge_count):
             gene = max(g.genes, key=lambda h: sorted(h, reverse=True))
             removed.append(gene)
-            shorts = g.anchor_short_sets() - {gene}
+            shorts = reference_anchor_short_sets(g) - {gene}
             g = GeneticCode(g.edge_count, maximal_in_downset(shorts))
             codes.append(g)
         return SaturatedChain(tuple(reversed(codes)), tuple(reversed(removed)))
@@ -527,11 +653,19 @@ def test_enumerate_codes_counts():
 # --- realization -----------------------------------------------------------
 
 
+def simplex_fractions(objective, rows, rhs):
+    """``_simplex_max`` with its numerators divided by its denominator."""
+    value, x, denom = _simplex_max(objective, rows, rhs)
+    assert denom > 0
+    return Fraction(value, denom), [Fraction(v, denom) for v in x]
+
+
 def test_simplex_small_cases():
-    best = _simplex_max([1, 1], [[1, 0], [0, 1]], [2, 3])
+    best = simplex_fractions([1, 1], [[1, 0], [0, 1]], [2, 3])
     assert best == (Fraction(5), [Fraction(2), Fraction(3)])
-    best = _simplex_max([1, 0], [[1, 1], [1, -1]], [4, 1])
+    best = simplex_fractions([1, 0], [[1, 1], [1, -1]], [4, 1])
     assert best == (Fraction(5, 2), [Fraction(5, 2), Fraction(3, 2)])
+    assert best == reference_simplex_max([1, 0], [[1, 1], [1, -1]], [4, 1])
     # the one-phase start needs the origin feasible
     with pytest.raises(AuditError, match="negative right-hand side"):
         _simplex_max([1], [[1]], [-1])
@@ -667,20 +801,33 @@ def bounded_lps(draw):
         [3, 0, 2, 0],
     )
 )
+# an LP whose optimal vertex depends on choosing the entering variable by
+# its label: after the first pivot a column holds a slack, and taking the
+# first column with a negative cost leads to another optimal vertex
+@example(
+    (
+        [1, 2, -1, 1],
+        [[1, 1, 1, 1], [2, -3, -1, 3], [-2, 1, 1, -3], [3, 4, 2, 2]],
+        [2, 0, 3, 3],
+    )
+)
 def test_simplex_matches_rational_reference(lp):
     expected = outcome(reference_simplex_max, *lp)
-    assert outcome(_simplex_max, *lp) == expected
+    assert outcome(simplex_fractions, *lp) == expected
 
 
 def test_simplex_matches_reference_on_realize_lps(monkeypatch):
     """Every LP that ``realize`` poses for the nonempty codes with
-    3 <= m <= 6 has the reference's answer, value and vertex both."""
+    3 <= m <= 6 has the reference's answer, value and vertex both, once
+    the numerators that ``realize`` is given are divided by the
+    denominator."""
     posed = []
 
     def recording(objective, rows, rhs):
-        solved = _simplex_max(objective, rows, rhs)
+        value, x, denom = _simplex_max(objective, rows, rhs)
+        solved = Fraction(value, denom), [Fraction(v, denom) for v in x]
         posed.append(((objective, rows, rhs), solved))
-        return solved
+        return value, x, denom
 
     monkeypatch.setattr(genetics, "_simplex_max", recording)
     codes = [
@@ -746,7 +893,7 @@ def reference_realize(g: GeneticCode):
         row(lambda i: 1 - 2 * (i in long_set))
         for long_set in reference_minimal_long_sets(g)
     ]
-    value, x = _simplex_max(
+    value, x = simplex_fractions(
         row(lambda i: 0), rows, [1] + [0] * (len(rows) - 1)
     )
     if value <= 0:
