@@ -7,11 +7,16 @@ of adjacent blocks.  Reversing the block order is a free involution, and
 the whole complex is a sphere of dimension ``n - 2``.
 
 The build works on bitmasks: bit ``i`` stands for the ``i``-th smallest
-element, a block is a mask, and a partition is keyed by the tuple of its
-masks, so a facet is found by OR-ing two adjacent masks.  Each block's
-frozenset is made once per mask (``2**n - 1`` of them) and shared by every
-cell's label and pattern that holds it.  ``surgery_step`` enumerates the
-new cells of a collapse step the same way, in the same order.
+element and a block is a mask.  A partition is keyed by one int with block
+``j`` in bits ``n*j`` and up, so the facet that merges blocks ``i`` and
+``i + 1`` is two masks and a shift of the key away, and a cell is paired
+with its reversal, whose key reads the masks the other way, when the
+second of the two is built.  Each block's frozenset is made once per
+mask (``2**n - 1`` of them) and shared by every cell's label and pattern
+that holds it.  ``surgery_step`` enumerates the new cells of a collapse
+step in the same order.  ``cells_by_dimension`` is the one (dimension,
+identity) order in which the package re-adds cells: facets first, each
+dimension in identity order.
 
 :class:`RegularCellComplex` stores cells append-only with stable integer
 identities, so cells that survive a surgery step keep their identity in the
@@ -21,6 +26,8 @@ edge has two ends, each face of codimension two lies on exactly two facets
 (the diamond property), and a two-cell's boundary is a single cycle.
 ``seal()`` audits that the involution, which only ``pair()`` writes, is
 free, dimension preserving and facet compatible, and freezes the complex.
+Every refusal of ``add_cell`` and ``seal()`` carries ``details``: the
+stage, the cell's label and identity and the ids at fault.
 ``add_cell`` keeps the cofacet map once built; ``derive`` hands it on.
 
 A surgery step starts its result from the sealed complex before it with
@@ -35,9 +42,16 @@ partner, so its audits would read what they read before.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import (
+    Hashable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 from .errors import (
     AuditError,
@@ -57,14 +71,15 @@ def euler(f_vector: Sequence[int]) -> int:
     return sum((-1) ** d * n for d, n in enumerate(f_vector))
 
 
-@dataclass(frozen=True, slots=True)
-class Cell:
-    """One cell of a regular cell complex.
+class Cell(NamedTuple):
+    """One cell of a regular cell complex: an immutable named tuple with no
+    per-instance ``__dict__``.
 
     ``label`` is a ``(kind, payload)`` pair recording how the cell arose;
     it is opaque to the audits but drives lookups and sphere relocation.
     ``pattern`` is an ordered tuple of frozensets over a partial ground set,
-    carried along so spheres can be re-identified after surgery.
+    carried along so spheres can be re-identified after surgery.  A changed
+    copy comes from ``_replace``.
     """
 
     ident: int
@@ -102,6 +117,16 @@ def connected_components(
     return list(groups.values()), forest
 
 
+def _refused(
+    label: tuple, ident: int, message: str, **at: object
+) -> AuditError:
+    """``add_cell``'s refusal of the cell ``label`` that it would have
+    given the identity ``ident``, with the ids at fault in ``at``."""
+    return AuditError(
+        message, stage="add_cell", label=label, cell=ident, **at
+    )
+
+
 def reversal(blocks: Blocks) -> Blocks:
     return tuple(reversed(blocks))
 
@@ -131,33 +156,61 @@ class RegularCellComplex:
         ident: Optional[int] = None,
     ) -> int:
         """Audit a new cell against the cells below it, then add it.  A
-        refused cell leaves the complex unchanged."""
-        if self._sealed:
-            raise AuditError("complex is sealed")
+        refused cell leaves the complex unchanged, and the ``AuditError``
+        names in its ``details`` the stage, the cell's label and identity
+        and the facets or faces at fault."""
         facets = tuple(facets)
         cells = self.cells
         if ident is None:
             ident = self._next
+        if self._sealed:
+            raise _refused(label, ident, "complex is sealed")
         if ident in cells:
-            raise AuditError(f"duplicate cell identity {ident}")
+            raise _refused(label, ident, f"duplicate cell identity {ident}")
         if label in self._labels:
-            raise AuditError(f"duplicate label {label!r}")
+            raise _refused(
+                label, ident, f"duplicate label {label!r}",
+                other=self._labels[label],
+            )
+        if dim < 0:
+            raise _refused(
+                label, ident, f"cell {label!r} has negative dimension {dim}"
+            )
         if dim == 0 and facets:
-            raise AuditError("a vertex has no facets")
+            raise _refused(
+                label, ident, "a vertex has no facets", facets=facets
+            )
         if dim > 0 and len(facets) < 2:
-            raise AuditError(f"cell {label!r} of dim {dim} needs >= 2 facets")
+            raise _refused(
+                label, ident, f"cell {label!r} of dim {dim} needs >= 2 facets",
+                facets=facets,
+            )
         if len(set(facets)) != len(facets):
-            raise AuditError(f"cell {label!r} repeats a facet")
+            raise _refused(
+                label, ident, f"cell {label!r} repeats a facet",
+                facets=tuple(sorted({f for f in facets
+                                     if facets.count(f) > 1})),
+            )
         faces: list[int] = []  # the facets of each facet, in facet order
         for f in facets:
             facet = cells.get(f)
             if facet is None:
-                raise AuditError(f"facet {f} of {label!r} does not exist")
+                raise _refused(
+                    label, ident, f"facet {f} of {label!r} does not exist",
+                    facets=(f,),
+                )
             if facet.dim != dim - 1:
-                raise AuditError(f"facet {f} of {label!r} has wrong dimension")
+                raise _refused(
+                    label, ident,
+                    f"facet {f} of {label!r} has wrong dimension",
+                    facets=(f,),
+                )
             faces += facet.facets
         if dim == 1 and len(facets) != 2:
-            raise AuditError(f"edge {label!r} lacks two distinct ends")
+            raise _refused(
+                label, ident, f"edge {label!r} lacks two distinct ends",
+                facets=facets,
+            )
         if dim > 1:
             # the diamond property: in sorted order the faces of
             # codimension two come in equal pairs, no two alike
@@ -168,7 +221,11 @@ class RegularCellComplex:
                 for g in faces:
                     counts[g] = counts.get(g, 0) + 1
                 bad = {g: k for g, k in counts.items() if k != 2}
-                raise AuditError(f"diamond property fails at {label!r}: {bad}")
+                raise _refused(
+                    label, ident,
+                    f"diamond property fails at {label!r}: {bad}",
+                    faces=bad,
+                )
             if dim == 2:
                 # the facets are edges, whose two ends sit side by side at
                 # positions j and j ^ 1; past the diamond test each end lies
@@ -186,8 +243,10 @@ class RegularCellComplex:
                     j ^= 1
                     walked += 1
                 if walked != len(facets):
-                    raise AuditError(
-                        f"boundary of {label!r} is not a single cycle"
+                    raise _refused(
+                        label, ident,
+                        f"boundary of {label!r} is not a single cycle",
+                        facets=facets,
                     )
         # every check has passed: only now does the complex change
         if ident >= self._next:
@@ -275,27 +334,47 @@ class RegularCellComplex:
     # -- audits --------------------------------------------------------
 
     def _audit_involution(self) -> None:
+        """Each refusal names in its ``details`` the stage, the label and
+        identity of the cell at fault, its partner and the facet ids at
+        fault: those where the image of the cell's facets and the
+        partner's facets differ."""
         inv, cells = self.involution, self.cells
         if inv.keys() != cells.keys():
-            raise AuditError("involution is not defined on every cell")
+            odd = sorted(inv.keys() ^ cells.keys())
+            raise AuditError(
+                "involution is not defined on every cell", stage="seal",
+                label=cells[odd[0]].label if odd[0] in cells else None,
+                cell=odd[0], cells=tuple(odd),
+            )
+
+        def fault(error: type, message: str, a: int, b: int, **at: object):
+            return error(
+                message, stage="seal", label=cells[a].label, cell=a,
+                partner=b, **at,
+            )
+
         # the facet test is symmetric in a pair, so it runs at the member
         # met first, and the message names the same cell as a full pass
         checked: set[int] = set()
         for a, b in itertools.islice(inv.items(), self._carried, None):
             if a == b:
-                raise FixedCellError(f"involution fixes cell {a}")
+                raise fault(FixedCellError, f"involution fixes cell {a}", a, b)
             if inv.get(b) != a:
-                raise AuditError("involution is not an involution")
+                raise fault(
+                    AuditError, "involution is not an involution", a, b
+                )
             if a in checked:
                 continue
             checked.add(b)
             ca, cb = cells[a], cells[b]
             if ca.dim != cb.dim:
-                raise AuditError("involution changes dimension")
+                raise fault(AuditError, "involution changes dimension", a, b)
             image = {inv[f] for f in ca.facets}
             if image != set(cb.facets):
-                raise AuditError(
-                    f"involution of {ca.label!r} does not respect facets"
+                raise fault(
+                    AuditError,
+                    f"involution of {ca.label!r} does not respect facets",
+                    a, b, facets=tuple(sorted(image ^ set(cb.facets))),
                 )
 
     # -- queries ---------------------------------------------------------
@@ -354,9 +433,11 @@ class RegularCellComplex:
         for i in idents:
             keep |= self.faces_of(i)
         out = RegularCellComplex()
-        for i in sorted(keep, key=lambda i: (self.cells[i].dim, i)):
-            c = self.cells[i]
-            out.add_cell(c.dim, c.label, c.facets, c.pattern, ident=i)
+        for cells in cells_by_dimension({i: self.cells[i] for i in keep}):
+            for c in cells:
+                out.add_cell(
+                    c.dim, c.label, c.facets, c.pattern, ident=c.ident
+                )
         return out.seal()
 
 
@@ -419,20 +500,50 @@ def coxeter_complex(ground: Iterable[int]) -> RegularCellComplex:
     n = len(items)
     sets = _block_sets(items)
     complex_ = RegularCellComplex()
-    ids: dict[tuple[int, ...], int] = {}
+    add_cell, pair = complex_.add_cell, complex_.pair
+    # block j of a partition's key sits in bits n*j and up; low[j] keeps
+    # the blocks before j
+    low = [(1 << n * j) - 1 for j in range(n + 1)]
+    ids: dict[int, int] = {}
     for k in range(2, n + 1):
-        for masks in _ordered_partitions(n, k):
-            blocks = tuple(sets[m] for m in masks)
-            facets = tuple(
-                ids[masks[:i] + (masks[i] | masks[i + 1],) + masks[i + 2 :]]
-                for i in range(k - 1 if k > 2 else 0)
-            )
-            ids[masks] = complex_.add_cell(
-                k - 2, ("osp", blocks), facets, pattern=blocks
-            )
-    for masks, ident in ids.items():
-        complex_.pair(ident, ids[masks[::-1]])
+        # merging blocks i and i + 1 keeps the blocks up to i and shifts
+        # the ones past i + 1 down a block
+        merges = [(low[i + 1], ~low[i]) for i in range(k - 1 if k > 2 else 0)]
+        for masks in _set_partitions(n, k):
+            for order, blocks in zip(
+                itertools.permutations(masks),
+                itertools.permutations([sets[m] for m in masks]),
+            ):
+                # the keys of this ordering and of its reversal
+                key = rev = 0
+                for m in order:
+                    rev = rev << n | m
+                for m in reversed(order):
+                    key = key << n | m
+                ident = ids[key] = add_cell(
+                    k - 2,
+                    ("osp", blocks),
+                    [ids[key & a | key >> n & b] for a, b in merges],
+                    blocks,
+                )
+                # the second of a cell and its reversal to be built pairs them
+                partner = ids.get(rev)
+                if partner is not None:
+                    pair(partner, ident)
     return complex_.seal()
+
+
+def cells_by_dimension(cells: Mapping[int, Cell]) -> list[list[Cell]]:
+    """The cells, keyed by identity, in one list per dimension, each in
+    identity order.  Read one after another they run in (dimension,
+    identity) order, every facet before the cells on it."""
+    buckets: list[list[Cell]] = []
+    for i in sorted(cells):
+        c = cells[i]
+        while len(buckets) <= c.dim:
+            buckets.append([])
+        buckets[c.dim].append(c)
+    return buckets
 
 
 def projective_quotient(
@@ -449,13 +560,16 @@ def projective_quotient(
     if not complex_.involution:
         raise NotApplicableError("complex has no involution to quotient by")
     out = RegularCellComplex()
+    add_cell, involution = out.add_cell, complex_.involution
     mapping: dict[int, int] = {}
-    for c in sorted(complex_.cells.values(), key=lambda c: (c.dim, c.ident)):
-        partner = complex_.involution[c.ident]
-        if partner < c.ident:
-            mapping[c.ident] = mapping[partner]
-            continue
-        mapping[c.ident] = out.add_cell(
-            c.dim, ("orbit", c.label), [mapping[f] for f in c.facets], c.pattern
-        )
+    for bucket in cells_by_dimension(complex_.cells):
+        for c in bucket:
+            partner = involution[c.ident]
+            if partner < c.ident:
+                mapping[c.ident] = mapping[partner]
+                continue
+            mapping[c.ident] = add_cell(
+                c.dim, ("orbit", c.label), [mapping[f] for f in c.facets],
+                c.pattern,
+            )
     return out.seal(), mapping

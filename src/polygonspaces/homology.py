@@ -67,7 +67,13 @@ from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Optional, Sequence
 
 from .errors import AuditError, NotApplicableError, TooLargeError
-from .coxeter import Cell, RegularCellComplex, connected_components, euler
+from .coxeter import (
+    Cell,
+    RegularCellComplex,
+    cells_by_dimension,
+    connected_components,
+    euler,
+)
 from .genetics import GeneticCode
 
 MAX_SIMPLICES = 2_000_000
@@ -499,9 +505,7 @@ def _cellular_chains(
 ) -> tuple[list[int], Callable[[int], Boundary]]:
     """Cells per dimension and the boundary columns of a sealed complex,
     each built once, a dimension before the one above it."""
-    by_dim: list[list[Cell]] = [[] for _ in range(complex_.dim + 1)]
-    for cell in sorted(complex_, key=lambda c: c.ident):
-        by_dim[cell.dim].append(cell)
+    by_dim = cells_by_dimension(complex_.cells)
     index = {c.ident: i for cells in by_dim for i, c in enumerate(cells)}
     columns: list[Boundary] = []
     for cells in by_dim:

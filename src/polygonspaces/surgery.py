@@ -18,7 +18,7 @@ than degrade.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Hashable, Iterator, Optional
 
 from .coxeter import (
@@ -26,6 +26,7 @@ from .coxeter import (
     RegularCellComplex,
     _block_sets,
     _ordered_partitions,
+    cells_by_dimension,
     connected_components,
     coxeter_complex,
     projective_quotient,
@@ -232,11 +233,12 @@ def surgery_step(
         # each facet is new, or was a facet before the step
         old = {key(cells[f].pattern): f for f in region[i].facets}
         facets = tuple(new.get(k, old.get(k)) for k in map(key, merged))
-        region[i] = replace(region[i], facets=facets)
+        region[i] = region[i]._replace(facets=facets)
 
     out = complex_.derive(sphere | star)
-    for c in sorted(region.values(), key=lambda c: (c.dim, c.ident)):
-        out.add_cell(c.dim, c.label, c.facets, c.pattern, ident=c.ident)
+    for cells_of_dim in cells_by_dimension(region):
+        for c in cells_of_dim:
+            out.add_cell(c.dim, c.label, c.facets, c.pattern, ident=c.ident)
     if not projective:
         by_pattern = {c.pattern: i for i, c in region.items()}
         for i, c in region.items():

@@ -1,13 +1,16 @@
 """Cell complex layer: audits, Coxeter spheres, quotients."""
 
 import functools
+import gc
 import itertools
+import time
 
 import pytest
 
 from polygonspaces.coxeter import (
     Cell,
     RegularCellComplex,
+    cells_by_dimension,
     coxeter_complex,
     projective_quotient,
     reversal,
@@ -18,6 +21,8 @@ from polygonspaces.errors import (
     GroundSetTooLargeError,
     NotApplicableError,
 )
+from polygonspaces.genetics import parse_code
+from polygonspaces.surgery import run_chain
 
 
 @functools.cache
@@ -160,14 +165,36 @@ def reference_coxeter(ground) -> RegularCellComplex:
 
 def assert_build_matches_reference(n: int) -> None:
     """Equal cells in the same order and an equal involution, for the
-    sphere on ``1..n`` and for its projective quotient."""
+    sphere on ``1..n`` against the frozenset-keyed one, and for its
+    projective quotient against the quotient built by a key-tuple sort."""
     ground = range(1, n + 1)
     got, ref = coxeter_complex(ground), reference_coxeter(ground)
     assert list(got) == list(ref)
     assert got.involution == ref.involution
-    (q_got, map_got), (q_ref, map_ref) = map(projective_quotient, (got, ref))
+    (q_got, map_got), (q_ref, map_ref) = (
+        projective_quotient(got), reference_quotient(ref)
+    )
     assert list(q_got) == list(q_ref)
     assert map_got == map_ref
+
+
+def construction_seconds(n: int) -> dict[str, tuple[float, float]]:
+    """The seconds that the package and the reference take to build the
+    sphere on ``1..n`` and its quotient.  Each side runs alone after a
+    collection, so neither pays the collector for the other's cells."""
+    seconds = {}
+    for side, build, quotient in (
+        ("package", coxeter_complex, projective_quotient),
+        ("reference", reference_coxeter, reference_quotient),
+    ):
+        gc.collect()
+        tick = time.perf_counter()
+        sphere = build(range(1, n + 1))
+        mid = time.perf_counter()
+        quotient(sphere)
+        seconds[side] = (mid - tick, time.perf_counter() - mid)
+        del sphere
+    return seconds
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -250,6 +277,44 @@ def test_pairing_rejects_fixed_cell() -> None:
         k.pair(a, a)
 
 
+def reference_quotient(complex_: RegularCellComplex):
+    """The projective quotient built in (dimension, identity) order by a
+    sort on key tuples."""
+    out = RegularCellComplex()
+    mapping: dict[int, int] = {}
+    for c in sorted(complex_.cells.values(), key=lambda c: (c.dim, c.ident)):
+        partner = complex_.involution[c.ident]
+        if partner < c.ident:
+            mapping[c.ident] = mapping[partner]
+            continue
+        mapping[c.ident] = out.add_cell(
+            c.dim, ("orbit", c.label), [mapping[f] for f in c.facets],
+            c.pattern,
+        )
+    return out.seal(), mapping
+
+
+def test_quotient_of_cells_out_of_dimension_order() -> None:
+    # the first collapse step of <125> adds its new cells after the kept
+    # ones, so neither its identities nor its dict run in dimension order
+    _, (_, step) = itertools.islice(
+        run_chain(parse_code("<125>"), mode="collapse"), 2
+    )
+    dims = [step.cells[i].dim for i in sorted(step.cells)]
+    assert dims != sorted(dims)
+    assert list(step.cells) != sorted(step.cells)
+    assert [c for cells in cells_by_dimension(step.cells) for c in cells] == (
+        sorted(step, key=lambda c: (c.dim, c.ident))
+    )
+    assert cells_by_dimension({}) == []
+    (got, got_map), (ref, ref_map) = (
+        projective_quotient(step), reference_quotient(step)
+    )
+    assert list(got) == list(ref)
+    assert list(got_map.items()) == list(ref_map.items())
+    assert got.f_vector() == tuple(f // 2 for f in step.f_vector())
+
+
 # -- audits -------------------------------------------------------------
 
 
@@ -308,6 +373,61 @@ def test_refused_cell_leaves_the_complex_unchanged(match, refuse) -> None:
     assert k.add_cell(0, ("v", "d")) == a + 3
 
 
+# the details of each refusal in REFUSED_CELLS, past the stage, the label
+# and the identity the cell would have had; a is the first vertex
+REFUSAL_DETAILS = {
+    "duplicate label": lambda a: (("v", "a"), 3, {"other": a}),
+    "duplicate identity": lambda a: (("v", "b"), a, {}),
+    "vertex with facets": lambda a: (("v", "b"), 3, {"facets": (a,)}),
+    "one facet": lambda a: (("e", 1), 9, {"facets": (a,)}),
+    "repeated facet": lambda a: (("e", 1), 3, {"facets": (a,)}),
+    "missing facet": lambda a: (("e", 1), 9, {"facets": (7,)}),
+    "wrong dimension": lambda a: (("f", 1), 3, {"facets": (a,)}),
+    "three-ended edge": lambda a: (
+        ("e", 1), 3, {"facets": (a, a + 1, a + 2)}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSED_CELLS))
+def test_refused_cell_names_its_stage_label_and_ids(name: str) -> None:
+    k = RegularCellComplex()
+    a = k.add_cell(0, ("v", "a"))
+    k.add_cell(0, ("v", "c"))
+    k.add_cell(0, ("v", "e"))
+    _, refuse = REFUSED_CELLS[name]
+    label, ident, at = REFUSAL_DETAILS[name](a)
+    with pytest.raises(AuditError) as raised:
+        refuse(k, a)
+    assert raised.value.details == {
+        "stage": "add_cell", "label": label, "cell": ident, **at
+    }
+
+
+def test_add_cell_refuses_a_negative_dimension() -> None:
+    k = RegularCellComplex()
+    v = k.add_cell(0, ("v", 0))
+    refused = refused_cell(k, -1, ("neg",), ())
+    assert str(refused) == "cell ('neg',) has negative dimension -1"
+    assert refused.details == {
+        "stage": "add_cell", "label": ("neg",), "cell": v + 1
+    }
+    # only the vertex that refused_cell adds after the refusal is new
+    assert k.f_vector() == (2,)
+    assert k.dim == 0
+
+
+def test_a_sealed_complex_refuses_a_cell_with_details() -> None:
+    k = RegularCellComplex()
+    k.add_cell(0, ("v", "a"))
+    k.seal()
+    with pytest.raises(AuditError, match="complex is sealed") as raised:
+        k.add_cell(0, ("v", "late"), ident=5)
+    assert raised.value.details == {
+        "stage": "add_cell", "label": ("v", "late"), "cell": 5
+    }
+
+
 def test_edge_needs_two_distinct_ends() -> None:
     k = RegularCellComplex()
     a = k.add_cell(0, ("v", "a"))
@@ -315,10 +435,10 @@ def test_edge_needs_two_distinct_ends() -> None:
         k.add_cell(1, ("e", 1), (a, a))
 
 
-def refused_cell_message(k, dim: int, label: tuple, facets) -> str:
+def refused_cell(k, dim: int, label: tuple, facets) -> AuditError:
     """Require ``add_cell`` to refuse a cell and leave ``k`` unchanged: the
     same cells, no cell under ``label``, and the next automatic identity
-    where it was.  Returns the message of the refusal."""
+    where it was.  Returns the refusal."""
     before = dict(k.cells)
     with pytest.raises(AuditError) as raised:
         k.add_cell(dim, label, facets)
@@ -326,7 +446,12 @@ def refused_cell_message(k, dim: int, label: tuple, facets) -> str:
     with pytest.raises(KeyError):
         k.by_label(label)
     assert k.add_cell(0, ("v", "next")) == max(before) + 1
-    return str(raised.value)
+    return raised.value
+
+
+def refused_cell_message(k, dim: int, label: tuple, facets) -> str:
+    """The message of ``refused_cell``."""
+    return str(refused_cell(k, dim, label, facets))
 
 
 def test_add_cell_refuses_the_theta_two_cell() -> None:
@@ -336,9 +461,14 @@ def test_add_cell_refuses_the_theta_two_cell() -> None:
     a = k.add_cell(0, ("v", "a"))
     b = k.add_cell(0, ("v", "b"))
     edges = [k.add_cell(1, ("e", i), (a, b)) for i in range(3)]
-    assert refused_cell_message(k, 2, ("f", "theta"), edges) == (
+    refused = refused_cell(k, 2, ("f", "theta"), edges)
+    assert str(refused) == (
         "diamond property fails at ('f', 'theta'): {0: 3, 1: 3}"
     )
+    assert refused.details == {
+        "stage": "add_cell", "label": ("f", "theta"), "cell": 5,
+        "faces": {a: 3, b: 3},
+    }
 
 
 def test_two_cell_boundary_must_close() -> None:
@@ -393,11 +523,15 @@ def test_diamond_property_of_a_three_cell() -> None:
     chord = k.add_cell(1, ("e", "chord"), (vs[2], vs[0]))
     triangle = k.add_cell(2, ("f", "triangle"), edges[:2] + [chord])
     k.add_cell(3, ("b", "ball"), (square, pillow))
-    message = refused_cell_message(k, 3, ("b", "broken"), (square, triangle))
-    assert message == (
-        "diamond property fails at ('b', 'broken'): "
-        + str({edges[2]: 1, edges[3]: 1, chord: 1})
+    refused = refused_cell(k, 3, ("b", "broken"), (square, triangle))
+    bad = {edges[2]: 1, edges[3]: 1, chord: 1}
+    assert str(refused) == (
+        f"diamond property fails at ('b', 'broken'): {bad}"
     )
+    assert refused.details == {
+        "stage": "add_cell", "label": ("b", "broken"), "cell": 13,
+        "faces": bad,
+    }
 
 
 def test_bigon_two_cell_seals() -> None:
@@ -420,19 +554,25 @@ def test_two_cell_boundary_must_be_one_cycle() -> None:
         k.add_cell(1, ("e", (i, j)), (vs[i], vs[j]))
         for i, j in [(3, 4), (4, 5), (5, 3)]
     ]
-    assert refused_cell_message(k, 2, ("f", 1), tri1 + tri2) == (
-        "boundary of ('f', 1) is not a single cycle"
-    )
+    refused = refused_cell(k, 2, ("f", 1), tri1 + tri2)
+    assert str(refused) == "boundary of ('f', 1) is not a single cycle"
+    assert refused.details == {
+        "stage": "add_cell", "label": ("f", 1), "cell": 12,
+        "facets": tuple(tri1 + tri2),
+    }
 
 
 def test_involution_audit_requires_totality() -> None:
     k = RegularCellComplex()
     a = k.add_cell(0, ("v", "a"))
     b = k.add_cell(0, ("v", "b"))
-    k.add_cell(0, ("v", "c"))
+    c = k.add_cell(0, ("v", "c"))
     k.pair(a, b)
-    with pytest.raises(AuditError):
+    with pytest.raises(AuditError) as raised:
         k.seal()
+    assert raised.value.details == {
+        "stage": "seal", "label": ("v", "c"), "cell": c, "cells": (c,)
+    }
 
 
 def test_involution_audit_refuses_a_partner_that_is_no_cell() -> None:
@@ -440,8 +580,37 @@ def test_involution_audit_refuses_a_partner_that_is_no_cell() -> None:
     a = k.add_cell(0, ("v", "a"))
     b = k.add_cell(0, ("v", "b"))
     k.involution.update({a: b + 1, b: a})
-    with pytest.raises(AuditError, match="not an involution"):
+    with pytest.raises(AuditError, match="not an involution") as raised:
         k.seal()
+    assert raised.value.details == {
+        "stage": "seal", "label": ("v", "a"), "cell": a, "partner": b + 1
+    }
+
+
+def test_involution_audit_names_a_fixed_cell() -> None:
+    k = RegularCellComplex()
+    a = k.add_cell(0, ("v", "a"))
+    k.involution[a] = a
+    with pytest.raises(FixedCellError, match="fixes cell") as raised:
+        k.seal()
+    assert raised.value.details == {
+        "stage": "seal", "label": ("v", "a"), "cell": a, "partner": a
+    }
+
+
+def test_involution_audit_names_a_change_of_dimension() -> None:
+    k = RegularCellComplex()
+    a = k.add_cell(0, ("v", "a"))
+    b = k.add_cell(0, ("v", "b"))
+    e = k.add_cell(1, ("e", 1), (a, b))
+    c = k.add_cell(0, ("v", "c"))
+    k.pair(a, b)
+    k.pair(e, c)
+    with pytest.raises(AuditError, match="changes dimension") as raised:
+        k.seal()
+    assert raised.value.details == {
+        "stage": "seal", "label": ("e", 1), "cell": e, "partner": c
+    }
 
 
 def assert_facet_fault_names_the_cell_met_first(lower_first: bool) -> None:
@@ -461,6 +630,12 @@ def assert_facet_fault_names_the_cell_met_first(lower_first: bool) -> None:
     assert str(raised.value) == (
         f"involution of {k.cells[first].label!r} does not respect facets"
     )
+    # the partners of e1's ends are c and d and those of e2's are d and a,
+    # so either way round the two facet sets differ in b and d
+    assert raised.value.details == {
+        "stage": "seal", "label": k.cells[first].label, "cell": first,
+        "partner": k.involution[first], "facets": (b, d),
+    }
 
 
 def test_involution_audit_checks_facets() -> None:
@@ -658,6 +833,9 @@ def test_seal_audits_a_pair_made_after_derive() -> None:
     assert str(raised.value) == (
         f"involution of {k.cells[first].label!r} does not respect facets"
     )
+    assert raised.value.details["stage"] == "seal"
+    assert raised.value.details["cell"] == first
+    assert raised.value.details["partner"] == partner[first]
     assert not out.sealed
 
 

@@ -3,7 +3,6 @@
 import functools
 import importlib
 import itertools
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -529,7 +528,7 @@ def test_collapse_steps_are_panina_complexes_by_label(
 def planted(complex_, ident: int, **changes) -> SimpleNamespace:
     """The cells of a complex with one cell's fields changed."""
     cells = dict(complex_.cells)
-    cells[ident] = replace(cells[ident], **changes)
+    cells[ident] = cells[ident]._replace(**changes)
     return SimpleNamespace(cells=cells)
 
 
