@@ -24,7 +24,6 @@ from .genetics import (  # noqa: F401
     GeneticCode,
     LengthVector,
     SaturatedChain,
-    dominance_leq,
     enumerate_codes,
     format_code,
     genetic_code,

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .genetics import (
     GeneticCode,
+    _ascii_digits,
     genetic_code,
     parse_code,
     saturated_chain,
@@ -276,9 +277,9 @@ def _run_model(code: GeneticCode, args: argparse.Namespace) -> int:
 
 
 def _parse_locus(text: str, edge_count: int):
-    """A surgery locus: digit groups separated by commas, or a JSON list
-    of blocks; elements not mentioned become singletons.  An empty locus
-    or an empty block is refused."""
+    """A surgery locus: groups of the digits 0-9 separated by commas, or
+    a JSON list of blocks; elements not mentioned become singletons.  An
+    empty locus or an empty block is refused."""
     text = text.strip()
     if text.startswith("["):
         try:
@@ -291,14 +292,12 @@ def _parse_locus(text: str, edge_count: int):
             )
         blocks = [tuple(b) for b in data]
     else:
-        try:
-            blocks = [
-                tuple(int(ch) for ch in group) for group in text.split(",")
-            ]
-        except ValueError:
+        groups = text.split(",")
+        if not all(_ascii_digits(g) for g in groups if g):
             raise InvalidCodeError(
                 f"locus {text!r} is not comma-separated digit groups"
             )
+        blocks = [tuple(map(int, group)) for group in groups]
     if not blocks or not all(blocks):
         raise InvalidCodeError(
             f"locus {text!r} is empty or has an empty block"

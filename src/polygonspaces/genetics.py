@@ -10,12 +10,14 @@ purely combinatorial *domination* order, so the maximal short sets, called
 *genes*, determine every short set.  The tuple of genes is the *genetic code*
 of the vector.  This module provides:
 
-* exact genericity testing for rational length vectors, with a witness
-  subset on failure,
+* exact genericity testing for rational length vectors, read off one table
+  of subset sums, with the lexicographically first witness subset on
+  failure,
 * the domination order, the genetic code of a vector, and the reconstruction
   of the full short-set system from a code, one bitset over its anchor sets,
-* the partial order on codes at fixed edge count, its up-covers, and the
-  canonical saturated chain from the minimal code up to a target,
+* the partial order on codes at fixed edge count, its up-covers, the
+  canonical saturated chain from the minimal code up to a target, and the
+  enumeration of every code, which tests comparability on that bitset,
 * exact realization of an abstract code by an integer length vector, or a
   certificate of unrealizability, via a linear program in the increments
   between consecutive lengths, so that ascending order costs no constraint
@@ -75,28 +77,25 @@ def _scaled(values: Sequence[Fraction]) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
+def _subset_sums(ints: Sequence[int]) -> list[int]:
+    """The sum over every subset, by doubling one list: entry ``s`` sums
+    the ``ints`` picked by the bits of mask ``s``."""
+    sums = [0]
+    for v in ints:
+        sums += [s + v for s in sums]
+    return sums
+
+
 def _find_half_perimeter_subset(
     values: Sequence[Fraction],
 ) -> Optional[tuple[int, ...]]:
     """First subset (1-based indices, lexicographic) summing to half the
-    total of the ascending ``values``."""
+    total of ``values``: read off the subset-sum table, the first index
+    tuple among the masks whose doubled sum is the total."""
     ints = _scaled(values)
     total = sum(ints)
-    count = len(ints)
-
-    def walk(start: int, acc: int, chosen: tuple[int, ...]):
-        for i in range(start, count):
-            doubled = 2 * (acc + ints[i])
-            if doubled == total:
-                return chosen + (i + 1,)
-            if doubled > total:
-                break  # values are ascending, so later picks overshoot too
-            found = walk(i + 1, acc + ints[i], chosen + (i + 1,))
-            if found is not None:
-                return found
-        return None
-
-    return walk(0, 0, ())
+    ties = [s for s, v in enumerate(_subset_sums(ints)) if 2 * v == total]
+    return min((tuple(i + 1 for i in _bits(s)) for s in ties), default=None)
 
 
 @dataclass(frozen=True)
@@ -132,10 +131,6 @@ class LengthVector:
     def edge_count(self) -> int:
         return len(self.values)
 
-    @property
-    def perimeter(self) -> Fraction:
-        return sum(self.values)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(v) for v in self.values) + ")"
 
@@ -146,19 +141,11 @@ class LengthVector:
 
 
 def _dominated(small: Sequence[int], large: Sequence[int]) -> bool:
-    """The domination order on descending tuples."""
+    """The domination order on descending tuples: ``small`` has at most as
+    many entries, and each is at most the matching entry of ``large``.  For
+    ascending length vectors this forces the sums to compare the same way,
+    which is why short sets form a down-set."""
     return len(small) <= len(large) and all(map(operator.le, small, large))
-
-
-def dominance_leq(lower: Iterable[int], upper: Iterable[int]) -> bool:
-    """The domination order: ``lower <= upper``.
-
-    Holds when ``lower`` has at most as many elements and, after sorting both
-    descending, each entry of ``lower`` is at most the matching entry of
-    ``upper``.  For ascending length vectors this forces the corresponding
-    sums to compare the same way, which is why short sets form a down-set.
-    """
-    return _dominated(sorted(lower, reverse=True), sorted(upper, reverse=True))
 
 
 # A code's shortness is one bitset over its anchor sets: bit i - 1 of a mask
@@ -191,6 +178,19 @@ def _down_moves(edge_count: int) -> tuple[tuple[int, int], ...]:
     return tuple(moves)
 
 
+def _closure(edge_count: int, bits: int) -> int:
+    """The down-closure of a bitset over the anchor sets: sweeps of the
+    down-moves until one adds nothing."""
+    moves = _down_moves(edge_count)
+    while True:
+        closed = bits
+        for pattern, shift in moves:
+            closed |= (closed & pattern) >> shift
+        if closed == bits:
+            return bits
+        bits = closed
+
+
 def _bits(x: int) -> Iterator[int]:
     """The positions of the set bits of ``x``, ascending."""
     while x:
@@ -214,14 +214,6 @@ def _set_mask(edges: Iterable[int]) -> int:
 
 def _gene_sort_key(gene: Gene) -> tuple[int, ...]:
     return tuple(sorted(gene))
-
-
-def _anchor_sets(edge_count: int) -> Iterator[Gene]:
-    """Every subset of the edges that contains the anchor, by size."""
-    rest = range(1, edge_count)
-    for r in range(edge_count):
-        for combo in itertools.combinations(rest, r):
-            yield frozenset(combo) | {edge_count}
 
 
 @dataclass(frozen=True)
@@ -270,18 +262,10 @@ class GeneticCode:
 
     @functools.cached_property
     def _short(self) -> int:
-        """The shortness bitset: the genes closed downward, by sweeps of
-        the down-moves until one adds nothing."""
+        """The shortness bitset: the genes closed downward."""
         anchor = 1 << (self.edge_count - 1)
-        moves = _down_moves(self.edge_count)
-        short = sum(1 << (_set_mask(g) - anchor) for g in self.genes)
-        while True:
-            closed = short
-            for pattern, shift in moves:
-                closed |= (closed & pattern) >> shift
-            if closed == short:
-                return short
-            short = closed
+        genes = sum(1 << (_set_mask(g) - anchor) for g in self.genes)
+        return _closure(self.edge_count, genes)
 
     def is_empty_space(self) -> bool:
         """True when the code describes an empty polygon space (no genes)."""
@@ -328,15 +312,13 @@ def genetic_code(lengths: Union[LengthVector, Iterable[RationalLike]]) -> Geneti
     """The genetic code of a (generic) length vector.
 
     Tests every anchor set for shortness and keeps the short sets that are
-    maximal under domination.  The lengths of the edges below the anchor are
-    summed over all their subsets by doubling one list, so entry ``s`` sums
-    the edges of mask ``s`` and gives bit ``s`` of the shortness bitset.
+    maximal under domination.  Entry ``s`` of the subset-sum table of the
+    edges below the anchor sums the edges of mask ``s`` and gives bit ``s``
+    of the shortness bitset.
     """
     vec = lengths if isinstance(lengths, LengthVector) else LengthVector(lengths)
     ints = _scaled(vec.values)
-    sums = [0]
-    for v in ints[:-1]:
-        sums += [s + v for s in sums]
+    sums = _subset_sums(ints[:-1])
     # 2 * (sums[s] + anchor length) < perimeter
     room = sum(ints) - 2 * ints[-1]
     short = int("".join(["1" if 2 * s < room else "0" for s in reversed(sums)]), 2)
@@ -435,30 +417,41 @@ def surgery_signature(chain: SaturatedChain) -> tuple[int, ...]:
 def enumerate_codes(edge_count: int) -> list[GeneticCode]:
     """All genetic codes at the given edge count (every domination antichain).
 
-    Exponential; refuses edge counts above a small cap.
+    A depth-first walk over the anchor sets in (size, ascending tuple)
+    order adjoins each set that is incomparable with every set chosen so
+    far.  Comparability is read off the bitset over the anchor sets: a
+    set's mask is its down-closure OR'd with its up-closure, the transpose
+    of the down-closures (``t`` lies above ``s`` exactly when ``s`` lies in
+    the down-closure of ``t``), and the walk carries the OR of the chosen
+    sets' masks.  Exponential; refuses edge counts above a small cap.
     """
     if edge_count > MAX_EDGES_ENUMERATE:
         raise GroundSetTooLargeError(
             f"code enumeration supports at most {MAX_EDGES_ENUMERATE} edges"
         )
-    anchor_sets = sorted(
-        _anchor_sets(edge_count), key=lambda s: (len(s), _gene_sort_key(s))
+    anchor = 1 << (edge_count - 1)
+    down = [_closure(edge_count, 1 << s) for s in range(anchor)]
+    comparable = [
+        d | sum(1 << t for t in range(anchor) if down[t] >> s & 1)
+        for s, d in enumerate(down)
+    ]
+    order = sorted(
+        range(anchor), key=lambda s: (s.bit_count(), tuple(_bits(s)))
     )
+    sets = [_mask_set(anchor | s) for s in order]
     out: list[GeneticCode] = []
 
-    def extend(start: int, chosen: list) -> None:
+    def extend(start: int, chosen: list, blocked: int) -> None:
         out.append(GeneticCode(edge_count, chosen))
-        for i in range(start, len(anchor_sets)):
-            s = anchor_sets[i]
-            if any(
-                dominance_leq(s, c) or dominance_leq(c, s) for c in chosen
-            ):
+        for i in range(start, anchor):
+            s = order[i]
+            if blocked >> s & 1:
                 continue
-            chosen.append(s)
-            extend(i + 1, chosen)
+            chosen.append(sets[i])
+            extend(i + 1, chosen, blocked | comparable[s])
             chosen.pop()
 
-    extend(0, [])
+    extend(0, [], 0)
     return out
 
 
@@ -602,6 +595,13 @@ def realize(code: GeneticCode) -> Optional[LengthVector]:
 # ---------------------------------------------------------------------------
 
 
+def _ascii_digits(text: str) -> bool:
+    """True when ``text`` is a nonempty run of the digits ``0-9``: no
+    other Unicode digit, sign, underscore or space, all of which ``int``
+    takes."""
+    return text.isascii() and text.isdecimal()
+
+
 def format_code(code: GeneticCode) -> str:
     """Angle-bracket notation: genes as digit runs, bracketed when elements
     exceed one digit, separated by commas.  The empty code prints as ``<>``."""
@@ -619,7 +619,8 @@ def parse_code(text: str, edge_count: Optional[int] = None) -> GeneticCode:
     """Parse angle-bracket notation, e.g. ``<256>`` or ``<[2,4,6,9]>``.
 
     Each comma-separated token is one gene: a run of digits (one element
-    per digit) or a bracketed list for multi-digit elements.  The edge
+    per digit) or a bracketed list for multi-digit elements, which may have
+    spaces around them.  Only the ASCII digits ``0-9`` are digits.  The edge
     count defaults to the largest element mentioned; the empty code ``<>``
     requires it explicitly.
     """
@@ -636,16 +637,12 @@ def parse_code(text: str, edge_count: Optional[int] = None) -> GeneticCode:
             if not token:
                 continue
             if token.startswith("[") and token.endswith("]"):
-                inner = token[1:-1]
-                try:
-                    elems = tuple(int(p) for p in inner.split(","))
-                except ValueError:
-                    raise InvalidCodeError(f"bad gene token {token!r}") from None
-            elif token.isdecimal():
-                elems = tuple(int(c) for c in token)
+                parts = [p.strip() for p in token[1:-1].split(",")]
             else:
+                parts = list(token)
+            if not all(map(_ascii_digits, parts)):
                 raise InvalidCodeError(f"bad gene token {token!r}")
-            genes.append(elems)
+            genes.append(tuple(map(int, parts)))
             token = ""
         else:
             if ch == "[":

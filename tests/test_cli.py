@@ -105,6 +105,30 @@ def test_chain_refuses_non_decimal_digits(capsys, name) -> None:
     assert err.startswith("error [INVALID_CODE]")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["chain", "<٥>"], id="arabic-indic-digit"),
+        pytest.param(["realize", "<١٢>"], id="arabic-indic-run"),
+        pytest.param(["chain", "<[1_2]>", "--m", "12"], id="underscore"),
+        pytest.param(["chain", "<[+5]>"], id="plus-sign"),
+        pytest.param(["poset", "<45>", "--surgery", "٣٤"], id="locus"),
+    ],
+)
+def test_refuses_digits_other_than_ascii(capsys, argv) -> None:
+    # int() reads each of these; the notation's digits are 0-9 only
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error [INVALID_CODE]")
+
+
+def test_chain_takes_spaces_around_bracketed_elements(capsys) -> None:
+    assert run_json(capsys, "chain", "<[ 1 , 5 ]>") == run_json(
+        capsys, "chain", "<15>"
+    )
+
+
 def test_chain_refuses_a_large_short_system_before_descending(
     capsys, monkeypatch
 ) -> None:

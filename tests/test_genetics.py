@@ -24,7 +24,6 @@ from polygonspaces.genetics import (
     LengthVector,
     SaturatedChain,
     _simplex_max,
-    dominance_leq,
     enumerate_codes,
     format_code,
     genetic_code,
@@ -49,7 +48,7 @@ def test_vector_canonicalizes_order():
     v = LengthVector((5, 1, 2))
     assert v.values == (Fraction(1), Fraction(2), Fraction(5))
     assert v.edge_count == 3
-    assert v.perimeter == 8
+    assert sum(v.values) == 8
 
 
 def test_vector_accepts_strings_and_fractions():
@@ -90,7 +89,7 @@ def short_sets(v: LengthVector) -> set[frozenset]:
         frozenset(combo)
         for r in range(v.edge_count + 1)
         for combo in itertools.combinations(ground, r)
-        if 2 * sum(v.values[i - 1] for i in combo) < v.perimeter
+        if 2 * sum(v.values[i - 1] for i in combo) < sum(v.values)
     }
 
 
@@ -106,6 +105,22 @@ def test_vector_is_short():
 
 
 # --- domination order ------------------------------------------------------
+
+
+def dominance_leq(lower, upper) -> bool:
+    """The domination order ``lower <= upper``, the reference: ``lower``
+    has at most as many elements and, both sorted descending, each entry
+    of ``lower`` is at most the matching entry of ``upper``."""
+    lo, up = sorted(lower, reverse=True), sorted(upper, reverse=True)
+    return len(lo) <= len(up) and all(a <= b for a, b in zip(lo, up))
+
+
+def anchor_sets(m: int):
+    """Every subset of the edges 1..m that contains the anchor m, by
+    size."""
+    for r in range(m):
+        for combo in itertools.combinations(range(1, m), r):
+            yield frozenset(combo) | {m}
 
 
 def test_dominance_examples():
@@ -275,6 +290,52 @@ def test_rational_lengths_match_fraction_arithmetic(lengths):
     assert genetic_code(lengths).short_sets() == shorts | {frozenset()}
 
 
+def reference_half_perimeter_subset(values) -> tuple[int, ...] | None:
+    """The recursive walk over the ascending ``values``: index tuples depth
+    first, in lexicographic order, a branch cut once its doubled sum passes
+    the total."""
+    ints = genetics._scaled(values)
+    total = sum(ints)
+
+    def walk(start, acc, chosen):
+        for i in range(start, len(ints)):
+            doubled = 2 * (acc + ints[i])
+            if doubled == total:
+                return chosen + (i + 1,)
+            if doubled > total:
+                break  # later picks are no smaller
+            found = walk(i + 1, acc + ints[i], chosen + (i + 1,))
+            if found is not None:
+                return found
+        return None
+
+    return walk(0, 0, ())
+
+
+def test_non_generic_witness_is_the_first_index_tuple():
+    # 1 + 4 and 2 + 3 are both 5: the first tuple, not the smallest mask
+    with pytest.raises(NonGenericError) as err:
+        LengthVector((1, 2, 3, 4))
+    assert err.value.details["witness"] == (1, 4)
+
+
+@given(rational_lengths())
+@settings(max_examples=200)
+@example([1, 2, 3, 4])
+@example([Fraction(1, 2)] * 8 + [Fraction(1, 3)] * 6 + [Fraction(5, 4)] * 2)
+def test_witness_matches_the_recursive_walk(lengths):
+    """The subset-sum table gives the walk's witness, or none with it."""
+    values = tuple(sorted(map(Fraction, lengths)))
+    witness = reference_half_perimeter_subset(values)
+    assert genetics._find_half_perimeter_subset(values) == witness
+    if witness is None:
+        assert LengthVector(lengths).values == values
+        return
+    with pytest.raises(NonGenericError) as err:
+        LengthVector(lengths)
+    assert err.value.details["witness"] == witness
+
+
 # --- the frozenset walks that the shortness bitset replaced -----------------
 
 
@@ -328,7 +389,7 @@ def reference_short_sets(g: GeneticCode) -> frozenset:
     shorts = reference_anchor_short_sets(g)
     ground = frozenset(range(1, g.edge_count + 1))
     return shorts.union(
-        ground - s for s in genetics._anchor_sets(g.edge_count)
+        ground - s for s in anchor_sets(g.edge_count)
         if s not in shorts
     )
 
@@ -370,7 +431,7 @@ def reference_genetic_code(lengths) -> GeneticCode:
     ints = genetics._scaled(vec.values)
     shorts = {
         s
-        for s in genetics._anchor_sets(vec.edge_count)
+        for s in anchor_sets(vec.edge_count)
         if 2 * sum(ints[i - 1] for i in s) < sum(ints)
     }
     return GeneticCode(vec.edge_count, maximal_in_downset(frozenset(shorts)))
@@ -383,7 +444,7 @@ def reference_minimal_long_sets(g: GeneticCode) -> tuple[frozenset, ...]:
     shorts = reference_anchor_short_sets(g)
     out = [
         s
-        for s in genetics._anchor_sets(m)
+        for s in anchor_sets(m)
         if s not in shorts
         and all(c in shorts for c in dominance_down_covers(s, m))
     ]
@@ -459,7 +520,7 @@ def test_antichain_check_matches_dominance_leq():
     naming the same first comparable pair."""
     for m in range(1, 6):
         for r in (2, 3):
-            for genes in itertools.combinations(genetics._anchor_sets(m), r):
+            for genes in itertools.combinations(anchor_sets(m), r):
                 ordered = sorted(genes, key=sorted)
                 pair = next(
                     (
@@ -627,7 +688,7 @@ def test_anchor_short_sets_match_the_dominance_filter():
         for g in enumerate_codes(m):
             assert g.anchor_short_sets() == {
                 s
-                for s in genetics._anchor_sets(m)
+                for s in anchor_sets(m)
                 if any(dominance_leq(s, gene) for gene in g.genes)
             }, g
 
@@ -639,6 +700,34 @@ def test_short_sets_match_realized_lengths():
             v = realize(g)
             if v is not None:
                 assert g.short_sets() == short_sets(v), g
+
+
+def reference_enumerate_codes(m: int) -> list[GeneticCode]:
+    """Every antichain of anchor sets: a depth-first walk over them in
+    (size, ascending tuple) order that adjoins each set incomparable under
+    ``dominance_leq`` with every set chosen so far."""
+    sets = sorted(anchor_sets(m), key=lambda s: (len(s), sorted(s)))
+    out = []
+
+    def extend(start, chosen):
+        out.append(GeneticCode(m, chosen))
+        for i in range(start, len(sets)):
+            s = sets[i]
+            if any(dominance_leq(s, c) or dominance_leq(c, s) for c in chosen):
+                continue
+            chosen.append(s)
+            extend(i + 1, chosen)
+            chosen.pop()
+
+    extend(0, [])
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, genetics.MAX_EDGES_ENUMERATE + 1))
+def test_enumerate_codes_matches_the_reference(m):
+    codes = enumerate_codes(m)
+    assert codes == reference_enumerate_codes(m)
+    assert len(codes) == (2, 3, 5, 10, 27, 119, 1173)[m - 1]
 
 
 def test_enumerate_codes_counts():
@@ -1003,8 +1092,12 @@ def test_parse_errors():
     for text in ("<²5>", "<15²>", "<[1,²]>"):
         with pytest.raises(InvalidCodeError):
             parse_code(text)
-    # other decimal digits read as int() reads them
-    assert parse_code("<１５>") == parse_code("<15>")
+    # nor are other decimal digits, signs or underscores, which int() reads:
+    # the notation's digits are 0-9, with spaces allowed around elements
+    for text in ("<１５>", "<٥>", "<[1_2]>", "<[+5]>", "<[1, ٥]>"):
+        with pytest.raises(InvalidCodeError):
+            parse_code(text, edge_count=12)
+    assert parse_code("< [ 1 , 5 ] >") == parse_code("<15>")
     with pytest.raises(InvalidCodeError):
         parse_code("<[2,4>")
     with pytest.raises(InvalidCodeError):
