@@ -49,9 +49,7 @@ from .posets import (  # noqa: F401
     canonical_partition,
     comb_surgery,
     intersection_poset,
-    partition_lattice,
     partition_str,
-    partitions_of,
     poset_isomorphic,
 )
 from .surgery import (  # noqa: F401

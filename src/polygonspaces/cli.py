@@ -68,8 +68,11 @@ def _parse_lengths(raw: list[str]) -> list[Fraction]:
         raise InvalidCodeError("a polygon needs at least 3 edges")
     out = []
     for k, item in enumerate(raw, 1):
+        # Fraction also reads other Unicode digits and underscores
+        if not item.isascii() or "_" in item:
+            raise InvalidCodeError(f"not a rational length: {item!r}")
         _, e, exponent = item.lower().partition("e")
-        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        digits = exponent.strip().lstrip("+-").lstrip("0")
         if e and digits.isdecimal() and (
             len(digits) > len(str(_MAX_EXPONENT))
             or int(digits) > _MAX_EXPONENT
@@ -278,8 +281,8 @@ def _run_model(code: GeneticCode, args: argparse.Namespace) -> int:
 
 def _parse_locus(text: str, edge_count: int):
     """A surgery locus: groups of the digits 0-9 separated by commas, or
-    a JSON list of blocks; elements not mentioned become singletons.  An
-    empty locus or an empty block is refused."""
+    a JSON list of blocks; edges not named become singletons.  An empty
+    locus or block, or an edge named twice or outside 1..m, is refused."""
     text = text.strip()
     if text.startswith("["):
         try:
@@ -302,8 +305,13 @@ def _parse_locus(text: str, edge_count: int):
         raise InvalidCodeError(
             f"locus {text!r} is empty or has an empty block"
         )
+    edges = range(1, edge_count + 1)
     named = {e for b in blocks for e in b}
-    blocks += [(e,) for e in range(1, edge_count + 1) if e not in named]
+    if len(named) != sum(map(len, blocks)) or not named.issubset(edges):
+        raise InvalidCodeError(
+            f"locus {text!r} names an edge twice or outside 1..{edge_count}"
+        )
+    blocks += [(e,) for e in edges if e not in named]
     return canonical_partition(blocks)
 
 
@@ -431,6 +439,13 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 # -- entry point ----------------------------------------------------------
 
 
+def _edge_count(text: str) -> int:
+    # the digits 0-9 only, as in a code; int() reads more
+    if not _ascii_digits(text):
+        raise argparse.ArgumentTypeError(f"not a decimal edge count: {text!r}")
+    return int(text)
+
+
 def _add_code_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "code",
@@ -438,7 +453,7 @@ def _add_code_argument(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--m",
-        type=int,
+        type=_edge_count,
         default=None,
         help="number of edges (default: largest edge mentioned)",
     )

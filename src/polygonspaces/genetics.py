@@ -277,14 +277,19 @@ class GeneticCode:
         anchor = 1 << (self.edge_count - 1)
         return frozenset(_mask_set(anchor | s) for s in _bits(self._short))
 
+    def short_table(self) -> list[bool]:
+        """Whether each subset of the edges is short, indexed by mask (bit
+        ``i - 1`` for edge ``i``): the one view of the bitset that other
+        modules read.  A set without the anchor is short when its
+        complement, an anchor set, is long."""
+        # bits[t]: the bit of the complement of the set t without the anchor
+        bits = format(self._short, f"0{1 << (self.edge_count - 1)}b")
+        return [c == "0" for c in bits] + [c == "1" for c in reversed(bits)]
+
     def short_sets(self) -> frozenset:
-        """Every short subset of the edges: the anchor short sets and the
-        complement of each long anchor set, since of two complementary
-        sets exactly one is short."""
-        anchor = 1 << (self.edge_count - 1)
-        long = self._short ^ ((1 << anchor) - 1)
-        return self.anchor_short_sets().union(
-            _mask_set((anchor - 1) ^ s) for s in _bits(long)
+        """Every short subset of the edges, read off :meth:`short_table`."""
+        return frozenset(
+            _mask_set(t) for t, short in enumerate(self.short_table()) if short
         )
 
     def __str__(self) -> str:

@@ -1,23 +1,18 @@
-"""Finite posets, partition lattices, and combinatorial surgery on them.
+"""Finite posets, intersection posets of codes, and combinatorial surgery.
 
 The central objects are:
 
-* :class:`FinitePoset`: an immutable finite poset built from generating
-  relations, given as pairs of elements or of element indices, with
-  bitmask down-sets and one list of lower covers per element, the
-  relations with nothing between their ends.  The meet test
-  reads that list: it checks only two lower covers of one element and two
-  maximal elements, which is exact (see
-  :meth:`FinitePoset.is_meet_semilattice`).
-* set-partition utilities and the full partition lattice ordered by
-  reverse refinement (coarser partitions sit higher).  One enumeration
-  builds the partitions as tuples of block bitmasks, keeping only blocks
-  that pass a table indexed by mask, and finds their two-block merges as
-  index pairs,
+* :class:`FinitePoset`: an immutable finite poset built from index pairs,
+  with bitmask down-sets and one list of lower covers per element, the
+  relations with nothing between their ends.  The meet test reads that
+  list: it checks only two lower covers of one element and two maximal
+  elements, which is exact (see :meth:`FinitePoset.is_meet_semilattice`).
 * the intersection poset of a realizable genetic code: partitions of the
-  edge set into short blocks, optionally doubled by *barred* copies of the
-  partitions whose quotient polygon space is disconnected; both are read
-  off the code's short sets, with no edge lengths,
+  edge set into short blocks, coarser ones higher, optionally doubled by
+  *barred* copies of the partitions whose quotient polygon space is
+  disconnected.  Both are read off the code's table of short sets, with
+  no edge lengths, by one enumeration of block bitmasks that also finds
+  the two-block merges as index pairs,
 * :func:`comb_surgery`: the order-level shadow of cellular surgery, which
   removes the up-set of a chosen element and grafts in one interval element
   per element strictly below it,
@@ -43,7 +38,6 @@ from .errors import (
 )
 from .genetics import GeneticCode, realize
 
-MAX_PARTITION_GROUND = 9
 # The forward check costs about n²/2 mask operations: the largest m = 8
 # poset (3,270 elements) takes about 3 s on a 2-vCPU x86-64 host.
 MAX_ISO_SIZE = 5000
@@ -51,46 +45,22 @@ MAX_INTERSECTION_GROUND = 8
 
 
 class FinitePoset:
-    """An immutable finite partial order, generated by relations ``a < b``.
+    """An immutable finite partial order on ``elements``, generated by
+    ``elements[i] < elements[j]`` for each index pair ``(i, j)``.
 
     Elements keep their construction order; all queries go through integer
-    bitmasks of down-sets, so comparisons are O(1).  The relations are
-    deduplicated and closed transitively; a self-relation or a cycle
-    violates antisymmetry and fails construction.  Each element keeps the
-    ascending indices of its lower covers, the one list that covers, the
-    meet test and surgery read.
-
-    The constructor maps each relation to a pair of element indices and
-    hands the pairs to :meth:`_build`, the one builder;
-    :func:`partition_lattice`, :func:`intersection_poset` and
-    :func:`comb_surgery` call it through
-    :meth:`_from_index_pairs` with pairs they computed as indices, so no
-    relation hashes an element.
+    bitmasks of down-sets, so comparisons are O(1).  The pairs are
+    deduplicated and closed transitively.  Duplicate elements are refused
+    before any pair is read, then an index outside ``0..n-1``, a
+    self-relation or a cycle.  Each element keeps the ascending indices of
+    its lower covers, the one list that covers, the meet test and surgery
+    read.
     """
 
     def __init__(
-        self,
-        elements: Sequence[Hashable],
-        relations: Iterable[tuple[Hashable, Hashable]],
+        self, elements: Sequence[Hashable], pairs: Iterable[tuple[int, int]]
     ):
-        elements = tuple(elements)
-        index = {e: i for i, e in enumerate(elements)}
-        self._build(elements, ((index[a], index[b]) for a, b in relations))
-
-    @classmethod
-    def _from_index_pairs(
-        cls, elements: tuple, pairs: Iterable[tuple[int, int]]
-    ) -> FinitePoset:
-        """The poset on ``elements`` generated by ``elements[i] <
-        elements[j]`` for each pair ``(i, j)``."""
-        poset = cls.__new__(cls)
-        poset._build(elements, pairs)
-        return poset
-
-    def _build(
-        self, elements: tuple, pairs: Iterable[tuple[int, int]]
-    ) -> None:
-        self.elements = elements
+        self.elements = elements = tuple(elements)
         self.index: dict = {e: i for i, e in enumerate(elements)}
         n = len(elements)
         if len(self.index) != n:
@@ -100,11 +70,13 @@ class FinitePoset:
         lower: list[list[int]] = [[] for _ in range(n)]
         seen: set[tuple[int, int]] = set()
         for pair in pairs:
-            ia, ib = pair
-            if ia == ib:
-                raise AuditError(f"self-relation at {elements[ia]!r}")
             if pair in seen:
                 continue
+            ia, ib = pair
+            if not (0 <= ia < n and 0 <= ib < n):
+                raise AuditError(f"index pair {pair} outside 0..{n - 1}")
+            if ia == ib:
+                raise AuditError(f"self-relation at {elements[ia]!r}")
             seen.add(pair)
             above[ia].append(ib)
             lower[ib].append(ia)
@@ -147,7 +119,7 @@ class FinitePoset:
         linear extension: an element's up-set is complete once every
         element covering it has passed it on.
 
-        A plain attribute set in :meth:`_build` rather than a
+        A plain attribute set in the constructor rather than a
         ``cached_property``: writing through ``__dict__`` after
         construction slows every later attribute read on the instance.
         """
@@ -229,7 +201,7 @@ class FinitePoset:
 
 
 # ---------------------------------------------------------------------------
-# Set partitions and the partition lattice.
+# Set partitions.
 # ---------------------------------------------------------------------------
 
 Partition = tuple  # of sorted tuples of ints, sorted by first entry
@@ -288,32 +260,9 @@ def _partitions(
     return masks, blocks, merges
 
 
-def partitions_of(items: Iterable[int]) -> Iterator[Partition]:
-    """All set partitions of ``items`` in a deterministic order."""
-    labels = sorted(items)
-    return iter(_partitions(labels, [True] * (1 << len(labels)))[1])
-
-
 def partition_str(p: Partition) -> str:
     sep = "," if any(e > 9 for b in p for e in b) else ""
     return "|".join(sep.join(str(e) for e in b) for b in p)
-
-
-def partition_lattice(ground_size: int) -> FinitePoset:
-    """The lattice of set partitions of ``{1..n}``, coarser partitions higher.
-
-    The bottom is the discrete partition, the top the one-block partition;
-    covers merge exactly two blocks and the rank is ``n`` minus the number
-    of blocks.
-    """
-    if not 1 <= ground_size <= MAX_PARTITION_GROUND:
-        raise TooLargeError(
-            f"partition lattice supports 1..{MAX_PARTITION_GROUND} elements"
-        )
-    _, elems, merges = _partitions(
-        range(1, ground_size + 1), [True] * (1 << ground_size)
-    )
-    return FinitePoset._from_index_pairs(tuple(elems), merges)
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +282,11 @@ def intersection_poset(
 ) -> FinitePoset:
     """Partitions of the edge set into short blocks, coarser ones higher.
 
-    Shortness is read off the code's bitset of anchor short sets, once,
-    into a list of ``2^m`` booleans indexed by bitmask, bit ``i`` standing
-    for edge ``i + 1``: a set without the anchor is short when its
-    complement is long.  The partitions and their merges come from the
-    enumeration behind :func:`partitions_of` and
-    :func:`partition_lattice`, with that list as the test of a block:
-    only short partitions are built, since every superset of a long set
-    is long, and they come out in the order of :func:`partitions_of`.
+    Shortness is read once, from :meth:`GeneticCode.short_table`: ``2^m``
+    flags indexed by bitmask, bit ``i`` standing for edge ``i + 1``.  The
+    partitions and their merges come from :func:`_partitions`, with that
+    table as the test of a block: only short partitions are built, since
+    every superset of a long set is long, and each comes out canonical.
 
     A partition's quotient space is disconnected when three of its blocks
     are pairwise long in union.  For the three largest block sums
@@ -366,11 +312,8 @@ def intersection_poset(
         raise InvalidCodeError(
             f"code {code} is not realizable, no intersection poset exists"
         )
-    m = code.edge_count
-    # bits[t]: whether the complement of the set t without the anchor is short
-    bits = format(code._short, f"0{1 << (m - 1)}b")
-    short = [c == "0" for c in bits] + [c == "1" for c in reversed(bits)]
-    masks, plain, merges = _partitions(range(1, m + 1), short)
+    short = code.short_table()
+    masks, plain, merges = _partitions(range(1, code.edge_count + 1), short)
     # bars[i]: the index of the barred twin of plain[i], if it has one
     disconnected, bars, n = [], [], len(plain)
     for p in masks:
@@ -406,7 +349,7 @@ def intersection_poset(
         elements = plain + [
             Barred(p) for p, dis in zip(plain, disconnected) if dis
         ]
-    return FinitePoset._from_index_pairs(tuple(elements), merges + twins)
+    return FinitePoset(elements, merges + twins)
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +418,9 @@ def comb_surgery(poset: FinitePoset, locus: Hashable) -> FinitePoset:
             if shared_below & ~down[iy] == 0
         )
 
-    out = FinitePoset._from_index_pairs(
-        tuple(
-            [elements[i] for i in kept]
-            + [Interval(locus, elements[i]) for i in below]
-        ),
+    out = FinitePoset(
+        [elements[i] for i in kept]
+        + [Interval(locus, elements[i]) for i in below],
         pairs,
     )
     if had_meets and not out.is_meet_semilattice():

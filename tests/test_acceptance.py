@@ -27,7 +27,6 @@ from polygonspaces.posets import (
     canonical_partition,
     comb_surgery,
     intersection_poset,
-    partition_lattice,
     poset_isomorphic,
 )
 from polygonspaces.surgery import (
@@ -35,7 +34,13 @@ from polygonspaces.surgery import (
     run_model,
     surgery_2d,
 )
-from test_posets import down_set, from_leq, height, rank_function
+from test_posets import (
+    down_set,
+    from_leq,
+    height,
+    partition_lattice,
+    rank_function,
+)
 from test_surgery import chain_run
 
 

@@ -43,6 +43,8 @@ def test_gencode_two_gene_vector(capsys) -> None:
 def test_gencode_fractions(capsys) -> None:
     payload = run_json(capsys, "gencode", "1/2", "1/2", "1/2", "1/2", "3/2")
     assert payload == {"m": 5, "genes": [[5]]}
+    spaced = run_json(capsys, "gencode", " 1/2 ", "1/2 ", " 1/2", "1/2", "3/2")
+    assert spaced == payload
     plain = run_json(capsys, "gencode", "1000", "5/2", "1/2", "1", "1")
     assert run_json(capsys, "gencode", "1e3", "25e-1", "1/2", "1", "1") == (
         plain
@@ -113,14 +115,29 @@ def test_chain_refuses_non_decimal_digits(capsys, name) -> None:
         pytest.param(["chain", "<[1_2]>", "--m", "12"], id="underscore"),
         pytest.param(["chain", "<[+5]>"], id="plus-sign"),
         pytest.param(["poset", "<45>", "--surgery", "٣٤"], id="locus"),
+        pytest.param(["gencode", "١", "٢", "٢", "٤"], id="length-digits"),
+        pytest.param(["gencode", "١.٥", "1", "1"], id="length-decimal"),
+        pytest.param(["gencode", "1_0", "2", "3"], id="length-underscore"),
+        pytest.param(["gencode", "1", "1", "1e1_0"], id="exponent-underscore"),
     ],
 )
 def test_refuses_digits_other_than_ascii(capsys, argv) -> None:
-    # int() reads each of these; the notation's digits are 0-9 only
+    # int() or Fraction reads each of these; the digits are 0-9 only
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error [INVALID_CODE]")
+
+
+@pytest.mark.parametrize("m", ["٥", "５", "1_0"])
+def test_edge_count_takes_only_ascii_digits(capsys, m) -> None:
+    # int() reads each of these; --m, like a code, takes the digits 0-9
+    with pytest.raises(SystemExit) as exc:
+        main(["chain", "<15>", "--m", m])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--m" in captured.err
 
 
 def test_chain_takes_spaces_around_bracketed_elements(capsys) -> None:
@@ -589,6 +606,11 @@ def test_poset_json_locus_reads_as_digit_groups(capsys, fmt) -> None:
         pytest.param("", "INVALID_CODE", id="empty"),
         pytest.param("12,,3", "INVALID_CODE", id="empty-group"),
         pytest.param("[[]]", "INVALID_CODE", id="empty-json-block"),
+        pytest.param("99", "INVALID_CODE", id="edge-twice"),
+        pytest.param("[[1,5],[1]]", "INVALID_CODE", id="edge-in-two-blocks"),
+        pytest.param("0", "INVALID_CODE", id="edge-zero"),
+        pytest.param("7", "INVALID_CODE", id="edge-past-m"),
+        pytest.param("[[-1,2]]", "INVALID_CODE", id="negative-edge"),
     ],
 )
 def test_poset_bad_locus(capsys, monkeypatch, locus, error) -> None:

@@ -13,11 +13,6 @@ TEST_ONLY = {
     "tree reaches each code's children",
     "minimal_code": "the bottom of the order on codes: where a census of "
     "the code tree starts and where every saturated chain begins",
-    "partition_lattice": "the reference that the intersection-poset tests "
-    "compare against",
-    "partitions_of": "every set partition, from the enumeration that "
-    "intersection_poset shares: the tests check its order against a "
-    "sorting oracle",
 }
 
 

@@ -693,6 +693,26 @@ def test_anchor_short_sets_match_the_dominance_filter():
             }, g
 
 
+def test_short_table_matches_the_reference_short_sets():
+    """Every code with m <= 7, the empty code among them: the table has
+    one flag per subset of the edges, and the flagged masks, read as sets,
+    are the anchor short sets walked down the dominance covers and the
+    complement of each long anchor set."""
+    codes = 0
+    for m in range(1, genetics.MAX_EDGES_ENUMERATE + 1):
+        for g in enumerate_codes(m):
+            table = g.short_table()
+            assert len(table) == 1 << m, g
+            shorts = {
+                frozenset(i + 1 for i in range(m) if t >> i & 1)
+                for t, short in enumerate(table)
+                if short
+            }
+            assert shorts == reference_short_sets(g), g
+            codes += 1
+    assert codes == 2 + 3 + 5 + 10 + 27 + 119 + 1173
+
+
 def test_short_sets_match_realized_lengths():
     # every subset of every realizable code, against 2 * sum < perimeter
     for m in range(1, 7):
