@@ -4,6 +4,10 @@ Both kinds of complex come down to the same data: their cells numbered
 within each dimension, and one boundary matrix per dimension with entries
 +1 and -1, each column keyed by the positions of its facets.  A
 simplex gives the face that drops vertex ``i`` the sign ``(-1)^i``.  A
+simplicial complex numbers its vertices once, in their sorted order, and
+holds each dimension's faces as sorted tuples of those integer codes, so
+its closure and its columns come from ``itertools.combinations`` on
+small int tuples; only what it hands back to callers is decoded.  A
 regular cell complex is used as it is, with no subdivision, its columns
 built once, dimension by dimension: an edge has -1 and +1 on its two
 ends, and a higher cell spreads signs over its facets' columns across the
@@ -54,16 +58,30 @@ complex itself.  Whichever of the two is called first reduces.
 ``barycentric`` builds the order complex of a cell complex's whole face
 poset, and ``_order_chains`` that of any sub-poset; the simplicial surgery
 model of ``surgery.run_model`` is made of such chains, and homology never
-needs them.
+needs them.  ``_chain_lengths`` counts such chains by length without
+building any, so that a subdivision can be sized first.
+
+Every ``AuditError`` raised here names the stage ``"homology"`` in its
+``details``, with the label and identity of the cell at fault, or the
+face, and the ids that fail the audit; the messages do not depend on
+them.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
-import itertools
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from itertools import (
+    chain,
+    combinations,
+    count,
+    filterfalse,
+    repeat,
+    zip_longest,
+)
 from typing import Callable, Container, Iterable, Optional, Sequence
 
 from .errors import AuditError, NotApplicableError, TooLargeError
@@ -87,47 +105,73 @@ MAX_SIMPLICES = 2_000_000
 class SimplicialComplex:
     """A finite simplicial complex; faces are sorted tuples of vertices.
 
-    Vertices may be any mutually sortable hashable values.  The closure of
-    the given faces is taken automatically; past ``MAX_SIMPLICES`` faces it
-    is refused, before any is built if one face's closure is that big.
+    Vertices may be any mutually sortable hashable values.  They are sorted
+    once and numbered in that order, and the complex is held on those
+    codes: each dimension's faces as sorted tuples of ints, in ascending
+    order.  The numbering keeps the order, so the faces sort as their
+    vertices do.  ``faces``, ``faces_by_dim``, ``vertices`` and
+    ``maximal_faces()`` give the vertices back.
+
+    The closure of the given faces is taken one dimension at a time, from
+    the top down.  Past ``MAX_SIMPLICES`` faces it is refused: before any
+    is built if one face's closure is that big, and otherwise once the
+    complex holds one face past the cap.
     """
 
     def __init__(self, faces: Iterable[Sequence]) -> None:
         cap = MAX_SIMPLICES
-        by_dim: dict[int, set[tuple]] = {}
-        stack = [tuple(sorted(f)) for f in faces]
-        for f in stack:
-            if len(set(f)) != len(f):
-                raise AuditError(f"face {f!r} repeats a vertex")
-            # k vertices close to 2^k - 1 faces
-            if len(f) >= (cap + 1).bit_length():
-                raise TooLargeError(
-                    f"a face of {len(f)} vertices passes the cap of {cap} "
-                    "simplices"
-                )
-        seen: set[tuple] = set()
-        while stack:
-            f = stack.pop()
-            if f in seen or not f:
-                continue
-            seen.add(f)
-            if len(seen) > cap:
-                raise TooLargeError(f"complex passes {cap} simplices, the cap")
-            d = len(f) - 1
-            if d not in by_dim:
-                by_dim[d] = set()
-            by_dim[d].add(f)
-            if len(f) > 1:
-                for i in range(len(f)):
-                    stack.append(f[:i] + f[i + 1 :])
-        self.faces_by_dim: dict[int, tuple[tuple, ...]] = {
-            d: tuple(sorted(fs)) for d, fs in sorted(by_dim.items())
-        }
-        self._size = len(seen)
+        faces = [f for f in map(tuple, faces) if f]
+        vertices = tuple(sorted(set(chain.from_iterable(faces))))
+        at = dict(zip(vertices, count())).__getitem__
+        coded = [tuple(sorted(map(at, f))) for f in faces]
+        del faces, at  # the given faces may go before the closure grows
+        sizes = list(map(len, coded))
+        # k vertices close to 2^k - 1 faces
+        limit = (cap + 1).bit_length()
+        if max(sizes, default=0) >= limit or sizes != list(
+            map(len, map(frozenset, coded))
+        ):
+            for f, n in zip(coded, sizes):
+                if len(frozenset(f)) != n:
+                    face = tuple(vertices[i] for i in f)
+                    twice = next(a for a, b in zip(f, f[1:]) if a == b)
+                    raise AuditError(
+                        f"face {face!r} repeats a vertex",
+                        stage="homology",
+                        face=face,
+                        vertex=vertices[twice],
+                    )
+                if n >= limit:
+                    raise TooLargeError(
+                        f"a face of {n} vertices passes the cap of {cap} "
+                        "simplices"
+                    )
+        given: dict[int, list[tuple]] = {}
+        for f, n in zip(coded, sizes):
+            given.setdefault(n, []).append(f)
+        levels: dict[int, list[tuple]] = {}
+        held = 0
+        above: list[tuple] = []
+        for n in range(max(given, default=0), 0, -1):
+            level = set()
+            held = _fill(level, given.get(n, ()), 1, held)
+            held = _fill(level, above, n + 1, held)
+            levels[n - 1] = above = sorted(level)
+        self._faces = dict(sorted(levels.items()))
+        self._vertices = vertices
+        self._size = held
+
+    @functools.cached_property
+    def faces_by_dim(self) -> dict[int, tuple[tuple, ...]]:
+        return {d: self._decode(fs) for d, fs in self._faces.items()}
+
+    def _decode(self, faces: Iterable[tuple]) -> tuple[tuple, ...]:
+        vertex = self._vertices.__getitem__
+        return tuple(tuple(map(vertex, f)) for f in faces)
 
     @property
     def dim(self) -> int:
-        return max(self.faces_by_dim, default=-1)
+        return max(self._faces, default=-1)
 
     def __len__(self) -> int:
         return self._size
@@ -137,26 +181,54 @@ class SimplicialComplex:
 
     @property
     def vertices(self) -> tuple:
-        return tuple(f[0] for f in self.faces(0))
+        return self._vertices
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(
-            len(self.faces_by_dim.get(d, ())) for d in range(self.dim + 1)
-        )
+        return tuple(map(len, self._faces.values()))
 
     def euler_characteristic(self) -> int:
         return euler(self.f_vector())
 
     def maximal_faces(self) -> tuple[tuple, ...]:
-        out = []
-        for d, fs in self.faces_by_dim.items():
-            above = self.faces_by_dim.get(d + 1, ())
-            covered = set()
-            for g in above:
-                for i in range(len(g)):
-                    covered.add(g[:i] + g[i + 1 :])
-            out.extend(f for f in fs if f not in covered)
-        return tuple(sorted(out, key=lambda f: (len(f), f)))
+        out: list[tuple] = []
+        for d, fs in self._faces.items():
+            above = self._faces.get(d + 1, ())
+            covered = set(
+                chain.from_iterable(map(combinations, above, repeat(d + 1)))
+            )
+            out.extend(filterfalse(covered.__contains__, fs))
+        return self._decode(out)
+
+
+def _fill(level: set, items: Sequence[tuple], width: int, held: int) -> int:
+    """Add to ``level`` the faces of ``width - 1`` vertices of each of
+    ``items``, or the items themselves when ``width`` is one, and return
+    how many faces the complex then holds, ``held`` of them before.
+
+    A chunk of items can add at most ``width`` faces each, so chunks are
+    sized to stay within ``MAX_SIMPLICES``; once fewer than ``width``
+    faces are left below it, faces go in one at a time, and the one past
+    the cap is refused with ``TooLargeError``.
+    """
+    base = held - len(level)
+    done = 0
+    while done < len(items) and (MAX_SIMPLICES - held) // width:
+        chunk = items[done : done + (MAX_SIMPLICES - held) // width]
+        done += len(chunk)
+        if width > 1:
+            chunk = chain.from_iterable(
+                map(combinations, chunk, repeat(width - 1))
+            )
+        level.update(chunk)
+        held = base + len(level)
+    for item in items[done:]:
+        for f in combinations(item, width - 1) if width > 1 else (item,):
+            level.add(f)
+            if base + len(level) > MAX_SIMPLICES:
+                raise TooLargeError(
+                    f"complex passes {MAX_SIMPLICES} simplices, the cap"
+                )
+    return base + len(level)
 
 
 def proper_faces(face: tuple) -> list[tuple]:
@@ -164,7 +236,7 @@ def proper_faces(face: tuple) -> list[tuple]:
     return [
         sub
         for k in range(1, len(face))
-        for sub in itertools.combinations(face, k)
+        for sub in combinations(face, k)
     ]
 
 
@@ -177,36 +249,56 @@ def _chain_counter(
     raises ``TooLargeError`` once the count plus ``spent`` passes
     ``MAX_SIMPLICES``."""
     below: dict = {}
-    ending: dict = {}  # element -> number of chains ending at it
-
-    def count(e) -> int:
-        if e not in ending:
-            below[e] = faces = tuple(strict_faces(e))
-            ending[e] = 1 + sum(count(f) for f in faces)
-        return ending[e]
-
+    ending: dict = {}  # element -> chains ending at it, faces first
     total = spent
     for e in elements:
-        total += count(e)
-        if total > MAX_SIMPLICES:
-            raise TooLargeError(
-                f"subdivision passes {MAX_SIMPLICES} simplices, the cap"
-            )
+        total += _count_ending(e, strict_faces, below, ending)
+        _check_subdivision(total)
 
     def build() -> list[tuple]:
         memo: dict = {}
-
-        def ending_at(e) -> list[tuple]:
-            got = memo.get(e)
-            if got is None:
-                got = memo[e] = [(e,)]
-                for f in below[e]:
-                    got.extend(ch + (e,) for ch in ending_at(f))
-            return got
-
-        return [ch for e in elements for ch in ending_at(e)]
+        for e in ending:
+            got = memo[e] = [(e,)]
+            for f in below[e]:
+                got.extend(ch + (e,) for ch in memo[f])
+        return [ch for e in elements for ch in memo[e]]
 
     return total - spent, build
+
+
+def _count_ending(e, strict_faces, below: dict, ending: dict) -> int:
+    """The number of chains ending at ``e``, memoised in ``ending`` after
+    those of its strict faces, which are kept in ``below``."""
+    if e not in ending:
+        below[e] = faces = tuple(strict_faces(e))
+        ending[e] = 1 + sum(
+            _count_ending(f, strict_faces, below, ending) for f in faces
+        )
+    return ending[e]
+
+
+def _check_subdivision(total: int) -> None:
+    """Refuse a subdivision of ``total`` simplices past ``MAX_SIMPLICES``."""
+    if total > MAX_SIMPLICES:
+        raise TooLargeError(
+            f"subdivision passes {MAX_SIMPLICES} simplices, the cap"
+        )
+
+
+def _chain_lengths(
+    complex_: RegularCellComplex, keep: Iterable[int]
+) -> list[int]:
+    """How many chains of the cells in ``keep`` under the face relation
+    there are of each length: entry ``j`` counts the chains of ``j + 1``
+    cells.  The counts are memoised per top cell, lowest dimension first;
+    no chain is built."""
+    keep = frozenset(keep)
+    ending: dict[int, list[int]] = {}
+    for ident in sorted(keep, key=lambda c: complex_.cells[c].dim):
+        below = [ending[f] for f in complex_.faces_of(ident) & keep
+                 if f != ident]
+        ending[ident] = [1, *map(sum, zip_longest(*below, fillvalue=0))]
+    return list(map(sum, zip_longest(*ending.values(), fillvalue=0)))
 
 
 def _order_chains(
@@ -409,14 +501,17 @@ Boundary = list[dict[int, int]]
 
 
 def _boundary_entries(
-    lower: tuple[tuple, ...], upper: tuple[tuple, ...]
+    lower: Sequence[tuple], upper: Sequence[tuple]
 ) -> Boundary:
-    """The face that drops vertex ``i`` of a simplex has sign ``(-1)^i``."""
-    index = {f: i for i, f in enumerate(lower)}
-    return [
-        {index[g[:i] + g[i + 1 :]]: (-1) ** i for i in range(len(g))}
-        for g in upper
-    ]
+    """The columns of the simplices ``upper`` over their facets in
+    ``lower``, both sorted tuples of vertex codes.  The face that drops
+    vertex ``i`` of a simplex has sign ``(-1)^i``; ``combinations`` drops
+    the last vertex first, so for ``k + 1`` vertices the signs run from
+    ``(-1)^k`` up to the one of the face that drops vertex 0."""
+    k = len(upper[0]) - 1
+    at = dict(zip(lower, count())).__getitem__
+    signs = tuple((-1) ** (k - j) for j in range(k + 1))
+    return [dict(zip(map(at, combinations(g, k)), signs)) for g in upper]
 
 
 def _spread_signs(
@@ -477,16 +572,19 @@ def _facet_signs(
     """
     below = columns[cell.dim - 1]
     signs, _, conflicts, pieces = _spread_signs([below[r] for r in rows])
+    at = {"stage": "homology", "label": cell.label, "cell": cell.ident}
     if conflicts:
+        facet = cell.facets[conflicts[0]]
         raise AuditError(
             f"incidence signs of {cell.label!r} conflict at facet "
-            f"{cell.facets[conflicts[0]]}: its boundary is not an oriented "
-            "sphere"
+            f"{facet}: its boundary is not an oriented sphere",
+            **at, facet=facet,
         )
     if pieces != 1:
         raise AuditError(
             f"the facets of {cell.label!r} fall into {pieces} pieces: its "
-            "boundary is not connected"
+            "boundary is not connected",
+            **at, facets=tuple(cell.facets), pieces=pieces,
         )
     if cell.dim == 3:
         edges = set().union(*(below[r] for r in rows))
@@ -495,7 +593,8 @@ def _facet_signs(
         if chi != 2:
             raise AuditError(
                 f"the boundary of {cell.label!r} has V - E + F = {chi}, "
-                "not 2: it is not a sphere"
+                "not 2: it is not a sphere",
+                **at, facets=tuple(cell.facets), euler=chi,
             )
     return dict(zip(rows, signs))
 
@@ -527,7 +626,7 @@ def _chain_complex(
     not hold them all."""
     if isinstance(source, RegularCellComplex):
         return _cellular_chains(source)
-    faces = source.faces_by_dim
+    faces = source._faces
     return list(source.f_vector()), lambda k: _boundary_entries(
         faces[k - 1], faces[k]
     )
@@ -598,7 +697,10 @@ def _surveyed(source: "SimplicialComplex | RegularCellComplex") -> _Survey:
     complex lives.  A cell complex must be sealed: an unsealed one may
     still grow, and its survey could not be memoised."""
     if isinstance(source, RegularCellComplex) and not source.sealed:
-        raise AuditError("homology takes a sealed cell complex")
+        raise AuditError(
+            "homology takes a sealed cell complex",
+            stage="homology", size=len(source),
+        )
     survey = _SURVEYS.get(source)
     if survey is None:
         survey = _SURVEYS[source] = _survey(source)
@@ -686,7 +788,9 @@ def _survey(source: "SimplicialComplex | RegularCellComplex") -> _Survey:
         orientable = betti[top] == n_components
         if orientable != all(manifold):
             raise AuditError(
-                "orientation propagation and top homology disagree"
+                "orientation propagation and top homology disagree",
+                stage="homology", dim=top, betti=betti[top],
+                components=n_components, twisted=tuple(sorted(twisted)),
             )
     report = HomologyReport(
         tuple(betti), tuple(torsion), n_components, orientable

@@ -19,6 +19,8 @@ than degrade.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
+from math import comb
 from typing import Hashable, Iterator, Optional
 
 from .coxeter import (
@@ -45,6 +47,8 @@ from .genetics import GeneticCode, saturated_chain
 from .homology import (
     SimplicialComplex,
     _chain_counter,
+    _chain_lengths,
+    _check_subdivision,
     _order_chains,
     barycentric,
     homology,
@@ -544,12 +548,25 @@ def _build_model(
 
     cylinder = [("c", f) for f in front]
     cylinder += [("b", ch) for ch in _order_chains(link, link.cells)]
-    # frontier chains (of adjacent cells alone) are built once, in the
-    # cylinder: the bulk ends its chains only at the other far chains
-    far = [c for c in complex_.cells if c not in sphere]
-    bulk = [("c", f) for f in _order_chains(complex_, far)]
-    bulk = [el for el in bulk if not adjacent.issuperset(el[1])]
     spent, build_cylinder = _chain_counter(cylinder, strict_below)
+    # frontier chains (of adjacent cells alone) are built once, in the
+    # cylinder: the bulk ends its chains only at the other far chains.  A
+    # chain of L cells ends as many chains of its faces as its L vertices
+    # have ordered partitions, Fubini(L), so the bulk is counted from its
+    # chains of each length before any of them is built
+    far = [c for c in complex_.cells if c not in sphere]
+    lengths = zip_longest(
+        _chain_lengths(complex_, far),
+        _chain_lengths(complex_, adjacent),
+        fillvalue=0,
+    )
+    fubini, total = [1], spent
+    for n, (every, near) in enumerate(lengths, 1):
+        fubini.append(sum(comb(n, k) * fubini[n - k] for k in range(1, n + 1)))
+        total += (every - near) * fubini[n]
+    _check_subdivision(total)
+    bulk = [("c", f) for f in _order_chains(complex_, far)
+            if not adjacent.issuperset(f)]
     _, build_bulk = _chain_counter(
         bulk, lambda el: [("c", f) for f in proper_faces(el[1])], spent
     )

@@ -182,6 +182,17 @@ def test_empty_complex_rejected() -> None:
 # -- sympy oracle ----------------------------------------------------------
 
 
+def signed_boundary(sc: SimplicialComplex, k: int) -> list[list[int]]:
+    """The dense matrix of ``∂_k`` on the faces as ``sc`` gives them back,
+    with sign (-1)^i on the face that drops vertex i."""
+    row = {f: r for r, f in enumerate(sc.faces(k - 1))}
+    mat = [[0] * len(sc.faces(k)) for _ in row]
+    for c, g in enumerate(sc.faces(k)):
+        for i in range(len(g)):
+            mat[row[g[:i] + g[i + 1 :]]][c] = (-1) ** i
+    return mat
+
+
 def sympy_homology(sc: SimplicialComplex) -> tuple[tuple, tuple]:
     """Betti numbers and torsion from sympy's Smith normal form of the
     boundary matrices, with sign (-1)^i on the face that drops vertex i."""
@@ -190,12 +201,7 @@ def sympy_homology(sc: SimplicialComplex) -> tuple[tuple, tuple]:
 
     invariants = {}
     for k in range(1, sc.dim + 1):
-        row = {f: r for r, f in enumerate(sc.faces(k - 1))}
-        mat = [[0] * len(sc.faces(k)) for _ in row]
-        for c, g in enumerate(sc.faces(k)):
-            for i in range(len(g)):
-                mat[row[g[:i] + g[i + 1 :]]][c] = (-1) ** i
-        snf = smith_normal_form(Matrix(mat), domain=ZZ)
+        snf = smith_normal_form(Matrix(signed_boundary(sc, k)), domain=ZZ)
         invariants[k] = [
             abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i]
         ]
@@ -251,6 +257,114 @@ def test_random_complexes_match_sympy_smith_form(faces) -> None:
     sc = SimplicialComplex(faces)
     rep = homology(sc)
     assert (rep.betti, rep.torsion) == sympy_homology(sc)
+
+
+@pytest.mark.parametrize(
+    "faces", list(SYMPY_FIXTURES.values()), ids=list(SYMPY_FIXTURES)
+)
+def test_boundary_columns_match_the_signed_matrix(faces) -> None:
+    assert_signed_columns(SimplicialComplex(faces[0]))
+
+
+def assert_signed_columns(sc: SimplicialComplex) -> None:
+    """The columns that homology reads off the vertex codes are the
+    ``(-1)^i`` matrices of the faces that ``sc`` gives back."""
+    sizes, boundary = _chain_complex(sc)
+    for k in range(1, sc.dim + 1):
+        dense = [[0] * sizes[k] for _ in range(sizes[k - 1])]
+        for c, column in enumerate(boundary(k)):
+            for r, v in column.items():
+                dense[r][c] = v
+        assert dense == signed_boundary(sc, k)
+
+
+class StackWalkComplex:
+    """The closure as it was taken on the vertices themselves: a stack
+    walk over the faces, each face sorted, with a set of the faces seen.
+    A reference for the complex held on integer vertex codes."""
+
+    def __init__(self, faces) -> None:
+        by_dim: dict[int, set[tuple]] = {}
+        stack = [tuple(sorted(f)) for f in faces]
+        for f in stack:
+            if len(set(f)) != len(f):
+                raise AuditError(f"face {f!r} repeats a vertex")
+        seen: set[tuple] = set()
+        while stack:
+            f = stack.pop()
+            if f in seen or not f:
+                continue
+            seen.add(f)
+            by_dim.setdefault(len(f) - 1, set()).add(f)
+            if len(f) > 1:
+                for i in range(len(f)):
+                    stack.append(f[:i] + f[i + 1 :])
+        self.faces_by_dim = {
+            d: tuple(sorted(fs)) for d, fs in sorted(by_dim.items())
+        }
+        self.size = len(seen)
+
+    @property
+    def vertices(self) -> tuple:
+        return tuple(f[0] for f in self.faces_by_dim.get(0, ()))
+
+    def f_vector(self) -> tuple[int, ...]:
+        return tuple(len(fs) for fs in self.faces_by_dim.values())
+
+    def maximal_faces(self) -> tuple[tuple, ...]:
+        out = []
+        for d, fs in self.faces_by_dim.items():
+            covered = {
+                g[:i] + g[i + 1 :]
+                for g in self.faces_by_dim.get(d + 1, ())
+                for i in range(len(g))
+            }
+            out.extend(f for f in fs if f not in covered)
+        return tuple(sorted(out, key=lambda f: (len(f), f)))
+
+
+VERTEX_KINDS = {
+    "ints": lambda i: 7 * i % 11,
+    "strings": lambda i: f"v{i}",
+    "nested": lambda i: ("c", (i % 3, i)),
+}
+
+
+@pytest.mark.parametrize("kind", list(VERTEX_KINDS))
+@pytest.mark.parametrize("seed", range(6))
+def test_coded_complex_matches_the_stack_walk(kind, seed) -> None:
+    rng = random.Random(seed)
+    vertex = VERTEX_KINDS[kind]
+    pool = [vertex(i) for i in range(rng.randint(3, 10))]
+    faces = [
+        rng.sample(pool, rng.randint(1, min(5, len(pool))))
+        for _ in range(rng.randint(1, 12))
+    ]
+    sc, ref = SimplicialComplex(faces), StackWalkComplex(faces)
+    assert sc.faces_by_dim == ref.faces_by_dim
+    assert sc.vertices == ref.vertices
+    assert sc.f_vector() == ref.f_vector()
+    assert sc.maximal_faces() == ref.maximal_faces()
+    assert len(sc) == ref.size
+    assert_signed_columns(sc)
+    # a vertex repeated anywhere is refused with the same message
+    bad = rng.choice(faces)
+    bad = bad + [rng.choice(bad)]
+    rng.shuffle(bad)
+    faces.insert(rng.randint(0, len(faces)), bad)
+    with pytest.raises(AuditError) as coded:
+        SimplicialComplex(faces)
+    with pytest.raises(AuditError) as walked:
+        StackWalkComplex(faces)
+    assert str(coded.value) == str(walked.value)
+
+
+@pytest.mark.parametrize("faces", [[], [()], [(3,), (), (1, 3)]])
+def test_coded_complex_skips_empty_faces(faces) -> None:
+    sc, ref = SimplicialComplex(faces), StackWalkComplex(faces)
+    assert sc.faces_by_dim == ref.faces_by_dim
+    assert (sc.vertices, len(sc)) == (ref.vertices, ref.size)
+    assert sc.maximal_faces() == ref.maximal_faces()
 
 
 def subdivide(sc: SimplicialComplex) -> SimplicialComplex:
@@ -541,14 +655,7 @@ def test_naming_is_audited_against_the_elimination(monkeypatch) -> None:
     # an elimination one rank short on ∂2 leaves an RP^2 with a free top
     # class, so the name must not stand on orientation propagation alone
     mod = importlib.import_module("polygonspaces.homology")
-    original = mod._sparse_reduce
-
-    def short(columns, drop_rows=()):
-        rank, factors, pivots = original(columns, drop_rows)
-        return rank - 1, factors[:-1], pivots
-
-    monkeypatch.setattr(mod, "_sparse_reduce", short)
-    space = projective_quotient(ca(4))[0]
+    space = short_by_one_rank(monkeypatch)
     with pytest.raises(AuditError, match="orientation propagation"):
         identify_small(space)
     assert space not in mod._SURVEYS
@@ -557,11 +664,7 @@ def test_naming_is_audited_against_the_elimination(monkeypatch) -> None:
 @pytest.mark.parametrize("measure", [homology, identify_small])
 def test_unsealed_cell_complex_is_refused(measure) -> None:
     mod = importlib.import_module("polygonspaces.homology")
-    loop = RegularCellComplex()
-    a, b, c = (loop.add_cell(0, (v,)) for v in "abc")
-    loop.add_cell(1, ("ab",), [a, b])
-    loop.add_cell(1, ("bc",), [b, c])
-    loop.add_cell(1, ("ac",), [a, c])
+    loop = unsealed_loop()
     with pytest.raises(AuditError, match="sealed cell complex"):
         measure(loop)
     assert loop not in mod._SURVEYS
@@ -641,25 +744,8 @@ def test_non_regular_cell_fails_the_audit() -> None:
 
 
 def test_cell_bounded_by_two_spheres_fails_the_audit() -> None:
-    # two copies of the 2-sphere Coxeter(4) and one 3-cell bounded by all
-    # their 2-cells: every edge lies on two of them, so add_cell takes it
-    sphere = ca(4)
-    out = RegularCellComplex()
-    tops = []
-    for copy in range(2):
-        shift = copy * len(sphere)
-        for cell in sorted(sphere, key=lambda c: (c.dim, c.ident)):
-            out.add_cell(
-                cell.dim,
-                (copy, cell.label),
-                [f + shift for f in cell.facets],
-                ident=cell.ident + shift,
-            )
-            if cell.dim == 2:
-                tops.append(cell.ident + shift)
-    out.add_cell(3, ("ball", "two spheres"), tops)
     with pytest.raises(AuditError, match="not connected"):
-        homology(out.seal())
+        homology(two_sphere_ball())
 
 
 TORUS_BALL = pathlib.Path(__file__).parent / "fixtures" / "torus_ball.json"
@@ -687,6 +773,109 @@ def test_cell_bounded_by_a_torus_fails_the_audit() -> None:
         homology(ball)
     with pytest.raises(AuditError):
         identify_small(ball)
+
+
+def two_sphere_ball() -> RegularCellComplex:
+    """Two copies of the 2-sphere Coxeter(4) and one 3-cell bounded by all
+    their 2-cells: every edge lies on two of them, so add_cell takes it."""
+    sphere = ca(4)
+    out = RegularCellComplex()
+    tops = []
+    for copy in range(2):
+        shift = copy * len(sphere)
+        for cell in sorted(sphere, key=lambda c: (c.dim, c.ident)):
+            out.add_cell(
+                cell.dim,
+                (copy, cell.label),
+                [f + shift for f in cell.facets],
+                ident=cell.ident + shift,
+            )
+            if cell.dim == 2:
+                tops.append(cell.ident + shift)
+    out.add_cell(3, ("ball", "two spheres"), tops)
+    return out.seal()
+
+
+def unsealed_loop() -> RegularCellComplex:
+    loop = RegularCellComplex()
+    a, b, c = (loop.add_cell(0, (v,)) for v in "abc")
+    loop.add_cell(1, ("ab",), [a, b])
+    loop.add_cell(1, ("bc",), [b, c])
+    loop.add_cell(1, ("ac",), [a, c])
+    return loop
+
+
+def short_by_one_rank(monkeypatch) -> RegularCellComplex:
+    """RP^2 as the projective Coxeter(4) complex, with an elimination one
+    rank short on ∂2: a free top class that orientation propagation
+    refutes."""
+    mod = importlib.import_module("polygonspaces.homology")
+    original = mod._sparse_reduce
+
+    def short(columns, drop_rows=()):
+        rank, factors, pivots = original(columns, drop_rows)
+        return rank - 1, factors[:-1], pivots
+
+    monkeypatch.setattr(mod, "_sparse_reduce", short)
+    return projective_quotient(ca(4))[0]
+
+
+# every refusal of homology's audits: what is refused, the message and
+# the details past the stage
+HOMOLOGY_REFUSALS = {
+    "repeated vertex": (
+        lambda mp: SimplicialComplex([(0, 1), (2, 0, 2)]),
+        "face (0, 2, 2) repeats a vertex",
+        {"face": (0, 2, 2), "vertex": 2},
+    ),
+    "sign conflict": (
+        lambda mp: homology(cone_on_projective_plane()),
+        "incidence signs of ('cone', 'rp2') conflict at facet 32: its "
+        "boundary is not an oriented sphere",
+        {"label": ("cone", "rp2"), "cell": 37, "facet": 32},
+    ),
+    "disconnected boundary": (
+        lambda mp: homology(two_sphere_ball()),
+        "the facets of ('ball', 'two spheres') fall into 2 pieces: its "
+        "boundary is not connected",
+        {
+            "label": ("ball", "two spheres"),
+            "cell": 148,
+            "facets": tuple(range(50, 74)) + tuple(range(124, 148)),
+            "pieces": 2,
+        },
+    ),
+    "torus boundary": (
+        lambda mp: homology(torus_ball()),
+        "the boundary of ('c', 84) has V - E + F = 0, not 2: it is not a "
+        "sphere",
+        {
+            "label": ("c", 84),
+            "cell": 84,
+            "facets": tuple(range(48, 72)),
+            "euler": 0,
+        },
+    ),
+    "unsealed complex": (
+        lambda mp: homology(unsealed_loop()),
+        "homology takes a sealed cell complex",
+        {"size": 6},
+    ),
+    "orientation disagreement": (
+        lambda mp: homology(short_by_one_rank(mp)),
+        "orientation propagation and top homology disagree",
+        {"dim": 2, "betti": 1, "components": 1, "twisted": (0,)},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(HOMOLOGY_REFUSALS))
+def test_homology_refusal_names_its_stage_and_ids(name, monkeypatch) -> None:
+    refuse, message, at = HOMOLOGY_REFUSALS[name]
+    with pytest.raises(AuditError) as raised:
+        refuse(monkeypatch)
+    assert str(raised.value) == message
+    assert raised.value.details == {"stage": "homology", **at}
 
 
 def test_barycentric_sizes() -> None:
@@ -719,13 +908,24 @@ def test_simplex_cap_stops_the_closure_early(monkeypatch) -> None:
     mod = importlib.import_module("polygonspaces.homology")
     monkeypatch.setattr(mod, "MAX_SIMPLICES", 50)
     largest = [0]
+    filled: list[set] = []
 
     class CountingSet(set):
         def add(self, item) -> None:
             super().add(item)
-            largest[0] = max(largest[0], len(self))
+            self.counted()
 
-    # the largest set the closure fills is the number of faces it built
+        def update(self, *items) -> None:
+            super().update(*items)
+            self.counted()
+
+        def counted(self) -> None:
+            if not any(s is self for s in filled):
+                filled.append(self)
+            largest[0] = max(largest[0], sum(map(len, filled)))
+
+    # the closure fills one set per dimension, by add or by update; the
+    # most faces they ever hold together is the number of faces it built
     monkeypatch.setattr(mod, "set", CountingSet, raising=False)
     # 2^6 - 1 = 63 faces: refused before any is built
     with pytest.raises(TooLargeError, match="a face of 6 vertices"):

@@ -1,5 +1,6 @@
 """Surgery pipeline: interface spheres, cut-and-cap runs, homotopy models."""
 
+import collections
 import functools
 import importlib
 import itertools
@@ -35,6 +36,8 @@ from polygonspaces.homology import (
     HomologyReport,
     SimplicialComplex,
     _chain_counter,
+    _chain_lengths,
+    _order_chains,
     betti_oracle,
     homology,
     identify_small,
@@ -1320,6 +1323,58 @@ def test_model_cap_trips_before_the_second_subdivision(
         run_model(parse_code("<16>"))
     assert built == []
     assert sum(counted) <= cap
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_chain_lengths_count_the_built_chains(n) -> None:
+    complex_ = coxeter_complex(range(1, n + 1))
+    odd = [c.ident for c in complex_ if c.ident % 3]
+    for keep in (list(complex_.cells), odd, []):
+        lengths = collections.Counter(map(len, _order_chains(complex_, keep)))
+        assert _chain_lengths(complex_, keep) == [
+            lengths[k] for k in range(1, len(lengths) + 1)
+        ]
+
+
+@pytest.mark.parametrize("name", ["<14>", "<15>"])
+def test_model_count_is_exact_at_the_cap(monkeypatch, name) -> None:
+    # the bulk is counted from its chains of each length: one simplex
+    # fewer than the model holds refuses it, its own size builds it
+    hmod = importlib.import_module("polygonspaces.homology")
+    size = len(model_run(name).complex)
+    monkeypatch.setattr(hmod, "MAX_SIMPLICES", size - 1)
+    with pytest.raises(TooLargeError, match="subdivision passes"):
+        run_model(parse_code(name))
+    monkeypatch.setattr(hmod, "MAX_SIMPLICES", size)
+    model = run_model(parse_code(name)).complex
+    assert model.faces_by_dim == model_run(name).complex.faces_by_dim
+
+
+def test_model_refuses_17_before_any_bulk_chain(monkeypatch) -> None:
+    # the second subdivision of the <17> bulk passes the cap: it is refused
+    # by the count alone, so no chain with a cell off the sphere's
+    # neighbourhood, none of the bulk's 521,280, is ever built
+    smod = importlib.import_module("polygonspaces.surgery")
+    near, chains_of = [], []
+    real_adjacent, real_chains = smod.adjacent_cells, smod._order_chains
+
+    def adjacent_spy(complex_, sphere):
+        near.append(real_adjacent(complex_, sphere))
+        return near[-1]
+
+    def chains_spy(complex_, keep):
+        keep = frozenset(keep)
+        chains_of.append((complex_, keep))
+        return real_chains(complex_, keep)
+
+    monkeypatch.setattr(smod, "adjacent_cells", adjacent_spy)
+    monkeypatch.setattr(smod, "_order_chains", chains_spy)
+    with pytest.raises(TooLargeError, match="subdivision passes 2000000"):
+        run_model(parse_code("<17>"))
+    (adjacent,) = near
+    ambient = [keep for complex_, keep in chains_of if len(complex_) == 4682]
+    assert ambient == [adjacent]
+    assert len(chains_of) == 2  # the frontier and the link, no bulk
 
 
 # -- pattern utilities ----------------------------------------------------
