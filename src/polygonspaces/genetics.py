@@ -6,15 +6,17 @@ below the perimeter.  Genericity (no subset sums to exactly half the
 perimeter) makes short/long a clean dichotomy between complementary sets.
 
 Among subsets containing the longest edge, shortness is downward closed for a
-purely combinatorial *domination* order, so the maximal short sets, called
-*genes*, determine every short set.  The tuple of genes is the *genetic code*
-of the vector.  This module provides:
+purely combinatorial *domination* order (in descending order, the larger set
+has at least as many edges, each at least the matching one), so the maximal
+short sets, called *genes*, determine every short set.  The tuple of genes is
+the *genetic code* of the vector.  This module provides:
 
 * exact genericity testing for rational length vectors, read off one table
   of subset sums, with the lexicographically first witness subset on
   failure,
-* the domination order, the genetic code of a vector, and the reconstruction
-  of the full short-set system from a code, one bitset over its anchor sets,
+* the domination order, and the genetic code of a vector, held on one bitset
+  over its anchor sets (the genes closed downward), off which the genes and
+  the full short-set system are read,
 * the partial order on codes at fixed edge count, its up-covers, the
   canonical saturated chain from the minimal code up to a target, and the
   enumeration of every code, which tests comparability on that bitset,
@@ -35,7 +37,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -140,14 +141,6 @@ class LengthVector:
 # ---------------------------------------------------------------------------
 
 
-def _dominated(small: Sequence[int], large: Sequence[int]) -> bool:
-    """The domination order on descending tuples: ``small`` has at most as
-    many entries, and each is at most the matching entry of ``large``.  For
-    ascending length vectors this forces the sums to compare the same way,
-    which is why short sets form a down-set."""
-    return len(small) <= len(large) and all(map(operator.le, small, large))
-
-
 # A code's shortness is one bitset over its anchor sets: bit i - 1 of a mask
 # stands for edge i, the anchor sets are the masks ``anchor | s`` with
 # ``anchor = 2**(m - 1)`` and ``s < anchor``, and bit ``s`` says whether
@@ -191,6 +184,14 @@ def _closure(edge_count: int, bits: int) -> int:
         bits = closed
 
 
+def _maximal(edge_count: int, short: int) -> int:
+    """The sets of a down-closed bitset that no down-move from it reaches."""
+    top = short
+    for pattern, shift in _down_moves(edge_count):
+        top &= ~((short & pattern) >> shift)
+    return top
+
+
 def _bits(x: int) -> Iterator[int]:
     """The positions of the set bits of ``x``, ascending."""
     while x:
@@ -212,21 +213,19 @@ def _set_mask(edges: Iterable[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _gene_sort_key(gene: Gene) -> tuple[int, ...]:
-    return tuple(sorted(gene))
-
-
 @dataclass(frozen=True)
 class GeneticCode:
     """An antichain of anchor-containing edge subsets at a fixed edge count.
 
     ``genes`` are the maximal short subsets containing the anchor edge
     (the one with the largest index).  An empty tuple of genes is legal and
-    describes an empty polygon space: even the anchor alone is long.
+    describes an empty polygon space: even the anchor alone is long.  A code
+    is held on its shortness bitset, the genes closed downward, and codes
+    are equal when their edge counts and bitsets are.
     """
 
     edge_count: int
-    genes: tuple[Gene, ...]
+    _short: int
 
     def __init__(self, edge_count: int, genes: Iterable[Iterable[int]]) -> None:
         if not isinstance(edge_count, int) or edge_count < 1:
@@ -247,29 +246,34 @@ class GeneticCode:
                     f"gene {sorted(gene)} must contain the anchor {edge_count}"
                 )
             canonical.append(gene)
-        keyed = sorted((_gene_sort_key(g), g) for g in set(canonical))
-        if len(keyed) != len(canonical):
+        anchor = 1 << (edge_count - 1)
+        bits = {g: 1 << (_set_mask(g) - anchor) for g in canonical}
+        if len(bits) != len(canonical):
             raise InvalidCodeError("duplicate gene")
-        descending = [(key[::-1], g) for key, g in keyed]
-        for (da, a), (db, b) in itertools.combinations(descending, 2):
-            if _dominated(da, db) or _dominated(db, da):
-                raise InvalidCodeError(
-                    f"genes {sorted(a)} and {sorted(b)} are comparable; "
-                    "a code must be an antichain"
-                )
+        top = sum(bits.values())
+        short = _closure(edge_count, top)
+        if _maximal(edge_count, short) != top:
+            # the first comparable pair: one's down-set holds the other's
+            downs = {g: _closure(edge_count, b) for g, b in bits.items()}
+            for a, b in itertools.combinations(sorted(downs, key=sorted), 2):
+                if downs[a] | downs[b] in (downs[a], downs[b]):
+                    raise InvalidCodeError(
+                        f"genes {sorted(a)} and {sorted(b)} are comparable; "
+                        "a code must be an antichain"
+                    )
         object.__setattr__(self, "edge_count", edge_count)
-        object.__setattr__(self, "genes", tuple(g for _, g in keyed))
+        object.__setattr__(self, "_short", short)
 
     @functools.cached_property
-    def _short(self) -> int:
-        """The shortness bitset: the genes closed downward."""
+    def genes(self) -> tuple[Gene, ...]:
+        """The maximal sets of the bitset, by ascending element tuple."""
         anchor = 1 << (self.edge_count - 1)
-        genes = sum(1 << (_set_mask(g) - anchor) for g in self.genes)
-        return _closure(self.edge_count, genes)
+        top = _maximal(self.edge_count, self._short)
+        return tuple(sorted((_mask_set(anchor | s) for s in _bits(top)), key=sorted))
 
     def is_empty_space(self) -> bool:
         """True when the code describes an empty polygon space (no genes)."""
-        return not self.genes
+        return not self._short
 
     def anchor_short_sets(self) -> frozenset:
         """All short subsets containing the anchor (the down-set of the
@@ -302,24 +306,20 @@ def minimal_code(edge_count: int) -> GeneticCode:
 
 
 def _code_of(edge_count: int, short: int) -> GeneticCode:
-    """The code of a downward-closed shortness bitset, which it keeps: the
-    genes are the short sets that no down-move from a short set reaches."""
-    genes = short
-    for pattern, shift in _down_moves(edge_count):
-        genes &= ~((short & pattern) >> shift)
-    anchor = 1 << (edge_count - 1)
-    code = GeneticCode(edge_count, [_mask_set(anchor | s) for s in _bits(genes)])
-    code.__dict__["_short"] = short  # where the cached property keeps it
+    """The code of a downward-closed shortness bitset, taken as it is: the
+    callers close it, so nothing is checked."""
+    code = object.__new__(GeneticCode)
+    object.__setattr__(code, "edge_count", edge_count)
+    object.__setattr__(code, "_short", short)
     return code
 
 
 def genetic_code(lengths: Union[LengthVector, Iterable[RationalLike]]) -> GeneticCode:
     """The genetic code of a (generic) length vector.
 
-    Tests every anchor set for shortness and keeps the short sets that are
-    maximal under domination.  Entry ``s`` of the subset-sum table of the
-    edges below the anchor sums the edges of mask ``s`` and gives bit ``s``
-    of the shortness bitset.
+    Tests every anchor set for shortness: entry ``s`` of the subset-sum
+    table of the edges below the anchor sums the edges of mask ``s`` and
+    gives bit ``s`` of the code's shortness bitset.
     """
     vec = lengths if isinstance(lengths, LengthVector) else LengthVector(lengths)
     ints = _scaled(vec.values)
@@ -354,7 +354,7 @@ def minimal_long_sets(code: GeneticCode) -> tuple[Gene, ...]:
     for pattern, shift in _down_moves(m):
         minimal &= ~(pattern & (long << shift))
     out = [_mask_set(anchor | s) for s in _bits(minimal)]
-    return tuple(sorted(out, key=_gene_sort_key))
+    return tuple(sorted(out, key=sorted))
 
 
 def up_covers(code: GeneticCode) -> tuple[GeneticCode, ...]:
@@ -388,8 +388,8 @@ def saturated_chain(code: GeneticCode) -> SaturatedChain:
     its added sets together with the anchor singleton exhaust the short
     system of the target.  Among anchor sets that tuple order is the order
     of the masks, and every up-move raises the mask, so the gene dropped is
-    the highest set bit of the shortness bitset: the descent drops the
-    short sets by falling mask.  Codes with more than
+    the highest set bit of the shortness bitset: the chain's codes are the
+    bitset's prefixes, cut after each set bit.  Codes with more than
     ``MAX_CHAIN_SHORT_SETS`` anchor short sets are refused before the
     descent.
     """
@@ -403,14 +403,11 @@ def saturated_chain(code: GeneticCode) -> SaturatedChain:
             f"chains are built for at most {MAX_CHAIN_SHORT_SETS}"
         )
     anchor = 1 << (m - 1)
-    codes = [code]
-    removed = []
-    while short != 1:
-        top = short.bit_length() - 1
-        removed.append(_mask_set(anchor | top))
-        short ^= 1 << top
-        codes.append(_code_of(m, short))
-    return SaturatedChain(tuple(reversed(codes)), tuple(reversed(removed)))
+    sets = list(_bits(short))
+    return SaturatedChain(
+        tuple(_code_of(m, short & ((2 << s) - 1)) for s in sets),
+        tuple(_mask_set(anchor | s) for s in sets[1:]),
+    )
 
 
 def surgery_signature(chain: SaturatedChain) -> tuple[int, ...]:
@@ -428,8 +425,11 @@ def enumerate_codes(edge_count: int) -> list[GeneticCode]:
     set's mask is its down-closure OR'd with its up-closure, the transpose
     of the down-closures (``t`` lies above ``s`` exactly when ``s`` lies in
     the down-closure of ``t``), and the walk carries the OR of the chosen
-    sets' masks.  Exponential; refuses edge counts above a small cap.
+    sets' masks and the OR of their down-closures, the code's bitset.
+    Exponential; refuses edge counts below one or above a small cap.
     """
+    if not isinstance(edge_count, int) or edge_count < 1:
+        raise InvalidCodeError(f"bad edge count: {edge_count!r}")
     if edge_count > MAX_EDGES_ENUMERATE:
         raise GroundSetTooLargeError(
             f"code enumeration supports at most {MAX_EDGES_ENUMERATE} edges"
@@ -443,20 +443,16 @@ def enumerate_codes(edge_count: int) -> list[GeneticCode]:
     order = sorted(
         range(anchor), key=lambda s: (s.bit_count(), tuple(_bits(s)))
     )
-    sets = [_mask_set(anchor | s) for s in order]
     out: list[GeneticCode] = []
 
-    def extend(start: int, chosen: list, blocked: int) -> None:
-        out.append(GeneticCode(edge_count, chosen))
+    def extend(start: int, short: int, blocked: int) -> None:
+        out.append(_code_of(edge_count, short))
         for i in range(start, anchor):
             s = order[i]
-            if blocked >> s & 1:
-                continue
-            chosen.append(sets[i])
-            extend(i + 1, chosen, blocked | comparable[s])
-            chosen.pop()
+            if not blocked >> s & 1:
+                extend(i + 1, short | down[s], blocked | comparable[s])
 
-    extend(0, [], 0)
+    extend(0, 0, 0)
     return out
 
 

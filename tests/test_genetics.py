@@ -499,10 +499,6 @@ def test_mask_scans_match_the_frozenset_scans():
     vectors = [v for v in pinned.values() if v is not None]
     vectors += seeded_draws() + widest + [(1,), (1, 3), (2, 3, 4)]
     drawn = [genetic_code(v) for v in seeded_draws() + widest]
-    for g in drawn:
-        # a code read off lengths keeps that bitset: the genes closed
-        # downward give it back
-        assert GeneticCode(g.edge_count, g.genes)._short == g._short, g
     codes = [
         g for m in range(1, genetics.MAX_EDGES_ENUMERATE + 1)
         for g in enumerate_codes(m)
@@ -514,10 +510,53 @@ def test_mask_scans_match_the_frozenset_scans():
         assert genetic_code(v) == reference_genetic_code(v), v
 
 
+def assert_round_trips(g: GeneticCode) -> None:
+    """A code is the validated code of its genes, on the same bitset, and
+    that bitset is closed downward."""
+    m = g.edge_count
+    again = GeneticCode(m, g.genes)
+    assert again == g and again._short == g._short, g
+    assert genetics._closure(m, g._short) == g._short, g
+
+
+def test_built_codes_are_the_codes_of_their_genes():
+    """The codes that ``genetics`` builds from a bitset with no check round
+    trip through the checked constructor: every code with m <= 7, the codes
+    of the seeded m = 8..10 draws, every up-cover and saturated chain member
+    of those, and the codes of two seeded draws at ``MAX_EDGES``."""
+    codes = [
+        g for m in range(1, genetics.MAX_EDGES_ENUMERATE + 1)
+        for g in enumerate_codes(m)
+    ]
+    codes += [genetic_code(v) for v in seeded_draws()]
+    built = set(codes)
+    for g in codes:
+        built.update(up_covers(g))
+        built.update(saturated_chain(g).codes)
+    widest = seeded_draws(2, (genetics.MAX_EDGES,), seed=16)
+    built.update(genetic_code(v) for v in widest)
+    for g in built:
+        assert_round_trips(g)
+
+
+def test_equality_is_equality_of_genes():
+    """Equality and hashing on the edge count and bitset agree with
+    equality of the gene tuples, on every pair of m <= 5 codes, each built
+    from its bitset and from its genes."""
+    enumerated = [g for m in range(1, 6) for g in enumerate_codes(m)]
+    codes = enumerated + [GeneticCode(g.edge_count, g.genes) for g in enumerated]
+    for g, h in itertools.product(codes, repeat=2):
+        same = (g.edge_count, g.genes) == (h.edge_count, h.genes)
+        assert (g == h) == same, (g, h)
+        if same:
+            assert hash(g) == hash(h), (g, h)
+
+
 def test_antichain_check_matches_dominance_leq():
-    """The constructor compares descending tuples sorted once per gene;
-    testing every pair with ``dominance_leq`` refuses the same gene lists,
-    naming the same first comparable pair."""
+    """The constructor closes the genes on the shortness bitset and names
+    the first comparable pair from their down-sets; testing every pair with
+    ``dominance_leq`` refuses the same gene lists, naming the same first
+    comparable pair."""
     for m in range(1, 6):
         for r in (2, 3):
             for genes in itertools.combinations(anchor_sets(m), r):
@@ -757,6 +796,9 @@ def test_enumerate_codes_counts():
     assert GeneticCode(4, []) in codes4
     with pytest.raises(GroundSetTooLargeError):
         enumerate_codes(8)
+    for bad in (0, -1, -5):
+        with pytest.raises(InvalidCodeError, match="bad edge count"):
+            enumerate_codes(bad)
 
 
 # --- realization -----------------------------------------------------------
