@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -192,6 +193,17 @@ def _maximal(edge_count: int, short: int) -> int:
     return top
 
 
+def _edge(value) -> int:
+    """An edge index from outside: an integer, never a float, a
+    ``Fraction`` or a string that ``int`` would read."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidCodeError(
+            f"gene element is not an integer: {value!r}"
+        ) from None
+
+
 def _bits(x: int) -> Iterator[int]:
     """The positions of the set bits of ``x``, ascending."""
     while x:
@@ -236,7 +248,7 @@ class GeneticCode:
             )
         canonical = []
         for raw in genes:
-            gene = frozenset(map(int, raw))
+            gene = frozenset(map(_edge, raw))
             if not gene or min(gene) < 1 or max(gene) > edge_count:
                 raise InvalidCodeError(
                     f"gene {sorted(gene)} out of range for {edge_count} edges"

@@ -27,13 +27,21 @@ floating point is involved anywhere.
 ``∂_1`` is never eliminated: the union-find that counts the components
 also gives a spanning forest, so its rank is vertices minus components,
 every invariant factor is one, and its forest edges are its unit pivots.
-Each boundary matrix above goes through greedy unit pivots on the sparse
-matrix, then a dense Smith normal form on whatever small residual
-remains.  A column with a single unit entry is pivoted before anything
-else, since clearing it changes no other row: that is the matrix form of
-a coreduction (Mrozek & Batko, "Coreduction homology algorithm", 2009).
-A queue holds such columns, and every pivot that leaves a column with
-one entry adds it, so runs of coreductions make no fill.
+Each boundary matrix above is reduced in two phases.  A column with a
+single unit entry is a pivot that changes no other row: that is the
+matrix form of a coreduction (Mrozek & Batko, "Coreduction homology
+algorithm", 2009), and it needs no arithmetic.  Nearly every pivot is
+one (63,311 of the 67,392 of ``∂_2`` on the ``<16>`` model, all of them
+on Coxeter(5) and Coxeter(6)), so the first phase runs them on flat data
+alone: a live-entry count per column and the columns of each row.  A
+first-in, first-out queue holds the single columns; each pivot deletes
+its row and queues every column it leaves with one entry, so runs of
+coreductions make no fill.  Only the rows left are then built into row
+and column maps, for greedy unit pivots with a Markowitz-style choice
+(coreductions still first) and a dense Smith normal form on whatever
+small residual remains.  The second phase's row heap starts from each
+row's original length, so it picks the pivots that one loop over the
+whole matrix would; the tests keep that loop as a reference.
 
 The elimination compresses as it climbs (Bauer, Kerber & Reininghaus,
 "Clear and compress", 2014): the reduction of the boundary matrix in
@@ -72,7 +80,7 @@ from __future__ import annotations
 import functools
 import heapq
 import weakref
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import (
     chain,
@@ -392,18 +400,25 @@ def _sparse_reduce(
     """Rank, invariant factors and unit-pivot columns of a sparse integer
     matrix given by its columns, leaving out the rows in ``drop_rows``.
 
-    Unit entries are eliminated greedily: single-entry columns first, then
-    with a Markowitz-style pivot choice; the leftover submatrix goes
-    through the dense routine.  The third value holds the columns of the
-    unit pivots, not those of the dense phase.
+    Two phases.  The first pivots single-entry unit columns (coreductions)
+    on flat data: a live-entry count per column and the columns of each
+    row, from a first-in, first-out queue; such a pivot deletes its row
+    and updates no other, so it needs no arithmetic.  Once the queue is
+    empty, the rows left are built into row and column maps, and unit
+    entries are eliminated greedily with a Markowitz-style pivot choice,
+    coreductions still first; the leftover submatrix goes through the
+    dense routine.  The third value holds the columns of the unit pivots,
+    not those of the dense phase.
     """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
+    count = [0] * len(columns)
+    row_cols: defaultdict[int, list[int]] = defaultdict(list)
     for c, column in enumerate(columns):
+        n = 0
         for r, v in column.items():
             if v and r not in drop_rows:
-                rows.setdefault(r, {})[c] = v
-                cols.setdefault(c, set()).add(r)
+                row_cols[r].append(c)
+                n += 1
+        count[c] = n
     rank = 0
     pivots: set[int] = set()
     # A column with a single unit entry is a pivot that updates no other
@@ -411,12 +426,37 @@ def _sparse_reduce(
     # first-in, first-out queue, seeded here and joined by every column
     # that clearing a pivot row leaves with one entry; the queue drains
     # before each pop from the row heap.  (Last-in, first-out leaves more
-    # for the heap: 55,623 fill entries on Coxeter(7) against none.)  The
-    # heap holds rows by length, shortest first, lazily: stale lengths are
-    # re-pushed instead of decrease-keyed.  Within a row the unit entry of
-    # the shortest column wins.
-    single = deque(c for c, rs in cols.items() if len(rs) == 1)
-    heap = [(len(row), r) for r, row in rows.items()]
+    # for the heap: 55,623 fill entries on Coxeter(7) against none.)  A
+    # single column's last live row is found by scanning the column
+    # itself, which for a simplex of dimension k holds k + 1 entries.
+    single = deque(c for c, n in enumerate(count) if n == 1)
+    while single:
+        c0 = single.popleft()
+        if count[c0] != 1:
+            continue  # stale: the column has changed since it joined
+        for r0, v0 in columns[c0].items():
+            if v0 and r0 in row_cols:
+                break
+        if v0 not in (1, -1):
+            continue
+        for c in row_cols.pop(r0):
+            count[c] -= 1
+            if count[c] == 1:
+                single.append(c)
+        rank += 1
+        pivots.add(c0)
+    # The rows left, as row and column maps.  The heap holds rows by
+    # length, shortest first, lazily: stale lengths are re-pushed instead
+    # of decrease-keyed, so it starts from each row's original length, as
+    # if it had been seeded before the coreductions.  Within a row the
+    # unit entry of the shortest column wins.
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for r, cs in row_cols.items():
+        rows[r] = {c: columns[c][r] for c in cs}
+        for c in cs:
+            cols.setdefault(c, set()).add(r)
+    heap = [(len(cs), r) for r, cs in row_cols.items()]
     heapq.heapify(heap)
     while single or heap:
         if single:

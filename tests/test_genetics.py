@@ -201,6 +201,15 @@ def test_code_constructor_rejects_bad_input():
         GeneticCode(0, [])
 
 
+@pytest.mark.parametrize(
+    "element", [4.9, 4.0, Fraction(4), Fraction(9, 2), "4", b"4"]
+)
+def test_code_constructor_refuses_gene_elements_that_are_not_ints(element):
+    # int() would read each of these, 4.9 as 4: the code <45>
+    with pytest.raises(InvalidCodeError, match="not an integer"):
+        GeneticCode(5, [[element, 5]])
+
+
 @given(st.lists(st.integers(1, 11), min_size=3, max_size=7))
 @settings(max_examples=80)
 def test_code_reconstructs_every_short_set(raw):
