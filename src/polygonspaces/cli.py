@@ -28,6 +28,7 @@ from .errors import (
 from .genetics import (
     GeneticCode,
     _ascii_digits,
+    _is_int,
     genetic_code,
     parse_code,
     saturated_chain,
@@ -85,10 +86,6 @@ def _parse_lengths(raw: list[str]) -> list[Fraction]:
         except (ValueError, ZeroDivisionError):
             raise InvalidCodeError(f"not a rational length: {item!r}")
     return out
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_list_of(value, check) -> bool:
@@ -280,27 +277,18 @@ def _run_model(code: GeneticCode, args: argparse.Namespace) -> int:
 
 
 def _parse_locus(text: str, edge_count: int):
-    """A surgery locus: groups of the digits 0-9 separated by commas, or
-    a JSON list of blocks; edges not named become singletons.  An empty
-    locus or block, or an edge named twice or outside 1..m, is refused."""
+    """A surgery locus: groups of the digits 0-9 separated by commas, one
+    block per group and one edge per digit, which names every locus of an
+    intersection poset (those stop at 8 edges); edges not named become
+    singletons.  An empty locus or block, or an edge named twice or
+    outside 1..m, is refused."""
     text = text.strip()
-    if text.startswith("["):
-        try:
-            data = json.loads(text)
-        except (ValueError, RecursionError):
-            raise InvalidCodeError(f"locus {text!r} is not valid JSON")
-        if not _is_list_of(data, lambda b: _is_list_of(b, _is_int)):
-            raise InvalidCodeError(
-                f"locus {text!r} is not a list of integer blocks"
-            )
-        blocks = [tuple(b) for b in data]
-    else:
-        groups = text.split(",")
-        if not all(_ascii_digits(g) for g in groups if g):
-            raise InvalidCodeError(
-                f"locus {text!r} is not comma-separated digit groups"
-            )
-        blocks = [tuple(map(int, group)) for group in groups]
+    groups = text.split(",")
+    if not all(_ascii_digits(g) for g in groups if g):
+        raise InvalidCodeError(
+            f"locus {text!r} is not comma-separated digit groups"
+        )
+    blocks = [tuple(map(int, group)) for group in groups]
     if not blocks or not all(blocks):
         raise InvalidCodeError(
             f"locus {text!r} is empty or has an empty block"
@@ -514,7 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--surgery",
         metavar="BLOCKS",
         default=None,
-        help='combinatorial surgery at this locus, e.g. "345"',
+        help='combinatorial surgery at this locus: comma-separated digit '
+        'groups, one block each, e.g. "345" or "12,34"',
     )
     p.add_argument(
         "--format",

@@ -466,14 +466,11 @@ def _set_partitions(n: int, k: int, low: int = 0) -> Iterator[tuple[int, ...]]:
     """Partitions of the bits ``low..n-1`` into ``k`` blocks: the ones
     where bit ``low`` is a block of its own, then the ones where it joins
     each block of a partition of the rest in turn."""
-    size = n - low
     if k == 1:
         yield ((1 << n) - (1 << low),)
         return
-    if size == k:
+    if n - low == k:
         yield tuple(1 << i for i in range(low, n))
-        return
-    if size < k:
         return
     bit = 1 << low
     for sub in _set_partitions(n, k - 1, low + 1):

@@ -26,10 +26,11 @@ the *genetic code* of the vector.  This module provides:
   rows, posed so that the origin is feasible and solved by a one-phase
   simplex with fraction-free integer pivoting on a condensed tableau.
 
-All arithmetic is exact.  Lengths are ``fractions.Fraction`` values; their
-sums are compared as plain ints after every length is scaled by the common
-denominator.  The simplex tableau holds plain ints too.  Floats never
-appear.
+All arithmetic is exact.  Lengths are ``fractions.Fraction`` values, given
+as a ``Fraction`` or an ``int`` (never a ``bool``, a float or text: the
+command line's one parser reads length text).  Their sums are compared as
+plain ints after every length is scaled by the common denominator.  The
+simplex tableau holds plain ints too.  Floats never appear.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -50,7 +50,7 @@ from .errors import (
     AuditError,
 )
 
-RationalLike = Union[int, str, Fraction]
+RationalLike = Union[int, Fraction]
 
 # Genericity scanning and short-set enumeration walk subsets of the edge
 # set, so the exact routines carry explicit size caps.
@@ -64,10 +64,12 @@ MAX_CHAIN_SHORT_SETS = 512
 Gene = frozenset  # elements are 1-based edge indices
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, Fraction) or _is_int(value):
         return Fraction(value)
     raise InvalidCodeError(f"not an exact rational: {value!r}")
 
@@ -194,14 +196,11 @@ def _maximal(edge_count: int, short: int) -> int:
 
 
 def _edge(value) -> int:
-    """An edge index from outside: an integer, never a float, a
-    ``Fraction`` or a string that ``int`` would read."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidCodeError(
-            f"gene element is not an integer: {value!r}"
-        ) from None
+    """An edge index from outside: an integer, never a ``bool``, a float,
+    a ``Fraction`` or a string that ``int`` would read."""
+    if not _is_int(value):
+        raise InvalidCodeError(f"gene element is not an integer: {value!r}")
+    return value
 
 
 def _bits(x: int) -> Iterator[int]:
@@ -240,7 +239,7 @@ class GeneticCode:
     _short: int
 
     def __init__(self, edge_count: int, genes: Iterable[Iterable[int]]) -> None:
-        if not isinstance(edge_count, int) or edge_count < 1:
+        if not _is_int(edge_count) or edge_count < 1:
             raise InvalidCodeError(f"bad edge count: {edge_count!r}")
         if edge_count > MAX_EDGES:
             raise GroundSetTooLargeError(
@@ -248,7 +247,10 @@ class GeneticCode:
             )
         canonical = []
         for raw in genes:
-            gene = frozenset(map(_edge, raw))
+            try:
+                gene = frozenset(map(_edge, raw))
+            except TypeError:
+                raise InvalidCodeError(f"gene is not a set of edges: {raw!r}")
             if not gene or min(gene) < 1 or max(gene) > edge_count:
                 raise InvalidCodeError(
                     f"gene {sorted(gene)} out of range for {edge_count} edges"
@@ -357,9 +359,6 @@ def minimal_long_sets(code: GeneticCode) -> tuple[Gene, ...]:
     down-move takes to a long set.
     """
     m = code.edge_count
-    if m == 1:
-        # the one down-cover of {1}, the empty set, is no anchor set
-        return ()
     anchor = 1 << (m - 1)
     long = code._short ^ ((1 << anchor) - 1)
     minimal = long
@@ -440,7 +439,7 @@ def enumerate_codes(edge_count: int) -> list[GeneticCode]:
     sets' masks and the OR of their down-closures, the code's bitset.
     Exponential; refuses edge counts below one or above a small cap.
     """
-    if not isinstance(edge_count, int) or edge_count < 1:
+    if not _is_int(edge_count) or edge_count < 1:
         raise InvalidCodeError(f"bad edge count: {edge_count!r}")
     if edge_count > MAX_EDGES_ENUMERATE:
         raise GroundSetTooLargeError(

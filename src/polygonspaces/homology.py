@@ -77,7 +77,6 @@ them.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import weakref
 from collections import defaultdict, deque
@@ -117,8 +116,8 @@ class SimplicialComplex:
     once and numbered in that order, and the complex is held on those
     codes: each dimension's faces as sorted tuples of ints, in ascending
     order.  The numbering keeps the order, so the faces sort as their
-    vertices do.  ``faces``, ``faces_by_dim``, ``vertices`` and
-    ``maximal_faces()`` give the vertices back.
+    vertices do.  ``vertices`` and ``maximal_faces()`` give the vertices
+    back.
 
     The closure of the given faces is taken one dimension at a time, from
     the top down.  Past ``MAX_SIMPLICES`` faces it is refused: before any
@@ -169,23 +168,8 @@ class SimplicialComplex:
         self._vertices = vertices
         self._size = held
 
-    @functools.cached_property
-    def faces_by_dim(self) -> dict[int, tuple[tuple, ...]]:
-        return {d: self._decode(fs) for d, fs in self._faces.items()}
-
-    def _decode(self, faces: Iterable[tuple]) -> tuple[tuple, ...]:
-        vertex = self._vertices.__getitem__
-        return tuple(tuple(map(vertex, f)) for f in faces)
-
-    @property
-    def dim(self) -> int:
-        return max(self._faces, default=-1)
-
     def __len__(self) -> int:
         return self._size
-
-    def faces(self, dim: int) -> tuple[tuple, ...]:
-        return self.faces_by_dim.get(dim, ())
 
     @property
     def vertices(self) -> tuple:
@@ -205,7 +189,8 @@ class SimplicialComplex:
                 chain.from_iterable(map(combinations, above, repeat(d + 1)))
             )
             out.extend(filterfalse(covered.__contains__, fs))
-        return self._decode(out)
+        vertex = self._vertices.__getitem__
+        return tuple(tuple(map(vertex, f)) for f in out)
 
 
 def _fill(level: set, items: Sequence[tuple], width: int, held: int) -> int:

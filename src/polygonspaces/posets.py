@@ -144,9 +144,6 @@ class FinitePoset:
     def __contains__(self, e: Hashable) -> bool:
         return e in self.index
 
-    def leq(self, a: Hashable, b: Hashable) -> bool:
-        return bool(self._down[self.index[b]] & (1 << self.index[a]))
-
     def covers(self) -> tuple[tuple[Hashable, Hashable], ...]:
         """All covering pairs ``(a, b)`` with ``a`` directly below ``b``,
         ordered by the index of ``b`` and then of ``a``."""

@@ -584,22 +584,11 @@ def test_poset_surgery_that_destroys_meets_is_an_audit_failure(
     assert "NOT_MEET_SEMILATTICE" in err
 
 
-@pytest.mark.parametrize("fmt", ["dot", "json"])
-def test_poset_json_locus_reads_as_digit_groups(capsys, fmt) -> None:
-    digits = run_cli(
-        capsys, "poset", "<26>", "--surgery", "345", "--format", fmt
-    )
-    listed = run_cli(
-        capsys, "poset", "<26>", "--surgery", "[[3,4,5]]", "--format", fmt
-    )
-    assert digits[0] == 0
-    assert listed == digits
-
-
 @pytest.mark.parametrize(
     "locus, error",
     [
         pytest.param("12345", "NOT_APPLICABLE", id="12345"),
+        pytest.param("[[3,4,5]]", "INVALID_CODE", id="json-locus"),
         pytest.param("[1,2", "INVALID_CODE", id="unclosed-json"),
         pytest.param("1x,2", "INVALID_CODE", id="non-digit"),
         pytest.param('[["a"]]', "INVALID_CODE", id="string-element"),

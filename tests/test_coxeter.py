@@ -428,6 +428,20 @@ def test_a_sealed_complex_refuses_a_cell_with_details() -> None:
     }
 
 
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        pytest.param(
+            lambda: coxeter_complex(range(1, 4)).pair(0, 1), AuditError,
+            "complex is sealed", id="pair-after-seal",
+        ),
+    ],
+)
+def test_coxeter_refusals(build, error, match) -> None:
+    with pytest.raises(error, match=match):
+        build()
+
+
 def test_edge_needs_two_distinct_ends() -> None:
     k = RegularCellComplex()
     a = k.add_cell(0, ("v", "a"))

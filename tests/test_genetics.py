@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polygonspaces import genetics
+from polygonspaces.cli import main
 from polygonspaces.errors import (
     AuditError,
     GroundSetTooLargeError,
@@ -51,8 +52,8 @@ def test_vector_canonicalizes_order():
     assert sum(v.values) == 8
 
 
-def test_vector_accepts_strings_and_fractions():
-    v = LengthVector(["1/2", Fraction(5, 2), 1])
+def test_vector_accepts_ints_and_fractions():
+    v = LengthVector([Fraction(1, 2), Fraction(5, 2), 1])
     assert v.values == (Fraction(1, 2), Fraction(1), Fraction(5, 2))
 
 
@@ -202,12 +203,57 @@ def test_code_constructor_rejects_bad_input():
 
 
 @pytest.mark.parametrize(
-    "element", [4.9, 4.0, Fraction(4), Fraction(9, 2), "4", b"4"]
+    "element", [4.9, 4.0, Fraction(4), Fraction(9, 2), "4", b"4", True]
 )
 def test_code_constructor_refuses_gene_elements_that_are_not_ints(element):
-    # int() would read each of these, 4.9 as 4: the code <45>
+    # int() would read each of these, 4.9 as 4: the code <45>, and True
+    # as 1: the code <15>
     with pytest.raises(InvalidCodeError, match="not an integer"):
         GeneticCode(5, [[element, 5]])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: GeneticCode(5, [5]), id="gene-not-iterable"),
+        pytest.param(lambda: GeneticCode(True, [[1]]), id="bool-edge-count"),
+        pytest.param(lambda: enumerate_codes(True), id="bool-enumerate"),
+        pytest.param(lambda: LengthVector([True, 1, 1]), id="bool-length"),
+    ],
+)
+def test_bools_and_bare_ints_are_no_codes_or_lengths(build):
+    # a bool is refused wherever an int is read, and a bare int is no gene
+    with pytest.raises(InvalidCodeError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, error, match, argv",
+    [
+        pytest.param(
+            lambda: GeneticCode(5, [[5], [5]]), InvalidCodeError,
+            "duplicate gene", ["chain", "<5,5>"], id="duplicate-gene",
+        ),
+        pytest.param(
+            lambda: GeneticCode(17, [[17]]), GroundSetTooLargeError,
+            "at most 16 edges", ["chain", "<[17]>"], id="edges-past-max",
+        ),
+        pytest.param(
+            lambda: LengthVector(["1/2", 1, 1]), InvalidCodeError,
+            "not an exact rational", None, id="string-length",
+        ),
+        pytest.param(
+            lambda: LengthVector([0.5, 1, 1]), InvalidCodeError,
+            "not an exact rational", None, id="float-length",
+        ),
+    ],
+)
+def test_genetics_refusals(build, error, match, argv, capsys):
+    with pytest.raises(error, match=match):
+        build()
+    if argv is not None:
+        assert main(argv) == 2
+        assert f"error [{error.code}]" in capsys.readouterr().err
 
 
 @given(st.lists(st.integers(1, 11), min_size=3, max_size=7))
@@ -251,7 +297,7 @@ def test_genes_are_maximal_short_sets(raw):
 def test_non_generic_fractions_report_the_first_witness():
     # 1/6 + 1/3 + 1/2 = 1 is half the perimeter 2, and so is the 1 alone
     with pytest.raises(NonGenericError) as err:
-        LengthVector(("1/2", "1/3", "1/6", "1"))
+        LengthVector((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), 1))
     assert err.value.details["witness"] == (1, 2, 3)
 
 
@@ -358,8 +404,9 @@ def dominance_up_covers(s: frozenset, anchor: int):
 
 
 def dominance_down_covers(s: frozenset, anchor: int):
-    """Immediate predecessors of ``s`` among anchor-containing subsets."""
-    if 1 in s:
+    """Immediate predecessors of ``s`` among anchor-containing subsets:
+    dropping edge 1 is none when edge 1 is the anchor."""
+    if 1 in s and anchor > 1:
         yield s - {1}
     for g in s:
         if g != anchor and g > 1 and g - 1 not in s:
@@ -385,8 +432,7 @@ def reference_anchor_short_sets(g: GeneticCode) -> frozenset:
     stack = list(g.genes)
     while stack:
         for s in dominance_down_covers(stack.pop(), anchor):
-            # at one edge the only cover below the anchor is empty
-            if anchor in s and s not in seen:
+            if s not in seen:
                 seen.add(s)
                 stack.append(s)
     return frozenset(seen)
@@ -427,8 +473,7 @@ def reference_saturated_chain(g: GeneticCode) -> SaturatedChain:
         genes.update(
             c
             for c in dominance_down_covers(gene, m)
-            if m in c
-            and not any(u in shorts for u in dominance_up_covers(c, m))
+            if not any(u in shorts for u in dominance_up_covers(c, m))
         )
         codes.append(GeneticCode(m, genes))
     return SaturatedChain(tuple(reversed(codes)), tuple(reversed(removed)))
@@ -495,11 +540,12 @@ def seeded_draws(count=120, sizes=(8, 9, 10), seed=5) -> list[tuple[int, ...]]:
 
 
 def test_mask_scans_match_the_frozenset_scans():
-    """Every code with m <= 7, m = 1 and 2 among them, where dropping edge 1
-    at one edge leaves no anchor set, the codes of the seeded m = 8..10
-    draws and of two seeded draws at ``MAX_EDGES``: the bitset answers equal
-    the frozenset walks, and each realized vector and each draw gives the
-    same code as the frozenset scan."""
+    """Every code with m <= 7, m = 1 and 2 among them (at one edge {1} has
+    no down-cover, so it is the minimal long set of the empty code), the
+    codes of the seeded m = 8..10 draws and of two seeded draws at
+    ``MAX_EDGES``: the bitset answers equal the frozenset walks, and each
+    realized vector and each draw gives the same code as the frozenset
+    scan."""
     pinned = json.loads(
         (pathlib.Path(__file__).parent / "fixtures" / "realize_m7.json")
         .read_text()
@@ -616,6 +662,14 @@ def test_minimal_long_sets_examples():
 def test_up_covers_example():
     assert up_covers(code("<5>")) == (GeneticCode(5, [{1, 5}]),)
     assert up_covers(code("<45>")) == (GeneticCode(5, [{4, 5}, {1, 2, 5}]),)
+
+
+def test_up_covers_of_the_empty_code_at_one_edge():
+    # {1} has no down-cover at one edge, so it is the empty code's one
+    # minimal long set, as {2} is at two
+    assert up_covers(GeneticCode(1, [])) == (minimal_code(1),)
+    assert up_covers(GeneticCode(2, [])) == (minimal_code(2),)
+    assert up_covers(minimal_code(1)) == ()
 
 
 def test_saturated_chain_m6_fully():

@@ -62,7 +62,17 @@ from polygonspaces.surgery import (
     surgery_step,
 )
 from test_coxeter import cofacet_sets, reference_ordered_partitions
-from test_posets import face_poset, minimal_building_set
+from test_posets import face_poset, leq, minimal_building_set
+
+
+def faces_by_dim(sc: SimplicialComplex) -> dict[int, tuple[tuple, ...]]:
+    """Each dimension's faces of ``sc``, its vertex codes decoded through
+    its vertices."""
+    vertex = sc.vertices.__getitem__
+    return {
+        d: tuple(tuple(map(vertex, f)) for f in fs)
+        for d, fs in sc._faces.items()
+    }
 
 
 class Chain(tuple):
@@ -861,6 +871,54 @@ def test_locate_sphere_rejects_graphs_that_are_no_circle(
         locate_sphere(k, fs(1, 2))
 
 
+def joined_edge(joined: tuple[bool, bool, bool]) -> RegularCellComplex:
+    """Two vertices and an edge between them; ``joined`` says which of the
+    three keep units 1 and 2 in one block."""
+    patterns = [(fs(1, 2), fs(3)) if j else (fs(1), fs(2, 3)) for j in joined]
+    k = RegularCellComplex()
+    a = k.add_cell(0, ("v", "a"), pattern=patterns[0])
+    b = k.add_cell(0, ("v", "b"), pattern=patterns[1])
+    k.add_cell(1, ("e", "ab"), [a, b], pattern=patterns[2])
+    return k.seal()
+
+
+def surgery_on_a_two_cell():
+    k = coxeter_complex(range(1, 5))
+    top = next(c.ident for c in k if c.dim == 2)
+    return surgery_2d(k, (top,), fs(1, 2))
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        pytest.param(
+            lambda: locate_sphere(joined_edge((True, False, True)), fs(1, 2)),
+            SphereRelocationFailedError, "not a closed subcomplex",
+            id="sphere-not-closed",
+        ),
+        pytest.param(
+            lambda: locate_sphere(joined_edge((True, False, False)), fs(1, 2)),
+            SphereRelocationFailedError, "point sphere has 1 vertices",
+            id="one-point-sphere-vertex",
+        ),
+        pytest.param(
+            lambda: locate_sphere(
+                joined_edge((True, True, False)), fs(1, 2), True
+            ),
+            SphereRelocationFailedError, "point sphere has 2 vertices",
+            id="two-point-rp0-vertices",
+        ),
+        pytest.param(
+            surgery_on_a_two_cell, Not2DError, "no index-2 surgery",
+            id="index-2-sphere",
+        ),
+    ],
+)
+def test_surgery_refusals(build, error, match) -> None:
+    with pytest.raises(error, match=match):
+        build()
+
+
 # -- guard rails ---------------------------------------------------------
 
 
@@ -1099,7 +1157,7 @@ def test_poset_shadow_of_each_step(name: str) -> None:
         )
         for a in shadow:
             for b in shadow:
-                assert shadow.leq(a, b) == target.leq(iso[a], iso[b])
+                assert leq(shadow, a, b) == leq(target, iso[a], iso[b])
 
 
 # -- homotopy models ------------------------------------------------------
@@ -1221,7 +1279,7 @@ def reference_model(complex_, steps) -> SimplicialComplex:
     units, sphere = frozenset(step.units), frozenset(step.sphere)
     far = {v for v in ambient.vertices if v not in sphere}
     bulk = [
-        f for fs in ambient.faces_by_dim.values() for f in fs if far >= set(f)
+        f for fs in faces_by_dim(ambient).values() for f in fs if far >= set(f)
     ]
     frontier = set()
     for flag in ambient.maximal_faces():
@@ -1256,7 +1314,7 @@ def reference_model(complex_, steps) -> SimplicialComplex:
                 below.append(("b", sub))
         return below
 
-    elements = [("c", f) for fs in front.faces_by_dim.values() for f in fs]
+    elements = [("c", f) for fs in faces_by_dim(front).values() for f in fs]
     elements += [("b", ch) for ch in link_chains]
     simplices.extend(chains(elements, strict_below))
     return SimplicialComplex(simplices)
@@ -1268,7 +1326,7 @@ def test_model_matches_the_ambient_subdivision_reference(name) -> None:
     result = model_run(name)
     complex_ = coxeter_complex(range(1, code.edge_count))
     reference = reference_model(complex_, result.steps)
-    assert result.complex.faces_by_dim == reference.faces_by_dim
+    assert faces_by_dim(result.complex) == faces_by_dim(reference)
 
 
 def test_model_builds_without_the_ambient_subdivision(monkeypatch) -> None:
@@ -1347,7 +1405,7 @@ def test_model_count_is_exact_at_the_cap(monkeypatch, name) -> None:
         run_model(parse_code(name))
     monkeypatch.setattr(hmod, "MAX_SIMPLICES", size)
     model = run_model(parse_code(name)).complex
-    assert model.faces_by_dim == model_run(name).complex.faces_by_dim
+    assert faces_by_dim(model) == faces_by_dim(model_run(name).complex)
 
 
 def test_model_refuses_17_before_any_bulk_chain(monkeypatch) -> None:
