@@ -111,6 +111,15 @@ def _report_payload(complex_) -> dict:
     }
 
 
+def _final_payload(complex_) -> dict:
+    """A run's last complex: face counts, Euler characteristic, homology."""
+    return {
+        "f_vector": list(complex_.f_vector()),
+        "euler_characteristic": complex_.euler_characteristic(),
+        **_report_payload(complex_),
+    }
+
+
 # -- gencode --------------------------------------------------------------
 
 
@@ -231,11 +240,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "projective": args.projective,
             "start": {"f_vector": list(start)},
             "steps": steps,
-            "final": {
-                "f_vector": list(complex_.f_vector()),
-                "euler_characteristic": complex_.euler_characteristic(),
-                **_report_payload(complex_),
-            },
+            "final": _final_payload(complex_),
         }
     )
     return 0
@@ -263,11 +268,7 @@ def _run_model(code: GeneticCode, args: argparse.Namespace) -> int:
                 }
                 for step in result.steps
             ],
-            "final": {
-                "f_vector": list(result.complex.f_vector()),
-                "euler_characteristic": result.complex.euler_characteristic(),
-                **_report_payload(result.complex),
-            },
+            "final": _final_payload(result.complex),
         }
     )
     return 0
@@ -367,14 +368,9 @@ def _load_dump(path: str):
         raise InvalidCodeError(f"{path} is not a complex dump")
     if data["kind"] == "simplicial":
         faces = data.get("maximal")
-        # vertices must sort against each other: all integers or all strings
-        if not _is_list_of(faces, lambda f: isinstance(f, list)) or not (
-            all(_is_int(v) for f in faces for v in f)
-            or all(isinstance(v, str) for f in faces for v in f)
-        ):
+        if not _is_list_of(faces, lambda f: _is_list_of(f, _is_int)):
             raise InvalidCodeError(
-                f"{path}: 'maximal' must list faces of integer vertices "
-                "or of string vertices"
+                f"{path}: 'maximal' must list faces of integer vertices"
             )
         return SimplicialComplex([tuple(face) for face in faces])
     if data["kind"] == "cells":

@@ -76,10 +76,11 @@ class Cell(NamedTuple):
     per-instance ``__dict__``.
 
     ``label`` is a ``(kind, payload)`` pair recording how the cell arose;
-    it is opaque to the audits but drives lookups and sphere relocation.
-    ``pattern`` is an ordered tuple of frozensets over a partial ground set,
-    carried along so spheres can be re-identified after surgery.  A changed
-    copy comes from ``_replace``.
+    it only names the cell, for ``add_cell``'s duplicate-label audit and
+    for error messages.  ``pattern`` is an ordered tuple of frozensets over
+    a partial ground set, carried along so spheres can be located, and
+    re-identified after surgery, by their cells' patterns.  A changed copy
+    comes from ``_replace``.
     """
 
     ident: int
@@ -398,9 +399,6 @@ class RegularCellComplex:
     def euler_characteristic(self) -> int:
         return euler(self.f_vector())
 
-    def by_label(self, label: tuple) -> int:
-        return self._labels[label]
-
     def cofacets(self) -> Mapping[int, tuple[int, ...]]:
         """The cells that each cell is a facet of, as a read-only view.  The
         map is built on first use; then ``add_cell`` extends it and a
@@ -415,16 +413,15 @@ class RegularCellComplex:
         return MappingProxyType(self._cofacets)
 
     def faces_of(self, ident: int) -> frozenset:
-        """All cell identities in the closure of a cell, itself included."""
+        """All cell identities in the closure of a cell, itself included,
+        memoised: a cell's facets are fixed when ``add_cell`` takes it."""
         cached = self._faces.get(ident)
         if cached is not None:
             return cached
         out = {ident}
         for f in self.cells[ident].facets:
             out |= self.faces_of(f)
-        result = frozenset(out)
-        if self._sealed:
-            self._faces[ident] = result
+        result = self._faces[ident] = frozenset(out)
         return result
 
     def materialize(self, idents: Iterable[int]) -> "RegularCellComplex":

@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -248,6 +249,9 @@ class GeneticCode:
         canonical = []
         for raw in genes:
             try:
+                # bytes iterate as ints and a mapping as its keys
+                if isinstance(raw, (bytes, bytearray, memoryview, Mapping)):
+                    raise TypeError(raw)
                 gene = frozenset(map(_edge, raw))
             except TypeError:
                 raise InvalidCodeError(f"gene is not a set of edges: {raw!r}")

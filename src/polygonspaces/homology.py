@@ -541,15 +541,15 @@ def _boundary_entries(
 
 def _spread_signs(
     columns: Sequence[dict[int, int]],
-) -> tuple[list[int], dict[int, int], list[int], int]:
+) -> tuple[list[int], dict[int, list[int]], list[int], int]:
     """Orient cells ``0 .. n - 1`` across the faces they share.
 
     ``columns[t]`` maps each face of cell ``t`` to its incidence number.
     The lowest cell of each piece gets +1, and the sign then spreads
     across every face ``g`` on exactly two cells ``t, u`` so that
-    ``e_t [t:g] + e_u [u:g] = 0``.  Returns the sign of every cell, each
-    face on some other number of cells with that number, the cells where
-    the spread met a sign it did not give, and the number of pieces.
+    ``e_t [t:g] + e_u [u:g] = 0``.  Returns the sign of every cell, the
+    cells through each face, the cells where the spread met a sign it did
+    not give, and the number of pieces.
     """
     through: dict[int, list[int]] = {}
     for t, column in enumerate(columns):
@@ -578,8 +578,7 @@ def _spread_signs(
                     stack.append(u)
                 elif sign[u] != want:
                     conflicts.append(u)
-    bad = {g: len(ts) for g, ts in through.items() if len(ts) != 2}
-    return sign, bad, conflicts, pieces
+    return sign, through, conflicts, pieces
 
 
 def _facet_signs(
@@ -795,8 +794,10 @@ def _survey(source: "SimplicialComplex | RegularCellComplex") -> _Survey:
             column if dims[owner[d][c]] == d else {}
             for c, column in enumerate(matrix if d == top else boundary(d))
         ]
-        _, bad, conflicts, _ = _spread_signs(columns)
-        broken.update(owner[d - 1][r] for r in bad)
+        _, through, conflicts, _ = _spread_signs(columns)
+        broken.update(
+            owner[d - 1][r] for r, on in through.items() if len(on) != 2
+        )
         twisted.update(owner[d][c] for c in conflicts)
     manifold = [
         None if comp in broken else comp not in twisted

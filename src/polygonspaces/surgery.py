@@ -516,16 +516,16 @@ def _build_model(
     sphere = frozenset(sphere)
     link = coxeter_complex(units)
     adjacent = adjacent_cells(complex_, sphere)
+    located = {c.pattern: c.ident for c in link}
     gmap: dict = {}
     for v in sorted(adjacent):
         # a pattern of fewer than two blocks names no cell of the link
         blocks = restrict_pattern(complex_.cells[v].pattern, units)
-        try:
-            gmap[v] = link.by_label(("osp", blocks))
-        except KeyError:
+        if blocks not in located:
             raise ProjectionNotSimplicialError(
                 f"projection of cell {v} misses the link"
             )
+        gmap[v] = located[blocks]
     # Coxeter cell ids grow along the face order, so a chain of cells is a
     # sorted tuple, as a face of a SimplicialComplex is
     front = _order_chains(complex_, adjacent)

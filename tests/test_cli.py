@@ -2,6 +2,8 @@
 
 import json
 import pathlib
+import runpy
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -213,6 +215,24 @@ def test_run_model_mode(capsys) -> None:
     assert payload["final"]["identification"] == "2 circles"
 
 
+def test_run_model_figures(capsys) -> None:
+    code, out, _ = run_cli(
+        capsys, "run", "<14>", "--mode", "model", "--figures"
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "model        f = 20 20            chi = 0",
+        "space        2 circles",
+    ]
+
+
+def test_run_model_of_an_empty_space(capsys) -> None:
+    code, out, err = run_cli(capsys, "run", "<>", "--m", "4", "--mode", "model")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error [NOT_APPLICABLE]")
+
+
 def test_run_model_interference(capsys) -> None:
     code, _, err = run_cli(capsys, "run", "<125>", "--mode", "model")
     assert code == 2
@@ -404,9 +424,16 @@ def test_homology_missing_file(capsys, tmp_path) -> None:
             {"kind": "simplicial", "maximal": [[0, 1], ["a", 2]]},
             id="mixed-vertex-types",
         ),
+        # run --dump-cells writes integer vertices only
+        pytest.param(
+            {"kind": "simplicial", "maximal": [["a", "b"], ["b", "c"]]},
+            id="string-vertices",
+        ),
         pytest.param(
             {"kind": "simplicial", "maximal": [[0, [1]]]}, id="list-vertex"
         ),
+        pytest.param([], id="not-an-object"),
+        pytest.param({"kind": "polygon"}, id="unknown-kind"),
         pytest.param({"kind": "cells"}, id="no-cells"),
         pytest.param(
             {"kind": "cells", "cells": [{"dim": 0}]}, id="no-facets"
@@ -654,6 +681,16 @@ def test_unknown_verb_is_usage_error(capsys) -> None:
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_module_runs_as_a_script(capsys, monkeypatch) -> None:
+    # python -m polygonspaces.cli, run afresh as __main__
+    monkeypatch.delitem(sys.modules, "polygonspaces.cli")
+    monkeypatch.setattr(sys, "argv", ["polygonspaces.cli", "realize", "<126>"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("polygonspaces.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "1 1 3 3 3 6\n"
 
 
 def test_byte_identical_reruns(capsys) -> None:

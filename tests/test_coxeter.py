@@ -58,8 +58,8 @@ def test_circle_complex() -> None:
     assert k.f_vector() == (6, 6)
     assert k.euler_characteristic() == 0
     assert k.dim == 1
-    edge = k.by_label(("osp", (fs(1, 2), fs(3))))
-    rev = k.by_label(("osp", (fs(3), fs(1, 2))))
+    edge = k._labels[("osp", (fs(1, 2), fs(3)))]
+    rev = k._labels[("osp", (fs(3), fs(1, 2)))]
     assert k.involution[edge] == rev
 
 
@@ -109,7 +109,7 @@ def test_closure_sizes() -> None:
     for cell in k:
         blocks = len(cell.label[1])
         assert len(k.faces_of(cell.ident)) == 2 ** (blocks - 1) - 1
-    top = k.by_label(("osp", (fs(1), fs(2), fs(3), fs(4))))
+    top = k._labels[("osp", (fs(1), fs(2), fs(3), fs(4)))]
     disk = k.materialize([top])
     assert disk.f_vector() == (3, 3, 1)
     assert set(disk.cells) <= set(k.cells)
@@ -366,10 +366,9 @@ def test_refused_cell_leaves_the_complex_unchanged(match, refuse) -> None:
     with pytest.raises(AuditError, match=match):
         refuse(k, a)
     assert k.cells == before
-    assert k.by_label(("v", "a")) == a
+    assert k._labels[("v", "a")] == a
     for label in (("v", "b"), ("e", 1), ("f", 1)):
-        with pytest.raises(KeyError):
-            k.by_label(label)
+        assert label not in k._labels
     assert k.add_cell(0, ("v", "d")) == a + 3
 
 
@@ -442,6 +441,30 @@ def test_coxeter_refusals(build, error, match) -> None:
         build()
 
 
+def test_seal_of_a_sealed_complex_audits_nothing_again(monkeypatch) -> None:
+    k = ca(4)
+
+    def refuse(self):
+        raise AssertionError("the involution was audited again")
+
+    monkeypatch.setattr(RegularCellComplex, "_audit_involution", refuse)
+    assert k.seal() is k
+
+
+def test_faces_of_an_unsealed_complex_stay_right_as_it_grows() -> None:
+    # a closure is memoised before the seal: a cell's facets never change
+    k = RegularCellComplex()
+    a, b, c = (k.add_cell(0, ("v", v)) for v in "abc")
+    ab = k.add_cell(1, ("e", "ab"), (a, b))
+    assert k.faces_of(ab) == {a, b, ab}
+    bc = k.add_cell(1, ("e", "bc"), (b, c))
+    ca_ = k.add_cell(1, ("e", "ca"), (c, a))
+    top = k.add_cell(2, ("f", "abc"), (ab, bc, ca_))
+    assert k.faces_of(ab) == {a, b, ab}
+    assert k.faces_of(top) == {a, b, c, ab, bc, ca_, top}
+    assert k.faces_of(top) is k.faces_of(top)
+
+
 def test_edge_needs_two_distinct_ends() -> None:
     k = RegularCellComplex()
     a = k.add_cell(0, ("v", "a"))
@@ -457,8 +480,7 @@ def refused_cell(k, dim: int, label: tuple, facets) -> AuditError:
     with pytest.raises(AuditError) as raised:
         k.add_cell(dim, label, facets)
     assert k.cells == before
-    with pytest.raises(KeyError):
-        k.by_label(label)
+    assert label not in k._labels
     assert k.add_cell(0, ("v", "next")) == max(before) + 1
     return raised.value
 

@@ -6,6 +6,7 @@ import math
 import pathlib
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -225,6 +226,31 @@ def test_bools_and_bare_ints_are_no_codes_or_lengths(build):
     # a bool is refused wherever an int is read, and a bare int is no gene
     with pytest.raises(InvalidCodeError):
         build()
+
+
+@pytest.mark.parametrize(
+    "gene",
+    [
+        pytest.param(b"\x04\x05", id="bytes"),
+        pytest.param(bytearray(b"\x04\x05"), id="bytearray"),
+        pytest.param(memoryview(b"\x04\x05"), id="memoryview"),
+        pytest.param({4: "a", 5: "b"}, id="dict"),
+        pytest.param(MappingProxyType({4: "a", 5: "b"}), id="mapping"),
+    ],
+)
+def test_bytes_and_mappings_are_no_genes(gene):
+    # each iterates as the ints 4 and 5, bytes by value and a mapping by
+    # its keys, which would read as the gene 45
+    with pytest.raises(InvalidCodeError, match="gene is not a set of edges"):
+        GeneticCode(5, [gene])
+
+
+@pytest.mark.parametrize(
+    "gene", [{4, 5}, frozenset({4, 5}), [4, 5], (5, 4), range(4, 6)],
+    ids=["set", "frozenset", "list", "tuple", "range"],
+)
+def test_collections_of_ints_are_genes(gene):
+    assert GeneticCode(5, [gene]) == parse_code("<45>")
 
 
 @pytest.mark.parametrize(
@@ -885,6 +911,16 @@ def test_simplex_small_cases():
         _simplex_max([1], [[1]], [-1])
     with pytest.raises(AuditError, match="negative right-hand side"):
         _simplex_max([1, 0], [[1, 1], [-1, -1], [1, -1]], [4, -4, 1])
+    # no row bounds x, so the entering column has no ratio
+    with pytest.raises(AuditError, match="objective unbounded"):
+        _simplex_max([1], [], [])
+
+
+def test_realize_audits_its_round_trip(monkeypatch):
+    # lengths that read back as another code fail the self-check
+    monkeypatch.setattr(genetics, "genetic_code", lambda v: minimal_code(5))
+    with pytest.raises(AuditError, match="round-trip failed for <45>"):
+        realize(parse_code("<45>"))
 
 
 def reference_simplex_max(objective, rows, rhs):

@@ -1015,6 +1015,10 @@ def test_poset_isomorphic_negative():
     assert poset_isomorphic(chain(3), chain(4)) is None
 
 
+def test_poset_isomorphic_maps_the_empty_poset_by_the_empty_map():
+    assert poset_isomorphic(FinitePoset([], []), FinitePoset([], [])) == {}
+
+
 def test_poset_isomorphic_when_colours_cannot_tell():
     # the crown whose covers form one 8-cycle, against two disjoint
     # 4-cycles: every minimal element lies below two of the four maximal

@@ -21,6 +21,7 @@ from polygonspaces.errors import (
     ChainInterferenceError,
     Not2DError,
     NotApplicableError,
+    ProjectionNotSimplicialError,
     SphereNotEmbeddedError,
     SphereRelocationFailedError,
     TooLargeError,
@@ -888,6 +889,14 @@ def surgery_on_a_two_cell():
     return surgery_2d(k, (top,), fs(1, 2))
 
 
+def plain_surgery_on_rp2():
+    # the point sphere of RP^2 leaves by one cycle, which only a
+    # projective surgery folds into a band
+    quotient, _ = projective_quotient(coxeter_complex(range(1, 5)))
+    sphere = locate_sphere(quotient, fs(2, 3, 4), projective=True)
+    return surgery_2d(quotient, sphere, fs(2, 3, 4))
+
+
 @pytest.mark.parametrize(
     "build, error, match",
     [
@@ -911,6 +920,11 @@ def surgery_on_a_two_cell():
         pytest.param(
             surgery_on_a_two_cell, Not2DError, "no index-2 surgery",
             id="index-2-sphere",
+        ),
+        pytest.param(
+            plain_surgery_on_rp2, AuditError,
+            "point surgery expects 2 interface cycles, found 1",
+            id="one-cycle-plain-point-surgery",
         ),
     ],
 )
@@ -1099,6 +1113,40 @@ def test_attach_refuses_facet_images_that_match_no_cell() -> None:
         surgery_2d(k, sphere, units)
 
 
+def test_point_surgery_refuses_quads_on_unmatched_rungs(monkeypatch) -> None:
+    # two faces through one interface node trade patterns, so each pairs
+    # with the other's partner, whose flanks lie on other rungs
+    k, sphere, units = point_surgery_input()
+    star = adjacent_cells(k, frozenset(sphere))
+    edge = next(c.ident for c in k if c.dim == 1 and c.ident in star)
+    f1, f2 = (k.cells[f] for f in k.cofacets()[edge])
+    assert restrict_pattern(f1.pattern, units) != restrict_pattern(
+        f2.pattern, units
+    )
+    monkeypatch.setitem(k.cells, f1.ident, f1._replace(pattern=f2.pattern))
+    monkeypatch.setitem(k.cells, f2.ident, f2._replace(pattern=f1.pattern))
+    with pytest.raises(AuditError, match="do not span matching rungs"):
+        surgery_2d(k, sphere, units)
+
+
+def test_attach_refuses_two_new_cells_on_one_facet_set(monkeypatch) -> None:
+    # the first quad is made twice, so a facet set would name two cells
+    # when the involution looks up the image of a new cell
+    k, sphere, units = point_surgery_input()
+    real, twins = RegularCellComplex.add_cell, []
+
+    def twice(self, dim, label, facets=(), pattern=(), ident=None):
+        made = real(self, dim, label, facets, pattern, ident)
+        if label[0] == "cap" and label[1][0] == "quad" and not twins:
+            twins.append(real(self, dim, ("twin", label), facets, pattern))
+        return made
+
+    monkeypatch.setattr(RegularCellComplex, "add_cell", twice)
+    with pytest.raises(AuditError, match="two new cells have the same facets"):
+        surgery_2d(k, sphere, units)
+    assert twins
+
+
 # -- step loci and poset shadows -----------------------------------------
 
 
@@ -1257,6 +1305,41 @@ def test_model_three_sphere() -> None:
     assert not any(rep.torsion)
 
 
+def test_model_refuses_an_empty_space() -> None:
+    with pytest.raises(NotApplicableError, match="space of this code is empty"):
+        run_model(GeneticCode(4, []))
+
+
+def test_model_refuses_a_frontier_cell_that_misses_the_link(
+    monkeypatch,
+) -> None:
+    # one block names no cell of the link
+    smod = importlib.import_module("polygonspaces.surgery")
+    k, sphere, units = point_surgery_input()
+    monkeypatch.setattr(smod, "restrict_pattern", lambda p, units: (units,))
+    with pytest.raises(
+        ProjectionNotSimplicialError, match="projection of cell .* misses"
+    ):
+        smod._build_model(k, units, sphere)
+
+
+def test_model_refuses_a_frontier_image_that_is_no_chain(monkeypatch) -> None:
+    # the faces of Coxeter({1..4}), four blocks each, go to the antipodes
+    # of their images in the circle link, which no edge of theirs meets
+    smod = importlib.import_module("polygonspaces.surgery")
+    k, sphere, units = point_surgery_input()
+
+    def antipodal_faces(pattern, units):
+        image = restrict_pattern(pattern, units)
+        return reversal(image) if len(pattern) == 4 else image
+
+    monkeypatch.setattr(smod, "restrict_pattern", antipodal_faces)
+    with pytest.raises(
+        ProjectionNotSimplicialError, match="image of a frontier simplex"
+    ):
+        smod._build_model(k, units, sphere)
+
+
 def chains(elements, strict_faces) -> list[tuple]:
     """Every nonempty chain ending at ``elements``, lowest element first."""
     return _chain_counter(elements, strict_faces)[1]()
@@ -1297,7 +1380,7 @@ def reference_model(complex_, steps) -> SimplicialComplex:
     for v in front.vertices:
         assert complex_.faces_of(v) & sphere, "frontier misses its sphere"
         blocks = restrict_pattern(complex_.cells[v].pattern, units)
-        gmap[v] = link.by_label(("osp", blocks))
+        gmap[v] = link._labels[("osp", blocks)]
     link_chains = chains(
         sorted(link.cells), lambda c: sorted(link.faces_of(c) - {c})
     )
